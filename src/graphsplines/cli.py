@@ -2,14 +2,17 @@
 
 Subcommands: verify, flowup, q, check-basis, search, obstruct, probe.
 Exit status is 0 on affirmative verdicts (UNDECIDED included), 1 on negative
-verdicts, and 2 on errors. Reports are human-readable by default and
-machine-readable with --json; both carry identical verdicts.
+verdicts, and 2 on errors, a standard output closed by its reader included.
+Reports are human-readable by default and machine-readable with --json; both
+carry identical verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .basis import (
@@ -18,7 +21,6 @@ from .basis import (
     c3_flowup_obstruction,
     check_basis,
     compute_q,
-    cramer_membership,  # noqa: F401  (re-exported for scripting convenience)
     divides_all_dets_probe,
     even_constant_term,
     spline_determinant,
@@ -362,18 +364,31 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a small command; parse_args keeps
+    # no state in it between calls.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, report, lines = _HANDLERS[args.command](args)
     except (SplineAlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    text = json.dumps(report, indent=2) if args.json else "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`). Point stdout at devnull so the
+        # interpreter's own flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return code
 
 

@@ -143,10 +143,15 @@ class LabeledGraph:
                     "BAD_DOCUMENT", f"edge {k + 1} needs 'u', 'v', and 'label'"
                 )
             for end in ("u", "v"):
-                if raw[end] not in index:
+                if not isinstance(raw[end], str) or raw[end] not in index:
                     raise GraphError(
                         "UNKNOWN_VERTEX", f"edge {k + 1} references {raw[end]!r}"
                     )
+            if not isinstance(raw["label"], str):
+                raise GraphError(
+                    "LABEL_PARSE",
+                    f"edge {k + 1} label {raw['label']!r} is not a string",
+                )
             try:
                 label = ring.element_from_text(raw["label"])
             except ParseError as exc:

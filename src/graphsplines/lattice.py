@@ -1,11 +1,19 @@
 """Integer-lattice engine: Hermite normal form and the canonical flow-up basis.
 
-Splines over the integers are exactly the first n coordinates of integer
-solutions of E*f = D*t, where E is the signed edge/vertex incidence matrix
-and D the diagonal of edge labels. The kernel lattice of [E | -D] is
-extracted with a column-style Hermite normal form; projecting its basis to
-the f-coordinates and re-triangularizing yields the canonical flow-up basis
-with minimal positive leading terms.
+Over the integers the splines of a graph form a full-rank lattice in Z^n:
+the vectors f with f[u] == f[v] (mod label) on every edge. The lattice
+contains L*Z^n, where L is the lcm of the absolute labels, so the pivots of
+its column Hermite normal form divide L and no canonical entry exceeds L.
+``spline_lattice_generators`` builds that form directly: starting from the
+identity basis of Z^n, it imposes the edge congruences one at a time and
+keeps every entry in [0, L] on the way. This is the modular HNF of Domich,
+Kannan and Trotter (1987), in the form of Cohen, *A Course in Computational
+Algebraic Number Theory*, GTM 138, section 2.4. Its columns are the
+canonical flow-up basis, with the minimal positive leading terms on the
+diagonal.
+
+``hermite_normal_form`` and ``kernel_basis`` are the general column HNF,
+with its unimodular transform, and the integer kernel built on it.
 """
 
 from __future__ import annotations
@@ -36,8 +44,10 @@ def hermite_normal_form(matrix):
 
     H is in column echelon form with strictly increasing pivot rows, positive
     pivots, entries left of each pivot reduced into [0, pivot), and zero
-    columns trailing. Intermediate growth is controlled by reducing the
-    active row modulo its running column gcd each elimination round.
+    columns trailing. Each row is cleared by Euclidean steps: every other
+    active column is reduced by the one with the smallest nonzero entry in
+    that row until a single nonzero entry remains. Nothing bounds the
+    entries of the columns or of the transform on the way.
     """
     rows = _validated(matrix)
     n_rows, n_cols = len(rows), len(rows[0])
@@ -111,31 +121,97 @@ def kernel_basis(matrix) -> list[list[int]]:
     return basis
 
 
-def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
-    """n x n matrix whose columns generate the integer spline lattice.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        quotient, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - quotient * s1
+        t0, t1 = t1, t0 - quotient * t1
+    return a, s0, t0
 
-    Solves E*f - D*t = 0 by taking the kernel lattice of the block matrix
-    [E | -D] and projecting kernel generators to their f-coordinates. The
-    projection is injective because every label is nonzero, so the n kernel
-    generators map to n independent spline generators.
+
+def _reduce_below_pivots(columns, lcm: int) -> None:
+    """Canonical column HNF of a lower-triangular basis with positive diagonal.
+
+    Entry (i, k) for k < i is brought into [0, pivot_i) with the column of
+    pivot i, working down the rows so that a finished row is never touched
+    again; the other entries that change are taken mod ``lcm``.
+    """
+    n = len(columns)
+    for i in range(1, n):
+        pivot_column = columns[i]
+        pivot = pivot_column[i]
+        for k in range(i):
+            column = columns[k]
+            quotient = column[i] // pivot
+            if quotient:
+                column[i] -= quotient * pivot
+                for r in range(i + 1, n):
+                    column[r] = (column[r] - quotient * pivot_column[r]) % lcm
+
+
+def _impose_congruence(columns, u: int, v: int, label: int, lcm: int) -> None:
+    """Restrict a lower-triangular lattice basis to f[u] == f[v] (mod label).
+
+    ``columns[j]`` has zeros above row j. A vector sum(c_j * b_j) satisfies
+    the congruence iff sum(c_j * a_j) == 0 (mod label), a_j being the
+    residue of b_j. The kernel of that map gets a lower-triangular basis
+    from an xgcd chain run from the last coordinate up: with g_n = label and
+    g_j = gcd(a_j, g_{j+1}), its column j is d_j*e_j plus a correction over
+    the later coordinates, where d_j = g_{j+1} / g_j. The new column j is
+    therefore d_j*b_j - (a_j/g_j)*w, where w is a combination of the later
+    columns with residue g_{j+1}. Entries below the diagonal are taken mod
+    ``lcm`` as they are formed, and the basis is left in canonical form.
+    """
+    residues = [(column[u] - column[v]) % label for column in columns]
+    if not any(residues):
+        return
+    n = len(columns)
+    tail_gcd = label
+    helper = [0] * n  # zero down to row j, residue tail_gcd
+    for j in range(n - 1, -1, -1):
+        residue = residues[j]
+        if not residue:
+            continue
+        g, s, t = _xgcd(residue, tail_gcd)
+        scale, shift = tail_gcd // g, -(residue // g)
+        column = columns[j]
+        new_column = [0] * n
+        new_column[j] = scale * column[j]
+        for i in range(j + 1, n):
+            new_column[i] = (scale * column[i] + shift * helper[i]) % lcm
+            helper[i] = (s * column[i] + t * helper[i]) % lcm
+        helper[j] = s * column[j] % lcm
+        columns[j] = new_column
+        tail_gcd = g
+    _reduce_below_pivots(columns, lcm)
+
+
+def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
+    """Canonical column HNF of the integer spline lattice, as an n x n matrix.
+
+    The splines are the f in Z^n with f[u] == f[v] (mod label) on every
+    edge. Starting from the identity basis of Z^n, each edge congruence is
+    imposed on the current lower-triangular basis, which is then reduced to
+    canonical form with every entry in [0, L], where L is the lcm of the
+    absolute labels; the diagonal entries divide L and the entries left of
+    them are smaller. This is the modular Hermite normal form of Domich,
+    Kannan and Trotter (1987); see Cohen, *A Course in Computational
+    Algebraic Number Theory*, GTM 138, section 2.4.
     """
     if graph.ring.kind != "int":
         raise RingMismatchError("the spline lattice is defined over the integer ring")
     n = graph.n
-    m = len(graph.edges)
-    if m == 0:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    block = []
-    for k, edge in enumerate(graph.edges):
-        row = [0] * (n + m)
-        row[edge.u] += 1
-        row[edge.v] -= 1
-        row[n + k] = -edge.label
-        block.append(row)
-    kernel = kernel_basis(block)
-    if len(kernel) != n:
-        raise AssertionError("spline lattice rank is not the vertex count")
-    return [[vector[i] for vector in kernel] for i in range(n)]
+    # Every lattice met on the way contains L*Z^n, because L is a multiple of
+    # each label. So each pivot divides L, and changing an entry below a
+    # pivot by a multiple of L keeps the basis inside the lattice with the
+    # same diagonal, hence the same index: the span does not change.
+    lcm = math.lcm(*(abs(edge.label) for edge in graph.edges))
+    columns = [[int(i == j) for i in range(n)] for j in range(n)]
+    for edge in graph.edges:
+        _impose_congruence(columns, edge.u, edge.v, abs(edge.label), lcm)
+    return [[column[i] for column in columns] for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -254,10 +254,12 @@ def flow_up_search_bounded(
         if columns is None:
             continue
         for column in columns:
-            assert is_spline(graph, column).ok
+            if not is_spline(graph, column).ok:
+                raise AssertionError("solved assignment produced a non-spline column")
         matrix = SplineMatrix(graph, columns)
         verdict = check_basis(matrix, compute_q(graph))
-        assert verdict.is_basis, "solved assignment must pass the determinant criterion"
+        if not verdict.is_basis:
+            raise AssertionError("solved assignment must pass the determinant criterion")
         return SearchOutcome(
             matrix, tuple(leading), degree_bound, assignments_total, systems_checked
         )

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
 from graphsplines import ZZ, LabeledGraph, PolynomialRing, load_graph
 
-GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
+ROOT = Path(__file__).resolve().parent.parent
+GRAPHS_DIR = ROOT / "graphs"
 
 BUNDLED = ["fig2", "fig2-text", "xy", "squares", "zx-obstruction"]
+
+
+def source_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def bundled_graph(name: str) -> LabeledGraph:

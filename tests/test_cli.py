@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from graphsplines.cli import main
-from conftest import GRAPHS_DIR
+from conftest import GRAPHS_DIR, ROOT, source_env
 
 FIG2 = str(GRAPHS_DIR / "fig2.json")
 FIG2_TEXT = str(GRAPHS_DIR / "fig2-text.json")
@@ -111,6 +114,20 @@ class TestCheckBasis:
         assert code == 1
         assert "BASIS: no" in out
 
+    def test_repeated_calls_do_not_share_columns(self, capsys):
+        # the parser is built once per process; the append action must start
+        # from an empty list on every call
+        first = run(
+            capsys, "check-basis", FIG2, "--json",
+            "--spline", "1,1,1", "--spline", "0,4,4", "--spline", "0,0,10",
+        )
+        second = run(
+            capsys, "check-basis", FIG2, "--json",
+            "--spline", "1,1,1", "--spline", "0,4,4", "--spline", "0,0,20",
+        )
+        assert first[0] == 0 and json.loads(first[1])["determinant"] == "40"
+        assert second[0] == 1 and json.loads(second[1])["determinant"] == "80"
+
     def test_polynomial_accept(self, capsys):
         code, out, _ = run(
             capsys,
@@ -212,3 +229,42 @@ class TestErrors:
     def test_bad_vertex_order(self, capsys):
         code, _, err = run(capsys, "q", FIG2, "--vertex-order", "v1,v2")
         assert code == 2
+
+    def test_json_number_label(self, capsys, tmp_path):
+        document = json.loads((GRAPHS_DIR / "fig2.json").read_text())
+        document["edges"][0]["label"] = 4
+        path = tmp_path / "number-label.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "flowup", str(path))
+        assert code == 2
+        assert "LABEL_PARSE" in err
+
+    def test_closed_stdout(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "graphsplines", "flowup", FIG2],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=source_env(),
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+
+
+def test_bundled_demos():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_demos.py")],
+        capture_output=True,
+        env=source_env(),
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "all 17 demos behaved as expected" in result.stdout

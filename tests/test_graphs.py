@@ -77,6 +77,26 @@ class TestLoading:
             load_graph(json.dumps(doc(labels=("4", "5", "x"))))
         assert err.value.code == "LABEL_PARSE"
 
+    @pytest.mark.parametrize("label", [4, 4.5, None, ["4"]])
+    @pytest.mark.parametrize(
+        "ring",
+        [{"kind": "int"}, {"kind": "poly", "coefficients": "int", "variables": ["x"]}],
+    )
+    def test_non_string_label(self, label, ring):
+        document = doc(ring=ring)
+        document["edges"][0]["label"] = label
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(document))
+        assert err.value.code == "LABEL_PARSE"
+
+    @pytest.mark.parametrize("reference", [1, None, ["v1"]])
+    def test_non_string_vertex_reference(self, reference):
+        document = doc()
+        document["edges"][1]["v"] = reference
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(document))
+        assert err.value.code == "UNKNOWN_VERTEX"
+
     def test_duplicate_vertex(self):
         document = doc()
         document["vertices"] = ["v1", "v1", "v3"]

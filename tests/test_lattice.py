@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from graphsplines import (
     ZZ,
+    Edge,
     LabeledGraph,
     RingMismatchError,
     flow_up_index,
@@ -101,7 +103,85 @@ class TestHermiteNormalForm:
                 )
 
 
+def kernel_generators(graph):
+    """Spline lattice generators from the kernel of [E | -D] (E*f == D*t).
+
+    Independent of the congruence-by-congruence construction: the kernel
+    comes from the unreduced HNF with its unimodular transform.
+    """
+    n, m = graph.n, len(graph.edges)
+    if m == 0:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    block = []
+    for k, edge in enumerate(graph.edges):
+        row = [0] * (n + m)
+        row[edge.u] += 1
+        row[edge.v] -= 1
+        row[n + k] = -edge.label
+        block.append(row)
+    kernel = kernel_basis(block)
+    assert len(kernel) == n
+    return [[vector[i] for vector in kernel] for i in range(n)]
+
+
+def random_int_graph(rng):
+    """Connected graph on 1-7 vertices with sparse and repeated edges."""
+    n = rng.randint(1, 7)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    if n > 1:
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+    rng.shuffle(pairs)
+
+    def label():
+        size = rng.random()
+        if size < 0.15:
+            value = 1
+        elif size < 0.6:
+            value = rng.randint(2, 30)
+        elif size < 0.8:
+            value = rng.choice([2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 36])
+        else:
+            value = rng.randint(2, 10**6)
+        return -value if rng.random() < 0.3 else value
+
+    edges = [Edge(u, v, label()) for u, v in pairs]
+    return LabeledGraph(ZZ, [f"v{i + 1}" for i in range(n)], edges)
+
+
+def complete_nine_digit(k, seed):
+    rng = random.Random(seed)
+    labels = [rng.randrange(10**8, 10**9) for _ in range(k * (k - 1) // 2)]
+    return LabeledGraph.complete(ZZ, labels)
+
+
+def differential_graphs():
+    rng = random.Random(2022)
+    graphs = [random_int_graph(rng) for _ in range(1000)]
+    return graphs + [complete_nine_digit(k, k) for k in range(6, 10)]
+
+
 class TestSplineLatticeGenerators:
+    def test_matches_kernel_construction(self):
+        for graph in differential_graphs():
+            expected, _ = hermite_normal_form(kernel_generators(graph))
+            assert spline_lattice_generators(graph) == expected, graph.to_document()
+            basis = integer_flow_up_basis(graph)
+            n = graph.n
+            assert basis.columns == tuple(
+                tuple(expected[i][k] for i in range(n)) for k in range(n)
+            )
+            assert basis.diagonal == tuple(expected[k][k] for k in range(n))
+
+    def test_entries_bounded_by_label_lcm(self):
+        for graph in differential_graphs():
+            lcm = math.lcm(*(abs(label) for label in graph.labels()))
+            gens = spline_lattice_generators(graph)
+            for i, row in enumerate(gens):
+                assert lcm % row[i] == 0
+                assert all(0 <= entry < row[i] for entry in row[:i])
+                assert not any(row[i + 1 :])
+
+
     def test_path_span(self):
         g = LabeledGraph.path(ZZ, [7])
         gens = spline_lattice_generators(g)

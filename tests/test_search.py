@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from graphsplines import (
     spline_determinant,
 )
 from graphsplines.search import monomials_up_to, solve_rational_system
-from conftest import bundled_graph
+from conftest import GRAPHS_DIR, bundled_graph, source_env
 
 
 class TestLinearSolver:
@@ -115,3 +118,36 @@ class TestSearch:
         x, y = qxy.variable("x"), qxy.variable("y")
         with pytest.raises(ValueError, match="nonunits"):
             flow_up_search_bounded(g, [x, y, x + y, qxy.from_int(2)], 2)
+
+    def test_found_verdict_guard_survives_optimize(self):
+        # python -O strips assert statements; the check behind a found
+        # verdict must still run there
+        script = textwrap.dedent(
+            """
+            import sys
+            import graphsplines.search as search
+            from graphsplines import BasisVerdict, load_graph
+
+            assert False, "assert statements are not stripped"
+            search.check_basis = lambda matrix, q: BasisVerdict(
+                False, None, "forced non-basis verdict", 0
+            )
+            graph = load_graph(open(sys.argv[1]).read())
+            factors = [graph.ring.element_from_text(t) for t in ("x", "y", "x+y")]
+            try:
+                search.flow_up_search_bounded(graph, factors, 2)
+            except AssertionError as exc:
+                print("raised:", exc)
+            else:
+                print("found")
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(GRAPHS_DIR / "xy.json")],
+            capture_output=True,
+            env=source_env(),
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("raised: solved assignment"), result.stdout
