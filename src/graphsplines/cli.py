@@ -372,7 +372,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed usage (status 2) or help (status 0)
+        return exc.code
     try:
         code, report, lines = _HANDLERS[args.command](args)
     except (SplineAlgebraError, ValueError, OSError) as exc:

@@ -232,4 +232,7 @@ def load_graph(text: str) -> LabeledGraph:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError("BAD_DOCUMENT", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the json decoder recurses once per nesting level
+        raise GraphError("BAD_DOCUMENT", "JSON nested too deeply") from exc
     return LabeledGraph.from_document(document)

@@ -306,6 +306,11 @@ def _term_text(variables, exponents, magnitude) -> str:
 # polynomials such as "-x" round-trip.
 # ---------------------------------------------------------------------------
 
+# Each parenthesis level costs four Python frames of recursion; deeper input
+# is rejected as a ParseError long before it could exhaust the interpreter's
+# recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -349,6 +354,7 @@ class _Parser:
     def __init__(self, tokens, variables, coeff_kind):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
         self.coeff_kind = coeff_kind
 
@@ -424,11 +430,17 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", position)
             return Polynomial.variable(text, self.variables, self.coeff_kind)
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING} levels", position
+                )
             value = self.expr()
             kind, _, position = self.current
             if kind != ")":
                 raise ParseError("expected ')'", position)
             self.advance()
+            self.depth -= 1
             return value
         raise ParseError(
             "expected a literal, variable, or parenthesized expression", position

@@ -302,9 +302,13 @@ def ring_from_document(document: dict) -> Ring:
             raise GraphError(
                 "BAD_RING", "polynomial ring needs 'coefficients': 'int' or 'rat'"
             )
-        if not isinstance(variables, list) or not variables:
+        if (
+            not isinstance(variables, list)
+            or not variables
+            or not all(isinstance(name, str) for name in variables)
+        ):
             raise GraphError(
-                "BAD_RING", "polynomial ring needs a nonempty 'variables' list"
+                "BAD_RING", "polynomial ring needs a nonempty 'variables' list of names"
             )
         try:
             return PolynomialRing(coefficients, variables)

@@ -2,23 +2,24 @@
 
 With pairwise coprime labels, a candidate set is a basis exactly when its
 determinant is a unit multiple of the label product Q. A flow-up basis is
-lower triangular, so its determinant is the product of its leading terms:
-when Q is supplied as a multiset of irreducible factors, unique
-factorization forces the leading terms (made monic) to be products of a
-partition of that multiset. The search enumerates all factor-to-position
-assignments; for each one, prescribing the leading terms turns every edge
-divisibility constraint into an affine-linear condition on the unknown
-polynomial coefficients of the remaining entries (capped at a total degree
-bound), which is decided exactly over the rationals.
+lower triangular, so its determinant is the product of its leading terms.
+A class-i flow-up spline vanishes before vertex i, so the product L_i of
+the labels joining i to earlier vertices divides its leading entry; the L_i
+multiply to Q, so each leading term is forced to be a unit times L_i.
+Prescribing the monic L_i turns every edge divisibility constraint on column
+i into affine-linear conditions on the unknown coefficients of the entries
+below it (capped at a total degree bound), decided exactly over the
+rationals: one linear system per vertex.
 
 A NONEXISTENT outcome is a bounded-degree certificate: no flow-up class
-basis exists whose entries all have total degree at most the bound,
-provided the supplied factors are irreducible.
+basis exists whose entries all have total degree at most the bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,7 +94,11 @@ class SearchOutcome:
     leading_terms: tuple[Polynomial, ...] | None
     degree_bound: int
     assignments_total: int
+    """Factor-to-position assignments the outcome covers: n ** len(factors)."""
     systems_checked: int
+    """Distinct leading-term tuples among those assignments: prod comb(m + n - 1,
+    n - 1) over the multiplicities m of the distinct monic factors. Only the
+    forced tuple (L_1, ..., L_n) is solved."""
 
     @property
     def found(self) -> bool:
@@ -200,10 +205,9 @@ def flow_up_search_bounded(
 ) -> SearchOutcome:
     """Search for a flow-up class basis with entry degrees at most the bound.
 
-    ``q_factors`` must multiply to the label product up to a unit; for the
-    NONEXISTENT certificate to be complete the factors must be irreducible.
-    Assignments are enumerated in a fixed order and deduplicated by the
-    leading-term tuple they induce, so the outcome is deterministic.
+    Column i gets the forced leading term L_i; the first infeasible column
+    certifies NONEXISTENT. ``q_factors`` must multiply to the label product
+    up to a unit; they set only the counts reported in the outcome.
     """
     ring = graph.ring
     if ring.kind != "poly" or ring.coeff_kind != RAT:
@@ -233,34 +237,26 @@ def flow_up_search_bounded(
 
     n = graph.n
     assignments_total = n ** len(factors)
-    seen: set[tuple[str, ...]] = set()
-    systems_checked = 0
-    for assignment in itertools.product(range(n), repeat=len(factors)):
-        leading = [ring.one] * n
-        for factor, position in zip(factors, assignment):
-            leading[position] = leading[position] * factor
-        key = tuple(str(term) for term in leading)
-        if key in seen:
-            continue
-        seen.add(key)
-        systems_checked += 1
-        columns = []
-        for position in range(n):
-            entries = _ColumnSystem(graph, position, leading[position], degree_bound).feasible()
-            if entries is None:
-                columns = None
-                break
-            columns.append(tuple(entries))
-        if columns is None:
-            continue
-        for column in columns:
-            if not is_spline(graph, column).ok:
-                raise AssertionError("solved assignment produced a non-spline column")
-        matrix = SplineMatrix(graph, columns)
-        verdict = check_basis(matrix, compute_q(graph))
-        if not verdict.is_basis:
-            raise AssertionError("solved assignment must pass the determinant criterion")
-        return SearchOutcome(
-            matrix, tuple(leading), degree_bound, assignments_total, systems_checked
-        )
-    return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
+    systems_checked = math.prod(
+        math.comb(m + n - 1, n - 1) for m in Counter(factors).values()
+    )
+    leading = [
+        ring.product(e.label for e in graph.edges if max(e.u, e.v) == i).normalized()
+        for i in range(n)
+    ]
+    columns = []
+    for position in range(n):
+        entries = _ColumnSystem(graph, position, leading[position], degree_bound).feasible()
+        if entries is None:
+            return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
+        columns.append(tuple(entries))
+    for column in columns:
+        if not is_spline(graph, column).ok:
+            raise AssertionError("solved assignment produced a non-spline column")
+    matrix = SplineMatrix(graph, columns)
+    verdict = check_basis(matrix, compute_q(graph))
+    if not verdict.is_basis:
+        raise AssertionError("solved assignment must pass the determinant criterion")
+    return SearchOutcome(
+        matrix, tuple(leading), degree_bound, assignments_total, systems_checked
+    )

@@ -2,13 +2,18 @@
 
 Everything here is deliberately implemented with different algorithms than
 the library under test: brute-force enumeration for spline lattices,
-subset-DP cofactor expansion for determinants, and dense rational Gaussian
-elimination for span questions.
+subset-DP cofactor expansion for determinants, dense rational Gaussian
+elimination for span questions, and enumeration of every factor assignment
+for the bounded flow-up search.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+from graphsplines.basis import SplineMatrix
+from graphsplines.search import SearchOutcome, _ColumnSystem
 
 
 def enumerate_integer_splines(vertex_count, int_edges, bound):
@@ -152,3 +157,39 @@ def minimal_positive_leading_term(splines, leading_zeros):
         if lead > 0 and (best is None or lead < best):
             best = lead
     return best
+
+
+def enumerating_flow_up_search(graph, factors, degree_bound):
+    """Bounded flow-up search over every factor-to-position assignment.
+
+    ``factors`` are the monic irreducible factors of the label product. Each
+    assignment prescribes leading terms (the product of the factors sent to
+    each position); assignments are taken in ``itertools.product`` order,
+    deduplicated by the leading-term tuple they induce, and the first tuple
+    whose column systems are all feasible is returned. Input validation and
+    the basis check are left to the search under test.
+    """
+    ring = graph.ring
+    n = graph.n
+    assignments_total = n ** len(factors)
+    seen = set()
+    for assignment in itertools.product(range(n), repeat=len(factors)):
+        leading = [ring.one] * n
+        for factor, position in zip(factors, assignment):
+            leading[position] = leading[position] * factor
+        key = tuple(str(term) for term in leading)
+        if key in seen:
+            continue
+        seen.add(key)
+        columns = []
+        for position in range(n):
+            entries = _ColumnSystem(graph, position, leading[position], degree_bound).feasible()
+            if entries is None:
+                break
+            columns.append(tuple(entries))
+        else:
+            return SearchOutcome(
+                SplineMatrix(graph, columns), tuple(leading), degree_bound,
+                assignments_total, len(seen),
+            )
+    return SearchOutcome(None, None, degree_bound, assignments_total, len(seen))

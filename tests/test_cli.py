@@ -163,6 +163,24 @@ class TestSearch:
         assert report["verdict"] == "yes"
         assert report["columns"][0] == ["1", "1", "1"]
 
+    def test_reducible_factor(self, capsys, tmp_path):
+        # the factor x*y covers the forced leading terms x and y together
+        document = {
+            "ring": {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]},
+            "vertices": ["a", "b", "c"],
+            "edges": [
+                {"u": "a", "v": "b", "label": "x"},
+                {"u": "b", "v": "c", "label": "y"},
+            ],
+        }
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "search", str(path), "--factors", "x*y", "--degree", "2")
+        assert code == 0
+        assert "B1 = (1, 1, 1)" in out
+        assert "B2 = (0, x, x)" in out
+        assert "B3 = (0, 0, y)" in out
+
 
 class TestObstruct:
     def test_default_predicate(self, capsys):
@@ -238,6 +256,26 @@ class TestErrors:
         code, _, err = run(capsys, "flowup", str(path))
         assert code == 2
         assert "LABEL_PARSE" in err
+
+    def test_deeply_nested_label(self, capsys, tmp_path):
+        document = json.loads((GRAPHS_DIR / "xy.json").read_text())
+        document["edges"][0]["label"] = "(" * 3000 + "x" + ")" * 3000
+        path = tmp_path / "nested-label.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "q", str(path))
+        assert code == 2
+        assert "LABEL_PARSE" in err
+
+    def test_deeply_nested_spline(self, capsys):
+        nested = "(" * 3000 + "x" + ")" * 3000
+        code, _, err = run(capsys, "verify", XY, "--spline", f"{nested},0,0")
+        assert code == 2
+        assert "nested deeper" in err
+
+    def test_usage_error_is_returned(self, capsys):
+        assert run(capsys, "search", XY)[0] == 2
+        assert run(capsys, "no-such-command")[0] == 2
+        assert run(capsys, "q", "--help")[0] == 0
 
     def test_closed_stdout(self):
         read_end, write_end = os.pipe()

@@ -77,6 +77,13 @@ class TestLoading:
             load_graph(json.dumps(doc(labels=("4", "5", "x"))))
         assert err.value.code == "LABEL_PARSE"
 
+    def test_deeply_nested_label(self):
+        ring = {"kind": "poly", "coefficients": "rat", "variables": ["x"]}
+        nested = "(" * 3000 + "x" + ")" * 3000
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(doc(labels=(nested, "x + 1", "x + 2"), ring=ring)))
+        assert err.value.code == "LABEL_PARSE"
+
     @pytest.mark.parametrize("label", [4, 4.5, None, ["4"]])
     @pytest.mark.parametrize(
         "ring",
@@ -113,6 +120,18 @@ class TestLoading:
         with pytest.raises(GraphError) as err:
             load_graph("{broken")
         assert err.value.code == "BAD_DOCUMENT"
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(GraphError) as err:
+            load_graph("[" * 100000)
+        assert err.value.code == "BAD_DOCUMENT"
+
+    @pytest.mark.parametrize("name", [None, ["x"], 1])
+    def test_non_string_variable(self, name):
+        ring = {"kind": "poly", "coefficients": "rat", "variables": [name, "y"]}
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(doc(ring=ring)))
+        assert err.value.code == "BAD_RING"
 
     def test_rat_ring_rejected_for_graphs(self):
         with pytest.raises(GraphError) as err:

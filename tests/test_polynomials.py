@@ -81,6 +81,12 @@ class TestParser:
         with pytest.raises(ParseError, match="expected '\\)'"):
             poly("(x + y")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        # recursion this deep would raise RecursionError, not ParseError
+        assert poly("(" * 100 + "x" + ")" * 100) == poly("x")
+        with pytest.raises(ParseError, match="nested deeper"):
+            poly("(" * 3000 + "x" + ")" * 3000)
+
     @given(polynomials())
     def test_print_parse_round_trip(self, p):
         assert parse_polynomial(str(p), VARS, RAT) == p

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,8 +15,10 @@ from graphsplines import (
     flow_up_search_bounded,
     spline_determinant,
 )
+from graphsplines.graphs import Edge
 from graphsplines.search import monomials_up_to, solve_rational_system
 from conftest import GRAPHS_DIR, bundled_graph, source_env
+from oracles import enumerating_flow_up_search
 
 
 class TestLinearSolver:
@@ -151,3 +154,88 @@ class TestSearch:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("raised: solved assignment"), result.stdout
+
+    def test_reducible_factor_finds_forced_basis(self, qxy):
+        # x*y cannot be split into the forced leading terms x and y, so a
+        # search over factor assignments would wrongly report NONEXISTENT(2)
+        x, y = qxy.variable("x"), qxy.variable("y")
+        g = LabeledGraph.path(qxy, [x, y])
+        outcome = flow_up_search_bounded(g, [x * y], 2)
+        assert outcome.found
+        one, zero = qxy.one, qxy.zero
+        assert outcome.basis.columns == ((one, one, one), (zero, x, x), (zero, zero, y))
+        assert outcome.leading_terms == (one, x, y)
+        assert (outcome.assignments_total, outcome.systems_checked) == (3, 3)
+
+    def test_found_outcome_counts_every_leading_term_tuple(self, qxy):
+        x, y = qxy.variable("x"), qxy.variable("y")
+        outcome = flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y], 2)
+        assert outcome.found and outcome.systems_checked == 3 ** 3
+
+
+def _affine_image(rng):
+    """Texts of X, Y: an invertible affine image of x, y."""
+    while True:
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        if a * d - b * c:
+            break
+    e, f = rng.randint(-2, 2), rng.randint(-2, 2)
+    return f"(({a})*x + ({b})*y + ({e}))", f"(({c})*x + ({d})*y + ({f}))"
+
+
+def _oracle_case(ring, shape, X, Y):
+    """(graph, factor texts) of a base case with x, y replaced by X, Y."""
+    parse = ring.element_from_text
+    if shape == "xy":
+        texts = [X, Y, f"{X} + {Y}"]
+        return LabeledGraph.cycle(ring, [parse(t) for t in texts]), texts
+    if shape == "squares":
+        sums = f"{X} + {Y}"
+        graph = LabeledGraph.cycle(ring, [parse(f"({t})^2") for t in (X, Y, sums)])
+        return graph, [X, X, Y, Y, sums, sums]
+    if shape in ("c4", "c4n"):
+        last = f"{X} - {Y}" if shape == "c4" else f"{X} + 1"
+        texts = [X, Y, f"{X} + {Y}", last]
+        return LabeledGraph.cycle(ring, [parse(t) for t in texts]), texts
+    if shape == "path":
+        texts = [X, Y, f"{X} + {Y}"]
+        return LabeledGraph.path(ring, [parse(t) for t in texts]), texts
+    if shape == "star":
+        texts = [X, Y, f"{X} + {Y}"]
+        edges = [Edge(0, k + 1, parse(t)) for k, t in enumerate(texts)]
+        return LabeledGraph(ring, ["c", "l1", "l2", "l3"], edges), texts
+    raise ValueError(shape)
+
+
+ORACLE_CASES = [
+    (shape, degree, copy)
+    for shape, degrees in (
+        ("xy", (1, 2, 3)),
+        ("squares", (2, 3)),
+        ("c4", (1, 2, 3)),
+        ("c4n", (1, 2, 3)),
+        ("path", (1, 2, 3)),
+        ("star", (1, 2, 3)),
+    )
+    for degree in degrees
+    for copy in range(2)
+]
+
+
+@pytest.mark.parametrize("shape,degree,copy", ORACLE_CASES)
+def test_matches_enumerating_search(qxy, shape, degree, copy):
+    rng = random.Random(f"search-oracle/{shape}/{degree}/{copy}")
+    graph, texts = _oracle_case(qxy, shape, *_affine_image(rng))
+    order = list(graph.vertices)
+    rng.shuffle(order)
+    graph = graph.reorder(order)
+    factors = [qxy.element_from_text(t).normalized() for t in texts]
+    outcome = flow_up_search_bounded(graph, factors, degree)
+    expected = enumerating_flow_up_search(graph, factors, degree)
+    assert outcome.found == expected.found
+    assert outcome.leading_terms == expected.leading_terms
+    assert outcome.assignments_total == expected.assignments_total
+    if expected.found:
+        assert outcome.basis.columns == expected.basis.columns
+    else:
+        assert outcome.systems_checked == expected.systems_checked
