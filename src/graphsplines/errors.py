@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a helper for their messages."""
 
 from __future__ import annotations
 
@@ -33,3 +33,10 @@ class GraphError(SplineAlgebraError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(f"{code}: {message}")
+
+
+def excerpt(text: str, limit: int = 40) -> str:
+    """``repr(text)`` for messages; longer text is cut to a prefix plus its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import GraphError, ParseError
+from .errors import GraphError, ParseError, excerpt
 from .rings import Ring, ring_from_document
 
 
@@ -156,7 +156,7 @@ class LabeledGraph:
                 label = ring.element_from_text(raw["label"])
             except ParseError as exc:
                 raise GraphError(
-                    "LABEL_PARSE", f"edge {k + 1} label {raw['label']!r}: {exc}"
+                    "LABEL_PARSE", f"edge {k + 1} label {excerpt(raw['label'])}: {exc}"
                 ) from exc
             edges.append(Edge(index[raw["u"]], index[raw["v"]], label))
         return cls(ring, vertices, edges)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ParseError, RingMismatchError
+from .errors import ParseError, RingMismatchError, excerpt
 
 INT = "int"
 RAT = "rat"
@@ -303,13 +303,38 @@ def _term_text(variables, exponents, magnitude) -> str:
 # Literals are decimal integers or rationals "p/q"; juxtaposition is not
 # multiplication ("2x" is rejected). The optional leading sign on an
 # expression is a strict extension of the base grammar so that printed
-# polynomials such as "-x" round-trip.
+# polynomials such as "-x" round-trip. Nesting depth and the size of a power
+# are capped (below), so a short label cannot make the parser run away.
 # ---------------------------------------------------------------------------
 
 # Each parenthesis level costs four Python frames of recursion; deeper input
 # is rejected as a ParseError long before it could exhaust the interpreter's
 # recursion limit.
 _MAX_NESTING = 100
+# A power whose term count could exceed this is rejected as a ParseError
+# before it is expanded: "(x+y+1)^200" is 12 characters, but expanding it
+# would take minutes.
+_MAX_POWER_TERMS = 1000
+
+
+def _power_too_large(base: Polynomial, exponent: int) -> bool:
+    """True if ``base ** exponent`` could have more than _MAX_POWER_TERMS terms.
+
+    Its term count is at most the smaller of the number of monomials of
+    degree at most ``exponent * deg(base)`` in k variables and the number of
+    multisets of ``exponent`` of the base's terms.
+    """
+    count = len(base.terms)
+    if count <= 1 or exponent <= 1:
+        return False
+    if exponent > _MAX_POWER_TERMS:
+        return True  # both counts exceed the exponent; skip the huge binomials
+    k = len(base.variables)
+    bound = min(
+        math.comb(exponent * base.total_degree() + k, k),
+        math.comb(exponent + count - 1, count - 1),
+    )
+    return bound > _MAX_POWER_TERMS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -373,7 +398,7 @@ class _Parser:
         value = self.expr()
         kind, text, position = self.current
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", position)
+            raise ParseError(f"unexpected trailing input {excerpt(text)}", position)
         return value
 
     def expr(self) -> Polynomial:
@@ -406,7 +431,13 @@ class _Parser:
             if kind != "number" or "/" in text:
                 raise ParseError("expected a natural-number exponent", position)
             self.advance()
-            return base ** int(text)
+            exponent = int(text)
+            if _power_too_large(base, exponent):
+                raise ParseError(
+                    f"power could expand to more than {_MAX_POWER_TERMS} terms",
+                    position,
+                )
+            return base ** exponent
         return base
 
     def base(self) -> Polynomial:
@@ -427,7 +458,7 @@ class _Parser:
             return Polynomial.constant(value, self.variables, self.coeff_kind)
         if kind == "name":
             if text not in self.variables:
-                raise ParseError(f"unknown variable {text!r}", position)
+                raise ParseError(f"unknown variable {excerpt(text)}", position)
             return Polynomial.variable(text, self.variables, self.coeff_kind)
         if kind == "(":
             self.depth += 1
@@ -500,16 +531,34 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # ---------------------------------------------------------------------------
 # GCD
 #
-# Recursive on the number of variables: view the polynomial as univariate in
-# the last declared variable with coefficients in the smaller polynomial
-# ring, split off contents, and run Brown's subresultant remainder sequence
-# on the primitive parts. Rational-coefficient inputs are scaled to integer
-# coefficients first and the result is returned monic.
+# Rational-coefficient inputs are scaled to integer coefficients first and
+# the result is returned monic. Over the integers the heuristic gcd GCDHEU
+# (Char, Geddes and Gonnet 1989) runs first: evaluate the last variable at a
+# large integer xi, take the gcd of the images (recursively, down to integer
+# gcds), rebuild a candidate from the xi-adic digits of that image gcd, and
+# accept its primitive part only if it divides both inputs. With xi at least
+# 2*min(|a|, |b|) + 2 in the max norm of the primitive inputs, passing that
+# check proves the candidate is the gcd (Geddes, Czapor and Labahn,
+# *Algorithms for Computer Algebra*, Thm 7.7). When the heuristic gives up,
+# the fallback views the polynomials as univariate in the last variable with
+# coefficients in the smaller ring, splits off contents, and runs Brown's
+# subresultant remainder sequence on the primitive parts.
 # ---------------------------------------------------------------------------
+
+# Evaluation points the heuristic tries before it gives up.
+_HEU_GCD_TRIES = 6
+# The heuristic also gives up when an evaluated image could need more bits
+# than this (bits of xi times the degree in the evaluated variable), so a
+# label like x^1000000 never turns into a million-digit integer.
+_HEU_GCD_MAX_BITS = 1 << 16
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Normalized greatest common divisor (monic over RAT, positive over INT)."""
+    """Normalized greatest common divisor (monic over RAT, positive over INT).
+
+    Computed by the heuristic gcd with the subresultant PRS as its fallback;
+    both give the same normalized gcd.
+    """
     a._check_compatible(b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -551,6 +600,9 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
         )
     if a.terms == b.terms:
         return a.normalized()
+    heuristic = _heu_gcd(a, b)
+    if heuristic is not None:
+        return heuristic
 
     uni_a = _split_last(a)
     uni_b = _split_last(b)
@@ -563,6 +615,74 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
     prim_gcd = _subresultant_gcd(prim_a, prim_b, sub_vars)
     scaled = {d: c * content for d, c in prim_gcd.items()}
     return _join_last(a.variables, scaled).normalized()
+
+
+def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
+    """Normalized gcd of nonzero INT polynomials by GCDHEU, or None if it gives up."""
+    content_a, content_b = _int_content(a), _int_content(b)
+    content = math.gcd(content_a, content_b)
+    if not a.variables:
+        return _raw((), INT, {(): content})
+    a, b = _ground_quotient(a, content_a), _ground_quotient(b, content_b)
+    degree = max(e[-1] for p in (a, b) for e in p.terms)
+    # sympy's dmp_zz_heu_gcd may start below this bound, at min(B, 99*sqrt(B))
+    # with B = 2*min(|a|, |b|) + 29; below it the divisibility check proves
+    # nothing, so every xi here is at least B
+    xi = 2 * min(_max_norm(a), _max_norm(b)) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        if xi.bit_length() * degree > _HEU_GCD_MAX_BITS:
+            return None
+        image_a, image_b = _evaluate_last(a, xi), _evaluate_last(b, xi)
+        if image_a and image_b:
+            image_gcd = _heu_gcd(image_a, image_b)
+            if image_gcd is None:
+                return None
+            candidate = _interpolate_last(image_gcd, xi, a.variables)
+            candidate = _ground_quotient(candidate, _int_content(candidate))
+            if all(exact_divide(p, candidate) is not None for p in (a, b)):
+                return (candidate * content).normalized()
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _ground_quotient(p: Polynomial, divisor: int) -> Polynomial:
+    """Divide every coefficient by an integer that divides them all."""
+    return _raw(p.variables, INT, {e: c // divisor for e, c in p.terms.items()})
+
+
+def _max_norm(p: Polynomial) -> int:
+    return max(abs(c) for c in p.terms.values())
+
+
+def _evaluate_last(p: Polynomial, xi: int) -> Polynomial:
+    """Set the last variable to xi; the image lives in the ring without it."""
+    powers: dict[int, int] = {}
+    image: dict[tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        if e[-1] not in powers:
+            powers[e[-1]] = xi ** e[-1]
+        image[e[:-1]] = image.get(e[:-1], 0) + c * powers[e[-1]]
+    return _raw(p.variables[:-1], INT, {e: c for e, c in image.items() if c})
+
+
+def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
+    """Inverse of evaluation at xi for coefficients smaller than xi/2.
+
+    The symmetric xi-adic digits of each coefficient (each in (-xi/2, xi/2])
+    become the coefficients of the powers of the last variable.
+    """
+    terms: dict[tuple[int, ...], int] = {}
+    for e, c in image.terms.items():
+        power = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > xi // 2:
+                digit -= xi
+                c += 1
+            if digit:
+                terms[e + (power,)] = digit
+            power += 1
+    return _raw(tuple(variables), INT, terms)
 
 
 def _split_last(p: Polynomial) -> dict[int, Polynomial]:

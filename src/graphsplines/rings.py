@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import GraphError, ParseError, RingMismatchError
+from .errors import GraphError, ParseError, RingMismatchError, excerpt
 from .polynomials import INT, RAT, Polynomial, exact_divide, parse_polynomial, poly_gcd
 
 _INT_LITERAL = re.compile(r"[+-]?\d+\Z")
@@ -34,11 +34,15 @@ class Ring:
         return self.exact_div(b, a) is not None
 
     def lcm(self, a, b):
-        """Normalized least common multiple; requires nonzero arguments."""
+        """Normalized least common multiple; requires nonzero arguments.
+
+        Computed as ``a`` times the cofactor ``b / gcd(a, b)``, so the only
+        division is of ``b``, never of the full product ``a*b``.
+        """
         if self.is_zero(a) or self.is_zero(b):
             raise ValueError("lcm requires nonzero arguments")
-        q = self.exact_div(self.mul(a, b), self.gcd(a, b))
-        return self.normalize(q)
+        cofactor = self.exact_div(b, self.gcd(a, b))
+        return self.normalize(self.mul(a, cofactor))
 
     def product(self, items):
         out = self.one
@@ -94,7 +98,7 @@ class IntegerRing(Ring):
 
     def element_from_text(self, text: str):
         if not _INT_LITERAL.match(text.strip()):
-            raise ParseError(f"malformed integer literal {text!r}", 0)
+            raise ParseError(f"malformed integer literal {excerpt(text)}", 0)
         return int(text)
 
     def to_text(self, a) -> str:
@@ -163,7 +167,7 @@ class RationalRing(Ring):
 
     def element_from_text(self, text: str):
         if not _RAT_LITERAL.match(text.strip()):
-            raise ParseError(f"malformed rational literal {text!r}", 0)
+            raise ParseError(f"malformed rational literal {excerpt(text)}", 0)
         head, _, tail = text.strip().partition("/")
         if tail:
             if int(tail) == 0:

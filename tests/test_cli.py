@@ -272,6 +272,31 @@ class TestErrors:
         assert code == 2
         assert "nested deeper" in err
 
+    def test_long_label_is_not_echoed_in_full(self, capsys, tmp_path):
+        document = json.loads((GRAPHS_DIR / "fig2.json").read_text())
+        document["edges"][0]["label"] = "(" * 3000 + "x" + ")" * 3000
+        path = tmp_path / "nested-integer-label.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "q", str(path))
+        assert code == 2
+        assert "LABEL_PARSE" in err
+        assert "6001 characters" in err
+        assert len(err) < 300
+
+    def test_large_power_label(self, capsys, tmp_path):
+        document = json.loads((GRAPHS_DIR / "xy.json").read_text())
+        document["edges"][0]["label"] = "(x+y+1)^200"
+        path = tmp_path / "power-label.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "q", str(path))
+        assert code == 2
+        assert "LABEL_PARSE" in err
+
+    def test_large_power_spline(self, capsys):
+        code, _, err = run(capsys, "verify", XY, "--spline", "(x+y+1)^200,0,0")
+        assert code == 2
+        assert "more than 1000 terms" in err
+
     def test_usage_error_is_returned(self, capsys):
         assert run(capsys, "search", XY)[0] == 2
         assert run(capsys, "no-such-command")[0] == 2

@@ -26,6 +26,7 @@ BASES = [
 KEYS = ("ring", "vertices", "edges", "u", "v", "label", "kind", "coefficients",
         "variables", "v1", "v2", "x")
 NESTED = "(" * 3000 + "x" + ")" * 3000
+POWER = "(x+y+1)^200"  # 20301 terms: expanding it would take minutes
 
 label_texts = st.lists(
     st.sampled_from(["x", "y", "z", "0", "1", "2", "/", "(", ")", "+", "-", "*", "^",
@@ -138,6 +139,9 @@ def arguments(draw):
 @example(json.dumps({**BASES[1], "edges": [{"u": "v1", "v": "v2", "label": NESTED}]}),
          ["q", "{}"])
 @example(json.dumps(BASES[1]), ["verify", "{}", "--spline", f"{NESTED},0,0"])
+@example(json.dumps({**BASES[1], "edges": [{"u": "v1", "v": "v2", "label": POWER}]}),
+         ["q", "{}"])
+@example(json.dumps(BASES[1]), ["verify", "{}", "--spline", f"{POWER},0,0"])
 @example("[" * 100000, ["flowup", "{}"])
 def test_cli_exits_with_a_status(text, argv):
     with tempfile.TemporaryDirectory() as directory:

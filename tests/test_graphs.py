@@ -84,6 +84,13 @@ class TestLoading:
             load_graph(json.dumps(doc(labels=(nested, "x + 1", "x + 2"), ring=ring)))
         assert err.value.code == "LABEL_PARSE"
 
+    def test_large_power_label(self):
+        ring = {"kind": "poly", "coefficients": "int", "variables": ["x", "y"]}
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(doc(labels=("(x+y+1)^200", "x", "y"), ring=ring)))
+        assert err.value.code == "LABEL_PARSE"
+        assert "more than 1000 terms" in str(err.value)
+
     @pytest.mark.parametrize("label", [4, 4.5, None, ["4"]])
     @pytest.mark.parametrize(
         "ring",

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +12,13 @@ from graphsplines import (
     RAT,
     ParseError,
     Polynomial,
+    PolynomialRing,
     RingMismatchError,
     exact_divide,
     parse_polynomial,
     poly_gcd,
 )
+import graphsplines.polynomials as module
 
 VARS = ("x", "y")
 
@@ -248,3 +253,169 @@ class TestNormalization:
         assert not parse_polynomial("2", VARS, INT).is_unit()
         assert poly("2/3").is_unit()
         assert not poly("x + 1").is_unit()
+
+
+class TestPowerCap:
+    def test_large_power_of_a_sum_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="more than 1000 terms") as err:
+            poly("(x+y+1)^200")
+        assert err.value.position == 8
+
+    def test_huge_exponent_is_rejected_without_expanding(self):
+        with pytest.raises(ParseError, match="more than 1000 terms"):
+            poly("(x+1)^" + "9" * 50)
+
+    def test_powers_within_the_cap_still_expand(self):
+        # (x+y+1)^43 has comb(45, 2) = 990 terms, the largest power under the cap
+        assert len(poly("(x+y+1)^43").terms) == 990
+        # a monomial or a constant expands to one term, whatever the exponent
+        assert poly("(2*x*y)^300") == poly("2^300*x^300*y^300")
+        assert poly("(x+y)^0") == poly("1")
+
+
+# ---------------------------------------------------------------------------
+# The heuristic gcd against its own fallback and against sympy
+# ---------------------------------------------------------------------------
+
+NAMES = ("x", "y", "z")
+
+
+def _dense(rng, names, kind, degree):
+    """Every monomial of total degree <= degree, coefficients in +-1..3."""
+    terms = {}
+    for exponents in itertools.product(range(degree + 1), repeat=len(names)):
+        if sum(exponents) <= degree:
+            terms[exponents] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Polynomial(names, kind, terms)
+
+
+def _gcd_cases():
+    """Seeded (a, b) pairs over INT and RAT in 1-3 variables."""
+    rng = random.Random("gcd-differential")
+    cases = []
+    for kind in (INT, RAT):
+        for nvars in (1, 2, 3):
+            names = NAMES[:nvars]
+            dense = functools.partial(_dense, rng, names, kind)
+            top = 3 if nvars < 3 else 2
+            for _ in range(2):
+                f, g, h = dense(rng.randint(1, top)), dense(rng.randint(1, top)), dense(1)
+                cases.append((f * g, f * h))  # shared dense factor
+                cases.append((f * g * -6, f * h * 4))  # integer content, signs
+                cases.append((dense(2), dense(2)))  # coprime, almost surely
+                cases.append((f, f * g))  # one divides the other
+            constant = Polynomial.constant(rng.choice((-12, 5, 18)), names, kind)
+            cases.append((constant, dense(2) * 6))
+        x = Polynomial.variable("x", ("x",), kind)
+        cases.append((x ** 60 - 1, x ** 45 - 1))  # sparse, gcd x^15 - 1
+        xy = ("x", "y")
+        x, y = Polynomial.variable("x", xy, kind), Polynomial.variable("y", xy, kind)
+        cases.append((x ** 40 * y - y, x ** 24 * y ** 2 - y ** 2))  # y*(x^8 - 1)
+    return cases
+
+
+GCD_CASES = _gcd_cases()
+
+
+def _to_sympy(p, sympy):
+    domain = sympy.ZZ if p.coeff_kind == INT else sympy.QQ
+    terms = {e: sympy.Rational(c.numerator, c.denominator) if p.coeff_kind == RAT else c
+             for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, sympy.symbols(p.variables), domain=domain)
+
+
+def _from_sympy(q, variables, kind):
+    coefficient = int if kind == INT else (lambda c: Fraction(int(c.p), int(c.q)))
+    terms = {tuple(e): coefficient(c) for e, c in q.terms()}
+    return Polynomial(variables, kind, terms)
+
+
+def _fallback_gcd(monkeypatch, a, b):
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_heu_gcd", lambda a, b: None)
+        return poly_gcd(a, b)
+
+
+class TestHeuristicGcd:
+    @pytest.mark.parametrize("a, b", GCD_CASES)
+    def test_matches_the_subresultant_fallback(self, monkeypatch, a, b):
+        assert poly_gcd(a, b) == _fallback_gcd(monkeypatch, a, b)
+
+    @pytest.mark.parametrize("a, b", GCD_CASES)
+    def test_matches_sympy(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        expected = _to_sympy(a, sympy).gcd(_to_sympy(b, sympy))
+        assert poly_gcd(a, b) == _from_sympy(expected, a.variables, a.coeff_kind).normalized()
+
+    @pytest.mark.parametrize("a, b", GCD_CASES)
+    def test_lcm_through_the_cofactor(self, a, b):
+        ring = PolynomialRing(a.coeff_kind, a.variables)
+        old = ring.normalize(ring.exact_div(ring.mul(a, b), ring.gcd(a, b)))
+        assert ring.lcm(a, b) == old
+
+    def test_every_xi_meets_the_soundness_bound(self, monkeypatch):
+        # xi >= 2*min(|a|, |b|) + 2 for the primitive inputs of each level is
+        # what makes the divisibility check a proof
+        evaluations = []
+        evaluate = module._evaluate_last
+
+        def recording(p, xi):
+            evaluations.append((p, xi))
+            return evaluate(p, xi)
+
+        monkeypatch.setattr(module, "_evaluate_last", recording)
+        for a, b in GCD_CASES:
+            poly_gcd(a, b)
+        assert evaluations
+        for (a, xi), (b, same_xi) in zip(evaluations[::2], evaluations[1::2]):
+            assert xi == same_xi
+            norm = min(max(map(abs, p.terms.values())) for p in (a, b))
+            assert xi >= 2 * norm + 2
+
+    def test_the_bound_is_needed(self, monkeypatch):
+        # why the bound above is asserted: at xi = 29 both images of
+        # (x-28)(x+1) and (x-28)(x+2) are coprime (30 and 31), so the
+        # candidate 1 divides both inputs and the gcd x - 28 is missed
+        a = parse_polynomial("(x-28)*(x+1)", ("x",), INT)
+        b = parse_polynomial("(x-28)*(x+2)", ("x",), INT)
+        assert poly_gcd(a, b) == parse_polynomial("x-28", ("x",), INT)
+        monkeypatch.setattr(module, "_max_norm", lambda p: 0)
+        assert poly_gcd(a, b) == parse_polynomial("1", ("x",), INT)
+
+    @pytest.mark.parametrize("a, b", [c for c in GCD_CASES if len(c[0].variables) == 1])
+    def test_wrong_candidates_fall_back_after_six_tries(self, monkeypatch, a, b):
+        expected = _fallback_gcd(monkeypatch, a, b)
+        tries, fallbacks = [], []
+        subresultant = module._subresultant_gcd
+
+        def wrong_candidate(image, xi, variables):
+            # never divides a nonzero input of lower degree
+            tries.append(xi)
+            return Polynomial.variable(variables[-1], variables, INT) ** 100 + 1
+
+        def counting(*args):
+            fallbacks.append(args)
+            return subresultant(*args)
+
+        monkeypatch.setattr(module, "_interpolate_last", wrong_candidate)
+        monkeypatch.setattr(module, "_subresultant_gcd", counting)
+        assert poly_gcd(a, b) == expected
+        if not (a.is_constant() or b.is_constant()):
+            assert len(tries) == module._HEU_GCD_TRIES == 6
+            assert tries == sorted(set(tries))  # xi grows between tries
+            assert len(fallbacks) == 1
+
+    def test_dense_trivariate_inputs_need_no_fallback(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("subresultant PRS reached")
+
+        monkeypatch.setattr(module, "_subresultant_gcd", unreachable)
+        for a, b in GCD_CASES:
+            if a.coeff_kind == INT and len(a.variables) == 3:
+                poly_gcd(a, b)
+
+    def test_huge_degree_gives_up_before_evaluating(self):
+        x = Polynomial.variable("x", ("x",), INT)
+        a, b = x ** 100000 - 1, x ** 75000 - 1
+        assert module._heu_gcd(a, b) is None
+        assert module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1) == x ** 1500 - 1
