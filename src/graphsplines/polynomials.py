@@ -4,10 +4,14 @@ Polynomials live in a fixed ordered variable set and carry their coefficient
 kind (``"int"`` for arbitrary-precision integers, ``"rat"`` for rationals).
 Terms are kept in a map from exponent tuples to nonzero coefficients, and the
 term order everywhere is graded lexicographic in the declared variable order.
+Multiplication and exact division of both kinds run on one integer kernel
+with packed exponents and a heap-ordered remainder; rational operands are
+scaled to integers at its boundary.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -45,7 +49,7 @@ class Polynomial:
                 raise ValueError(f"bad exponent vector {exponents!r}")
             coefficient = _coerce_coefficient(coefficient, coeff_kind)
             if coefficient:
-                clean[exponents] = clean.get(exponents, _zero_of(coeff_kind)) + coefficient
+                clean[exponents] = clean.get(exponents, 0) + coefficient
                 if not clean[exponents]:
                     del clean[exponents]
         self.variables = variables
@@ -142,15 +146,18 @@ class Polynomial:
             return other
         return Polynomial.constant(other, self.variables, self.coeff_kind)
 
+    # A missing term counts as the int 0, which the coefficient kind absorbs:
+    # 0 + Fraction is a Fraction.
+
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, _zero_of(self.coeff_kind)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         return _raw(self.variables, self.coeff_kind, out)
 
     __radd__ = __add__
@@ -161,23 +168,25 @@ class Polynomial:
         )
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _raw(self.variables, self.coeff_kind, out)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _zero_of(self.coeff_kind)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _raw(self.variables, self.coeff_kind, out)
+        a, a_denominator = _integer_scaled(self)
+        b, b_denominator = _integer_scaled(other)
+        product = _mul_int(a.terms, b.terms, len(self.variables))
+        return _from_int(self, product, 1, a_denominator * b_denominator)
 
     __rmul__ = __mul__
 
@@ -315,26 +324,52 @@ _MAX_NESTING = 100
 # before it is expanded: "(x+y+1)^200" is 12 characters, but expanding it
 # would take minutes.
 _MAX_POWER_TERMS = 1000
+# So is a power whose coefficients could grow past about this many bits:
+# "3^10000000" would take seconds to build. The cap stays below the 4300
+# digits Python converts to and from text, so every accepted power prints.
+_MAX_POWER_BITS = 1 << 13
 
 
-def _power_too_large(base: Polynomial, exponent: int) -> bool:
-    """True if ``base ** exponent`` could have more than _MAX_POWER_TERMS terms.
+def _power_too_large(base: Polynomial, exponent: int) -> str | None:
+    """Why ``base ** exponent`` is too large to expand, or None if it is not.
 
     Its term count is at most the smaller of the number of monomials of
     degree at most ``exponent * deg(base)`` in k variables and the number of
-    multisets of ``exponent`` of the base's terms.
+    multisets of ``exponent`` of the base's terms. Its coefficients grow by
+    about ``exponent`` times the bits of the base's largest numerator or
+    denominator; a coefficient of magnitude 1 counts as 0 bits, so powers of
+    monomials such as ``x^1000000`` stay legal.
     """
+    bits = max(
+        ((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in base.terms.values()),
+        default=0,
+    )
+    if exponent * bits > _MAX_POWER_BITS:
+        return f"power could have coefficients of more than {_MAX_POWER_BITS} bits"
     count = len(base.terms)
     if count <= 1 or exponent <= 1:
-        return False
+        return None
+    terms = f"power could expand to more than {_MAX_POWER_TERMS} terms"
     if exponent > _MAX_POWER_TERMS:
-        return True  # both counts exceed the exponent; skip the huge binomials
+        return terms  # both counts exceed the exponent; skip the huge binomials
     k = len(base.variables)
     bound = min(
         math.comb(exponent * base.total_degree() + k, k),
         math.comb(exponent + count - 1, count - 1),
     )
-    return bound > _MAX_POWER_TERMS
+    return terms if bound > _MAX_POWER_TERMS else None
+
+
+def parse_int(digits: str, position: int = 0) -> int:
+    """``int(digits)``, with a literal too long for Python to convert as a ParseError.
+
+    Python refuses to convert more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default); that limit is kept, not raised.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal too long: {excerpt(digits)}", position) from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -431,12 +466,10 @@ class _Parser:
             if kind != "number" or "/" in text:
                 raise ParseError("expected a natural-number exponent", position)
             self.advance()
-            exponent = int(text)
-            if _power_too_large(base, exponent):
-                raise ParseError(
-                    f"power could expand to more than {_MAX_POWER_TERMS} terms",
-                    position,
-                )
+            exponent = parse_int(text, position)
+            reason = _power_too_large(base, exponent)
+            if reason:
+                raise ParseError(reason, position)
             return base ** exponent
         return base
 
@@ -450,11 +483,12 @@ class _Parser:
                         position,
                     )
                 numerator, denominator = text.split("/")
-                if int(denominator) == 0:
+                denominator = parse_int(denominator, position)
+                if denominator == 0:
                     raise ParseError("zero denominator", position)
-                value: int | Fraction = Fraction(int(numerator), int(denominator))
+                value: int | Fraction = Fraction(parse_int(numerator, position), denominator)
             else:
-                value = int(text)
+                value = parse_int(text, position)
             return Polynomial.constant(value, self.variables, self.coeff_kind)
         if kind == "name":
             if text not in self.variables:
@@ -484,8 +518,117 @@ def parse_polynomial(text: str, variables, coeff_kind: str) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact division
+# Integer kernel: multiplication and exact division
+#
+# Both coefficient kinds share one kernel on int coefficients. A RAT operand
+# is scaled to integers at the boundary (``_integer_scaled``), and the
+# result's Fractions are built once per output term (``_from_int``).
+#
+# Following Monagan and Pearce (2007, "Polynomial division using dynamic
+# arrays, heaps, and packed exponent vectors"), an exponent tuple is packed
+# into one int: the total degree in the top field, then the exponents in
+# variable order. Every field is one guard bit wider than the largest degree
+# the operation can reach, so integer order on packed monomials is grlex, a
+# monomial product is one addition, and a monomial quotient is one
+# subtraction that leaves every guard bit clear exactly when it divides (the
+# lowest field that borrows sets its own guard bit). Division keeps the
+# remainder in a dict and its monomials in a max-heap: each step pops the
+# largest one instead of scanning the whole remainder. A term that cancels
+# stays in the dict as 0 until its heap entry is popped and skipped, so every
+# monomial enters the heap once.
 # ---------------------------------------------------------------------------
+
+
+def _packing(nvars: int, degree: int):
+    """(pack, unpack, guard bits) for monomials of total degree at most ``degree``."""
+    width = degree.bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(width * (nvars - 1), -1, -width)
+    guard = sum(1 << (width * field + width - 1) for field in range(nvars + 1))
+
+    def pack(exponents):
+        packed = sum(exponents)
+        for e in exponents:
+            packed = (packed << width) | e
+        return packed
+
+    def unpack(packed):
+        return tuple([(packed >> shift) & mask for shift in shifts])
+
+    return pack, unpack, guard
+
+
+def _mul_int(a: dict, b: dict, nvars: int) -> dict:
+    """Product of two integer term maps."""
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # a one-term factor (often a constant) only shifts the exponents
+        ((shift, d),) = b.items()
+        if not any(shift):
+            return {e: c * d for e, c in a.items()}
+        return {tuple([x + y for x, y in zip(e, shift)]): c * d for e, c in a.items()}
+    pack, unpack, _ = _packing(nvars, max(map(sum, a)) + max(map(sum, b)))
+    packed_b = [(pack(e), c) for e, c in b.items()]
+    out: dict[int, int] = {}
+    get = out.get
+    for e, c in a.items():
+        m = pack(e)
+        for p, d in packed_b:
+            key = m + p
+            out[key] = get(key, 0) + c * d
+    return {unpack(m): c for m, c in out.items() if c}
+
+
+def _divide_int(numerator: dict, denominator: dict, nvars: int) -> dict | None:
+    """Quotient of two nonzero integer term maps, or None if it is not exact."""
+    degree = max(map(sum, numerator))
+    if max(map(sum, denominator)) > degree:
+        return None
+    pack, unpack, guard = _packing(nvars, degree)
+    divisor = sorted(((pack(e), c) for e, c in denominator.items()), reverse=True)
+    (lead, lead_coefficient), rest = divisor[0], divisor[1:]
+    remainder = {pack(e): c for e, c in numerator.items()}
+    heap = [-m for m in remainder]
+    heapq.heapify(heap)
+    quotient: dict[int, int] = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = remainder.pop(m)
+        if not c:
+            continue
+        shift = m - lead
+        if shift & guard:
+            return None  # the leading monomial does not divide
+        q, r = divmod(c, lead_coefficient)
+        if r:
+            return None  # the leading coefficient does not divide
+        quotient[shift] = q
+        for p, d in rest:
+            key = shift + p  # below m in grlex, so never a popped monomial
+            s = remainder.get(key)
+            if s is None:
+                remainder[key] = -q * d
+                heapq.heappush(heap, -key)
+            else:
+                remainder[key] = s - q * d
+    return {unpack(m): c for m, c in quotient.items()}
+
+
+def _from_int(like: Polynomial, terms: dict, numerator: int, denominator: int) -> Polynomial:
+    """An integer term map times numerator/denominator, in the ring of ``like``.
+
+    Over INT the scale is always 1 and the map is taken as is.
+    """
+    if like.coeff_kind == INT:
+        return _raw(like.variables, INT, terms)
+    return _raw(
+        like.variables,
+        RAT,
+        {e: Fraction(c * numerator, denominator) for e, c in terms.items()},
+    )
 
 
 def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial | None:
@@ -494,38 +637,29 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
     Multivariate division by the single divisor under graded-lex leading
     terms; any step whose leading monomial or (over INT) leading coefficient
     fails to divide certifies non-divisibility.
+
+    Over RAT both operands are scaled to integer coefficients and the
+    divisor is made primitive. By Gauss's lemma a primitive integer divisor
+    that divides an integer numerator over QQ leaves an integer quotient, so
+    the integer division succeeds exactly when the rational one does, and a
+    failed leading-coefficient step certifies non-divisibility over QQ too.
     """
     numerator._check_compatible(denominator)
     if denominator.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    kind = numerator.coeff_kind
     if numerator.is_zero():
         return numerator
-    lt_exp = denominator.leading_exponent()
-    lt_coef = denominator.leading_coefficient()
-    remainder = dict(numerator.terms)
-    quotient: dict[tuple[int, ...], int | Fraction] = {}
-    while remainder:
-        exp = max(remainder, key=_grlex_key)
-        coef = remainder[exp]
-        diff = tuple(a - b for a, b in zip(exp, lt_exp))
-        if any(d < 0 for d in diff):
-            return None
-        if kind == INT:
-            if coef % lt_coef:
-                return None
-            qc = coef // lt_coef
-        else:
-            qc = coef / lt_coef
-        quotient[diff] = qc
-        for de, dc in denominator.terms.items():
-            me = tuple(a + b for a, b in zip(diff, de))
-            s = remainder.get(me, _zero_of(kind)) - qc * dc
-            if s:
-                remainder[me] = s
-            else:
-                remainder.pop(me, None)
-    return _raw(numerator.variables, kind, quotient)
+    n, n_denominator = _integer_scaled(numerator)
+    d, d_denominator = _integer_scaled(denominator)
+    if numerator.coeff_kind == RAT:
+        # numerator / denominator = (n / d) * d_denominator / (n_denominator * content)
+        content = _int_content(d)
+        d = _ground_quotient(d, content)
+        n_denominator *= content
+    quotient = _divide_int(n.terms, d.terms, len(numerator.variables))
+    if quotient is None:
+        return None
+    return _from_int(numerator, quotient, d_denominator, n_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +698,27 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("gcd(0, 0) is undefined")
     if a.coeff_kind == INT:
         return _gcd_int(a, b)
-    g = _gcd_int(_integer_scaled(a), _integer_scaled(b))
+    g = _gcd_int(_integer_scaled(a)[0], _integer_scaled(b)[0])
     return Polynomial(
         a.variables, RAT, {e: Fraction(c) for e, c in g.terms.items()}
     ).normalized()
 
 
-def _integer_scaled(p: Polynomial) -> Polynomial:
-    """Unit-rescale of a RAT polynomial with integer coefficients."""
-    denominator = math.lcm(*(c.denominator for c in p.terms.values())) if p.terms else 1
-    return _raw(
-        p.variables,
-        INT,
-        {e: int(c * denominator) for e, c in p.terms.items()},
-    )
+def _integer_scaled(p: Polynomial) -> tuple[Polynomial, int]:
+    """``p`` times the lcm of its denominators, as an INT polynomial, and that lcm.
+
+    An INT polynomial comes back as itself with lcm 1.
+    """
+    if p.coeff_kind == INT:
+        return p, 1
+    # pairwise, not math.lcm(*generator): unpacking a generator grows a
+    # tuple by resizing and frees it onto the free list of its final
+    # length, which left about 1 MiB of idle tuples in a long process
+    denominator = 1
+    for c in p.terms.values():
+        denominator = math.lcm(denominator, c.denominator)
+    scaled = {e: c.numerator * (denominator // c.denominator) for e, c in p.terms.items()}
+    return _raw(p.variables, INT, scaled), denominator
 
 
 def _int_content(p: Polynomial) -> int:

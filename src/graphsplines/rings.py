@@ -13,7 +13,15 @@ import re
 from fractions import Fraction
 
 from .errors import GraphError, ParseError, RingMismatchError, excerpt
-from .polynomials import INT, RAT, Polynomial, exact_divide, parse_polynomial, poly_gcd
+from .polynomials import (
+    INT,
+    RAT,
+    Polynomial,
+    exact_divide,
+    parse_int,
+    parse_polynomial,
+    poly_gcd,
+)
 
 _INT_LITERAL = re.compile(r"[+-]?\d+\Z")
 _RAT_LITERAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -99,7 +107,7 @@ class IntegerRing(Ring):
     def element_from_text(self, text: str):
         if not _INT_LITERAL.match(text.strip()):
             raise ParseError(f"malformed integer literal {excerpt(text)}", 0)
-        return int(text)
+        return parse_int(text)
 
     def to_text(self, a) -> str:
         return str(self.check(a))
@@ -170,10 +178,11 @@ class RationalRing(Ring):
             raise ParseError(f"malformed rational literal {excerpt(text)}", 0)
         head, _, tail = text.strip().partition("/")
         if tail:
-            if int(tail) == 0:
+            denominator = parse_int(tail)
+            if denominator == 0:
                 raise ParseError("zero denominator", 0)
-            return Fraction(int(head), int(tail))
-        return Fraction(int(head))
+            return Fraction(parse_int(head), denominator)
+        return Fraction(parse_int(head))
 
     def to_text(self, a) -> str:
         return str(self.check(a))
@@ -240,6 +249,9 @@ class PolynomialRing(Ring):
 
     def neg(self, a):
         return -self.check(a)
+
+    def sub(self, a, b):
+        return self.check(a) - self.check(b)
 
     def mul(self, a, b):
         return self.check(a) * self.check(b)

@@ -3,8 +3,9 @@
 Everything here is deliberately implemented with different algorithms than
 the library under test: brute-force enumeration for spline lattices,
 subset-DP cofactor expansion for determinants, dense rational Gaussian
-elimination for span questions, and enumeration of every factor assignment
-for the bounded flow-up search.
+elimination for span questions, enumeration of every factor assignment
+for the bounded flow-up search, and the schoolbook tuple-keyed polynomial
+product and max-scan division that the packed integer kernel replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from fractions import Fraction
 
 from graphsplines.basis import SplineMatrix
+from graphsplines.polynomials import INT, Polynomial
 from graphsplines.search import SearchOutcome, _ColumnSystem
 
 
@@ -193,3 +195,55 @@ def enumerating_flow_up_search(graph, factors, degree_bound):
                 assignments_total, len(seen),
             )
     return SearchOutcome(None, None, degree_bound, assignments_total, len(seen))
+
+
+def _grlex_key(exponents):
+    return (sum(exponents), exponents)
+
+
+def schoolbook_multiply(a, b):
+    """Product of two polynomials of one ring, term by term on exponent tuples.
+
+    Coefficients are multiplied as they are (``int`` or ``Fraction``) and
+    summed in a dict keyed by the exponent tuple of each product.
+    """
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Polynomial(a.variables, a.coeff_kind, out)
+
+
+def scanning_divide(numerator, denominator):
+    """Exact quotient by repeated leading-term division, or None.
+
+    Each step finds the remainder's leading monomial by a full ``max`` scan
+    under grlex and divides it by the divisor's leading term, over INT with
+    an exact integer division and over RAT with Fraction division.
+    """
+    lead = max(denominator.terms, key=_grlex_key)
+    lead_coefficient = denominator.terms[lead]
+    remainder = dict(numerator.terms)
+    quotient = {}
+    while remainder:
+        exponents = max(remainder, key=_grlex_key)
+        coefficient = remainder[exponents]
+        shift = tuple(x - y for x, y in zip(exponents, lead))
+        if any(d < 0 for d in shift):
+            return None
+        if numerator.coeff_kind == INT:
+            if coefficient % lead_coefficient:
+                return None
+            q = coefficient // lead_coefficient
+        else:
+            q = coefficient / lead_coefficient
+        quotient[shift] = q
+        for e, c in denominator.terms.items():
+            key = tuple(x + y for x, y in zip(shift, e))
+            s = remainder.get(key, 0) - q * c
+            if s:
+                remainder[key] = s
+            else:
+                remainder.pop(key, None)
+    return Polynomial(numerator.variables, numerator.coeff_kind, quotient)

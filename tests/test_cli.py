@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -296,6 +297,40 @@ class TestErrors:
         code, _, err = run(capsys, "verify", XY, "--spline", "(x+y+1)^200,0,0")
         assert code == 2
         assert "more than 1000 terms" in err
+
+    def test_power_with_huge_coefficient_label(self, capsys, tmp_path):
+        document = json.loads((GRAPHS_DIR / "xy.json").read_text())
+        document["edges"][0]["label"] = "3^10000000"
+        path = tmp_path / "coefficient-power-label.json"
+        path.write_text(json.dumps(document))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "q", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "LABEL_PARSE" in err
+
+    def test_power_with_huge_coefficient_spline(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", XY, "--spline", "3^10000000,0,0")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "more than 8192 bits" in err
+
+    def test_overlong_integer_label(self, capsys, tmp_path):
+        document = json.loads((GRAPHS_DIR / "fig2.json").read_text())
+        document["edges"][0]["label"] = "7" * 5000
+        path = tmp_path / "long-integer-label.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "q", str(path))
+        assert code == 2
+        assert "LABEL_PARSE" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_overlong_exponent_spline(self, capsys):
+        code, _, err = run(capsys, "verify", XY, "--spline", f"x^{'1' * 5000},0,0")
+        assert code == 2
+        assert "integer literal too long" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_usage_error_is_returned(self, capsys):
         assert run(capsys, "search", XY)[0] == 2

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -90,6 +91,21 @@ class TestLoading:
             load_graph(json.dumps(doc(labels=("(x+y+1)^200", "x", "y"), ring=ring)))
         assert err.value.code == "LABEL_PARSE"
         assert "more than 1000 terms" in str(err.value)
+
+    def test_power_with_huge_coefficient_label(self):
+        ring = {"kind": "poly", "coefficients": "int", "variables": ["x", "y"]}
+        start = time.perf_counter()
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(doc(labels=("3^10000000", "x", "y"), ring=ring)))
+        assert time.perf_counter() - start < 1
+        assert err.value.code == "LABEL_PARSE"
+        assert "more than 8192 bits" in str(err.value)
+
+    def test_overlong_integer_label(self):
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(doc(labels=("7" * 5000, "5", "2"))))
+        assert err.value.code == "LABEL_PARSE"
+        assert "integer literal too long" in str(err.value)
 
     @pytest.mark.parametrize("label", [4, 4.5, None, ["4"]])
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from graphsplines import (
     poly_gcd,
 )
 import graphsplines.polynomials as module
+import oracles
 
 VARS = ("x", "y")
 
@@ -272,6 +273,35 @@ class TestPowerCap:
         assert poly("(2*x*y)^300") == poly("2^300*x^300*y^300")
         assert poly("(x+y)^0") == poly("1")
 
+    def test_huge_coefficient_power_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="more than 8192 bits") as err:
+            parse_polynomial("3^10000000", ("x",), INT)
+        assert err.value.position == 2
+        with pytest.raises(ParseError, match="more than 8192 bits"):
+            poly("(1/3*x)^8000")  # the denominator counts too
+        with pytest.raises(ParseError, match="more than 8192 bits"):
+            poly("(1000*x + 1)^999")
+
+    def test_coefficient_powers_within_the_cap_still_expand(self):
+        assert poly("2^8192") == Polynomial.constant(2 ** 8192, VARS, RAT)
+        assert str(poly("2^8192"))  # printable: below the int-to-text digit limit
+        assert poly("x^1000000") == Polynomial(VARS, RAT, {(1000000, 0): 1})
+        assert poly("(-x*y)^1001") == Polynomial(VARS, RAT, {(1001, 1001): -1})
+
+
+class TestLongLiterals:
+    @pytest.mark.parametrize(
+        "text, position",
+        [("7" * 5000, 0), ("x^" + "1" * 5000, 2),
+         ("1/" + "7" * 5000 + "*x", 0), ("7" * 5000 + "/3*x", 0)],
+    )
+    def test_overlong_literal_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError, match="integer literal too long") as err:
+            poly(text)
+        assert err.value.position == position
+        assert "set_int_max_str_digits" not in str(err.value)
+        assert len(str(err.value)) < 200
+
 
 # ---------------------------------------------------------------------------
 # The heuristic gcd against its own fallback and against sympy
@@ -419,3 +449,140 @@ class TestHeuristicGcd:
         a, b = x ** 100000 - 1, x ** 75000 - 1
         assert module._heu_gcd(a, b) is None
         assert module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1) == x ** 1500 - 1
+
+
+# ---------------------------------------------------------------------------
+# The packed integer kernel against the schoolbook oracles and sympy
+# ---------------------------------------------------------------------------
+
+
+def _random_polynomial(rng, names, kind, terms, degree, bits):
+    """Up to ``terms`` random terms of total degree <= degree, never zero."""
+    out = {}
+    while not out:
+        for _ in range(rng.randint(1, terms)):
+            exponents = [0] * len(names)
+            for _ in range(rng.randint(0, degree) if names else 0):
+                exponents[rng.randrange(len(names))] += 1
+            numerator = rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+            value = numerator if kind == INT else Fraction(numerator, rng.randint(1, 12))
+            out[tuple(exponents)] = value
+        out = Polynomial(names, kind, out).terms
+    return Polynomial(names, kind, out)
+
+
+def _kernel_cases():
+    """Seeded (a, b) pairs over INT and RAT in 0-3 variables."""
+    rng = random.Random("integer-kernel")
+    cases = []
+    for kind in (INT, RAT):
+        for nvars in range(4):
+            names = NAMES[:nvars]
+            for bits in (3, 3, 3, 70):  # small and large (multi-digit) coefficients
+                a = _random_polynomial(rng, names, kind, 8, 4, bits)
+                b = _random_polynomial(rng, names, kind, 5, 3, bits)
+                cases.append((a, b))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("a, b", KERNEL_CASES)
+    def test_product_matches_schoolbook(self, a, b):
+        expected = oracles.schoolbook_multiply(a, b)
+        assert a * b == expected
+        assert b * a == expected
+        assert all(type(c) is (int if a.coeff_kind == INT else Fraction)
+                   for c in (a * b).terms.values())
+
+    @pytest.mark.parametrize("a, b", KERNEL_CASES)
+    def test_quotient_of_a_product(self, a, b):
+        assert exact_divide(a * b, b) == a
+        assert oracles.scanning_divide(a * b, b) == a
+
+    @pytest.mark.parametrize("a, b", KERNEL_CASES)
+    def test_perturbed_numerator_matches_scanning_division(self, a, b):
+        rng = random.Random(str(a) + str(b))
+        for _ in range(3):
+            term = _random_polynomial(rng, a.variables, a.coeff_kind, 1, 4, 3)
+            numerator = a * b + term
+            assert exact_divide(numerator, b) == oracles.scanning_divide(numerator, b)
+
+    def test_zero_variables(self):
+        for kind in (INT, RAT):
+            six, minus_four = (Polynomial.constant(c, (), kind) for c in (6, -4))
+            assert (six * minus_four).terms == {(): -24}
+            assert exact_divide(six * minus_four, six) == minus_four
+        six, four = (Polynomial.constant(c, (), INT) for c in (6, 4))
+        assert exact_divide(six, four) is None
+        six, four = (Polynomial.constant(c, (), RAT) for c in (6, 4))
+        assert exact_divide(six, four) == Polynomial.constant(Fraction(3, 2), (), RAT)
+
+    def test_denominators_that_do_not_cancel(self):
+        assert exact_divide(poly("1/2*x + 1/3"), poly("3*x + 2")) == poly("1/6")
+        # a divisor with integer content: dividing by it over QQ is fine
+        assert exact_divide(poly("x + 2"), poly("2*x + 4")) == poly("1/2")
+        assert exact_divide(poly("2/3*x^2 - 2/3*y^2"), poly("4/5*x + 4/5*y")) == \
+            poly("5/6*x - 5/6*y")
+
+    def test_products_that_cancel(self):
+        for kind in (INT, RAT):
+            product = poly("x + y", kind) * poly("x - y", kind)
+            assert product == poly("x^2 - y^2", kind)
+            assert (product * poly("0", kind)).is_zero()
+            assert (poly("x^2 - y^2", kind) - product).is_zero()
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_leading_monomial_failure(self, kind):
+        assert exact_divide(poly("x^2 + 1", kind), poly("y", kind)) is None
+        assert exact_divide(poly("x", kind), poly("x^2", kind)) is None
+
+    def test_leading_coefficient_failure_over_int(self):
+        assert exact_divide(poly("x + 1", INT), poly("2*x + 2", INT)) is None
+        assert exact_divide(poly("3*x*y + 6", INT), poly("2*x*y + 4", INT)) is None
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_late_term_failure(self, kind):
+        # the first two steps divide; the constant left over does not
+        numerator = poly("(x + 1)*(x + 2) + 1", kind)
+        assert exact_divide(numerator, poly("x + 1", kind)) is None
+        numerator = poly("(x + y)*(x^2 + x*y + y^2) + y", kind)
+        assert exact_divide(numerator, poly("x + y", kind)) is None
+
+    def test_late_coefficient_failure_over_int(self):
+        numerator = poly("(x + 1)*(2*x + 3) + 2", INT)
+        assert exact_divide(numerator, poly("2*x + 3", INT)) is None
+
+    def test_high_degree_fields(self):
+        # exponents that fill every bit of their packed field below the guard
+        for degree in (3, 7, 8, 15, 16, 31):
+            a = poly(f"x^{degree} + x*y^{degree - 1} + y", INT)
+            b = poly(f"y^{degree} - x", INT)
+            assert a * b == oracles.schoolbook_multiply(a, b)
+            assert exact_divide(a * b, b) == a
+            assert exact_divide(a * b, a) == b
+
+    @pytest.mark.parametrize("a, b", KERNEL_CASES)
+    def test_matches_sympy(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        if not a.variables:
+            return  # sympy polynomials need a generator
+        product = a * b
+        expected = sympy.expand(_to_sympy(a, sympy).as_expr() * _to_sympy(b, sympy).as_expr())
+        assert product == _from_sympy(
+            sympy.Poly(expected, *sympy.symbols(a.variables)), a.variables, a.coeff_kind
+        )
+        term = _random_polynomial(random.Random(str(a)), a.variables, a.coeff_kind, 1, 4, 3)
+        for numerator in (product, product + term):
+            rational = [_to_sympy(p, sympy).set_domain(sympy.QQ) for p in (numerator, b)]
+            quotient, remainder = sympy.div(*rational)
+            ours = exact_divide(numerator, b)
+            divisible = remainder.is_zero and (
+                a.coeff_kind == RAT or all(c.q == 1 for c in quotient.coeffs())
+            )
+            if divisible:
+                assert ours == _from_sympy(quotient, a.variables, a.coeff_kind)
+            else:
+                assert ours is None

@@ -60,6 +60,10 @@ class TestIntegerRing:
         with pytest.raises(ParseError):
             ZZ.element_from_text("1/2")
 
+    def test_overlong_literal_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="integer literal too long"):
+            ZZ.element_from_text("7" * 5000)
+
     def test_mismatch(self):
         with pytest.raises(RingMismatchError):
             ZZ.add(1, Fraction(1, 2))
@@ -86,6 +90,11 @@ class TestRationalRing:
         assert QQ.element_from_text("-5") == Fraction(-5)
         with pytest.raises(ParseError):
             QQ.element_from_text("3/0")
+
+    @pytest.mark.parametrize("text", ["7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/3"])
+    def test_overlong_literal_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="integer literal too long"):
+            QQ.element_from_text(text)
 
 
 class TestPolynomialRingInterface:
