@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Check that two checkouts print the same thing for the same CLI calls.
+
+    python3 scripts/same_outputs.py BASE CHANGE --workload poly-det --seed 11
+
+Runs every call of the given splinebench workloads and seeds, plus the
+bundled demo commands of ``scripts/run_demos.py``, each in JSON and in text
+mode, through ``graphsplines.cli.main`` of each checkout (imported from its
+``src/`` in a child interpreter), and reports every call whose stdout,
+stderr or exit code differs. The instances are generated once, by this
+checkout's ``splinebench/workloads.py``, and both checkouts read the same
+files. Exits 1 if any call differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def demo_calls(graphs: Path) -> list:
+    """The argv of every bundled demo command, with its graph under ``graphs``."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import run_demos
+
+    return [[args[0], str(graphs / args[1]), *args[2:]] for _, args in run_demos.DEMOS]
+
+
+def workload_calls(base: Path, names, seeds, directory: Path) -> list:
+    """The argv of every call of the seeded workloads, their graphs written to ``directory``.
+
+    zz-lattice builds its check-basis candidates from ``flowup`` output,
+    which is taken from ``base``.
+    """
+    sys.path.insert(0, str(ROOT / "splinebench"))
+    import workloads
+
+    calls = []
+    for name in names:
+        for seed in seeds:
+            folder = directory / f"{name}-{seed}"
+            folder.mkdir(parents=True)
+
+            def flowup(graph_name, document, folder=folder):
+                path = folder / graph_name
+                path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+                return json.loads(run_calls(base, [["flowup", str(path), "--json"]])[0][1])
+
+            workload = workloads.build(name, seed, flowup)
+            workloads.write_graphs(workload, folder)
+            calls += [call.argv(folder) for call in workload.calls]
+    return calls
+
+
+def both_modes(calls) -> list:
+    """Each call in JSON mode and in text mode."""
+    out = []
+    for argv in calls:
+        text = [arg for arg in argv if arg != "--json"]
+        out += [text + ["--json"], text]
+    return out
+
+
+def run_calls(checkout: Path, calls) -> list:
+    """[exit code, stdout, stderr] of each call, run in-process in a child of ``checkout``."""
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout)],
+        input=json.dumps(calls), capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout)
+
+
+def worker(checkout: str) -> None:
+    sys.path.insert(0, str(Path(checkout) / "src"))
+    from graphsplines import cli
+
+    results = []
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def compare(base: Path, change: Path, calls) -> list:
+    """(argv, base result, change result) of every call whose results differ."""
+    pairs = zip(calls, run_calls(base, calls), run_calls(change, calls))
+    return [(argv, old, new) for argv, old, new in pairs if old != new]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", default=[])
+    parser.add_argument("--seed", action="append", type=int, default=[])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        calls = demo_calls(ROOT / "graphs")
+        calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
+        calls = both_modes(calls)
+        differences = compare(args.base, args.change, calls)
+    for argv_, old, new in differences:
+        print(f"DIFFERENT: {' '.join(argv_)}")
+        for label, value_old, value_new in zip(("exit", "stdout", "stderr"), old, new):
+            if value_old != value_new:
+                print(f"  {label}: {str(value_old)[:200]!r} -> {str(value_new)[:200]!r}")
+    print(f"{len(calls)} calls compared, {len(differences)} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:  # a child started by run_calls
+        worker(sys.argv[2])
+    else:
+        sys.exit(main())

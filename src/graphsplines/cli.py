@@ -29,6 +29,7 @@ from .basis import (
 from .errors import SplineAlgebraError
 from .graphs import LabeledGraph, load_graph
 from .lattice import integer_flow_up_basis
+from .polynomials import number_text
 from .search import flow_up_search_bounded
 from .splines import flow_up_witness, is_spline
 
@@ -156,8 +157,10 @@ def _cmd_flowup(args):
         lines.append("flow-up class basis (columns):")
         for k, column in enumerate(basis.columns):
             lines.append(f"  B{k + 1} = {_spline_text(graph, column)}")
-        lines.append(f"diagonal: {basis.diagonal}")
-        lines.append(f"determinant: {basis.determinant}")
+        # the tuple's repr, one-entry "(d,)" included, without str() on each int
+        diagonal = ", ".join(map(number_text, basis.diagonal))
+        lines.append(f"diagonal: ({diagonal}{',' if len(basis.diagonal) == 1 else ''})")
+        lines.append(f"determinant: {number_text(basis.determinant)}")
         report = {"command": "flowup", "verdict": "yes", **basis.to_document()}
         return 0, report, lines
     lines.append("flow-up witness table (one representative per nonzero class):")
@@ -371,6 +374,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _json_text(report: dict) -> str:
+    """The report as indented JSON.
+
+    json.dumps writes ints with str(), which refuses more than 4300 digits;
+    only then is the report written again with each such int as its decimal
+    string, since Python's json.loads would refuse to read it back as a
+    number anyway.
+    """
+    try:
+        return json.dumps(report, indent=2)
+    except ValueError:
+        return json.dumps(_long_ints_as_text(report), indent=2)
+
+
+def _long_ints_as_text(value):
+    if isinstance(value, dict):
+        return {key: _long_ints_as_text(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_long_ints_as_text(item) for item in value]
+    if isinstance(value, int) and len(number_text(value)) > sys.get_int_max_str_digits():
+        return number_text(value)
+    return value
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -382,7 +409,7 @@ def main(argv=None) -> int:
     except (SplineAlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2) if args.json else "\n".join(lines)
+    text = _json_text(report) if args.json else "\n".join(lines)
     try:
         print(text)
         sys.stdout.flush()

@@ -1,12 +1,17 @@
 """Sparse multivariate polynomials with exact integer or rational coefficients.
 
 Polynomials live in a fixed ordered variable set and carry their coefficient
-kind (``"int"`` for arbitrary-precision integers, ``"rat"`` for rationals).
-Terms are kept in a map from exponent tuples to nonzero coefficients, and the
-term order everywhere is graded lexicographic in the declared variable order.
-Multiplication and exact division of both kinds run on one integer kernel
-with packed exponents and a heap-ordered remainder; rational operands are
-scaled to integers at its boundary.
+kind (``"int"`` for arbitrary-precision integers, ``"rat"`` for rationals),
+and the term order everywhere is graded lexicographic in the declared
+variable order.
+
+A polynomial is stored packed: a map from packed monomials (one int per
+exponent vector, see "Packed storage" below) to integer numerators, plus one
+positive common denominator, which is always 1 over the integers. Addition,
+multiplication and exact division work on these maps directly and build
+their results in packed form. The public view ``terms``, a map from exponent
+tuples to ``int`` or ``Fraction`` coefficients, is derived from the packed
+map the first time it is read and then cached.
 """
 
 from __future__ import annotations
@@ -21,6 +26,68 @@ INT = "int"
 RAT = "rat"
 
 
+# ---------------------------------------------------------------------------
+# Packed storage
+#
+# Following Monagan and Pearce (2007, "Polynomial division using dynamic
+# arrays, heaps, and packed exponent vectors"), an exponent tuple is packed
+# into one int: the total degree in the top field, then the exponents in
+# variable order. Each polynomial has one field width, at least _MIN_WIDTH
+# bits, and the top bit of every field is a guard bit that is clear in every
+# stored monomial. So integer order on packed monomials is grlex, a monomial
+# product is one addition, and a monomial quotient is one subtraction that
+# leaves every guard bit clear exactly when it divides (the lowest field
+# that borrows sets its own guard bit; a smaller total degree makes the
+# difference negative).
+#
+# The coefficients are integer numerators over one positive denominator.
+# Over RAT the denominator and the numerators have no common factor, so a
+# rational polynomial has exactly one stored form at a given width: it is
+# the lcm of the coefficients' reduced denominators. Every result that can
+# break this is divided once by math.gcd(denominator, *numerators).
+#
+# A result is repacked at a wider field only when its total degree would
+# reach its guard bit: below 2**(_MIN_WIDTH - 1) that never happens, and a
+# label like x^1000000 simply lives at a wider field. A result whose degree
+# drops keeps its width, so two equal polynomials can be stored at different
+# widths: __eq__ compares them at the wider one, and __hash__ hashes
+# exponent tuples, which do not depend on the width.
+#
+# ``terms`` unpacks the whole map and builds every Fraction, so the
+# arithmetic below never reads it; printing, evaluation, the gcd's
+# evaluation and splitting helpers, the linear systems in search.py and
+# callers outside the package do.
+# ---------------------------------------------------------------------------
+
+# Bits per packed field, guard bit included.
+_MIN_WIDTH = 16
+
+
+def _width_for(degree: int) -> int:
+    """Field width that holds total degree ``degree`` below its guard bit."""
+    return max(_MIN_WIDTH, degree.bit_length() + 1)
+
+
+def _pack(exponents, width: int) -> int:
+    packed = sum(exponents)
+    for e in exponents:
+        packed = (packed << width) | e
+    return packed
+
+
+def _unpacker(nvars: int, width: int):
+    """The function mapping a packed monomial to its exponent tuple."""
+    mask = (1 << width) - 1
+    shifts = range(width * (nvars - 1), -1, -width)
+    return lambda packed: tuple([(packed >> shift) & mask for shift in shifts])
+
+
+def _guard_bits(nvars: int, width: int) -> int:
+    """The guard bit of every field, the total-degree field included."""
+    fields = (1 << (width * (nvars + 1))) - 1
+    return fields // ((1 << width) - 1) << (width - 1)
+
+
 def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), exponents)
 
@@ -28,17 +95,16 @@ def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 class Polynomial:
     """Immutable sparse polynomial.
 
-    The zero polynomial has an empty term map; no zero coefficient is ever
-    stored. Instances compare equal iff they have the same variables, the
-    same coefficient kind, and identical term maps.
+    The zero polynomial has no terms; no zero coefficient is ever stored.
+    Instances compare equal iff they have the same variables, the same
+    coefficient kind, and the same coefficients on the same monomials.
     """
 
-    __slots__ = ("variables", "coeff_kind", "terms")
+    __slots__ = ("variables", "coeff_kind", "_packed", "_den", "_width", "_terms")
 
     def __init__(self, variables, coeff_kind, terms):
         variables = tuple(variables)
-        if coeff_kind not in (INT, RAT):
-            raise ValueError(f"unknown coefficient kind {coeff_kind!r}")
+        _check_kind(coeff_kind)
         nvars = len(variables)
         clean: dict[tuple[int, ...], int | Fraction] = {}
         for exponents, coefficient in terms.items():
@@ -52,83 +118,130 @@ class Polynomial:
                 clean[exponents] = clean.get(exponents, 0) + coefficient
                 if not clean[exponents]:
                     del clean[exponents]
+        width = _width_for(max(map(sum, clean), default=0))
+        if coeff_kind == INT:
+            packed = {_pack(e, width): c for e, c in clean.items()}
+            den = 1
+        else:
+            # pairwise, not math.lcm(*generator): unpacking a generator grows
+            # a tuple by resizing and frees it onto the free list of its
+            # final length, which leaves idle tuples in a long process
+            den = 1
+            for c in clean.values():
+                den = math.lcm(den, c.denominator)
+            packed = {
+                _pack(e, width): c.numerator * (den // c.denominator)
+                for e, c in clean.items()
+            }
         self.variables = variables
         self.coeff_kind = coeff_kind
-        self.terms = clean
+        self._packed = packed
+        self._den = den
+        self._width = width
+        self._terms = clean
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """Map from exponent tuples to nonzero ``int`` or ``Fraction`` coefficients."""
+        terms = self._terms
+        if terms is None:
+            unpack = _unpacker(len(self.variables), self._width)
+            if self.coeff_kind == INT:
+                terms = {unpack(m): c for m, c in self._packed.items()}
+            else:
+                den = self._den
+                terms = {unpack(m): Fraction(c, den) for m, c in self._packed.items()}
+            self._terms = terms
+        return terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables, coeff_kind) -> "Polynomial":
-        return cls(variables, coeff_kind, {})
+        _check_kind(coeff_kind)
+        return _make(tuple(variables), coeff_kind, {}, 1, _MIN_WIDTH)
 
     @classmethod
     def constant(cls, value, variables, coeff_kind) -> "Polynomial":
-        zero_exp = (0,) * len(tuple(variables))
-        return cls(variables, coeff_kind, {zero_exp: value})
+        _check_kind(coeff_kind)
+        value = _coerce_coefficient(value, coeff_kind)
+        if coeff_kind == INT:
+            return _make(tuple(variables), INT, {0: value} if value else {}, 1, _MIN_WIDTH)
+        packed = {0: value.numerator} if value else {}
+        return _make(tuple(variables), RAT, packed, value.denominator, _MIN_WIDTH)
 
     @classmethod
     def variable(cls, name, variables, coeff_kind) -> "Polynomial":
+        _check_kind(coeff_kind)
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
-        exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, coeff_kind, {exp: 1})
+        nvars = len(variables)
+        packed = 1 << (_MIN_WIDTH * nvars) | 1 << (
+            _MIN_WIDTH * (nvars - 1 - variables.index(name))
+        )
+        return _make(variables, coeff_kind, {packed: 1}, 1, _MIN_WIDTH)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        packed = self._packed
+        return not packed or (len(packed) == 1 and 0 in packed)
 
     def constant_term(self):
-        value = self.terms.get((0,) * len(self.variables))
-        if value is None:
-            return _zero_of(self.coeff_kind)
-        return value
+        return self._coefficient(self._packed.get(0, 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._packed:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._packed) >> (self._width * len(self.variables))
 
     def leading_exponent(self) -> tuple[int, ...]:
-        if not self.terms:
+        if not self._packed:
             raise ValueError("the zero polynomial has no leading term")
-        return max(self.terms, key=_grlex_key)
+        return _unpacker(len(self.variables), self._width)(max(self._packed))
 
     def leading_coefficient(self):
-        return self.terms[self.leading_exponent()]
+        if not self._packed:
+            raise ValueError("the zero polynomial has no leading term")
+        return self._coefficient(self._packed[max(self._packed)])
+
+    def _coefficient(self, numerator: int):
+        """The coefficient whose stored numerator is ``numerator``."""
+        if self.coeff_kind == INT:
+            return numerator
+        return Fraction(numerator, self._den)
 
     def is_unit(self) -> bool:
         """Invertible element test: +-1 over INT, any nonzero constant over RAT."""
         if not self.is_constant() or self.is_zero():
             return False
-        value = self.constant_term()
         if self.coeff_kind == INT:
-            return value in (1, -1)
-        return bool(value)
+            return self._packed[0] in (1, -1)
+        return True
 
     def normalized(self) -> "Polynomial":
         """Canonical associate: positive leading coefficient over INT, monic over RAT."""
         if self.is_zero():
             return self
-        lc = self.leading_coefficient()
+        lead = self._packed[max(self._packed)]
         if self.coeff_kind == INT:
-            return -self if lc < 0 else self
-        if lc == 1:
+            return -self if lead < 0 else self
+        if lead == self._den:
             return self
-        return Polynomial(
-            self.variables,
-            self.coeff_kind,
-            {e: c / lc for e, c in self.terms.items()},
-        )
+        # dividing by lead/den leaves the numerators over the denominator lead
+        if lead < 0:
+            packed = {m: -c for m, c in self._packed.items()}
+        else:
+            packed = self._packed
+        return _reduced(self.variables, packed, abs(lead), self._width)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -146,47 +259,56 @@ class Polynomial:
             return other
         return Polynomial.constant(other, self.variables, self.coeff_kind)
 
-    # A missing term counts as the int 0, which the coefficient kind absorbs:
-    # 0 + Fraction is a Fraction.
-
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _raw(self.variables, self.coeff_kind, out)
+        return _sum(self, self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _raw(
-            self.variables, self.coeff_kind, {e: -c for e, c in self.terms.items()}
+        return _make(
+            self.variables,
+            self.coeff_kind,
+            {m: -c for m, c in self._packed.items()},
+            self._den,
+            self._width,
         )
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _raw(self.variables, self.coeff_kind, out)
+        return _sum(self, self._coerce(other), -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        a, a_denominator = _integer_scaled(self)
-        b, b_denominator = _integer_scaled(other)
-        product = _mul_int(a.terms, b.terms, len(self.variables))
-        return _from_int(self, product, 1, a_denominator * b_denominator)
+        a, b = self._packed, other._packed
+        variables, kind = self.variables, self.coeff_kind
+        if not a or not b:
+            return _make(variables, kind, {}, 1, _MIN_WIDTH)
+        nvars = len(variables)
+        degree = (max(a) >> (self._width * nvars)) + (max(b) >> (other._width * nvars))
+        width = max(self._width, other._width)
+        if degree >> (width - 1):  # the product's degree would reach the guard bit
+            width = _width_for(degree)
+        a, b = _repacked(self, width), _repacked(other, width)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor (often a constant) cannot cancel anything
+            ((shift, d),) = b.items()
+            out = {m + shift: c * d for m, c in a.items()}
+        else:
+            out: dict[int, int] = {}
+            get = out.get
+            items = list(b.items())
+            for m, c in a.items():
+                for p, d in items:
+                    key = m + p
+                    out[key] = get(key, 0) + c * d
+            out = {m: c for m, c in out.items() if c}
+        if kind == INT:
+            return _make(variables, INT, out, 1, width)
+        return _reduced(variables, out, self._den * other._den, width)
 
     __rmul__ = __mul__
 
@@ -213,13 +335,19 @@ class Polynomial:
                     return False
                 return self == constant
             return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.coeff_kind == other.coeff_kind
-            and self.terms == other.terms
-        )
+        if (
+            self.variables != other.variables
+            or self.coeff_kind != other.coeff_kind
+            or self._den != other._den
+        ):
+            return False
+        if self._width == other._width:
+            return self._packed == other._packed
+        width = max(self._width, other._width)
+        return _repacked(self, width) == _repacked(other, width)
 
     def __hash__(self):
+        # the exponent tuples, not the packed monomials, which depend on the width
         return hash((self.variables, self.coeff_kind, frozenset(self.terms.items())))
 
     # -- evaluation --------------------------------------------------------
@@ -263,6 +391,11 @@ class Polynomial:
     __repr__ = __str__
 
 
+def _check_kind(coeff_kind) -> None:
+    if coeff_kind not in (INT, RAT):
+        raise ValueError(f"unknown coefficient kind {coeff_kind!r}")
+
+
 def _zero_of(coeff_kind):
     return 0 if coeff_kind == INT else Fraction(0)
 
@@ -279,13 +412,57 @@ def _coerce_coefficient(value, coeff_kind):
     raise RingMismatchError(f"{value!r} is not a rational coefficient")
 
 
-def _raw(variables, coeff_kind, terms) -> Polynomial:
-    """Build from an already-clean term map, skipping validation."""
+def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
+    """Build from an already canonical packed map, skipping validation."""
     p = Polynomial.__new__(Polynomial)
     p.variables = variables
     p.coeff_kind = coeff_kind
-    p.terms = terms
+    p._packed = packed
+    p._den = den
+    p._width = width
+    p._terms = None
     return p
+
+
+def _reduced(variables, packed, den, width) -> Polynomial:
+    """A RAT polynomial from numerators over ``den``, with the common factor removed."""
+    if den != 1:
+        g = math.gcd(den, *packed.values())
+        if g != 1:
+            packed = {m: c // g for m, c in packed.items()}
+            den //= g
+    return _make(variables, RAT, packed, den, width)
+
+
+def _repacked(p: Polynomial, width: int) -> dict[int, int]:
+    """The numerator map of ``p`` with every field ``width`` bits wide."""
+    if p._width == width:
+        return p._packed
+    unpack = _unpacker(len(p.variables), p._width)
+    return {_pack(unpack(m), width): c for m, c in p._packed.items()}
+
+
+def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """``a + sign*b`` for sign 1 or -1."""
+    width = max(a._width, b._width)
+    if a._den == b._den:
+        den = a._den
+        out = dict(_repacked(a, width))
+        scale = sign
+    else:
+        den = math.lcm(a._den, b._den)
+        scale_a = den // a._den
+        out = {m: c * scale_a for m, c in _repacked(a, width).items()}
+        scale = sign * (den // b._den)
+    for m, c in _repacked(b, width).items():
+        s = out.get(m, 0) + c * scale
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    if a.coeff_kind == INT:
+        return _make(a.variables, INT, out, 1, width)
+    return _reduced(a.variables, out, den, width)
 
 
 def _term_text(variables, exponents, magnitude) -> str:
@@ -295,10 +472,10 @@ def _term_text(variables, exponents, magnitude) -> str:
         if power
     )
     if not monomial:
-        return str(magnitude)
+        return number_text(magnitude)
     if magnitude == 1:
         return monomial
-    return f"{magnitude}*{monomial}"
+    return f"{number_text(magnitude)}*{monomial}"
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +547,29 @@ def parse_int(digits: str, position: int = 0) -> int:
         return int(digits)
     except ValueError:
         raise ParseError(f"integer literal too long: {excerpt(digits)}", position) from None
+
+
+def number_text(value: int | Fraction) -> str:
+    """Decimal text of an int or Fraction, as ``str`` writes it, at any size.
+
+    ``str`` refuses ints of more than ``sys.get_int_max_str_digits()`` digits
+    (4300 by default); that limit is kept, not raised. A longer int is split
+    at a power of ten into a high and a zero-padded low half until every
+    piece is short enough for ``str``.
+    """
+    if not isinstance(value, int):
+        if value.denominator == 1:
+            return number_text(value.numerator)
+        return f"{number_text(value.numerator)}/{number_text(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:  # too many digits for str
+        pass
+    if value < 0:
+        return "-" + number_text(-value)
+    digits = value.bit_length() * 30103 // 200000  # about half its digits
+    high, low = divmod(value, 10 ** digits)
+    return number_text(high) + number_text(low).zfill(digits)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -518,79 +718,47 @@ def parse_polynomial(text: str, variables, coeff_kind: str) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernel: multiplication and exact division
+# Exact division
 #
-# Both coefficient kinds share one kernel on int coefficients. A RAT operand
-# is scaled to integers at the boundary (``_integer_scaled``), and the
-# result's Fractions are built once per output term (``_from_int``).
-#
-# Following Monagan and Pearce (2007, "Polynomial division using dynamic
-# arrays, heaps, and packed exponent vectors"), an exponent tuple is packed
-# into one int: the total degree in the top field, then the exponents in
-# variable order. Every field is one guard bit wider than the largest degree
-# the operation can reach, so integer order on packed monomials is grlex, a
-# monomial product is one addition, and a monomial quotient is one
-# subtraction that leaves every guard bit clear exactly when it divides (the
-# lowest field that borrows sets its own guard bit). Division keeps the
-# remainder in a dict and its monomials in a max-heap: each step pops the
-# largest one instead of scanning the whole remainder. A term that cancels
-# stays in the dict as 0 until its heap entry is popped and skipped, so every
-# monomial enters the heap once.
+# Both coefficient kinds divide their integer numerator maps with one loop
+# on packed monomials. The remainder is kept in a dict and its monomials in
+# a max-heap: each step pops the largest one instead of scanning the whole
+# remainder. A term that cancels stays in the dict as 0 until its heap entry
+# is popped and skipped, so every monomial enters the heap once. Every
+# monomial the loop forms has total degree at most the numerator's, so the
+# wider of the two operands' widths holds them all.
 # ---------------------------------------------------------------------------
 
 
-def _packing(nvars: int, degree: int):
-    """(pack, unpack, guard bits) for monomials of total degree at most ``degree``."""
-    width = degree.bit_length() + 1
-    mask = (1 << width) - 1
-    shifts = range(width * (nvars - 1), -1, -width)
-    guard = sum(1 << (width * field + width - 1) for field in range(nvars + 1))
+def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial | None:
+    """Quotient q with denominator*q == numerator, or None if no such q exists.
 
-    def pack(exponents):
-        packed = sum(exponents)
-        for e in exponents:
-            packed = (packed << width) | e
-        return packed
+    Multivariate division by the single divisor under graded-lex leading
+    terms; any step whose leading monomial or (over INT) leading coefficient
+    fails to divide certifies non-divisibility.
 
-    def unpack(packed):
-        return tuple([(packed >> shift) & mask for shift in shifts])
-
-    return pack, unpack, guard
-
-
-def _mul_int(a: dict, b: dict, nvars: int) -> dict:
-    """Product of two integer term maps."""
-    if not a or not b:
-        return {}
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) == 1:
-        # a one-term factor (often a constant) only shifts the exponents
-        ((shift, d),) = b.items()
-        if not any(shift):
-            return {e: c * d for e, c in a.items()}
-        return {tuple([x + y for x, y in zip(e, shift)]): c * d for e, c in a.items()}
-    pack, unpack, _ = _packing(nvars, max(map(sum, a)) + max(map(sum, b)))
-    packed_b = [(pack(e), c) for e, c in b.items()]
-    out: dict[int, int] = {}
-    get = out.get
-    for e, c in a.items():
-        m = pack(e)
-        for p, d in packed_b:
-            key = m + p
-            out[key] = get(key, 0) + c * d
-    return {unpack(m): c for m, c in out.items() if c}
-
-
-def _divide_int(numerator: dict, denominator: dict, nvars: int) -> dict | None:
-    """Quotient of two nonzero integer term maps, or None if it is not exact."""
-    degree = max(map(sum, numerator))
-    if max(map(sum, denominator)) > degree:
-        return None
-    pack, unpack, guard = _packing(nvars, degree)
-    divisor = sorted(((pack(e), c) for e, c in denominator.items()), reverse=True)
-    (lead, lead_coefficient), rest = divisor[0], divisor[1:]
-    remainder = {pack(e): c for e, c in numerator.items()}
+    Over RAT the integer numerators of both operands are divided, after the
+    divisor's numerators are made primitive. By Gauss's lemma a primitive
+    integer divisor that divides an integer numerator over QQ leaves an
+    integer quotient, so the integer division succeeds exactly when the
+    rational one does, and a failed leading-coefficient step certifies
+    non-divisibility over QQ too.
+    """
+    numerator._check_compatible(denominator)
+    if denominator.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if numerator.is_zero():
+        return numerator
+    width = max(numerator._width, denominator._width)
+    divisor = _repacked(denominator, width)
+    content = 1
+    if numerator.coeff_kind == RAT:
+        content = _int_content(denominator)
+        if content != 1:
+            divisor = {m: c // content for m, c in divisor.items()}
+    (lead, lead_coefficient), *rest = sorted(divisor.items(), reverse=True)
+    guard = _guard_bits(len(numerator.variables), width)
+    remainder = dict(_repacked(numerator, width))
     heap = [-m for m in remainder]
     heapq.heapify(heap)
     quotient: dict[int, int] = {}
@@ -614,52 +782,13 @@ def _divide_int(numerator: dict, denominator: dict, nvars: int) -> dict | None:
                 heapq.heappush(heap, -key)
             else:
                 remainder[key] = s - q * d
-    return {unpack(m): c for m, c in quotient.items()}
-
-
-def _from_int(like: Polynomial, terms: dict, numerator: int, denominator: int) -> Polynomial:
-    """An integer term map times numerator/denominator, in the ring of ``like``.
-
-    Over INT the scale is always 1 and the map is taken as is.
-    """
-    if like.coeff_kind == INT:
-        return _raw(like.variables, INT, terms)
-    return _raw(
-        like.variables,
-        RAT,
-        {e: Fraction(c * numerator, denominator) for e, c in terms.items()},
-    )
-
-
-def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial | None:
-    """Quotient q with denominator*q == numerator, or None if no such q exists.
-
-    Multivariate division by the single divisor under graded-lex leading
-    terms; any step whose leading monomial or (over INT) leading coefficient
-    fails to divide certifies non-divisibility.
-
-    Over RAT both operands are scaled to integer coefficients and the
-    divisor is made primitive. By Gauss's lemma a primitive integer divisor
-    that divides an integer numerator over QQ leaves an integer quotient, so
-    the integer division succeeds exactly when the rational one does, and a
-    failed leading-coefficient step certifies non-divisibility over QQ too.
-    """
-    numerator._check_compatible(denominator)
-    if denominator.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if numerator.is_zero():
-        return numerator
-    n, n_denominator = _integer_scaled(numerator)
-    d, d_denominator = _integer_scaled(denominator)
-    if numerator.coeff_kind == RAT:
-        # numerator / denominator = (n / d) * d_denominator / (n_denominator * content)
-        content = _int_content(d)
-        d = _ground_quotient(d, content)
-        n_denominator *= content
-    quotient = _divide_int(n.terms, d.terms, len(numerator.variables))
-    if quotient is None:
-        return None
-    return _from_int(numerator, quotient, d_denominator, n_denominator)
+    if numerator.coeff_kind == INT:
+        return _make(numerator.variables, INT, quotient, 1, width)
+    # (N / n_den) / (D / d_den) = (N / (D / content)) * d_den / (n_den * content)
+    d_den = denominator._den
+    if d_den != 1:
+        quotient = {m: c * d_den for m, c in quotient.items()}
+    return _reduced(numerator.variables, quotient, numerator._den * content, width)
 
 
 # ---------------------------------------------------------------------------
@@ -698,32 +827,27 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("gcd(0, 0) is undefined")
     if a.coeff_kind == INT:
         return _gcd_int(a, b)
-    g = _gcd_int(_integer_scaled(a)[0], _integer_scaled(b)[0])
-    return Polynomial(
-        a.variables, RAT, {e: Fraction(c) for e, c in g.terms.items()}
-    ).normalized()
+    g = _gcd_int(_integer_scaled(a), _integer_scaled(b))
+    return _make(a.variables, RAT, g._packed, 1, g._width).normalized()
 
 
-def _integer_scaled(p: Polynomial) -> tuple[Polynomial, int]:
-    """``p`` times the lcm of its denominators, as an INT polynomial, and that lcm.
+def _integer_scaled(p: Polynomial) -> Polynomial:
+    """``p`` times its common denominator: an INT view sharing its numerators."""
+    return _make(p.variables, INT, p._packed, 1, p._width)
 
-    An INT polynomial comes back as itself with lcm 1.
-    """
-    if p.coeff_kind == INT:
-        return p, 1
-    # pairwise, not math.lcm(*generator): unpacking a generator grows a
-    # tuple by resizing and frees it onto the free list of its final
-    # length, which left about 1 MiB of idle tuples in a long process
-    denominator = 1
-    for c in p.terms.values():
-        denominator = math.lcm(denominator, c.denominator)
-    scaled = {e: c.numerator * (denominator // c.denominator) for e, c in p.terms.items()}
-    return _raw(p.variables, INT, scaled), denominator
+
+def _int_polynomial(variables, terms: dict[tuple[int, ...], int]) -> Polynomial:
+    """An INT polynomial from exponent tuples to nonzero ints, skipping validation."""
+    width = _width_for(max(map(sum, terms), default=0))
+    p = _make(variables, INT, {_pack(e, width): c for e, c in terms.items()}, 1, width)
+    p._terms = terms
+    return p
 
 
 def _int_content(p: Polynomial) -> int:
+    """The gcd of the stored numerators."""
     g = 0
-    for c in p.terms.values():
+    for c in p._packed.values():
         g = math.gcd(g, c)
         if g == 1:
             break
@@ -739,7 +863,7 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.constant(
             math.gcd(_int_content(a), _int_content(b)), a.variables, INT
         )
-    if a.terms == b.terms:
+    if a == b:
         return a.normalized()
     heuristic = _heu_gcd(a, b)
     if heuristic is not None:
@@ -763,9 +887,10 @@ def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
     content_a, content_b = _int_content(a), _int_content(b)
     content = math.gcd(content_a, content_b)
     if not a.variables:
-        return _raw((), INT, {(): content})
+        return Polynomial.constant(content, (), INT)
     a, b = _ground_quotient(a, content_a), _ground_quotient(b, content_b)
-    degree = max(e[-1] for p in (a, b) for e in p.terms)
+    # the last variable's exponent is the lowest packed field
+    degree = max(m & ((1 << p._width) - 1) for p in (a, b) for m in p._packed)
     # sympy's dmp_zz_heu_gcd may start below this bound, at min(B, 99*sqrt(B))
     # with B = 2*min(|a|, |b|) + 29; below it the divisibility check proves
     # nothing, so every xi here is at least B
@@ -788,11 +913,11 @@ def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
 
 def _ground_quotient(p: Polynomial, divisor: int) -> Polynomial:
     """Divide every coefficient by an integer that divides them all."""
-    return _raw(p.variables, INT, {e: c // divisor for e, c in p.terms.items()})
+    return _make(p.variables, INT, {m: c // divisor for m, c in p._packed.items()}, 1, p._width)
 
 
 def _max_norm(p: Polynomial) -> int:
-    return max(abs(c) for c in p.terms.values())
+    return max(abs(c) for c in p._packed.values())
 
 
 def _evaluate_last(p: Polynomial, xi: int) -> Polynomial:
@@ -803,7 +928,7 @@ def _evaluate_last(p: Polynomial, xi: int) -> Polynomial:
         if e[-1] not in powers:
             powers[e[-1]] = xi ** e[-1]
         image[e[:-1]] = image.get(e[:-1], 0) + c * powers[e[-1]]
-    return _raw(p.variables[:-1], INT, {e: c for e, c in image.items() if c})
+    return _int_polynomial(p.variables[:-1], {e: c for e, c in image.items() if c})
 
 
 def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
@@ -823,24 +948,24 @@ def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
             if digit:
                 terms[e + (power,)] = digit
             power += 1
-    return _raw(tuple(variables), INT, terms)
+    return _int_polynomial(tuple(variables), terms)
 
 
 def _split_last(p: Polynomial) -> dict[int, Polynomial]:
     """View as univariate in the last variable; coefficients drop that variable."""
     sub_vars = p.variables[:-1]
-    buckets: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
     for e, c in p.terms.items():
         buckets.setdefault(e[-1], {})[e[:-1]] = c
-    return {d: _raw(sub_vars, p.coeff_kind, t) for d, t in buckets.items()}
+    return {d: _int_polynomial(sub_vars, t) for d, t in buckets.items()}
 
 
 def _join_last(variables, univariate: dict[int, Polynomial]) -> Polynomial:
-    terms: dict[tuple[int, ...], int | Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for degree, coefficient in univariate.items():
         for e, c in coefficient.terms.items():
             terms[e + (degree,)] = c
-    return _raw(tuple(variables), INT, terms)
+    return _int_polynomial(tuple(variables), terms)
 
 
 def _coef_content(univariate: dict[int, Polynomial], sub_vars) -> Polynomial:

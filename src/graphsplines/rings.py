@@ -18,6 +18,7 @@ from .polynomials import (
     RAT,
     Polynomial,
     exact_divide,
+    number_text,
     parse_int,
     parse_polynomial,
     poly_gcd,
@@ -110,7 +111,7 @@ class IntegerRing(Ring):
         return parse_int(text)
 
     def to_text(self, a) -> str:
-        return str(self.check(a))
+        return number_text(self.check(a))
 
     def to_document(self) -> dict:
         return {"kind": "int"}
@@ -185,7 +186,7 @@ class RationalRing(Ring):
         return Fraction(parse_int(head))
 
     def to_text(self, a) -> str:
-        return str(self.check(a))
+        return number_text(self.check(a))
 
     def to_document(self) -> dict:
         return {"kind": "rat"}

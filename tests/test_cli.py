@@ -356,6 +356,88 @@ class TestErrors:
         assert "Exception ignored" not in result.stderr
 
 
+
+def _digits_value(text: str) -> int:
+    """int(text) for decimal text of any length, parsed 4000 digits at a time."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    assert digits.isdigit()
+    value = 0
+    for start in range(0, len(digits), 4000):
+        piece = digits[start:start + 4000]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+def _json_value(item):
+    return _digits_value(item) if isinstance(item, str) else item
+
+
+class TestLongOutput:
+    """Results with integers past the 4300 digits str() converts still print."""
+
+    # pairwise coprime: odd and two apart
+    LABELS = [10 ** 1999 + 1234567 + 2 * k for k in range(3)]
+
+    @pytest.fixture
+    def triangle(self, tmp_path):
+        a, b, c = (str(label) for label in self.LABELS)
+        document = {
+            "ring": {"kind": "int"},
+            "vertices": ["v1", "v2", "v3"],
+            "edges": [{"u": "v1", "v": "v2", "label": a}, {"u": "v2", "v": "v3", "label": b},
+                      {"u": "v3", "v": "v1", "label": c}],
+        }
+        path = tmp_path / "long-triangle.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_q(self, capsys, triangle):
+        a, b, c = self.LABELS
+        code, out, err = run(capsys, "q", triangle)
+        assert code == 0, err
+        line = next(line for line in out.splitlines() if line.startswith("Q = "))
+        assert _digits_value(line.split()[2]) == a * b * c
+        code, out, err = run(capsys, "q", triangle, "--json")
+        assert code == 0, err
+        assert _digits_value(json.loads(out)["q"]) == a * b * c
+
+    def test_flowup(self, capsys, triangle):
+        a, b, c = self.LABELS
+        code, out, err = run(capsys, "flowup", triangle)
+        assert code == 0, err
+        lines = out.splitlines()
+        diagonal = next(line for line in lines if line.startswith("diagonal: "))
+        assert [_digits_value(x) for x in diagonal[11:-1].split(", ")] == [1, a, b * c]
+        determinant = next(line for line in lines if line.startswith("determinant: "))
+        assert _digits_value(determinant.split()[1]) == a * b * c
+        code, out, err = run(capsys, "flowup", triangle, "--json")
+        assert code == 0, err
+        report = json.loads(out, parse_int=_digits_value)
+        assert [_json_value(x) for x in report["diagonal"]] == [1, a, b * c]
+        assert _json_value(report["determinant"]) == a * b * c
+        assert report["columns"][0] == [1, 1, 1]  # short ints stay JSON numbers
+
+    def test_polynomial_coefficients(self, capsys, tmp_path):
+        roots = [10 ** 1499 + k for k in (3, 7, 11)]
+        document = {
+            "ring": {"kind": "poly", "coefficients": "int", "variables": ["x"]},
+            "vertices": ["v1", "v2", "v3"],
+            "edges": [{"u": f"v{i + 1}", "v": f"v{(i + 1) % 3 + 1}", "label": f"x - {root}"}
+                      for i, root in enumerate(roots)],
+        }
+        path = tmp_path / "long-coefficients.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "q", str(path), "--json")
+        assert code == 0, err
+        q = json.loads(out)["q"]
+        r1, r2, r3 = roots
+        pieces = q.split(" ")
+        assert pieces[:2] == ["x^3", "-"] and pieces[3] == "+"
+        assert _digits_value(pieces[2].removesuffix("*x^2")) == r1 + r2 + r3
+        assert _digits_value(pieces[4].removesuffix("*x")) == r1 * r2 + r1 * r3 + r2 * r3
+        assert pieces[5] == "-" and _digits_value(pieces[6]) == r1 * r2 * r3
+        assert len(pieces[6]) > 4300
+
 def test_bundled_demos():
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_demos.py")],

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -556,8 +557,9 @@ class TestIntegerKernel:
         assert exact_divide(numerator, poly("2*x + 3", INT)) is None
 
     def test_high_degree_fields(self):
-        # exponents that fill every bit of their packed field below the guard
-        for degree in (3, 7, 8, 15, 16, 31):
+        # exponents that fill every bit of their packed field below the guard,
+        # and products and quotients whose degree outgrows the field
+        for degree in (3, 7, 8, 15, 16, 31, 2 ** 14, 2 ** 15 - 1, 2 ** 15, 2 ** 16):
             a = poly(f"x^{degree} + x*y^{degree - 1} + y", INT)
             b = poly(f"y^{degree} - x", INT)
             assert a * b == oracles.schoolbook_multiply(a, b)
@@ -586,3 +588,155 @@ class TestIntegerKernel:
                 assert ours == _from_sympy(quotient, a.variables, a.coeff_kind)
             else:
                 assert ours is None
+
+
+# ---------------------------------------------------------------------------
+# Packed storage: field widths, the common denominator and the terms view
+# ---------------------------------------------------------------------------
+
+# total degrees on both sides of the first field boundaries: a field of the
+# minimum width holds degrees up to 2^15 - 1 below its guard bit
+BOUNDARY_DEGREES = (2 ** 15 - 2, 2 ** 15 - 1, 2 ** 15, 2 ** 16 - 1, 2 ** 16)
+
+
+def _term_difference(a, b):
+    """a - b by exponent tuples, built through the validating constructor."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, 0) - c
+    return Polynomial(a.variables, a.coeff_kind, out)
+
+
+def _boundary_cases():
+    """(a, b) pairs whose product, or one operand, reaches a field boundary."""
+    cases = []
+    for kind in (INT, RAT):
+        half = "1/2" if kind == RAT else "1"
+        for degree in BOUNDARY_DEGREES:
+            one = ("x",)
+            a = parse_polynomial(f"3*x^{degree - 3} - {half}*x + 5", one, kind)
+            b = parse_polynomial(f"x^3 + 2*x^2 - 7", one, kind)
+            cases.append((a, b))  # only the product reaches the degree
+            c = parse_polynomial(f"x^{degree} - {half}", one, kind)
+            cases.append((c, b))  # operands stored at different widths
+            a = poly(f"x^{degree - 2}*y - 2*y^{degree // 2} + {half}*x", kind)
+            b = poly("x*y + 3*y - 1", kind)
+            cases.append((a, b))
+            cases.append((poly(f"y^{degree} + x*y^{degree - 1} - {half}", kind), b))
+    return cases
+
+
+BOUNDARY_CASES = _boundary_cases()
+
+
+def _reduced_form(p):
+    """The common denominator is the lcm of the coefficients' reduced denominators."""
+    if p.coeff_kind == INT:
+        return p._den == 1
+    denominators = [c.denominator for c in p.terms.values()]
+    return p._den == math.lcm(1, *denominators) and math.gcd(p._den, *p._packed.values()) == 1
+
+
+class TestPackedStorage:
+    @pytest.mark.parametrize("a, b", BOUNDARY_CASES)
+    def test_products_across_field_boundaries(self, a, b):
+        expected = oracles.schoolbook_multiply(a, b)
+        assert a * b == expected
+        assert b * a == expected
+        assert (a * b).total_degree() == a.total_degree() + b.total_degree()
+        assert (a * b).terms == expected.terms
+
+    @pytest.mark.parametrize("a, b", BOUNDARY_CASES)
+    def test_quotients_across_field_boundaries(self, a, b):
+        product = a * b
+        assert exact_divide(product, b) == a
+        assert exact_divide(product, a) == b
+        assert oracles.scanning_divide(product, b) == a
+        numerator = product + Polynomial.variable("x", a.variables, a.coeff_kind)
+        assert exact_divide(numerator, b) == oracles.scanning_divide(numerator, b)
+        assert exact_divide(b, product) is None  # the divisor has the higher degree
+
+    @pytest.mark.parametrize("a, b", BOUNDARY_CASES)
+    def test_differences_across_field_boundaries(self, a, b):
+        product = a * b
+        for left, right in ((product, a), (a, product), (product, b * 2), (a, b)):
+            assert left - right == _term_difference(left, right)
+            assert (left - right) + right == left
+            assert -(right - left) == left - right
+
+    def test_equal_polynomials_at_different_widths_hash_equal(self):
+        for kind in (INT, RAT):
+            high = poly("x^40000", kind)
+            one = Polynomial.constant(1, VARS, kind)
+            cancelled = high - high + 1
+            assert cancelled._width != one._width  # the two really differ in width
+            assert cancelled == one and one == cancelled
+            assert hash(cancelled) == hash(one)
+            assert {cancelled: "found"}[one] == "found"
+            y = poly("1/3*y" if kind == RAT else "3*y", kind)
+            rest = (high + y) - high
+            assert rest == y and hash(rest) == hash(y)
+            assert rest != y + 1
+
+    @pytest.mark.parametrize("a, b", [c for c in KERNEL_CASES if c[0].coeff_kind == RAT]
+                             + [c for c in BOUNDARY_CASES if c[0].coeff_kind == RAT])
+    def test_rational_results_keep_a_reduced_denominator(self, a, b):
+        product = a * b
+        results = [product, a - b, a + b, -a, a.normalized(), product.normalized(),
+                   exact_divide(product, b), exact_divide(product * 6, b * 4),
+                   a * Fraction(6, 35), (a * 3) - (a * 2)]
+        for result in results:
+            assert _reduced_form(result)
+        assert (a * 3) - (a * 2) == a
+
+    def test_denominators_cancel_to_one(self):
+        assert poly("2/3*x") * poly("3/2") == poly("x")
+        assert (poly("2/3*x") * poly("3/2"))._den == 1
+        difference = poly("1/6*x + 1/2") - poly("1/6*x")
+        assert difference == poly("1/2") and difference._den == 2
+        assert exact_divide(poly("1/4*x^2 - 1/4"), poly("1/2*x + 1/2"))._den == 2
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_terms_is_a_stable_dict(self, kind):
+        p = poly("(1/2*x - y + 3)^3" if kind == RAT else "(2*x - y + 3)^3", kind)
+        for q in (p, p * p, exact_divide(p * p, p), p - p, Polynomial.variable("y", VARS, kind)):
+            terms = q.terms
+            assert type(terms) is dict
+            assert all(type(c) is (int if kind == INT else Fraction) for c in terms.values())
+            assert all(c for c in terms.values())
+            snapshot = dict(terms)
+            assert q.terms == snapshot
+            assert Polynomial(VARS, kind, snapshot) == q
+
+    @pytest.mark.parametrize(
+        "kind, terms, error, message",
+        [
+            (INT, {(1,): 1}, ValueError, "bad exponent vector"),
+            (INT, {(1, 0, 0): 1}, ValueError, "bad exponent vector"),
+            (RAT, {(-1, 0): 1}, ValueError, "bad exponent vector"),
+            (RAT, {(1.0, 0): 1}, ValueError, "bad exponent vector"),
+            (INT, {(0, 0): Fraction(1, 2)}, RingMismatchError, "not an integer coefficient"),
+            (INT, {(0, 0): 1.0}, RingMismatchError, "not an integer coefficient"),
+            (RAT, {(0, 0): 0.5}, RingMismatchError, "not a rational coefficient"),
+            (RAT, {(0, 0): True}, RingMismatchError, "bool is not a valid coefficient"),
+            ("real", {(0, 0): 1}, ValueError, "unknown coefficient kind"),
+        ],
+    )
+    def test_constructor_still_validates(self, kind, terms, error, message):
+        with pytest.raises(error, match=message):
+            Polynomial(VARS, kind, terms)
+
+    def test_cheap_constructors_validate(self):
+        with pytest.raises(ValueError, match="unknown coefficient kind"):
+            Polynomial.constant(1, VARS, "real")
+        with pytest.raises(ValueError, match="unknown coefficient kind"):
+            Polynomial.zero(VARS, "real")
+        with pytest.raises(RingMismatchError, match="bool is not a valid coefficient"):
+            Polynomial.constant(True, VARS, INT)
+        with pytest.raises(ValueError, match="unknown variable"):
+            Polynomial.variable("z", VARS, RAT)
+        for kind in (INT, RAT):
+            assert Polynomial.constant(0, VARS, kind) == Polynomial.zero(VARS, kind)
+            assert Polynomial.constant(-4, VARS, kind) == Polynomial(VARS, kind, {(0, 0): -4})
+            assert Polynomial.variable("y", VARS, kind) == Polynomial(VARS, kind, {(0, 1): 1})
+        assert Polynomial.constant(Fraction(6, 4), VARS, RAT).terms == {(0, 0): Fraction(3, 2)}

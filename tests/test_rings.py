@@ -222,3 +222,47 @@ class TestGcdDomainProperties:
             lhs = (QXY.gcd(a, b) * QXY.lcm(a, b)).normalized()
             rhs = (a * b).normalized()
             assert lhs == rhs
+
+
+def _chunked_int(text: str) -> int:
+    """int(text) for decimal text of any length, parsed 4000 digits at a time."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for start in range(0, len(digits), 4000):
+        piece = digits[start:start + 4000]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+LONG = 10 ** 5000 + 10 ** 2600 + 7  # zeros inside both halves of the split
+
+
+class TestTextPastTheDigitLimit:
+    @pytest.mark.parametrize(
+        "value", [0, -5, 10 ** 4299, LONG, -LONG, LONG ** 3],
+        ids=["zero", "negative", "4300-digits", "long", "negative-long", "long-cubed"],
+    )
+    def test_integers(self, value):
+        text = ZZ.to_text(value)
+        assert _chunked_int(text) == value
+        assert text.lstrip("-")[0] != "0" or value == 0
+        if abs(value) < 10 ** 4000:
+            assert text == str(value)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(-3, 4), Fraction(LONG, 3), Fraction(-1, LONG), Fraction(LONG ** 2)],
+        ids=["short", "long-numerator", "long-denominator", "long-integer"],
+    )
+    def test_rationals(self, value):
+        text = QQ.to_text(value)
+        numerator, _, denominator = text.partition("/")
+        assert _chunked_int(numerator) == value.numerator
+        assert _chunked_int(denominator or "1") == value.denominator
+        assert ("/" in text) == (value.denominator != 1)
+
+    def test_polynomial_coefficients(self):
+        ring = PolynomialRing("rat", ["x"])
+        p = ring.variable("x") * Fraction(LONG, 7) - LONG
+        first, sign, last = ring.to_text(p).split(" ")
+        assert sign == "-" and _chunked_int(last) == LONG
+        assert first.endswith("/7*x") and _chunked_int(first[:-4]) == LONG

@@ -1,0 +1,63 @@
+"""The comparison scripts: bench.py's aggregation and same_outputs.py's check."""
+
+import importlib.util
+import json
+
+from conftest import GRAPHS_DIR, ROOT
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(p90, calls_per_s, failed=0):
+    """The last stdout line of one splinebench run, with two of its metrics."""
+    return json.dumps({
+        "correct": not failed, "attempted": 200, "failed": failed,
+        "metrics": {"latency_s.p90": {"value": p90, "unit": "s"},
+                    "calls_per_s": {"value": calls_per_s, "unit": "1/s"}},
+    })
+
+
+def test_bench_summary_of_canned_runs():
+    bench = _script("bench")
+    parent = [(0.020, 80.0), (0.022, 78.0), (0.021, 79.0), (0.023, 75.0), (0.019, 81.0)]
+    change = [(0.016, 80.0), (0.017, 90.0), (0.021, 95.0), (0.015, 70.0), (0.016, 99.0)]
+    pairs = [
+        {"parent": json.loads(_result_line(*old)), "change": json.loads(_result_line(*new))}
+        for old, new in zip(parent, change)
+    ]
+    pairs[4]["change"] = json.loads(_result_line(0.016, 99.0, failed=3))
+    summary = bench.summarize(pairs, {"latency_s.p90": "lower", "calls_per_s": "higher"})
+    assert summary["pairs"] == 5
+    assert summary["failed"] == {"parent": 0, "change": 3}
+    assert summary["attempted"] == {"parent": 1000, "change": 1000}
+    p90 = summary["metrics"]["latency_s.p90"]
+    assert p90["change_won"] == 4  # the tie at 0.021 counts for neither side
+    assert p90["parent"]["median"] == 0.021 and p90["change"]["median"] == 0.016
+    assert p90["parent"]["runs"] == [0.020, 0.022, 0.021, 0.023, 0.019]
+    assert p90["parent"]["q1"] < p90["parent"]["median"] < p90["parent"]["q3"]
+    calls = summary["metrics"]["calls_per_s"]
+    assert calls["better"] == "higher"
+    assert calls["change_won"] == 3  # higher is better: 90 > 78, 95 > 79, 99 > 81
+
+
+def test_bench_spread_of_one_run():
+    assert _script("bench").spread([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def test_same_outputs_of_the_tree_with_itself():
+    same_outputs = _script("same_outputs")
+    xy = str(GRAPHS_DIR / "xy.json")
+    calls = same_outputs.both_modes([
+        ["q", xy], ["flowup", xy], ["verify", xy, "--spline", "0,x,x+y"],
+        ["verify", xy, "--spline", "0,1,0"], ["q", str(GRAPHS_DIR / "missing.json")],
+    ])
+    assert len(calls) == 10
+    results = same_outputs.run_calls(ROOT, calls)
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 0, 1, 1, 2, 2]
+    assert "Q = " in results[1][1] and "error" in results[9][2]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
