@@ -26,7 +26,7 @@ from .basis import (
     spline_determinant,
     zero_constant_term,
 )
-from .errors import SplineAlgebraError
+from .errors import ParseError, SplineAlgebraError
 from .graphs import LabeledGraph, load_graph
 from .lattice import integer_flow_up_basis
 from .polynomials import number_text
@@ -110,11 +110,28 @@ def _load(args) -> LabeledGraph:
     return graph
 
 
-def _parse_spline(graph: LabeledGraph, text: str) -> tuple:
-    entries = [graph.ring.element_from_text(piece.strip()) for piece in text.split(",")]
+def _parse_element(ring, text: str, where: str):
+    """Parse one ring element; a parse error names ``where`` the text came from.
+
+    The parser's offset is reported as a character of that text, so it is
+    not mistaken for a column of a spline matrix.
+    """
+    try:
+        return ring.element_from_text(text)
+    except ParseError as exc:
+        raise ValueError(f"{where}, character {exc.position + 1}: {exc.reason}") from None
+
+
+def _parse_spline(graph: LabeledGraph, text: str, index: int) -> tuple:
+    """The ``index``-th (1-based) ``--spline`` argument as a tuple of entries."""
+    entries = [
+        _parse_element(graph.ring, piece.strip(), f"--spline {index}, entry {k}")
+        for k, piece in enumerate(text.split(","), start=1)
+    ]
     if len(entries) != graph.n:
         raise ValueError(
-            f"spline has {len(entries)} entries; the graph has {graph.n} vertices"
+            f"--spline {index}: spline has {len(entries)} entries; "
+            f"the graph has {graph.n} vertices"
         )
     return tuple(entries)
 
@@ -125,7 +142,7 @@ def _spline_text(graph: LabeledGraph, spline) -> str:
 
 def _cmd_verify(args):
     graph = _load(args)
-    candidate = _parse_spline(graph, args.spline)
+    candidate = _parse_spline(graph, args.spline, 1)
     check = is_spline(graph, candidate)
     lines = [f"graph: {graph.describe()}", f"candidate: {_spline_text(graph, candidate)}"]
     lines.append(f"SPLINE: {'yes' if check.ok else 'no'}")
@@ -202,7 +219,9 @@ def _cmd_q(args):
 
 def _cmd_check_basis(args):
     graph = _load(args)
-    columns = [_parse_spline(graph, text) for text in args.spline]
+    columns = [
+        _parse_spline(graph, text, index) for index, text in enumerate(args.spline, start=1)
+    ]
     matrix = SplineMatrix(graph, columns)
     invariant = compute_q(graph)
     verdict = check_basis(matrix, invariant)
@@ -235,7 +254,8 @@ def _cmd_search(args):
     graph = _load(args)
     ring = graph.ring
     factors = [
-        ring.element_from_text(piece.strip()) for piece in args.factors.split(";")
+        _parse_element(ring, piece.strip(), f"--factors, factor {k}")
+        for k, piece in enumerate(args.factors.split(";"), start=1)
     ]
     outcome = flow_up_search_bounded(graph, factors, args.degree)
     lines = [f"graph: {graph.describe()}"]
@@ -330,7 +350,7 @@ def _cmd_probe(args):
     graph = _load(args)
     ring = graph.ring
     if args.q is not None:
-        q_value = ring.element_from_text(args.q)
+        q_value = _parse_element(ring, args.q, "--q")
     else:
         q_value = compute_q(graph).value
     result = divides_all_dets_probe(graph, q_value, args.trials, args.seed)

@@ -15,11 +15,13 @@ class ParseError(SplineAlgebraError):
     """A text expression could not be parsed.
 
     ``position`` is the 0-based character offset of the offending input;
-    the message reports it as a 1-based column.
+    the message reports it as a 1-based column. ``reason`` is the message
+    without that column.
     """
 
     def __init__(self, message: str, position: int):
         self.position = position
+        self.reason = message
         super().__init__(f"{message} (column {position + 1})")
 
 

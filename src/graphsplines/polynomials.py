@@ -55,8 +55,8 @@ RAT = "rat"
 #
 # ``terms`` unpacks the whole map and builds every Fraction, so the
 # arithmetic below never reads it; printing, evaluation, the gcd's
-# evaluation and splitting helpers, the linear systems in search.py and
-# callers outside the package do.
+# splitting helpers, the linear systems in search.py and callers outside
+# the package do.
 # ---------------------------------------------------------------------------
 
 # Bits per packed field, guard bit included.
@@ -792,7 +792,7 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 
 
 # ---------------------------------------------------------------------------
-# GCD
+# GCD, and determinants by evaluation and interpolation
 #
 # Rational-coefficient inputs are scaled to integer coefficients first and
 # the result is returned monic. Over the integers the heuristic gcd GCDHEU
@@ -806,14 +806,23 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # the fallback views the polynomials as univariate in the last variable with
 # coefficients in the smaller ring, splits off contents, and runs Brown's
 # subresultant remainder sequence on the primitive parts.
+#
+# The same evaluation and interpolation pair (_evaluate_last,
+# _interpolate_last; they read and build the packed maps, where the last
+# variable is the lowest field) turns a polynomial determinant into one
+# integer determinant (integer_image_determinant, the Kronecker-substitution
+# form of the idea in the same book, ch. 7). There no check is needed: xi is
+# chosen above twice a proven bound on the determinant's coefficients, so
+# the digits are exact.
 # ---------------------------------------------------------------------------
 
 # Evaluation points the heuristic tries before it gives up.
 _HEU_GCD_TRIES = 6
-# The heuristic also gives up when an evaluated image could need more bits
-# than this (bits of xi times the degree in the evaluated variable), so a
-# label like x^1000000 never turns into a million-digit integer.
-_HEU_GCD_MAX_BITS = 1 << 16
+# The heuristic gcd gives up, and the determinant stays on polynomial
+# Bareiss, when an evaluated image could need more bits than this (bits of
+# xi times the degree in the evaluated variable), so a label like x^1000000
+# never turns into a million-digit integer.
+_MAX_IMAGE_BITS = 1 << 16
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -896,7 +905,7 @@ def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
     # nothing, so every xi here is at least B
     xi = 2 * min(_max_norm(a), _max_norm(b)) + 29
     for _ in range(_HEU_GCD_TRIES):
-        if xi.bit_length() * degree > _HEU_GCD_MAX_BITS:
+        if xi.bit_length() * degree > _MAX_IMAGE_BITS:
             return None
         image_a, image_b = _evaluate_last(a, xi), _evaluate_last(b, xi)
         if image_a and image_b:
@@ -921,34 +930,113 @@ def _max_norm(p: Polynomial) -> int:
 
 
 def _evaluate_last(p: Polynomial, xi: int) -> Polynomial:
-    """Set the last variable to xi; the image lives in the ring without it."""
+    """Set the last variable of an INT polynomial to xi; the image drops that variable.
+
+    The last variable's exponent is the lowest packed field, so shifting it
+    out leaves the other exponents in their fields with the total degree on
+    top; subtracting the dropped exponent from the total gives the image's
+    monomial at the same width.
+    """
+    width = p._width
+    mask = (1 << width) - 1
+    top = width * (len(p.variables) - 1)
     powers: dict[int, int] = {}
-    image: dict[tuple[int, ...], int] = {}
-    for e, c in p.terms.items():
-        if e[-1] not in powers:
-            powers[e[-1]] = xi ** e[-1]
-        image[e[:-1]] = image.get(e[:-1], 0) + c * powers[e[-1]]
-    return _int_polynomial(p.variables[:-1], {e: c for e, c in image.items() if c})
+    image: dict[int, int] = {}
+    get = image.get
+    for m, c in p._packed.items():
+        e = m & mask
+        power = powers.get(e)
+        if power is None:
+            power = powers[e] = xi ** e
+        key = (m >> width) - (e << top)
+        image[key] = get(key, 0) + c * power
+    return _make(p.variables[:-1], INT, {m: c for m, c in image.items() if c}, 1, width)
 
 
 def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
     """Inverse of evaluation at xi for coefficients smaller than xi/2.
 
     The symmetric xi-adic digits of each coefficient (each in (-xi/2, xi/2])
-    become the coefficients of the powers of the last variable.
+    become the coefficients of the powers of the last variable, which is the
+    lowest packed field of the result.
     """
-    terms: dict[tuple[int, ...], int] = {}
-    for e, c in image.terms.items():
+    variables = tuple(variables)
+    nvars = len(variables)
+    width = image._width
+    top = width * (nvars - 1)
+    half = xi // 2
+    digits: list[tuple[int, int, int]] = []  # image monomial, power, digit
+    degree = 0
+    for m, c in image._packed.items():
         power = 0
         while c:
             c, digit = divmod(c, xi)
-            if digit > xi // 2:
+            if digit > half:
                 digit -= xi
                 c += 1
             if digit:
-                terms[e + (power,)] = digit
+                digits.append((m, power, digit))
             power += 1
-    return _int_polynomial(tuple(variables), terms)
+        degree = max(degree, (m >> top) + power - 1)  # the top digit is nonzero
+    if degree >> (width - 1):  # the result's degree would reach the guard bit
+        unpack = _unpacker(nvars - 1, width)
+        width = _width_for(degree)
+        digits = [(_pack(unpack(m), width), power, d) for m, power, d in digits]
+    shift = width * nvars
+    packed = {(m << width) + (power << shift) + power: d for m, power, d in digits}
+    return _make(variables, INT, packed, 1, width)
+
+
+def integer_image_determinant(rows, integer_determinant) -> Polynomial | None:
+    """Determinant of a square matrix of polynomials from one integer determinant.
+
+    Each row is scaled to integer numerators by the lcm of its entries'
+    denominators. With H the product over rows of the sums of the entries'
+    coefficient 1-norms, no coefficient of the determinant exceeds H, so
+    evaluating the last variable at xi = 2H + 2 and reading the symmetric
+    xi-adic digits of the image's determinant back is exact. That repeats
+    down to a matrix of plain ints, whose determinant
+    ``integer_determinant(int_rows)`` computes; over RAT the result is
+    divided by the product of the row scales. Returns None when some level's
+    image could need more than _MAX_IMAGE_BITS bits per coefficient.
+    """
+    variables, kind = rows[0][0].variables, rows[0][0].coeff_kind
+    scaled, scale = [], 1
+    for row in rows:
+        den = 1
+        for p in row:
+            den = math.lcm(den, p._den)
+        scale *= den
+        scaled.append([
+            _integer_scaled(p) if den == p._den
+            else _make(variables, INT, {m: c * (den // p._den) for m, c in p._packed.items()}, 1, p._width)
+            for p in row
+        ])
+    determinant = _image_determinant(scaled, variables, integer_determinant)
+    if determinant is None or kind == INT:
+        return determinant
+    return _reduced(variables, determinant._packed, scale, determinant._width)
+
+
+def _image_determinant(rows, variables, integer_determinant) -> Polynomial | None:
+    if not variables:
+        value = integer_determinant([[p._packed.get(0, 0) for p in row] for row in rows])
+        return _make((), INT, {0: value} if value else {}, 1, _MIN_WIDTH)
+    bound, degree = 1, 0
+    for row in rows:
+        bound *= sum(abs(c) for p in row for c in p._packed.values())
+        # the determinant's degree in the last variable, the lowest packed field
+        degree += max((m & ((1 << p._width) - 1) for p in row for m in p._packed), default=0)
+    if not bound:  # a zero row
+        return _make(variables, INT, {}, 1, _MIN_WIDTH)
+    xi = 2 * bound + 2
+    if xi.bit_length() * degree > _MAX_IMAGE_BITS:
+        return None
+    image = [[_evaluate_last(p, xi) for p in row] for row in rows]
+    determinant = _image_determinant(image, variables[:-1], integer_determinant)
+    if determinant is None:
+        return None
+    return _interpolate_last(determinant, xi, variables)
 
 
 def _split_last(p: Polynomial) -> dict[int, Polynomial]:

@@ -5,7 +5,8 @@ the library under test: brute-force enumeration for spline lattices,
 subset-DP cofactor expansion for determinants, dense rational Gaussian
 elimination for span questions, enumeration of every factor assignment
 for the bounded flow-up search, and the schoolbook tuple-keyed polynomial
-product and max-scan division that the packed integer kernel replaced.
+product, max-scan division, and evaluation and interpolation in the last
+variable that the packed integer kernel replaced.
 """
 
 from __future__ import annotations
@@ -247,3 +248,32 @@ def scanning_divide(numerator, denominator):
             else:
                 remainder.pop(key, None)
     return Polynomial(numerator.variables, numerator.coeff_kind, quotient)
+
+
+def tuple_evaluate_last(p, xi):
+    """An INT polynomial with its last variable set to ``xi``, on exponent tuples."""
+    image = {}
+    for e, c in p.terms.items():
+        image[e[:-1]] = image.get(e[:-1], 0) + c * xi ** e[-1]
+    return Polynomial(p.variables[:-1], INT, image)
+
+
+def tuple_interpolate_last(image, xi, variables):
+    """The polynomial whose coefficients are the symmetric xi-adic digits of ``image``'s.
+
+    Each coefficient is written as sum d_k xi^k with every digit d_k in
+    (-xi/2, xi/2], and d_k becomes the coefficient of the last variable's
+    k-th power.
+    """
+    terms = {}
+    for e, c in image.terms.items():
+        power = 0
+        while c:
+            digit = c % xi
+            if digit > xi // 2:
+                digit -= xi
+            if digit:
+                terms[e + (power,)] = digit
+            c = (c - digit) // xi
+            power += 1
+    return Polynomial(variables, INT, terms)

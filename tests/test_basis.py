@@ -23,8 +23,62 @@ from graphsplines import (
     spline_determinant,
     zero_constant_term,
 )
+import graphsplines.basis as basis_module
+import graphsplines.polynomials as polynomials
 from conftest import bundled_graph
 from oracles import cofactor_determinant, random_unimodular, spans_integer_lattice
+
+
+def _random_entry(rng, ring, denominators, degree):
+    """Up to three terms, each of degree at most ``degree`` in every variable."""
+    entry = ring.zero
+    for _ in range(rng.randint(1, 3)):
+        coefficient = rng.randint(-9, 9)
+        if ring.coeff_kind == "rat":
+            coefficient = Fraction(coefficient, rng.choice(denominators))
+        term = ring.constant(coefficient)
+        for name in ring.variables:
+            term = term * ring.variable(name) ** rng.randint(0, degree)
+        entry = entry + term
+    return entry
+
+
+def _determinant_cases():
+    """Seeded square polynomial matrices, as (ring, rows).
+
+    INT and RAT coefficients in 1-3 variables, n from 1 to 6, each size in
+    four shapes: dense, with zero entries, with a zero row, and with a
+    repeated row. Over QQ each row draws its denominators from its own set,
+    so the rows are scaled by different lcms. Entries of the matrices past
+    3x3 have degree at most 1 in each variable, so every image stays within
+    the bit budget.
+    """
+    rng = random.Random(12)
+    cases = []
+    for kind in ("int", "rat"):
+        for names in (("x",), ("x", "y"), ("x", "y", "z")):
+            ring = PolynomialRing(kind, names)
+            for n in range(1, 7):
+                degree = 2 if n <= 3 else 1
+                for shape in ("dense", "zeros", "zero row", "repeated row"):
+                    rows = [
+                        [
+                            ring.zero if shape == "zeros" and rng.random() < 0.4
+                            else _random_entry(rng, ring, (1, i + 2, 2 * i + 3), degree)
+                            for _ in range(n)
+                        ]
+                        for i in range(n)
+                    ]
+                    if shape == "zero row":
+                        rows[rng.randrange(n)] = [ring.zero] * n
+                    if shape == "repeated row" and n > 1:
+                        i, j = rng.sample(range(n), 2)
+                        rows[i] = list(rows[j])
+                    cases.append((ring, rows))
+    return cases
+
+
+DETERMINANT_CASES = _determinant_cases()
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +145,79 @@ class TestDeterminant:
         for _ in range(25):
             rows = [[rng.choice(pool) for _ in range(3)] for _ in range(3)]
             assert exact_determinant(qxy, rows) == cofactor_determinant(rows)
+        # the integer image against the cofactor oracle and against Bareiss
+        # elimination over the polynomial ring itself
+        for ring, rows in DETERMINANT_CASES:
+            expected = cofactor_determinant(rows)
+            assert exact_determinant(ring, rows) == expected
+            assert basis_module._bareiss(ring, [list(row) for row in rows]) == expected
+
+
+def _sympy_entry(p, gens, sympy):
+    total = sympy.Integer(0)
+    for exponents, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for gen, e in zip(gens, exponents):
+            term *= gen ** e
+        total += term
+    return total
+
+
+class TestIntegerImage:
+    """The polynomial determinant read back from one integer image."""
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for ring, rows in DETERMINANT_CASES:
+            if len(rows) > 4:
+                continue  # sympy's symbolic determinant is slow past 4x4
+            gens = sympy.symbols(ring.variables)
+            matrix = sympy.Matrix([[_sympy_entry(p, gens, sympy) for p in row] for row in rows])
+            expected = sympy.Poly(matrix.det(method="berkowitz"), *gens).as_dict()
+            determinant = exact_determinant(ring, rows)
+            assert {
+                e: sympy.Rational(c.numerator, c.denominator)
+                for e, c in determinant.terms.items()
+            } == {tuple(e): c for e, c in expected.items() if c}
+
+    def test_every_case_stays_within_the_budget(self):
+        for ring, rows in DETERMINANT_CASES:
+            image = polynomials.integer_image_determinant(rows, basis_module._integer_bareiss)
+            assert image is not None
+            assert image.coeff_kind == ring.coeff_kind
+
+    @pytest.mark.parametrize("kind, coefficient", [
+        ("int", -7), ("int", 12), ("rat", Fraction(-5, 3)), ("rat", Fraction(9, 4)),
+    ])
+    def test_coefficients_at_the_bound(self, kind, coefficient):
+        # one monomial: its coefficient is exactly H, the largest magnitude
+        # the digits in (-xi/2, xi/2] must hold
+        ring = PolynomialRing(kind, ("x", "y"))
+        x, y = ring.variable("x"), ring.variable("y")
+        entry = ring.constant(coefficient) * x ** 3 * y ** 2
+        assert exact_determinant(ring, [[entry]]) == entry
+        # monomials on the antidiagonal: det = -(their product), again of magnitude H
+        entries = [ring.constant(coefficient) * x, ring.from_int(-6) * y ** 2, ring.from_int(5)]
+        rows = [[entries[i] if i + j == 2 else ring.zero for j in range(3)] for i in range(3)]
+        assert exact_determinant(ring, rows) == -(entries[0] * entries[1] * entries[2])
+
+    def test_over_budget_matrix_stays_on_polynomial_bareiss(self, qxy, monkeypatch):
+        x, y = qxy.variable("x"), qxy.variable("y")
+        # degree 10^6 in the last variable, which misses the budget at once,
+        # and in the first one, which misses it one level down
+        for big in (y ** 1000000, x ** 1000000):
+            rows = [[qxy.one, big, y], [y, qxy.one, big + x], [big, x, qxy.one]]
+            assert polynomials.integer_image_determinant(rows, basis_module._integer_bareiss) is None
+            expected = cofactor_determinant(rows)
+            assert basis_module._bareiss(qxy, [list(row) for row in rows]) == expected
+            assert exact_determinant(qxy, rows) == expected
+
+        def unreachable(p, xi):
+            raise AssertionError("evaluated past the budget")
+
+        monkeypatch.setattr(polynomials, "_evaluate_last", unreachable)
+        rows = [[qxy.one, y ** 1000000], [y, qxy.one]]
+        assert exact_determinant(qxy, rows) == qxy.one - y ** 1000001
 
 
 class TestComputeQ:

@@ -332,6 +332,30 @@ class TestErrors:
         assert "integer literal too long" in err
         assert "set_int_max_str_digits" not in err
 
+    def test_spline_parse_error_names_argument_and_entry(self, capsys):
+        code, out, err = run(capsys, "check-basis", XY, "--spline", "1,1,1",
+                             "--spline", "0,x,x+y", "--spline", "0,0,x*y+y^")
+        assert (code, out) == (2, "")
+        assert err == ("error: --spline 3, entry 3, character 7: "
+                       "expected a natural-number exponent\n")
+        code, _, err = run(capsys, "verify", FIG2, "--spline", "3,1x,5")
+        assert code == 2
+        assert err == "error: --spline 1, entry 2, character 1: malformed integer literal '1x'\n"
+
+    def test_spline_length_error_names_argument(self, capsys):
+        code, _, err = run(capsys, "check-basis", XY, "--spline", "1,1,1", "--spline", "0,x")
+        assert code == 2
+        assert err == "error: --spline 2: spline has 2 entries; the graph has 3 vertices\n"
+
+    def test_factor_and_q_parse_errors_name_the_argument(self, capsys):
+        code, _, err = run(capsys, "search", XY, "--factors", "x;y^;x+y", "--degree", "2")
+        assert code == 2
+        assert err == ("error: --factors, factor 2, character 3: "
+                       "expected a natural-number exponent\n")
+        code, _, err = run(capsys, "probe", XY, "--q", "x*(y", "--trials", "1")
+        assert code == 2
+        assert err == "error: --q, character 5: expected ')'\n"
+
     def test_usage_error_is_returned(self, capsys):
         assert run(capsys, "search", XY)[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
@@ -437,6 +461,63 @@ class TestLongOutput:
         assert _digits_value(pieces[4].removesuffix("*x")) == r1 * r2 + r1 * r3 + r2 * r3
         assert pieces[5] == "-" and _digits_value(pieces[6]) == r1 * r2 * r3
         assert len(pieces[6]) > 4300
+
+class TestHugeDegree:
+    """Labels of degree 10^6 keep the determinant on polynomial Bareiss.
+
+    An integer image of these matrices would hold millions of bits; the
+    expected text is what the polynomial elimination prints.
+    """
+
+    @pytest.fixture
+    def triangle(self, tmp_path):
+        document = {
+            "ring": {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]},
+            "vertices": ["v1", "v2", "v3"],
+            "edges": [{"u": "v1", "v": "v2", "label": "x^1000000"},
+                      {"u": "v2", "v": "v3", "label": "y"},
+                      {"u": "v3", "v": "v1", "label": "x^1000000 + y"}],
+        }
+        path = tmp_path / "huge-degree.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    @staticmethod
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "graphsplines", *argv],
+                              capture_output=True, env=source_env(), text=True, timeout=60)
+
+    def test_probe(self, triangle):
+        result = self.cli("probe", triangle, "--trials", "3")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "graph: 3 vertices, 3 edges over QQ[x,y]\n"
+            "q = x^2000000*y + x^1000000*y^2, trials = 3, seed = 12345\n"
+            "PROBE: ok (q divides all 3 sampled determinants)\n"
+        )
+
+    def test_check_basis(self, triangle):
+        columns = ["1,1,1", "0,x^1000000,x^1000000+y"]
+        result = self.cli("check-basis", triangle, *(f"--spline={c}" for c in columns),
+                          "--spline=0,0,y*(x^1000000+y)")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "graph: 3 vertices, 3 edges over QQ[x,y]\n"
+            "determinant: x^2000000*y + x^1000000*y^2\n"
+            "Q = x^2000000*y + x^1000000*y^2 (coprime-product)\n"
+            "BASIS: yes (unit 1)\n"
+        )
+        result = self.cli("check-basis", triangle, *(f"--spline={c}" for c in columns),
+                          "--spline=0,0,x*y*(x^1000000+y)")
+        assert (result.returncode, result.stderr) == (1, "")
+        assert result.stdout == (
+            "graph: 3 vertices, 3 edges over QQ[x,y]\n"
+            "determinant: x^2000001*y + x^1000001*y^2\n"
+            "Q = x^2000000*y + x^1000000*y^2 (coprime-product)\n"
+            "BASIS: no\n"
+            "  reason: determinant is not a unit multiple of Q\n"
+        )
+
 
 def test_bundled_demos():
     result = subprocess.run(

@@ -740,3 +740,55 @@ class TestPackedStorage:
             assert Polynomial.constant(-4, VARS, kind) == Polynomial(VARS, kind, {(0, 0): -4})
             assert Polynomial.variable("y", VARS, kind) == Polynomial(VARS, kind, {(0, 1): 1})
         assert Polynomial.constant(Fraction(6, 4), VARS, RAT).terms == {(0, 0): Fraction(3, 2)}
+
+
+# ---------------------------------------------------------------------------
+# Evaluation and interpolation in the last variable on the packed maps
+# ---------------------------------------------------------------------------
+
+
+def _evaluation_cases():
+    """Seeded INT polynomials in 1-3 variables, plus total degrees at field boundaries."""
+    rng = random.Random("evaluate-last")
+    cases = []
+    for nvars in range(1, 4):
+        for bits in (3, 3, 70):
+            cases.append(_random_polynomial(rng, NAMES[:nvars], INT, 8, 5, bits))
+    for degree in BOUNDARY_DEGREES:
+        # the high degree sits in x: a high power of the evaluated y would
+        # make an image of millions of bits
+        cases.append(poly(f"x^{degree - 2}*y - 2*x^{degree // 2}*y^3 + 3*x", INT))
+        cases.append(poly(f"x^{degree} + x^{degree - 1}*y^2 - 5", INT))
+    return cases
+
+
+EVALUATION_CASES = _evaluation_cases()
+
+
+class TestEvaluateInterpolate:
+    @pytest.mark.parametrize("p", EVALUATION_CASES)
+    def test_matches_the_tuple_oracles(self, p):
+        for xi in (2 * _max_norm(p) + 2, 2 ** 80 + 7):
+            image = module._evaluate_last(p, xi)
+            assert image == oracles.tuple_evaluate_last(p, xi)
+            assert image.terms == oracles.tuple_evaluate_last(p, xi).terms
+            assert module._interpolate_last(image, xi, p.variables) == p
+            assert module._interpolate_last(image, xi, p.variables) == (
+                oracles.tuple_interpolate_last(image, xi, p.variables)
+            )
+
+    def test_interpolation_widens_past_the_guard_bit(self):
+        # the digits of 3^32768 at xi = 3 put x^32768 on a 16-bit field's guard bit
+        power = 2 ** 15
+        x = Polynomial.variable("x", ("x",), INT)
+        result = module._interpolate_last(Polynomial.constant(3 ** power, (), INT), 3, ("x",))
+        assert result == x ** power and result._width > module._MIN_WIDTH
+        yx = ("y", "x")
+        image = Polynomial.constant(-(3 ** power), ("y",), INT) * Polynomial.variable("y", ("y",), INT) ** 5
+        result = module._interpolate_last(image, 3, yx)
+        expected = -(Polynomial.variable("y", yx, INT) ** 5 * Polynomial.variable("x", yx, INT) ** power)
+        assert result == expected and result._width > module._MIN_WIDTH
+
+
+def _max_norm(p):
+    return max(abs(c) for c in p.terms.values())
