@@ -1007,11 +1007,12 @@ def integer_image_determinant(rows, integer_determinant) -> Polynomial | None:
         for p in row:
             den = math.lcm(den, p._den)
         scale *= den
-        scaled.append([
-            _integer_scaled(p) if den == p._den
-            else _make(variables, INT, {m: c * (den // p._den) for m, c in p._packed.items()}, 1, p._width)
-            for p in row
-        ])
+        entries = []
+        for p in row:
+            factor = den // p._den
+            packed = p._packed if factor == 1 else {m: c * factor for m, c in p._packed.items()}
+            entries.append(_make(variables, INT, packed, 1, p._width))
+        scaled.append(entries)
     determinant = _image_determinant(scaled, variables, integer_determinant)
     if determinant is None or kind == INT:
         return determinant

@@ -207,7 +207,8 @@ class TestIntegerImage:
         # and in the first one, which misses it one level down
         for big in (y ** 1000000, x ** 1000000):
             rows = [[qxy.one, big, y], [y, qxy.one, big + x], [big, x, qxy.one]]
-            assert polynomials.integer_image_determinant(rows, basis_module._integer_bareiss) is None
+            image = polynomials.integer_image_determinant(rows, basis_module._integer_bareiss)
+            assert image is None
             expected = cofactor_determinant(rows)
             assert basis_module._bareiss(qxy, [list(row) for row in rows]) == expected
             assert exact_determinant(qxy, rows) == expected

@@ -784,9 +784,11 @@ class TestEvaluateInterpolate:
         result = module._interpolate_last(Polynomial.constant(3 ** power, (), INT), 3, ("x",))
         assert result == x ** power and result._width > module._MIN_WIDTH
         yx = ("y", "x")
-        image = Polynomial.constant(-(3 ** power), ("y",), INT) * Polynomial.variable("y", ("y",), INT) ** 5
+        y = Polynomial.variable("y", ("y",), INT)
+        image = Polynomial.constant(-(3 ** power), ("y",), INT) * y ** 5
         result = module._interpolate_last(image, 3, yx)
-        expected = -(Polynomial.variable("y", yx, INT) ** 5 * Polynomial.variable("x", yx, INT) ** power)
+        y, x = (Polynomial.variable(name, yx, INT) for name in yx)
+        expected = -(y ** 5 * x ** power)
         assert result == expected and result._width > module._MIN_WIDTH
 
 
