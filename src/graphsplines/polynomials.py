@@ -9,9 +9,9 @@ A polynomial is stored packed: a map from packed monomials (one int per
 exponent vector, see "Packed storage" below) to integer numerators, plus one
 positive common denominator, which is always 1 over the integers. Addition,
 multiplication and exact division work on these maps directly and build
-their results in packed form. The public view ``terms``, a map from exponent
-tuples to ``int`` or ``Fraction`` coefficients, is derived from the packed
-map the first time it is read and then cached.
+their results in packed form. The packed map is the only stored form: the
+public view ``terms``, a map from exponent tuples to ``int`` or ``Fraction``
+coefficients, is built from it anew on every read.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ RAT = "rat"
 # reach its guard bit: below 2**(_MIN_WIDTH - 1) that never happens, and a
 # label like x^1000000 simply lives at a wider field. A result whose degree
 # drops keeps its width, so two equal polynomials can be stored at different
-# widths: __eq__ compares them at the wider one, and __hash__ hashes
-# exponent tuples, which do not depend on the width.
+# widths: __eq__ compares them at the wider one, and __hash__ hashes the
+# numerators repacked at the width their total degree alone calls for.
 #
-# ``terms`` unpacks the whole map and builds every Fraction, so the
-# arithmetic below never reads it; printing, evaluation, the gcd's
-# splitting helpers, the linear systems in search.py and callers outside
-# the package do.
+# ``terms`` unpacks the whole map and builds every Fraction, so nothing in
+# this module reads it; only the linear systems in search.py and callers
+# outside the package do.
 # ---------------------------------------------------------------------------
 
 # Bits per packed field, guard bit included.
@@ -88,10 +87,6 @@ def _guard_bits(nvars: int, width: int) -> int:
     return fields // ((1 << width) - 1) << (width - 1)
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exponents), exponents)
-
-
 class Polynomial:
     """Immutable sparse polynomial.
 
@@ -100,7 +95,7 @@ class Polynomial:
     coefficient kind, and the same coefficients on the same monomials.
     """
 
-    __slots__ = ("variables", "coeff_kind", "_packed", "_den", "_width", "_terms")
+    __slots__ = ("variables", "coeff_kind", "_packed", "_den", "_width")
 
     def __init__(self, variables, coeff_kind, terms):
         variables = tuple(variables)
@@ -138,21 +133,18 @@ class Polynomial:
         self._packed = packed
         self._den = den
         self._width = width
-        self._terms = clean
 
     @property
     def terms(self) -> dict[tuple[int, ...], int | Fraction]:
-        """Map from exponent tuples to nonzero ``int`` or ``Fraction`` coefficients."""
-        terms = self._terms
-        if terms is None:
-            unpack = _unpacker(len(self.variables), self._width)
-            if self.coeff_kind == INT:
-                terms = {unpack(m): c for m, c in self._packed.items()}
-            else:
-                den = self._den
-                terms = {unpack(m): Fraction(c, den) for m, c in self._packed.items()}
-            self._terms = terms
-        return terms
+        """Map from exponent tuples to nonzero ``int`` or ``Fraction`` coefficients.
+
+        A new dict on every read: changing it does not change the polynomial.
+        """
+        unpack = _unpacker(len(self.variables), self._width)
+        if self.coeff_kind == INT:
+            return {unpack(m): c for m, c in self._packed.items()}
+        den = self._den
+        return {unpack(m): Fraction(c, den) for m, c in self._packed.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -347,8 +339,9 @@ class Polynomial:
         return _repacked(self, width) == _repacked(other, width)
 
     def __hash__(self):
-        # the exponent tuples, not the packed monomials, which depend on the width
-        return hash((self.variables, self.coeff_kind, frozenset(self.terms.items())))
+        # equal polynomials have one total degree, so they share this width
+        packed = _repacked(self, _width_for(self.total_degree()))
+        return hash((self.variables, self.coeff_kind, self._den, frozenset(packed.items())))
 
     # -- evaluation --------------------------------------------------------
 
@@ -364,24 +357,26 @@ class Polynomial:
             value = assignments[name]
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise ValueError(f"assignment for {name!r} must be an int or Fraction")
-        total = _zero_of(self.coeff_kind)
-        for exponents, coefficient in self.terms.items():
-            term = coefficient
-            for name, power in zip(self.variables, exponents):
+        values = [assignments[name] for name in self.variables]
+        unpack = _unpacker(len(values), self._width)
+        total = 0
+        for m, term in self._packed.items():
+            for value, power in zip(values, unpack(m)):
                 if power:
-                    term *= assignments[name] ** power
+                    term *= value ** power
             total += term
-        return total
+        return total if self.coeff_kind == INT else Fraction(total, self._den)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
+        unpack = _unpacker(len(self.variables), self._width)
         pieces = []
-        for exponents in sorted(self.terms, key=_grlex_key, reverse=True):
-            coefficient = self.terms[exponents]
-            body = _term_text(self.variables, exponents, abs(coefficient))
+        for m in sorted(self._packed, reverse=True):  # descending grlex
+            coefficient = self._coefficient(self._packed[m])
+            body = _term_text(self.variables, unpack(m), abs(coefficient))
             if not pieces:
                 pieces.append(f"-{body}" if coefficient < 0 else body)
             else:
@@ -394,10 +389,6 @@ class Polynomial:
 def _check_kind(coeff_kind) -> None:
     if coeff_kind not in (INT, RAT):
         raise ValueError(f"unknown coefficient kind {coeff_kind!r}")
-
-
-def _zero_of(coeff_kind):
-    return 0 if coeff_kind == INT else Fraction(0)
 
 
 def _coerce_coefficient(value, coeff_kind):
@@ -420,7 +411,6 @@ def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
     p._packed = packed
     p._den = den
     p._width = width
-    p._terms = None
     return p
 
 
@@ -517,13 +507,12 @@ def _power_too_large(base: Polynomial, exponent: int) -> str | None:
     denominator; a coefficient of magnitude 1 counts as 0 bits, so powers of
     monomials such as ``x^1000000`` stay legal.
     """
-    bits = max(
-        ((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in base.terms.values()),
-        default=0,
-    )
+    den = base._den  # c/den in lowest terms is (c/g)/(den/g) with g = gcd(c, den)
+    lowest = (max(abs(c), den) // math.gcd(c, den) for c in base._packed.values())
+    bits = max(((m - 1).bit_length() for m in lowest), default=0)
     if exponent * bits > _MAX_POWER_BITS:
         return f"power could have coefficients of more than {_MAX_POWER_BITS} bits"
-    count = len(base.terms)
+    count = len(base._packed)
     if count <= 1 or exponent <= 1:
         return None
     terms = f"power could expand to more than {_MAX_POWER_TERMS} terms"
@@ -580,13 +569,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() accepts; isdigit() also takes '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise ParseError("malformed rational literal", i)
@@ -845,14 +834,6 @@ def _integer_scaled(p: Polynomial) -> Polynomial:
     return _make(p.variables, INT, p._packed, 1, p._width)
 
 
-def _int_polynomial(variables, terms: dict[tuple[int, ...], int]) -> Polynomial:
-    """An INT polynomial from exponent tuples to nonzero ints, skipping validation."""
-    width = _width_for(max(map(sum, terms), default=0))
-    p = _make(variables, INT, {_pack(e, width): c for e, c in terms.items()}, 1, width)
-    p._terms = terms
-    return p
-
-
 def _int_content(p: Polynomial) -> int:
     """The gcd of the stored numerators."""
     g = 0
@@ -960,10 +941,8 @@ def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
     become the coefficients of the powers of the last variable, which is the
     lowest packed field of the result.
     """
-    variables = tuple(variables)
-    nvars = len(variables)
     width = image._width
-    top = width * (nvars - 1)
+    top = width * (len(variables) - 1)
     half = xi // 2
     digits: list[tuple[int, int, int]] = []  # image monomial, power, digit
     degree = 0
@@ -978,12 +957,24 @@ def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
                 digits.append((m, power, digit))
             power += 1
         degree = max(degree, (m >> top) + power - 1)  # the top digit is nonzero
-    if degree >> (width - 1):  # the result's degree would reach the guard bit
+    return _with_last(tuple(variables), digits, width, degree)
+
+
+def _with_last(variables, triples, width: int, degree: int) -> Polynomial:
+    """The INT polynomial summing ``c * m * last^power`` over (m, power, c) triples.
+
+    Each ``m`` is a monomial in the other variables packed at ``width``;
+    ``degree`` is the result's total degree. The last variable becomes the
+    lowest packed field, and the field is widened only if ``degree`` would
+    reach its guard bit.
+    """
+    nvars = len(variables)
+    if degree >> (width - 1):
         unpack = _unpacker(nvars - 1, width)
         width = _width_for(degree)
-        digits = [(_pack(unpack(m), width), power, d) for m, power, d in digits]
+        triples = [(_pack(unpack(m), width), power, c) for m, power, c in triples]
     shift = width * nvars
-    packed = {(m << width) + (power << shift) + power: d for m, power, d in digits}
+    packed = {(m << width) + (power << shift) + power: c for m, power, c in triples}
     return _make(variables, INT, packed, 1, width)
 
 
@@ -1041,20 +1032,24 @@ def _image_determinant(rows, variables, integer_determinant) -> Polynomial | Non
 
 
 def _split_last(p: Polynomial) -> dict[int, Polynomial]:
-    """View as univariate in the last variable; coefficients drop that variable."""
-    sub_vars = p.variables[:-1]
-    buckets: dict[int, dict[tuple[int, ...], int]] = {}
-    for e, c in p.terms.items():
-        buckets.setdefault(e[-1], {})[e[:-1]] = c
-    return {d: _int_polynomial(sub_vars, t) for d, t in buckets.items()}
+    """View as univariate in the last variable, split off as in _evaluate_last."""
+    width = p._width
+    mask = (1 << width) - 1
+    top = width * (len(p.variables) - 1)
+    buckets: dict[int, dict[int, int]] = {}
+    for m, c in p._packed.items():
+        e = m & mask
+        buckets.setdefault(e, {})[(m >> width) - (e << top)] = c
+    return {e: _make(p.variables[:-1], INT, b, 1, width) for e, b in buckets.items()}
 
 
 def _join_last(variables, univariate: dict[int, Polynomial]) -> Polynomial:
-    terms: dict[tuple[int, ...], int] = {}
-    for degree, coefficient in univariate.items():
-        for e, c in coefficient.terms.items():
-            terms[e + (degree,)] = c
-    return _int_polynomial(tuple(variables), terms)
+    """Inverse of _split_last: the sum of each coefficient times last^degree."""
+    width = max(c._width for c in univariate.values())
+    triples = [(m, d, c) for d, coefficient in univariate.items()
+               for m, c in _repacked(coefficient, width).items()]
+    degree = max(c.total_degree() + d for d, c in univariate.items())
+    return _with_last(tuple(variables), triples, width, degree)
 
 
 def _coef_content(univariate: dict[int, Polynomial], sub_vars) -> Polynomial:

@@ -186,8 +186,9 @@ class _ColumnSystem:
 
         contribute(lhs, 1)
         contribute(rhs, -1)
+        label_terms = label.terms.items()  # built anew on every read of .terms
         for q_exponent, variable in quotient.items():
-            for l_exponent, coefficient in label.terms.items():
+            for l_exponent, coefficient in label_terms:
                 exponent = tuple(a + b for a, b in zip(q_exponent, l_exponent))
                 row = equations.setdefault(exponent, {})
                 row[variable] = row.get(variable, Fraction(0)) - coefficient

@@ -5,8 +5,9 @@ the library under test: brute-force enumeration for spline lattices,
 subset-DP cofactor expansion for determinants, dense rational Gaussian
 elimination for span questions, enumeration of every factor assignment
 for the bounded flow-up search, and the schoolbook tuple-keyed polynomial
-product, max-scan division, and evaluation and interpolation in the last
-variable that the packed integer kernel replaced.
+product, max-scan division, evaluation and interpolation in the last
+variable, and splitting off and joining back the last variable that the
+packed integer kernel replaced.
 """
 
 from __future__ import annotations
@@ -276,4 +277,25 @@ def tuple_interpolate_last(image, xi, variables):
                 terms[e + (power,)] = digit
             c = (c - digit) // xi
             power += 1
+    return Polynomial(variables, INT, terms)
+
+
+def tuple_split_last(p):
+    """An INT polynomial as univariate in its last variable, on exponent tuples.
+
+    Maps each power of the last variable to its coefficient, an INT
+    polynomial in the other variables.
+    """
+    buckets = {}
+    for e, c in p.terms.items():
+        buckets.setdefault(e[-1], {})[e[:-1]] = c
+    return {d: Polynomial(p.variables[:-1], INT, t) for d, t in buckets.items()}
+
+
+def tuple_join_last(variables, univariate):
+    """The INT polynomial sum of ``coefficient * last^degree``, on exponent tuples."""
+    terms = {}
+    for degree, coefficient in univariate.items():
+        for e, c in coefficient.terms.items():
+            terms[e + (degree,)] = c
     return Polynomial(variables, INT, terms)

@@ -341,6 +341,13 @@ class TestErrors:
         code, _, err = run(capsys, "verify", FIG2, "--spline", "3,1x,5")
         assert code == 2
         assert err == "error: --spline 1, entry 2, character 1: malformed integer literal '1x'\n"
+        # '²' is a digit to str.isdigit, not to int()
+        code, _, err = run(capsys, "verify", XY, "--spline", "x^²,0,0")
+        assert code == 2
+        assert err == "error: --spline 1, entry 1, character 3: unexpected character '²'\n"
+        code, _, err = run(capsys, "verify", XY, "--spline", "0,1/²,0")
+        assert code == 2
+        assert err == "error: --spline 1, entry 2, character 1: malformed rational literal\n"
 
     def test_spline_length_error_names_argument(self, capsys):
         code, _, err = run(capsys, "check-basis", XY, "--spline", "1,1,1", "--spline", "0,x")

@@ -29,6 +29,7 @@ NESTED = "(" * 3000 + "x" + ")" * 3000
 POWER = "(x+y+1)^200"  # 20301 terms: expanding it would take minutes
 COEFFICIENT_POWER = "3^10000000"  # a 15.8-million-bit coefficient
 LONG_LITERAL = "7" * 5000  # more digits than Python converts from text
+SUPERSCRIPT = "x^²"  # a digit to str.isdigit, not to int()
 
 label_texts = st.lists(
     st.sampled_from(["x", "y", "z", "0", "1", "2", "/", "(", ")", "+", "-", "*", "^",
@@ -150,6 +151,9 @@ def arguments(draw):
 @example(json.dumps({**BASES[0], "edges": [{"u": "v1", "v": "v2", "label": LONG_LITERAL}]}),
          ["q", "{}"])
 @example(json.dumps(BASES[1]), ["verify", "{}", "--spline", f"x^{LONG_LITERAL},0,0"])
+@example(json.dumps({**BASES[1], "edges": [{"u": "v1", "v": "v2", "label": SUPERSCRIPT}]}),
+         ["q", "{}"])
+@example(json.dumps(BASES[1]), ["verify", "{}", "--spline", f"{SUPERSCRIPT},0,0"])
 @example("[" * 100000, ["flowup", "{}"])
 def test_cli_exits_with_a_status(text, argv):
     with tempfile.TemporaryDirectory() as directory:

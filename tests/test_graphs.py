@@ -101,6 +101,13 @@ class TestLoading:
         assert err.value.code == "LABEL_PARSE"
         assert "more than 8192 bits" in str(err.value)
 
+    def test_superscript_exponent_label(self):
+        ring = {"kind": "poly", "coefficients": "rat", "variables": ["x"]}
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(doc(labels=("x^²", "x + 1", "x + 2"), ring=ring)))
+        assert err.value.code == "LABEL_PARSE"
+        assert "unexpected character '²'" in str(err.value)
+
     def test_overlong_integer_label(self):
         with pytest.raises(GraphError) as err:
             load_graph(json.dumps(doc(labels=("7" * 5000, "5", "2"))))

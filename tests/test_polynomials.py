@@ -1,8 +1,10 @@
+import ast
 import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -93,6 +95,22 @@ class TestParser:
         assert poly("(" * 100 + "x" + ")" * 100) == poly("x")
         with pytest.raises(ParseError, match="nested deeper"):
             poly("(" * 3000 + "x" + ")" * 3000)
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    @pytest.mark.parametrize(
+        "text, reason, position",
+        [("x^²", "unexpected character '²'", 2), ("1/²", "malformed rational literal", 0),
+         ("²", "unexpected character '²'", 0), ("x + 2²", "unexpected character '²'", 5)],
+    )
+    def test_only_decimal_digits_make_a_literal(self, kind, text, reason, position):
+        # '²' is a digit to str.isdigit but not to int()
+        with pytest.raises(ParseError) as err:
+            poly(text, kind)
+        assert (err.value.reason, err.value.position) == (reason, position)
+
+    def test_other_decimal_digits_are_literals(self):
+        # int() reads any Unicode decimal digit, like the Arabic-Indic three
+        assert poly("x^\u0663 + \u0663") == poly("x^3 + 3")
 
     @given(polynomials())
     def test_print_parse_round_trip(self, p):
@@ -288,6 +306,48 @@ class TestPowerCap:
         assert str(poly("2^8192"))  # printable: below the int-to-text digit limit
         assert poly("x^1000000") == Polynomial(VARS, RAT, {(1000000, 0): 1})
         assert poly("(-x*y)^1001") == Polynomial(VARS, RAT, {(1001, 1001): -1})
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("1/2*x + 1/3", RAT), ("2/3*x + 5/6", RAT), ("1/2*x - 1/3*y + 7/12", RAT),
+         ("2/3*x", RAT), ("-5/6*x*y^2", RAT), ("3*x + 2", INT), ("-9*y", INT), ("x + y", RAT)],
+    )
+    def test_cap_matches_the_terms_formula(self, text, kind):
+        # over RAT the stored numerators share one denominator, so a coefficient
+        # in lowest terms can have fewer bits than its numerator and that
+        # denominator: 1/2*x + 1/3 is stored as (3*x + 2)/6
+        base = poly(text, kind)
+        bits = max((max(abs(c.numerator), c.denominator) - 1).bit_length()
+                   for c in base.terms.values())
+        cap = module._MAX_POWER_BITS // max(bits, 1)
+        for exponent in (1, 2, 3, 43, 999, 1000, 1001, cap - 1, cap, cap + 1, 9000):
+            expected = _terms_power_too_large(base, exponent)
+            assert module._power_too_large(base, exponent) == expected
+        if len(base.terms) == 1 and bits:  # only the bits decide a one-term power
+            assert module._power_too_large(base, cap) is None
+            assert "8192 bits" in module._power_too_large(base, cap + 1)
+
+
+def _terms_power_too_large(base, exponent):
+    """The power cap computed from ``.terms``, as the parser did before packed storage."""
+    bits = max(
+        ((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in base.terms.values()),
+        default=0,
+    )
+    if exponent * bits > module._MAX_POWER_BITS:
+        return f"power could have coefficients of more than {module._MAX_POWER_BITS} bits"
+    count = len(base.terms)
+    if count <= 1 or exponent <= 1:
+        return None
+    terms = f"power could expand to more than {module._MAX_POWER_TERMS} terms"
+    if exponent > module._MAX_POWER_TERMS:
+        return terms
+    k = len(base.variables)
+    bound = min(
+        math.comb(exponent * base.total_degree() + k, k),
+        math.comb(exponent + count - 1, count - 1),
+    )
+    return terms if bound > module._MAX_POWER_TERMS else None
 
 
 class TestLongLiterals:
@@ -794,3 +854,127 @@ class TestEvaluateInterpolate:
 
 def _max_norm(p):
     return max(abs(c) for c in p.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# Splitting off and joining back the last variable on the packed maps
+# ---------------------------------------------------------------------------
+
+
+def _split_cases():
+    """Seeded INT polynomials in 1-3 variables, and last-variable degrees at field boundaries."""
+    rng = random.Random("split-last")
+    cases = []
+    for nvars in range(1, 4):
+        names = NAMES[:nvars]
+        for bits in (3, 70):
+            cases.append(_random_polynomial(rng, names, INT, 8, 5, bits))
+        first, last = names[0], names[-1]
+        for degree in (2 ** 15 - 1, 2 ** 15, 2 ** 16):
+            text = f"{last}^{degree} - 3*{last}^{degree - 1} + 5"
+            if nvars > 1:
+                text += f" + 2*{first}*{last}^{degree // 2} - {first}^3*{last}"
+            cases.append(parse_polynomial(text, names, INT))
+    return cases
+
+
+SPLIT_CASES = _split_cases()
+
+
+class TestSplitJoin:
+    @pytest.mark.parametrize("p", SPLIT_CASES)
+    def test_matches_the_tuple_oracles(self, p):
+        split = module._split_last(p)
+        expected = oracles.tuple_split_last(p)
+        assert split == expected
+        assert {d: c.terms for d, c in split.items()} == {d: c.terms for d, c in expected.items()}
+        joined = module._join_last(p.variables, split)
+        assert joined == p == oracles.tuple_join_last(p.variables, split)
+        assert joined.terms == p.terms
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_join_widens_past_the_guard_bit(self, nvars):
+        # every coefficient sits at the minimum width, but the joined total
+        # degree reaches that width's guard bit
+        names = NAMES[:nvars]
+        sub_vars = names[:-1]
+        one = Polynomial.constant(1, sub_vars, INT)
+        coefficient = one * 3
+        for name in sub_vars:
+            coefficient = coefficient * Polynomial.variable(name, sub_vars, INT)
+        univariate = {2 ** 15 - len(sub_vars): coefficient, 2: one * -4, 0: one + one}
+        assert all(c._width == module._MIN_WIDTH for c in univariate.values())
+        joined = module._join_last(names, univariate)
+        assert joined._width > module._MIN_WIDTH
+        assert joined.total_degree() == 2 ** 15
+        assert joined == oracles.tuple_join_last(names, univariate)
+        assert module._split_last(joined) == univariate
+
+    def test_join_of_coefficients_at_different_widths(self):
+        sub_vars = ("x", "y")
+        high = Polynomial.variable("x", sub_vars, INT) ** 40000
+        wide = (high + Polynomial.variable("y", sub_vars, INT)) - high
+        narrow = Polynomial.constant(5, sub_vars, INT)
+        assert wide._width > narrow._width
+        univariate = {3: wide, 0: narrow}
+        joined = module._join_last(NAMES, univariate)
+        assert joined == oracles.tuple_join_last(NAMES, univariate)
+        assert str(joined) == "y*z^3 + 5"
+
+
+# ---------------------------------------------------------------------------
+# One stored form: the packed map, with ``terms`` a fresh view of it
+# ---------------------------------------------------------------------------
+
+
+class TestOneStoredForm:
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    @pytest.mark.parametrize("text", ["x + 1", "3*x^2*y - 2*y + 7", "x^40000*y - x^40000*y + x"])
+    def test_changing_terms_leaves_the_polynomial_alone(self, monkeypatch, kind, text):
+        if kind == RAT:
+            text = text.replace("3*", "3/4*")
+        p, q = poly(text, kind), poly(text, kind)
+        other = p * poly("x - y + 2", kind)
+        assignment = {"x": 2, "y": Fraction(-1, 3)}
+        before = (str(p), hash(p), p.substitute(assignment), poly_gcd(p, other),
+                  _fallback_gcd(monkeypatch, p, other), p.terms)
+        terms = p.terms
+        terms[(0, 0)] = 7
+        terms[(5, 5)] = 3
+        del terms[next(iter(p.terms))]
+        after = (str(p), hash(p), p.substitute(assignment), poly_gcd(p, other),
+                 _fallback_gcd(monkeypatch, p, other), p.terms)
+        assert after == before
+        assert p == q and hash(p) == hash(q)
+        assert p.terms is not p.terms
+        p.terms.clear()
+        assert p and p == q and str(p) == str(q)
+
+    def test_equal_polynomials_hash_equal(self):
+        bases = [a for a, _ in KERNEL_CASES if a.variables == NAMES[:2]]
+        bases += [poly("0"), poly("1"), poly("0", INT), poly("x", INT), poly("-x + 1/2")]
+        pool = []
+        for p in bases:
+            high_p = Polynomial(VARS, p.coeff_kind, {(40000, 1): 1})
+            wide = (p + high_p) - high_p  # equal to p, stored at a wider field
+            assert wide._width > p._width or p._width > module._MIN_WIDTH
+            pool += [p, wide, Polynomial(VARS, p.coeff_kind, p.terms), -(-p), p * 1]
+        for p, q in itertools.product(pool, repeat=2):
+            if p == q:
+                assert hash(p) == hash(q), (p, q)
+
+    def test_only_the_terms_property_reads_terms(self):
+        """Inside polynomials.py nothing but the ``terms`` property reads ``.terms``."""
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "terms":
+                assert [ast.unparse(d) for d in node.decorator_list] == ["property"]
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "terms"
+                 and id(node) not in allowed]
+        assert reads == [], f"polynomials.py reads .terms on lines {reads}"
+        for name in ("_int_polynomial", "_grlex_key", "_zero_of"):
+            assert not hasattr(module, name)
+        assert "_terms" not in Polynomial.__slots__
