@@ -4,8 +4,8 @@
     python3 scripts/same_outputs.py BASE CHANGE --workload poly-det --seed 11
 
 Runs every call of the given splinebench workloads and seeds, plus the
-bundled demo commands of ``scripts/run_demos.py``, each in JSON and in text
-mode, through ``graphsplines.cli.main`` of each checkout (imported from its
+bundled demo commands of ``scripts/run_demos.py`` and calls whose input
+fails to parse, each in JSON and in text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
 ``src/`` in a child interpreter), and reports every call whose stdout,
 stderr or exit code differs. The instances are generated once, by this
 checkout's ``splinebench/workloads.py``, and both checkouts read the same
@@ -32,6 +32,38 @@ def demo_calls(graphs: Path) -> list:
     import run_demos
 
     return [[args[0], str(graphs / args[1]), *args[2:]] for _, args in run_demos.DEMOS]
+
+
+def error_calls(graphs: Path, directory: Path) -> list:
+    """The argv of calls whose input fails to parse, so their stderr is compared too.
+
+    Malformed ``--spline`` entries, ``--factors`` and ``--q`` on the bundled
+    graphs under ``graphs``, and graphs with a malformed label, written to
+    ``directory``.
+    """
+    xy, fig2 = str(graphs / "xy.json"), str(graphs / "fig2.json")
+    calls = [
+        ["verify", xy, "--spline", "x,y^-1,0"],
+        ["verify", xy, "--spline", "x,2y,0"],
+        ["verify", xy, "--spline", "x,y^\u00b2,0"],
+        ["verify", xy, "--spline", "1/,0,0"],
+        ["verify", xy, "--spline", "(" * 101 + "x" + ")" * 101 + ",0,0"],
+        ["check-basis", xy, "--spline", "1,1,1", "--spline", "0,x,x+y",
+         "--spline", "0,0,y*(x+y"],
+        ["check-basis", xy, "--spline", "1,1,1", "--spline", "0,x,3^10000000"],
+        ["search", xy, "--factors", "x;y;x+\u00e9", "--degree", "2"],
+        ["search", xy, "--factors", "x;(x+y+1)^44;y", "--degree", "2"],
+        ["probe", xy, "--q", "x*y*(x+y)^-1", "--trials", "5"],
+        ["probe", xy, "--q", "x^2^3", "--trials", "5"],
+        ["probe", fig2, "--q", "8/0", "--trials", "5"],
+    ]
+    document = json.loads((graphs / "xy.json").read_text())
+    for index, label in enumerate(("x + 2y", "x*(y + 1/0)", "_a + x")):
+        document["edges"][0]["label"] = label
+        path = directory / f"bad-label-{index}.json"
+        path.write_text(json.dumps(document))
+        calls += [["q", str(path)], ["flowup", str(path)]]
+    return calls
 
 
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
@@ -105,7 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", action="append", type=int, default=[])
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
-        calls = demo_calls(ROOT / "graphs")
+        calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

@@ -144,7 +144,9 @@ def _cmd_verify(args):
     graph = _load(args)
     candidate = _parse_spline(graph, args.spline, 1)
     check = is_spline(graph, candidate)
-    lines = [f"graph: {graph.describe()}", f"candidate: {_spline_text(graph, candidate)}"]
+    lines = [f"graph: {graph.describe()}"]
+    if not args.json:  # only the text report shows the candidate
+        lines.append(f"candidate: {_spline_text(graph, candidate)}")
     lines.append(f"SPLINE: {'yes' if check.ok else 'no'}")
     violations = []
     for violation in check.violations:
@@ -198,11 +200,9 @@ def _cmd_flowup(args):
 def _cmd_q(args):
     graph = _load(args)
     invariant = compute_q(graph)
+    q_text = graph.ring.to_text(invariant.value)
     lines = [f"graph: {graph.describe()}"]
-    lines.append(
-        f"Q = {graph.ring.to_text(invariant.value)} "
-        f"(provenance: {invariant.provenance.value})"
-    )
+    lines.append(f"Q = {q_text} (provenance: {invariant.provenance.value})")
     if invariant.provenance is Provenance.LCM_LOWER_BOUND:
         lines.append(
             "note: this Q only divides every n-subset determinant; "
@@ -211,7 +211,7 @@ def _cmd_q(args):
     report = {
         "command": "q",
         "verdict": "yes",
-        "q": graph.ring.to_text(invariant.value),
+        "q": q_text,
         "provenance": invariant.provenance.value,
     }
     return 0, report, lines
@@ -232,19 +232,21 @@ def _cmd_check_basis(args):
     else:
         word, code = "UNDECIDED", 0
     ring = graph.ring
+    determinant, q_text = ring.to_text(verdict.determinant), ring.to_text(invariant.value)
+    unit = ring.to_text(verdict.unit_factor) if verdict.is_basis else None
     lines = [f"graph: {graph.describe()}"]
-    lines.append(f"determinant: {ring.to_text(verdict.determinant)}")
-    lines.append(f"Q = {ring.to_text(invariant.value)} ({invariant.provenance.value})")
-    lines.append(f"BASIS: {word}" + (f" (unit {ring.to_text(verdict.unit_factor)})" if verdict.is_basis else ""))
+    lines.append(f"determinant: {determinant}")
+    lines.append(f"Q = {q_text} ({invariant.provenance.value})")
+    lines.append(f"BASIS: {word}" + (f" (unit {unit})" if verdict.is_basis else ""))
     if verdict.is_basis is not True:
         lines.append(f"  reason: {verdict.reason}")
     report = {
         "command": "check-basis",
         "verdict": word,
-        "determinant": ring.to_text(verdict.determinant),
-        "q": ring.to_text(invariant.value),
+        "determinant": determinant,
+        "q": q_text,
         "provenance": invariant.provenance.value,
-        "unit": ring.to_text(verdict.unit_factor) if verdict.is_basis else None,
+        "unit": unit,
         "reason": verdict.reason,
     }
     return code, report, lines
@@ -354,11 +356,12 @@ def _cmd_probe(args):
     else:
         q_value = compute_q(graph).value
     result = divides_all_dets_probe(graph, q_value, args.trials, args.seed)
+    q_text = ring.to_text(q_value)
     lines = [f"graph: {graph.describe()}"]
-    lines.append(f"q = {ring.to_text(q_value)}, trials = {args.trials}, seed = {args.seed}")
+    lines.append(f"q = {q_text}, trials = {args.trials}, seed = {args.seed}")
     report = {
         "command": "probe",
-        "q": ring.to_text(q_value),
+        "q": q_text,
         "trials": result.trials,
         "seed": args.seed,
     }

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from fractions import Fraction
 
 from .errors import ParseError, RingMismatchError, excerpt
@@ -113,21 +114,7 @@ class Polynomial:
                 clean[exponents] = clean.get(exponents, 0) + coefficient
                 if not clean[exponents]:
                     del clean[exponents]
-        width = _width_for(max(map(sum, clean), default=0))
-        if coeff_kind == INT:
-            packed = {_pack(e, width): c for e, c in clean.items()}
-            den = 1
-        else:
-            # pairwise, not math.lcm(*generator): unpacking a generator grows
-            # a tuple by resizing and frees it onto the free list of its
-            # final length, which leaves idle tuples in a long process
-            den = 1
-            for c in clean.values():
-                den = math.lcm(den, c.denominator)
-            packed = {
-                _pack(e, width): c.numerator * (den // c.denominator)
-                for e, c in clean.items()
-            }
+        packed, den, width = _packed_form(clean, coeff_kind)
         self.variables = variables
         self.coeff_kind = coeff_kind
         self._packed = packed
@@ -403,6 +390,22 @@ def _coerce_coefficient(value, coeff_kind):
     raise RingMismatchError(f"{value!r} is not a rational coefficient")
 
 
+def _packed_form(monomials, coeff_kind) -> tuple[dict[int, int], int, int]:
+    """(packed map, denominator, width) of a dict from exponent tuples to
+    nonzero coefficients: ints, or over RAT ints and Fractions."""
+    width = _width_for(max(map(sum, monomials), default=0))
+    if coeff_kind == INT:
+        return {_pack(e, width): c for e, c in monomials.items()}, 1, width
+    # pairwise, not math.lcm(*generator): unpacking a generator grows a tuple
+    # by resizing and frees it onto the free list of its final length, which
+    # leaves idle tuples in a long process
+    den = 1
+    for c in monomials.values():
+        den = math.lcm(den, c.denominator)
+    packed = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in monomials.items()}
+    return packed, den, width
+
+
 def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
     """Build from an already canonical packed map, skipping validation."""
     p = Polynomial.__new__(Polynomial)
@@ -481,11 +484,18 @@ def _term_text(variables, exponents, magnitude) -> str:
 # expression is a strict extension of the base grammar so that printed
 # polynomials such as "-x" round-trip. Nesting depth and the size of a power
 # are capped (below), so a short label cannot make the parser run away.
+#
+# A term folds its literals, variables, their powers and its parenthesised
+# monomials into one coefficient and one exponent vector as it reads them,
+# and an expression gathers those monomials in one dict keyed by exponent
+# tuple, packed once when the expression ends. Polynomial arithmetic runs
+# only on parenthesised factors that are not monomials: their powers, their
+# products with the rest of a term, and the sum of such terms.
 # ---------------------------------------------------------------------------
 
-# Each parenthesis level costs four Python frames of recursion; deeper input
-# is rejected as a ParseError long before it could exhaust the interpreter's
-# recursion limit.
+# Each parenthesis level costs two Python frames of recursion (expr and
+# term); deeper input is rejected as a ParseError long before it could
+# exhaust the interpreter's recursion limit.
 _MAX_NESTING = 100
 # A power whose term count could exceed this is rejected as a ParseError
 # before it is expanded: "(x+y+1)^200" is 12 characters, but expanding it
@@ -495,6 +505,16 @@ _MAX_POWER_TERMS = 1000
 # "3^10000000" would take seconds to build. The cap stays below the 4300
 # digits Python converts to and from text, so every accepted power prints.
 _MAX_POWER_BITS = 1 << 13
+_TOO_MANY_BITS = f"power could have coefficients of more than {_MAX_POWER_BITS} bits"
+
+
+def _coefficient_bits(c: int | Fraction) -> int:
+    """Bits of the larger of a coefficient's numerator and denominator, less one.
+
+    A coefficient of magnitude 1 counts as 0 bits, so powers of monomials
+    such as ``x^1000000`` stay legal.
+    """
+    return (max(abs(c.numerator), c.denominator) - 1).bit_length()
 
 
 def _power_too_large(base: Polynomial, exponent: int) -> str | None:
@@ -503,15 +523,14 @@ def _power_too_large(base: Polynomial, exponent: int) -> str | None:
     Its term count is at most the smaller of the number of monomials of
     degree at most ``exponent * deg(base)`` in k variables and the number of
     multisets of ``exponent`` of the base's terms. Its coefficients grow by
-    about ``exponent`` times the bits of the base's largest numerator or
-    denominator; a coefficient of magnitude 1 counts as 0 bits, so powers of
-    monomials such as ``x^1000000`` stay legal.
+    about ``exponent`` times the ``_coefficient_bits`` of the base's largest
+    coefficient.
     """
     den = base._den  # c/den in lowest terms is (c/g)/(den/g) with g = gcd(c, den)
     lowest = (max(abs(c), den) // math.gcd(c, den) for c in base._packed.values())
     bits = max(((m - 1).bit_length() for m in lowest), default=0)
     if exponent * bits > _MAX_POWER_BITS:
-        return f"power could have coefficients of more than {_MAX_POWER_BITS} bits"
+        return _TOO_MANY_BITS
     count = len(base._packed)
     if count <= 1 or exponent <= 1:
         return None
@@ -561,149 +580,200 @@ def number_text(value: int | Fraction) -> str:
     return number_text(high) + number_text(low).zfill(digits)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():  # the digits int() accepts; isdigit() also takes '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdecimal():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("malformed rational literal", i)
-                tokens.append(("number", text[i:k], i))
-                i = k
-            else:
-                tokens.append(("number", text[i:j], i))
-                i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+# One token after optional whitespace: a literal, a name, an operator, or
+# any other single character. In str patterns \d, \s and \w test exactly
+# str.isdecimal (the digits int() accepts; isdigit() also takes '²'),
+# str.isspace and str.isalnum or "_". Every character but whitespace lands
+# in a token, so a text's tokens are exactly what findall returns.
+_TOKEN = re.compile(r"\s*(\d+(?:/\d*)?|\w+|[-+*^()]|\S)")
+_OPERATORS = frozenset("+-*^()")
+_END = ""  # the token after the last one
+
+
+def _token_positions(text: str) -> list[int]:
+    """The offset of each token of ``text``, then ``len(text)``.
+
+    Raises the ParseError of the first malformed token: a literal with a
+    "/" but no denominator digits, or an unexpected character (anything
+    else that is not a name starting with a letter or "_", or an operator).
+    """
+    positions = []
+    for match in _TOKEN.finditer(text):
+        token, position = match.group(1), match.start(1)
+        first = token[0]
+        if first.isdecimal():
+            if token[-1] == "/":
+                raise ParseError("malformed rational literal", position)
+        elif not (first.isalpha() or first == "_" or first in _OPERATORS):
+            raise ParseError(f"unexpected character {first!r}", position)
+        positions.append(position)
+    positions.append(len(text))
+    return positions
 
 
 class _Parser:
+    """Recursive descent over the token strings.
+
+    Its ParseErrors carry the index of the offending token, not its offset
+    in the text; ``parse_polynomial`` translates them. Only the tokens a
+    parse accepts are checked here (a name must be a variable, a literal
+    must have a denominator after its "/"), so every malformed token makes
+    the parse fail, and ``parse_polynomial`` then reports the first one.
+    """
+
     def __init__(self, tokens, variables, coeff_kind):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.variables = tuple(variables)
+        self.index: dict[str, int] = {}
+        for k, name in enumerate(self.variables):
+            # a name token starts with a letter or "_", so no other variable
+            # can be read; of equal names the first counts
+            if name[:1].isalpha() or name[:1] == "_":
+                self.index.setdefault(name, k)
         self.coeff_kind = coeff_kind
 
-    @property
-    def current(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def parse(self) -> Polynomial:
-        if self.current[0] == "end":
-            raise ParseError("empty input", 0)
-        value = self.expr()
-        kind, text, position = self.current
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {excerpt(text)}", position)
-        return value
+        monomials, rest = self.expr()
+        token = self.tokens[self.pos]
+        if token != _END:
+            raise ParseError(f"unexpected trailing input {excerpt(token)}", self.pos)
+        return self.polynomial(monomials, rest)
 
-    def expr(self) -> Polynomial:
-        negate = False
-        if self.current[0] in ("+", "-"):
-            negate = self.advance()[0] == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while self.current[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = value - rhs if op == "-" else value + rhs
-        return value
+    def polynomial(self, monomials, rest=None) -> Polynomial:
+        """The sum of a monomial dict and ``rest`` (a Polynomial or None)."""
+        if rest is not None and not monomials:
+            return rest
+        value = _make(self.variables, self.coeff_kind, *_packed_form(monomials, self.coeff_kind))
+        return value if rest is None else _sum(value, rest, 1)
 
-    def term(self) -> Polynomial:
-        value = self.factor()
-        while self.current[0] == "*":
-            self.advance()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        if self.current[0] == "^":
-            self.advance()
-            kind, text, position = self.current
-            if kind == "-":
-                raise ParseError("negative exponent", position)
-            if kind != "number" or "/" in text:
-                raise ParseError("expected a natural-number exponent", position)
-            self.advance()
-            exponent = parse_int(text, position)
-            reason = _power_too_large(base, exponent)
-            if reason:
-                raise ParseError(reason, position)
-            return base ** exponent
-        return base
-
-    def base(self) -> Polynomial:
-        kind, text, position = self.advance()
-        if kind == "number":
-            if "/" in text:
-                if self.coeff_kind == INT:
-                    raise ParseError(
-                        "rational literal not allowed over integer coefficients",
-                        position,
-                    )
-                numerator, denominator = text.split("/")
-                denominator = parse_int(denominator, position)
-                if denominator == 0:
-                    raise ParseError("zero denominator", position)
-                value: int | Fraction = Fraction(parse_int(numerator, position), denominator)
+    def expr(self):
+        """An expression as its monomial terms summed in one dict plus the sum
+        of its other terms (None if it has none)."""
+        tokens = self.tokens
+        monomials: dict[tuple[int, ...], int | Fraction] = {}
+        rest = None
+        sign = tokens[self.pos]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+        while True:
+            coefficient, exponents, product = self.term()
+            if sign == "-":
+                coefficient = -coefficient
+            if product is None or not coefficient:  # a monomial, or zero
+                key = tuple(exponents)
+                total = monomials.pop(key, 0) + coefficient
+                if total:
+                    monomials[key] = total
             else:
-                value = parse_int(text, position)
-            return Polynomial.constant(value, self.variables, self.coeff_kind)
-        if kind == "name":
-            if text not in self.variables:
-                raise ParseError(f"unknown variable {excerpt(text)}", position)
-            return Polynomial.variable(text, self.variables, self.coeff_kind)
-        if kind == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
+                if coefficient != 1 or any(exponents):
+                    product = product * self.polynomial({tuple(exponents): coefficient})
+                rest = product if rest is None else _sum(rest, product, 1)
+            sign = tokens[self.pos]
+            if sign != "+" and sign != "-":
+                return monomials, rest
+            self.pos += 1
+
+    def term(self):
+        """A term as (coefficient, exponent list, product of its factors that
+        are not monomials, or None)."""
+        tokens, index = self.tokens, self.index
+        coefficient: int | Fraction = 1
+        exponents = [0] * len(self.variables)
+        product = None
+        while True:
+            start = self.pos
+            token = tokens[start]
+            self.pos += 1
+            k = index.get(token)
+            if k is not None:
+                exponents[k] += self.exponent(1)
+            elif token[:1].isdecimal():
+                value = self.literal(token, start)
+                coefficient *= value ** self.exponent(value)
+            elif token == "(":
+                self.depth += 1
+                if self.depth > _MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nested deeper than {_MAX_NESTING} levels", start
+                    )
+                monomials, rest = self.expr()
+                if tokens[self.pos] != ")":
+                    raise ParseError("expected ')'", self.pos)
+                self.pos += 1
+                self.depth -= 1
+                if rest is None and len(monomials) <= 1:  # a monomial, or zero
+                    inner, c = next(iter(monomials.items()), ((), 0))
+                    power = self.exponent(c)
+                    coefficient *= c ** power
+                    for j, e in enumerate(inner):
+                        exponents[j] += e * power
+                else:
+                    base = self.polynomial(monomials, rest)
+                    power = self.exponent(base)
+                    if power != 1:
+                        base = base ** power
+                    product = base if product is None else product * base
+            elif token[:1].isalpha() or token[:1] == "_":
+                raise ParseError(f"unknown variable {excerpt(token)}", start)
+            else:
                 raise ParseError(
-                    f"parentheses nested deeper than {_MAX_NESTING} levels", position
+                    "expected a literal, variable, or parenthesized expression", start
                 )
-            value = self.expr()
-            kind, _, position = self.current
-            if kind != ")":
-                raise ParseError("expected ')'", position)
-            self.advance()
-            self.depth -= 1
-            return value
-        raise ParseError(
-            "expected a literal, variable, or parenthesized expression", position
-        )
+            if tokens[self.pos] != "*":
+                return coefficient, exponents, product
+            self.pos += 1
+
+    def exponent(self, base) -> int:
+        """The exponent on ``base`` (1 if no '^' follows), checked against the
+        power caps; ``base`` is a Polynomial or a monomial's coefficient."""
+        tokens = self.tokens
+        if tokens[self.pos] != "^":
+            return 1
+        at = self.pos + 1
+        token = tokens[at]
+        if token == "-":
+            raise ParseError("negative exponent", at)
+        if not token[:1].isdecimal() or "/" in token:
+            raise ParseError("expected a natural-number exponent", at)
+        self.pos += 2
+        exponent = parse_int(token, at)
+        if isinstance(base, Polynomial):
+            reason = _power_too_large(base, exponent)
+        else:
+            reason = _TOO_MANY_BITS if exponent * _coefficient_bits(base) > _MAX_POWER_BITS else None
+        if reason:
+            raise ParseError(reason, at)
+        return exponent
+
+    def literal(self, token: str, at: int) -> int | Fraction:
+        if "/" not in token:
+            return parse_int(token, at)
+        numerator, denominator = token.split("/")
+        if not denominator:
+            raise ParseError("malformed rational literal", at)
+        if self.coeff_kind == INT:
+            raise ParseError("rational literal not allowed over integer coefficients", at)
+        denominator = parse_int(denominator, at)
+        if denominator == 0:
+            raise ParseError("zero denominator", at)
+        return Fraction(parse_int(numerator, at), denominator)
 
 
 def parse_polynomial(text: str, variables, coeff_kind: str) -> Polynomial:
     """Parse an edge-label expression into canonical sparse form."""
-    return _Parser(_tokenize(text), variables, coeff_kind).parse()
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise ParseError("empty input", 0)
+    tokens.append(_END)
+    try:
+        return _Parser(tokens, variables, coeff_kind).parse()
+    except ParseError as exc:
+        # a malformed token is reported first, as the token-by-token reading
+        # of the text would meet it before any parse error
+        position = _token_positions(text)[exc.position]
+        raise ParseError(exc.reason, position) from None
 
 
 # ---------------------------------------------------------------------------
@@ -943,21 +1013,51 @@ def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
     """
     width = image._width
     top = width * (len(variables) - 1)
-    half = xi // 2
-    digits: list[tuple[int, int, int]] = []  # image monomial, power, digit
+    digit_bits = xi.bit_length() - 1  # xi >= 2**digit_bits
+    triples: list[tuple[int, int, int]] = []  # image monomial, power, digit
     degree = 0
     for m, c in image._packed.items():
-        power = 0
+        end = _symmetric_digits(c, xi, abs(c).bit_length() // digit_bits + 2, m, triples)
+        degree = max(degree, (m >> top) + end - 1)  # the top digit is nonzero
+    return _with_last(tuple(variables), triples, width, degree)
+
+
+# Up to this many digits _symmetric_digits peels one digit at a time.
+_PEEL_DIGITS = 32
+
+
+def _symmetric_digits(c: int, xi: int, count: int, m: int, triples: list, power: int = 0) -> int:
+    """Append ``(m, power + k, d)`` to ``triples`` for each nonzero symmetric
+    xi-adic digit ``d`` (in (-xi/2, xi/2]) of ``c`` at ``xi^k``, for xi >= 3,
+    and return ``power`` plus the number of digits up to the top nonzero one.
+
+    ``count`` is about how many digits ``c`` has; it only chooses where to
+    split. Peeling a digit divides the whole rest of ``c``, so peeling every
+    digit costs time quadratic in their number. Past _PEEL_DIGITS the digits
+    are split at ``P = xi^(count//2)``: the low half is the one residue of
+    ``c`` modulo P that the low digits can write, counted from ``least``
+    (every digit at its minimum), and each half is converted on its own.
+    """
+    if count <= _PEEL_DIGITS:
+        half = xi // 2
         while c:
             c, digit = divmod(c, xi)
             if digit > half:
                 digit -= xi
                 c += 1
             if digit:
-                digits.append((m, power, digit))
+                triples.append((m, power, digit))
             power += 1
-        degree = max(degree, (m >> top) + power - 1)  # the top digit is nonzero
-    return _with_last(tuple(variables), digits, width, degree)
+        return power
+    low = count // 2
+    P = xi ** low
+    least = -((xi - 1) // 2) * ((P - 1) // (xi - 1))
+    rest = (c - least) % P + least
+    end = _symmetric_digits(rest, xi, low, m, triples, power)
+    high = (c - rest) // P
+    if not high:
+        return end
+    return _symmetric_digits(high, xi, count - low, m, triples, power + low)
 
 
 def _with_last(variables, triples, width: int, degree: int) -> Polynomial:

@@ -7,7 +7,10 @@ elimination for span questions, enumeration of every factor assignment
 for the bounded flow-up search, and the schoolbook tuple-keyed polynomial
 product, max-scan division, evaluation and interpolation in the last
 variable, and splitting off and joining back the last variable that the
-packed integer kernel replaced.
+packed integer kernel replaced; the digit-at-a-time symmetric xi-adic
+expansion that the recursive split replaced; and the token-by-token
+recursive-descent parser that builds a polynomial for every token, which
+the run-folding parser replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ import itertools
 from fractions import Fraction
 
 from graphsplines.basis import SplineMatrix
-from graphsplines.polynomials import INT, Polynomial
+from graphsplines.errors import ParseError, excerpt
+from graphsplines.polynomials import (
+    _MAX_NESTING,
+    INT,
+    Polynomial,
+    _power_too_large,
+    parse_int,
+)
 from graphsplines.search import SearchOutcome, _ColumnSystem
 
 
@@ -280,6 +290,23 @@ def tuple_interpolate_last(image, xi, variables):
     return Polynomial(variables, INT, terms)
 
 
+def peeled_digits(c, xi):
+    """The symmetric xi-adic digits of ``c`` (each in (-xi/2, xi/2]), lowest first.
+
+    One ``divmod`` of the whole remaining coefficient per digit, up to the
+    top nonzero digit.
+    """
+    half = xi // 2
+    digits = []
+    while c:
+        c, digit = divmod(c, xi)
+        if digit > half:
+            digit -= xi
+            c += 1
+        digits.append(digit)
+    return digits
+
+
 def tuple_split_last(p):
     """An INT polynomial as univariate in its last variable, on exponent tuples.
 
@@ -299,3 +326,153 @@ def tuple_join_last(variables, univariate):
         for e, c in coefficient.terms.items():
             terms[e + (degree,)] = c
     return Polynomial(variables, INT, terms)
+
+
+def token_parse_polynomial(text, variables, coeff_kind):
+    """``parse_polynomial`` by the token-by-token parser.
+
+    Every literal and variable becomes a Polynomial, every ``*`` a
+    ``__mul__`` and every ``+``/``-`` a sum; the checks, their messages and
+    their positions are the package's.
+    """
+    return _Parser(_tokenize(text), variables, coeff_kind).parse()
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():  # the digits int() accepts; isdigit() also takes '²'
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdecimal():
+                    k += 1
+                if k == j + 1:
+                    raise ParseError("malformed rational literal", i)
+                tokens.append(("number", text[i:k], i))
+                i = k
+            else:
+                tokens.append(("number", text[i:j], i))
+                i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        elif ch in "+-*^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, variables, coeff_kind):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.variables = tuple(variables)
+        self.coeff_kind = coeff_kind
+
+    @property
+    def current(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        if self.current[0] == "end":
+            raise ParseError("empty input", 0)
+        value = self.expr()
+        kind, text, position = self.current
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {excerpt(text)}", position)
+        return value
+
+    def expr(self) -> Polynomial:
+        negate = False
+        if self.current[0] in ("+", "-"):
+            negate = self.advance()[0] == "-"
+        value = self.term()
+        if negate:
+            value = -value
+        while self.current[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            value = value - rhs if op == "-" else value + rhs
+        return value
+
+    def term(self) -> Polynomial:
+        value = self.factor()
+        while self.current[0] == "*":
+            self.advance()
+            value = value * self.factor()
+        return value
+
+    def factor(self) -> Polynomial:
+        base = self.base()
+        if self.current[0] == "^":
+            self.advance()
+            kind, text, position = self.current
+            if kind == "-":
+                raise ParseError("negative exponent", position)
+            if kind != "number" or "/" in text:
+                raise ParseError("expected a natural-number exponent", position)
+            self.advance()
+            exponent = parse_int(text, position)
+            reason = _power_too_large(base, exponent)
+            if reason:
+                raise ParseError(reason, position)
+            return base ** exponent
+        return base
+
+    def base(self) -> Polynomial:
+        kind, text, position = self.advance()
+        if kind == "number":
+            if "/" in text:
+                if self.coeff_kind == INT:
+                    raise ParseError(
+                        "rational literal not allowed over integer coefficients",
+                        position,
+                    )
+                numerator, denominator = text.split("/")
+                denominator = parse_int(denominator, position)
+                if denominator == 0:
+                    raise ParseError("zero denominator", position)
+                value: int | Fraction = Fraction(parse_int(numerator, position), denominator)
+            else:
+                value = parse_int(text, position)
+            return Polynomial.constant(value, self.variables, self.coeff_kind)
+        if kind == "name":
+            if text not in self.variables:
+                raise ParseError(f"unknown variable {excerpt(text)}", position)
+            return Polynomial.variable(text, self.variables, self.coeff_kind)
+        if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING} levels", position
+                )
+            value = self.expr()
+            kind, _, position = self.current
+            if kind != ")":
+                raise ParseError("expected ')'", position)
+            self.advance()
+            self.depth -= 1
+            return value
+        raise ParseError(
+            "expected a literal, variable, or parenthesized expression", position
+        )

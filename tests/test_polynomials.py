@@ -96,6 +96,15 @@ class TestParser:
         with pytest.raises(ParseError, match="nested deeper"):
             poly("(" * 3000 + "x" + ")" * 3000)
 
+    @pytest.mark.parametrize("inner", ["x", "x + 1", "2*x^3*y - 1/2"])
+    def test_nesting_cap_boundary(self, inner):
+        cap = module._MAX_NESTING
+        assert poly("(" * cap + inner + ")" * cap) == poly(inner)
+        with pytest.raises(ParseError) as err:
+            poly("y + " + "(" * (cap + 1) + inner + ")" * (cap + 1))
+        assert err.value.reason == f"parentheses nested deeper than {cap} levels"
+        assert err.value.position == 4 + cap  # the (cap + 1)-th "("
+
     @pytest.mark.parametrize("kind", [INT, RAT])
     @pytest.mark.parametrize(
         "text, reason, position",
@@ -119,6 +128,88 @@ class TestParser:
     @given(polynomials(kind=INT))
     def test_print_parse_round_trip_int(self, p):
         assert parse_polynomial(str(p), VARS, INT) == p
+
+
+# Malformed or capped pieces spliced into the generated labels.
+MALFORMED_PIECES = (
+    "\u00b2", "\u00e9", "_a", "1/", "1/0", "^-", "x^2^3", "(" * 101 + "x" + ")" * 101,
+    "(x+y+1)^44", "3^10000000", "x^40000", "z", "2x", "/", "$", "()", "x^1/2", "+-",
+    "9" * 4301,
+)
+
+
+def _random_label(rng, depth=2):
+    """A label of the grammar: literals, variables, powers and nested sums."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            draw = rng.random()
+            if depth and draw < 0.3:
+                factor = f"({_random_label(rng, depth - 1)})"
+            elif draw < 0.65:
+                factor = rng.choice(("x", "y", "x", "y"))
+            else:
+                factor = rng.choice(("0", "1", "2", "3", "17", "3/4", "12/8", "1000"))
+            if rng.random() < 0.25:
+                factor += f"^{rng.randint(0, 4)}"
+            factors.append(factor)
+        terms.append(rng.choice(("*", " * ")).join(factors))
+    out = rng.choice(("", "", "-", "+ ")) + terms[0]
+    for term in terms[1:]:
+        out += rng.choice((" + ", " - ", "+", "-")) + term
+    return out
+
+
+def _mutated(rng, text):
+    """``text``, or ``text`` with a malformed piece, character or deletion at one place."""
+    draw = rng.random()
+    at = rng.randint(0, len(text))
+    if draw < 0.35:
+        return text
+    if draw < 0.7:
+        return text[:at] + rng.choice(MALFORMED_PIECES) + text[at:]
+    if draw < 0.85:
+        return text[:at] + rng.choice("+-*^()/ 9xy\u00b2") + text[at:]
+    return text[:at] + text[at + 1:]
+
+
+def _parsed(parse, text, kind, variables=VARS):
+    try:
+        value = parse(text, variables, kind)
+    except ParseError as exc:
+        return "error", exc.reason, exc.position
+    return "value", value, str(value)
+
+
+class TestParserAgainstTokenOracle:
+    """The run-folding parser against the token-by-token one it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_same_value_text_or_error(self, kind, seed):
+        rng = random.Random(f"parse/{kind}/{seed}")
+        outcomes = set()
+        for _ in range(250):
+            text = _mutated(rng, _random_label(rng))
+            expected = _parsed(oracles.token_parse_polynomial, text, kind)
+            assert _parsed(parse_polynomial, text, kind) == expected, text
+            outcomes.add(expected[1] if expected[0] == "error" else "value")
+        assert "value" in outcomes and len(outcomes) > 5  # both sides are exercised
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    @pytest.mark.parametrize("text", MALFORMED_PIECES + ("", "  ", "x + ", "(x", "x)", "1/2/3"))
+    def test_each_piece_alone(self, kind, text):
+        expected = _parsed(oracles.token_parse_polynomial, text, kind)
+        assert _parsed(parse_polynomial, text, kind) == expected
+
+    def test_variables_that_no_token_can_name(self):
+        # operators, digits and duplicates among the variables: only the
+        # first of equal names counts, and only names can be read
+        variables = ("x", "+", "2", "x", "\u00b2")
+        for text in ("x + 2", "x^2 + 2*x", "\u00b2", "+", "x*\u00b2"):
+            expected = _parsed(oracles.token_parse_polynomial, text, INT, variables)
+            assert _parsed(parse_polynomial, text, INT, variables) == expected
 
 
 class TestPrinting:
@@ -837,6 +928,18 @@ class TestEvaluateInterpolate:
                 oracles.tuple_interpolate_last(image, xi, p.variables)
             )
 
+    def test_digits_match_the_peeling_loop(self):
+        # long coefficients are split at powers of xi; short ones are peeled
+        rng = random.Random("symmetric-digits")
+        for _ in range(300):
+            xi = rng.choice((3, 4, 5, 10, 2 ** 31 + 1, rng.randrange(3, 10 ** rng.randrange(1, 40))))
+            c = rng.randrange(-(10 ** rng.randrange(0, 2000)), 10 ** rng.randrange(0, 2000) + 1)
+            count = abs(c).bit_length() // (xi.bit_length() - 1) + 2
+            expected = oracles.peeled_digits(c, xi)
+            assert _digits(c, xi, count) == expected
+            # the count only chooses where to split
+            assert _digits(c, xi, max(count // 3, 40)) == expected
+
     def test_interpolation_widens_past_the_guard_bit(self):
         # the digits of 3^32768 at xi = 3 put x^32768 on a 16-bit field's guard bit
         power = 2 ** 15
@@ -854,6 +957,15 @@ class TestEvaluateInterpolate:
 
 def _max_norm(p):
     return max(abs(c) for c in p.terms.values())
+
+
+def _digits(c, xi, count):
+    """The digits ``_symmetric_digits`` appends, as a list from the lowest up."""
+    triples = []
+    digits = [0] * module._symmetric_digits(c, xi, count, None, triples)
+    for _, power, digit in triples:
+        digits[power] = digit
+    return digits
 
 
 # ---------------------------------------------------------------------------

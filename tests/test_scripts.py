@@ -61,3 +61,18 @@ def test_same_outputs_of_the_tree_with_itself():
     assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 0, 1, 1, 2, 2]
     assert "Q = " in results[1][1] and "error" in results[9][2]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_error_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.error_calls(GRAPHS_DIR, tmp_path))
+    results = same_outputs.run_calls(ROOT, calls)
+    assert len(results) == 36
+    for argv, (code, out, err) in zip(calls, results):
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    errors = [err for _, _, err in results]
+    assert any("--spline 1, entry 2, character 3: negative exponent" in e for e in errors)
+    assert any("entry 2, character 3: unexpected character '\u00b2'" in e for e in errors)
+    assert any("LABEL_PARSE" in e and "zero denominator" in e for e in errors)
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
