@@ -4,8 +4,9 @@
     python3 scripts/same_outputs.py BASE CHANGE --workload poly-det --seed 11
 
 Runs every call of the given splinebench workloads and seeds, plus the
-bundled demo commands of ``scripts/run_demos.py`` and calls whose input
-fails to parse, each in JSON and in text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
+bundled demo commands of ``scripts/run_demos.py``, further probes and a
+search on the bundled graphs, and calls whose input fails to parse, each
+in JSON and in text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
 ``src/`` in a child interpreter), and reports every call whose stdout,
 stderr or exit code differs. The instances are generated once, by this
 checkout's ``splinebench/workloads.py``, and both checkouts read the same
@@ -64,6 +65,31 @@ def error_calls(graphs: Path, directory: Path) -> list:
         path.write_text(json.dumps(document))
         calls += [["q", str(path)], ["flowup", str(path)]]
     return calls
+
+
+def probe_search_calls(graphs: Path) -> list:
+    """The argv of probes and a search on the bundled graphs under ``graphs``.
+
+    The first five probes find a counterexample (the two on
+    ``zx-obstruction.json`` only on trials 2 and 3), the other five pass,
+    and the search runs in a permuted vertex order.
+    """
+    xy, squares, zx, fig2 = (
+        str(graphs / f"{name}.json") for name in ("xy", "squares", "zx-obstruction", "fig2")
+    )
+    return [
+        ["probe", xy, "--q", "x^2*y", "--trials", "50"],
+        ["probe", squares, "--q", "x^3*y^2", "--trials", "50"],
+        ["probe", zx, "--q", "8*x^2+8*x"],
+        ["probe", zx, "--q", "12*x^2+12*x"],
+        ["probe", fig2, "--q", "7", "--seed", "3"],
+        ["probe", xy, "--trials", "20"],
+        ["probe", xy, "--vertex-order", "v3,v1,v2", "--trials", "20"],
+        ["probe", squares, "--vertex-order", "v2,v3,v1", "--trials", "20"],
+        ["probe", zx, "--trials", "20", "--seed", "5"],
+        ["probe", fig2, "--vertex-order", "v3,v2,v1", "--q", "20", "--trials", "100"],
+        ["search", xy, "--vertex-order", "v2,v3,v1", "--factors", "x;y;x+y", "--degree", "2"],
+    ]
 
 
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
@@ -138,6 +164,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
+        calls += probe_search_calls(ROOT / "graphs")
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

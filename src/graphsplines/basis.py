@@ -15,7 +15,7 @@ down to a matrix of integers. Bareiss elimination over ZZ gives its
 determinant, and the coefficients are read back level by level as symmetric
 xi-adic digits. A matrix whose images would pass a fixed bit budget (the
 one the heuristic gcd uses) stays on Bareiss elimination over the
-polynomial ring.
+polynomial ring. The divisibility probe takes only integer determinants.
 """
 
 from __future__ import annotations
@@ -243,8 +243,10 @@ def divides_all_dets_probe(
 ) -> ProbeResult:
     """Randomized check that q divides det of sampled n-column spline sets.
 
-    Columns are random small combinations of the flow-up witnesses and the
-    constant spline. Returns the first counterexample matrix if one appears.
+    Columns are random small combinations of the constant spline and the
+    flow-up witnesses, so a sampled matrix is that lower-triangular pool
+    times an integer matrix C, and its determinant is det(pool) * det(C).
+    Returns the first counterexample matrix if one appears.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -255,15 +257,13 @@ def divides_all_dets_probe(
     n = graph.n
     pool = [tuple(ring.one for _ in range(n))]
     pool.extend(flow_up_witness(graph, i) for i in range(1, n))
+    pool_determinant = ring.product(pool[i][i] for i in range(1, n))
     rng = random.Random(seed)
     for trial in range(trials):
-        columns = []
-        for _ in range(n):
-            coefficients = [ring.from_int(rng.randint(-3, 3)) for _ in pool]
-            columns.append(spline_combination(ring, coefficients, pool))
-        rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-        determinant = exact_determinant(ring, rows)
+        draws = [[rng.randint(-3, 3) for _ in pool] for _ in range(n)]  # C transposed
+        determinant = ring.mul(pool_determinant, ring.from_int(exact_determinant(ZZ, draws)))
         if not ring.divides(q, determinant):
+            columns = (spline_combination(ring, map(ring.from_int, c), pool) for c in draws)
             return ProbeResult(False, tuple(columns), trial + 1)
     return ProbeResult(True, None, trials)
 
@@ -291,8 +291,6 @@ def c3_flowup_obstruction(ring, a, b, c, in_ideal_bc) -> bool:
     for label in labels:
         if ring.is_zero(label):
             raise ValueError("labels must be nonzero")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not ring.is_unit(ring.gcd(labels[i], labels[j])):
-                raise ValueError("labels must be pairwise coprime")
+    if not LabeledGraph.cycle(ring, labels).pairwise_coprime_labels():
+        raise ValueError("labels must be pairwise coprime")
     return not in_ideal_bc(a)

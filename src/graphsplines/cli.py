@@ -23,7 +23,6 @@ from .basis import (
     compute_q,
     divides_all_dets_probe,
     even_constant_term,
-    spline_determinant,
     zero_constant_term,
 )
 from .errors import ParseError, SplineAlgebraError
@@ -265,13 +264,13 @@ def _cmd_search(args):
         lines.append("flow-up class basis found:")
         for k, column in enumerate(outcome.basis.columns):
             lines.append(f"  B{k + 1} = {_spline_text(graph, column)}")
-        determinant = spline_determinant(outcome.basis)
-        lines.append(f"determinant: {ring.to_text(determinant)}")
+        determinant = ring.to_text(outcome.determinant)
+        lines.append(f"determinant: {determinant}")
         report = {
             "command": "search",
             "verdict": "yes",
             "degree_bound": outcome.degree_bound,
-            "determinant": ring.to_text(determinant),
+            "determinant": determinant,
             **outcome.basis.to_document(),
         }
         return 0, report, lines

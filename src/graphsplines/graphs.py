@@ -86,12 +86,18 @@ class LabeledGraph:
         return [e.label for e in self.edges if vertex in (e.u, e.v)]
 
     def pairwise_coprime_labels(self) -> bool:
-        """True iff every pair of edge labels has a unit gcd."""
+        """True iff every pair of edge labels has a unit gcd.
+
+        The label rings are UFDs, where a prime dividing a product divides a
+        factor, so one gcd per label, with the product before it, decides.
+        """
+        ring = self.ring
         labels = self.labels()
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if not self.ring.is_unit(self.ring.gcd(labels[i], labels[j])):
-                    return False
+        product = labels[0] if labels else ring.one
+        for label in labels[1:]:
+            if not ring.is_unit(ring.gcd(product, label)):
+                return False
+            product = ring.mul(product, label)
         return True
 
     def describe(self) -> str:

@@ -162,7 +162,7 @@ def _impose_congruence(columns, u: int, v: int, label: int, lcm: int) -> None:
     the later coordinates, where d_j = g_{j+1} / g_j. The new column j is
     therefore d_j*b_j - (a_j/g_j)*w, where w is a combination of the later
     columns with residue g_{j+1}. Entries below the diagonal are taken mod
-    ``lcm`` as they are formed, and the basis is left in canonical form.
+    ``lcm`` as they are formed; they are not reduced below the pivots.
     """
     residues = [(column[u] - column[v]) % label for column in columns]
     if not any(residues):
@@ -185,7 +185,6 @@ def _impose_congruence(columns, u: int, v: int, label: int, lcm: int) -> None:
         helper[j] = s * column[j] % lcm
         columns[j] = new_column
         tail_gcd = g
-    _reduce_below_pivots(columns, lcm)
 
 
 def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
@@ -193,12 +192,12 @@ def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
 
     The splines are the f in Z^n with f[u] == f[v] (mod label) on every
     edge. Starting from the identity basis of Z^n, each edge congruence is
-    imposed on the current lower-triangular basis, which is then reduced to
-    canonical form with every entry in [0, L], where L is the lcm of the
-    absolute labels; the diagonal entries divide L and the entries left of
-    them are smaller. This is the modular Hermite normal form of Domich,
-    Kannan and Trotter (1987); see Cohen, *A Course in Computational
-    Algebraic Number Theory*, GTM 138, section 2.4.
+    imposed on the current lower-triangular basis with every entry kept in
+    [0, L], where L is the lcm of the absolute labels, and the last basis
+    is reduced once to canonical form: the diagonal entries divide L and
+    the entries left of them are smaller. This is the modular Hermite
+    normal form of Domich, Kannan and Trotter (1987); see Cohen, *A Course
+    in Computational Algebraic Number Theory*, GTM 138, section 2.4.
     """
     if graph.ring.kind != "int":
         raise RingMismatchError("the spline lattice is defined over the integer ring")
@@ -211,6 +210,7 @@ def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
     columns = [[int(i == j) for i in range(n)] for j in range(n)]
     for edge in graph.edges:
         _impose_congruence(columns, edge.u, edge.v, abs(edge.label), lcm)
+    _reduce_below_pivots(columns, lcm)
     return [[column[i] for column in columns] for i in range(n)]
 
 

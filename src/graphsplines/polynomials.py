@@ -460,7 +460,7 @@ def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
 
 def _term_text(variables, exponents, magnitude) -> str:
     monomial = "*".join(
-        name if power == 1 else f"{name}^{power}"
+        name if power == 1 else f"{name}^{number_text(power)}"
         for name, power in zip(variables, exponents)
         if power
     )

@@ -23,11 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import SplineMatrix, check_basis, compute_q
+from .basis import Provenance, QInvariant, SplineMatrix, check_basis
 from .errors import RingMismatchError
 from .graphs import LabeledGraph
 from .polynomials import RAT, Polynomial
-from .splines import is_spline
 
 
 def solve_rational_system(rows):
@@ -99,6 +98,7 @@ class SearchOutcome:
     """Distinct leading-term tuples among those assignments: prod comb(m + n - 1,
     n - 1) over the multiplicities m of the distinct monic factors. Only the
     forced tuple (L_1, ..., L_n) is solved."""
+    determinant: Polynomial | None = None  # of the found basis
 
     @property
     def found(self) -> bool:
@@ -251,13 +251,9 @@ def flow_up_search_bounded(
         if entries is None:
             return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
         columns.append(tuple(entries))
-    for column in columns:
-        if not is_spline(graph, column).ok:
-            raise AssertionError("solved assignment produced a non-spline column")
-    matrix = SplineMatrix(graph, columns)
-    verdict = check_basis(matrix, compute_q(graph))
+    matrix = SplineMatrix(graph, columns)  # checks every column is a spline
+    verdict = check_basis(matrix, QInvariant(graph, q_value, Provenance.COPRIME_PRODUCT))
     if not verdict.is_basis:
         raise AssertionError("solved assignment must pass the determinant criterion")
-    return SearchOutcome(
-        matrix, tuple(leading), degree_bound, assignments_total, systems_checked
-    )
+    return SearchOutcome(matrix, tuple(leading), degree_bound, assignments_total,
+                         systems_checked, verdict.determinant)

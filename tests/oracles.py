@@ -10,15 +10,20 @@ variable, and splitting off and joining back the last variable that the
 packed integer kernel replaced; the digit-at-a-time symmetric xi-adic
 expansion that the recursive split replaced; and the token-by-token
 recursive-descent parser that builds a polynomial for every token, which
-the run-folding parser replaced.
+the run-folding parser replaced; the divisibility probe that builds every
+sampled column and takes its n x n determinant over the graph's ring,
+which the pool-determinant probe replaced; and the coprimality test that
+takes the gcd of every pair of labels, which the running-product test
+replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
-from graphsplines.basis import SplineMatrix
+from graphsplines.basis import ProbeResult, SplineMatrix, exact_determinant
 from graphsplines.errors import ParseError, excerpt
 from graphsplines.polynomials import (
     _MAX_NESTING,
@@ -28,6 +33,7 @@ from graphsplines.polynomials import (
     parse_int,
 )
 from graphsplines.search import SearchOutcome, _ColumnSystem
+from graphsplines.splines import flow_up_witness, spline_combination
 
 
 def enumerate_integer_splines(vertex_count, int_edges, bound):
@@ -207,6 +213,42 @@ def enumerating_flow_up_search(graph, factors, degree_bound):
                 assignments_total, len(seen),
             )
     return SearchOutcome(None, None, degree_bound, assignments_total, len(seen))
+
+
+def combination_probe(graph, q, trials, seed):
+    """``divides_all_dets_probe`` by building every sampled column.
+
+    Each trial draws the coefficients of each column on the pool (the
+    constant spline, then the flow-up witnesses), forms the columns and
+    takes the n x n determinant over the graph's ring. Input validation is
+    left to the probe under test.
+    """
+    ring = graph.ring
+    n = graph.n
+    pool = [tuple(ring.one for _ in range(n))]
+    pool.extend(flow_up_witness(graph, i) for i in range(1, n))
+    rng = random.Random(seed)
+    for trial in range(trials):
+        columns = []
+        for _ in range(n):
+            coefficients = [ring.from_int(rng.randint(-3, 3)) for _ in pool]
+            columns.append(spline_combination(ring, coefficients, pool))
+        rows = [[columns[j][i] for j in range(n)] for i in range(n)]
+        determinant = exact_determinant(ring, rows)
+        if not ring.divides(q, determinant):
+            return ProbeResult(False, tuple(columns), trial + 1)
+    return ProbeResult(True, None, trials)
+
+
+def pairwise_coprime_by_pairs(graph):
+    """``pairwise_coprime_labels`` by one gcd per pair of labels."""
+    ring = graph.ring
+    labels = graph.labels()
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if not ring.is_unit(ring.gcd(labels[i], labels[j])):
+                return False
+    return True
 
 
 def _grlex_key(exponents):

@@ -26,7 +26,12 @@ from graphsplines import (
 import graphsplines.basis as basis_module
 import graphsplines.polynomials as polynomials
 from conftest import bundled_graph
-from oracles import cofactor_determinant, random_unimodular, spans_integer_lattice
+from oracles import (
+    cofactor_determinant,
+    combination_probe,
+    random_unimodular,
+    spans_integer_lattice,
+)
 
 
 def _random_entry(rng, ring, denominators, degree):
@@ -365,6 +370,66 @@ class TestProbe:
             divides_all_dets_probe(fig2, 20, 0, 1)
         with pytest.raises(ValueError):
             divides_all_dets_probe(fig2, 0, 10, 1)
+
+
+def _probe_label(rng, ring):
+    """A random nonzero label: an int over ZZ, an affine-linear form otherwise."""
+    if ring.kind == "int":
+        return rng.randint(2, 30)
+    x, y = ring.variable("x"), ring.variable("y")
+    while True:
+        a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-4, 4)
+        if a or b:
+            return a * x + b * y + ring.from_int(c)
+
+
+PROBE_RINGS = {
+    "zz": ZZ,
+    "zxy": PolynomialRing("int", ["x", "y"]),
+    "qxy": PolynomialRing("rat", ["x", "y"]),
+}
+
+
+def _probe_graph(ring, shape, n, rng):
+    """A seeded path, cycle or complete graph on n vertices, in a shuffled order."""
+    edges = {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2}[shape]
+    labels = [_probe_label(rng, ring) for _ in range(edges)]
+    graph = getattr(LabeledGraph, shape)(ring, labels)
+    order = list(graph.vertices)
+    rng.shuffle(order)
+    return graph.reorder(order)
+
+
+PROBE_CASES = [
+    (ring, shape, n)
+    for ring in PROBE_RINGS
+    for shape, sizes in (("path", range(1, 7)), ("cycle", range(3, 7)),
+                         ("complete", range(1, 7)))
+    for n in sizes
+]
+
+
+@pytest.mark.parametrize("ring_name,shape,n", PROBE_CASES)
+def test_probe_matches_combination_oracle(ring_name, shape, n):
+    """Pool determinant times one integer determinant, against every column built."""
+    ring = PROBE_RINGS[ring_name]
+    rng = random.Random(f"probe-oracle/{ring_name}/{shape}/{n}")
+    graph = _probe_graph(ring, shape, n, rng)
+    q = compute_q(graph).value
+    non_unit = 3 if ring is ZZ else ring.variable("x")
+    for divisor in (q, label_lcm(graph), ring.mul(q, non_unit)):
+        seed = rng.randrange(10 ** 6)
+        result = divides_all_dets_probe(graph, divisor, 4, seed)
+        assert result == combination_probe(graph, divisor, 4, seed)
+
+
+@pytest.mark.parametrize("q_text,first_failure", [("8*x^2+8*x", 2), ("12*x^2+12*x", 3)])
+def test_probe_counterexample_on_a_later_trial(q_text, first_failure):
+    graph = bundled_graph("zx-obstruction")
+    q = graph.ring.element_from_text(q_text)
+    result = divides_all_dets_probe(graph, q, 500, 12345)
+    assert (result.ok, result.trials) == (False, first_failure)
+    assert result == combination_probe(graph, q, 500, 12345)
 
 
 class TestObstruction:

@@ -469,6 +469,60 @@ class TestLongOutput:
         assert pieces[5] == "-" and _digits_value(pieces[6]) == r1 * r2 * r3
         assert len(pieces[6]) > 4300
 
+class TestLongExponent:
+    """An exponent of more than 4300 digits prints as a polynomial's text."""
+
+    LABEL = "(x^" + "9" * 4300 + ")^10"
+    EXPONENT = 10 * (10 ** 4300 - 1)
+
+    def _exponent(self, text):
+        assert text.startswith("x^")
+        return _digits_value(text[2:])
+
+    def test_text(self):
+        from graphsplines.polynomials import parse_polynomial
+
+        text = str(parse_polynomial(self.LABEL, ("x",), "int"))
+        assert len(text) == 2 + 4301
+        assert self._exponent(text) == self.EXPONENT
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        document = {
+            "ring": {"kind": "poly", "coefficients": "int", "variables": ["x"]},
+            "vertices": ["v1", "v2"],
+            "edges": [{"u": "v1", "v": "v2", "label": self.LABEL}],
+        }
+        path = tmp_path / "long-exponent.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_q(self, capsys, path):
+        code, out, err = run(capsys, "q", path)
+        assert code == 0, err
+        line = next(line for line in out.splitlines() if line.startswith("Q = "))
+        assert line.endswith(" (provenance: coprime-product)")
+        assert self._exponent(line.split()[2]) == self.EXPONENT
+        code, out, err = run(capsys, "q", path, "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["provenance"] == "coprime-product"
+        assert self._exponent(report["q"]) == self.EXPONENT
+
+    def test_flowup(self, capsys, path):
+        code, out, err = run(capsys, "flowup", path)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[2] == "  class 0: (1, 1) (constant spline)"
+        assert lines[3].startswith("  class 1: (0, ") and lines[3].endswith(")")
+        assert self._exponent(lines[3][len("  class 1: (0, "):-1]) == self.EXPONENT
+        code, out, err = run(capsys, "flowup", path, "--json")
+        assert code == 0, err
+        witnesses = json.loads(out)["witnesses"]
+        assert witnesses[0] == ["1", "1"] and witnesses[1][0] == "0"
+        assert self._exponent(witnesses[1][1]) == self.EXPONENT
+
+
 class TestHugeDegree:
     """Labels of degree 10^6 keep the determinant on polynomial Bareiss.
 

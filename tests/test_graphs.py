@@ -14,6 +14,7 @@ from graphsplines import (
     load_graph,
 )
 from conftest import bundled_graph
+from oracles import pairwise_coprime_by_pairs
 
 
 def doc(labels=("4", "5", "2"), ring=None):
@@ -199,6 +200,51 @@ class TestQueries:
         assert not bundled_graph("fig2").pairwise_coprime_labels()
         single = LabeledGraph.path(ZZ, [6])
         assert single.pairwise_coprime_labels()
+
+    @pytest.mark.parametrize("coefficients,texts,expected", [
+        ("zz", ["7", "11", "13", "6", "10"], False),
+        ("zz", ["1", "-1", "5", "1"], True),
+        ("zz", ["-3", "4", "5", "-7"], True),
+        ("int", ["x", "y", "x + y", "x*y + 1", "(x + 1)*(y - 1)", "(x + 1)*(x - y)"], False),
+        ("rat", ["x", "y", "x + y", "x*y + 1", "(x + 1)*(y - 1)", "(x + 1)*(x - y)"], False),
+        ("int", ["2", "3*x", "6*y"], False),
+        ("rat", ["2", "3*x", "6*y"], True),
+        ("int", ["2", "3*x", "5*y"], True),
+        ("int", ["2*x + 2", "3*x + 3"], False),
+        ("rat", ["2*x + 2", "3*x + 3"], False),
+        ("int", ["1", "-1", "2", "x"], True),
+        ("int", ["2", "4"], False),
+        ("rat", ["2", "4", "1/3"], True),
+        ("int", ["x^2 - 1", "x^2 + y^2", "x + 1"], False),
+        ("int", ["x^2 + y^2", "x + y", "x - y"], True),
+    ])
+    def test_pairwise_coprime_matches_pairs(self, coefficients, texts, expected):
+        if coefficients == "zz":
+            ring = ZZ
+        else:
+            ring = PolynomialRing(coefficients, ["x", "y"])
+        graph = LabeledGraph.path(ring, [ring.element_from_text(t) for t in texts])
+        assert pairwise_coprime_by_pairs(graph) is expected
+        assert graph.pairwise_coprime_labels() is expected
+
+    @pytest.mark.parametrize("coefficients", ["int", "rat"])
+    def test_pairwise_coprime_matches_pairs_randomly(self, coefficients):
+        ring = PolynomialRing(coefficients, ["x", "y"])
+        parse = ring.element_from_text
+        factors = [parse(t) for t in ("2", "3", "x", "y", "x + 1", "x - y", "2*y + 3",
+                                      "x*y + 1", "x^2 + y^2")]
+        rng = random.Random(f"coprime-oracle/{coefficients}")
+        seen = set()
+        for _ in range(200):
+            labels = [
+                ring.product(rng.sample(factors, rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            graph = LabeledGraph.path(ring, labels)
+            expected = pairwise_coprime_by_pairs(graph)
+            seen.add(expected)
+            assert graph.pairwise_coprime_labels() is expected
+        assert seen == {True, False}
 
     def test_round_trip(self):
         for name in ("fig2", "xy", "squares", "zx-obstruction"):

@@ -76,3 +76,17 @@ def test_same_outputs_error_calls(tmp_path):
     assert any("entry 2, character 3: unexpected character '\u00b2'" in e for e in errors)
     assert any("LABEL_PARSE" in e and "zero denominator" in e for e in errors)
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_probe_and_search_calls():
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.probe_search_calls(GRAPHS_DIR))
+    results = same_outputs.run_calls(ROOT, calls)
+    assert [code for code, _, _ in results] == [1] * 10 + [0] * 12
+    outputs = [out for _, out, _ in results]
+    trials = [json.loads(out)["trials"] for out in outputs[0:10:2]]
+    assert trials[2:4] == [2, 3]
+    assert all(json.loads(out)["verdict"] == "yes" for out in outputs[10:20:2])
+    assert "PROBE: ok (q divides all 20 sampled determinants)" in outputs[13]
+    assert "flow-up class basis found:" in outputs[21]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []

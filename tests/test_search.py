@@ -15,6 +15,7 @@ from graphsplines import (
     flow_up_search_bounded,
     spline_determinant,
 )
+import graphsplines.search as search_module
 from graphsplines.graphs import Edge
 from graphsplines.search import monomials_up_to, solve_rational_system
 from conftest import GRAPHS_DIR, bundled_graph, source_env
@@ -154,6 +155,65 @@ class TestSearch:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("raised: solved assignment"), result.stdout
+
+    NON_SPLINE_COLUMN = textwrap.dedent(
+        """
+        from graphsplines.search import _ColumnSystem
+
+        solve = _ColumnSystem.feasible
+
+        def feasible(system):
+            # a constant added to the last entry of column 2 breaks its congruences
+            entries = solve(system)
+            if system.position == 1:
+                entries[-1] = entries[-1] + system.ring.one
+            return entries
+        """
+    )
+
+    def test_non_spline_column_is_rejected(self, qxy, monkeypatch):
+        namespace = {}
+        exec(self.NON_SPLINE_COLUMN, namespace)
+        monkeypatch.setattr(search_module._ColumnSystem, "feasible", namespace["feasible"])
+        x, y = qxy.variable("x"), qxy.variable("y")
+        with pytest.raises(ValueError, match="^column 2 is not a spline: edge "):
+            flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y], 2)
+
+    def test_non_spline_column_is_rejected_under_optimize(self):
+        script = self.NON_SPLINE_COLUMN + textwrap.dedent(
+            """
+            import sys
+            from graphsplines import flow_up_search_bounded, load_graph
+
+            _ColumnSystem.feasible = feasible
+            assert False, "assert statements are not stripped"
+            graph = load_graph(open(sys.argv[1]).read())
+            factors = [graph.ring.element_from_text(t) for t in ("x", "y", "x+y")]
+            try:
+                flow_up_search_bounded(graph, factors, 2)
+            except ValueError as exc:
+                print("raised:", exc)
+            else:
+                print("found")
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(GRAPHS_DIR / "xy.json")],
+            capture_output=True,
+            env=source_env(),
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("raised: column 2 is not a spline: edge "), result.stdout
+
+    def test_found_outcome_carries_its_determinant(self, qxy):
+        x, y = qxy.variable("x"), qxy.variable("y")
+        outcome = flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y], 2)
+        assert outcome.determinant == spline_determinant(outcome.basis)
+        assert outcome.determinant == x * y * (x + y)
+        missing = flow_up_search_bounded(bundled_graph("squares"), [x, x, y, y, x + y, x + y], 2)
+        assert not missing.found and missing.determinant is None
 
     def test_reducible_factor_finds_forced_basis(self, qxy):
         # x*y cannot be split into the forced leading terms x and y, so a
