@@ -58,7 +58,9 @@ def _integer_bareiss(rows):
 def _bareiss(ring, a):
     """Determinant by fraction-free (Bareiss) elimination, in place on ``a``.
 
-    Valid in any ring with exact division.
+    Valid in any ring with exact division. The entries are checked elements
+    of ``ring``, so their own operators do the arithmetic; only the division
+    goes through the ring.
 
     Every intermediate entry is a true subdeterminant, so the divisions are
     guaranteed exact and entries stay polynomial-sized.
@@ -67,9 +69,9 @@ def _bareiss(ring, a):
     sign = 1
     previous = ring.one
     for k in range(n - 1):
-        if ring.is_zero(a[k][k]):
+        if not a[k][k]:
             for r in range(k + 1, n):
-                if not ring.is_zero(a[r][k]):
+                if a[r][k]:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
@@ -77,9 +79,7 @@ def _bareiss(ring, a):
                 return ring.zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                numerator = ring.sub(
-                    ring.mul(a[i][j], a[k][k]), ring.mul(a[i][k], a[k][j])
-                )
+                numerator = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 quotient = ring.exact_div(numerator, previous)
                 if quotient is None:
                     raise AssertionError("Bareiss division was not exact")
@@ -87,7 +87,7 @@ def _bareiss(ring, a):
             a[i][k] = ring.zero
         previous = a[k][k]
     result = a[n - 1][n - 1]
-    return result if sign == 1 else ring.neg(result)
+    return result if sign == 1 else -result
 
 
 class SplineMatrix:
@@ -186,7 +186,7 @@ def check_basis(matrix: SplineMatrix, q: QInvariant) -> BasisVerdict:
         raise ValueError("Q invariant was computed for a different graph")
     ring = matrix.graph.ring
     determinant = spline_determinant(matrix)
-    if ring.is_zero(determinant):
+    if not determinant:
         return BasisVerdict(False, None, "determinant is zero", determinant)
     unit = ring.exact_div(determinant, q.value)
     if unit is not None and ring.is_unit(unit):
@@ -261,7 +261,7 @@ def divides_all_dets_probe(
     rng = random.Random(seed)
     for trial in range(trials):
         draws = [[rng.randint(-3, 3) for _ in pool] for _ in range(n)]  # C transposed
-        determinant = ring.mul(pool_determinant, ring.from_int(exact_determinant(ZZ, draws)))
+        determinant = pool_determinant * ring.from_int(exact_determinant(ZZ, draws))
         if not ring.divides(q, determinant):
             columns = (spline_combination(ring, map(ring.from_int, c), pool) for c in draws)
             return ProbeResult(False, tuple(columns), trial + 1)

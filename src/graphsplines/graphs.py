@@ -97,7 +97,7 @@ class LabeledGraph:
         for label in labels[1:]:
             if not ring.is_unit(ring.gcd(product, label)):
                 return False
-            product = ring.mul(product, label)
+            product = product * label
         return True
 
     def describe(self) -> str:

@@ -360,14 +360,19 @@ class Polynomial:
         if not self._packed:
             return "0"
         unpack = _unpacker(len(self.variables), self._width)
+        den = self._den
         pieces = []
         for m in sorted(self._packed, reverse=True):  # descending grlex
-            coefficient = self._coefficient(self._packed[m])
-            body = _term_text(self.variables, unpack(m), abs(coefficient))
+            numerator = self._packed[m]
+            g = math.gcd(numerator, den)  # numerator/den in lowest terms
+            magnitude = number_text(abs(numerator) // g)
+            if g != den:
+                magnitude = f"{magnitude}/{number_text(den // g)}"
+            body = _term_text(self.variables, unpack(m), magnitude)
             if not pieces:
-                pieces.append(f"-{body}" if coefficient < 0 else body)
+                pieces.append(f"-{body}" if numerator < 0 else body)
             else:
-                pieces.append(f"- {body}" if coefficient < 0 else f"+ {body}")
+                pieces.append(f"- {body}" if numerator < 0 else f"+ {body}")
         return " ".join(pieces)
 
     __repr__ = __str__
@@ -458,17 +463,17 @@ def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
     return _reduced(a.variables, out, den, width)
 
 
-def _term_text(variables, exponents, magnitude) -> str:
+def _term_text(variables, exponents, magnitude: str) -> str:
     monomial = "*".join(
         name if power == 1 else f"{name}^{number_text(power)}"
         for name, power in zip(variables, exponents)
         if power
     )
     if not monomial:
-        return number_text(magnitude)
-    if magnitude == 1:
+        return magnitude
+    if magnitude == "1":
         return monomial
-    return f"{number_text(magnitude)}*{monomial}"
+    return f"{magnitude}*{monomial}"
 
 
 # ---------------------------------------------------------------------------

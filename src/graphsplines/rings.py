@@ -1,9 +1,14 @@
 """Coefficient rings: arbitrary-precision integers, rationals, and polynomial rings.
 
 A ring object is the descriptor every other module programs against. Elements
-are plain values (``int``, ``Fraction``, or :class:`Polynomial`); the ring
-supplies arithmetic, divisibility, gcd/lcm, unit tests, canonical unit
-normalization, and text conversion. All operations are exact and pure.
+are plain values (``int``, ``Fraction``, or :class:`Polynomial`) whose own
+operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
+``mul`` and ``is_zero`` once, as those operators applied after ``check``,
+derives ``divides``, ``lcm`` and ``product`` from them, and prints numbers.
+Each subclass holds only what differs between rings: the element ``check``,
+``from_int``, exact division, gcd, the unit test, canonical unit
+normalization and parsing; :class:`PolynomialRing` also its own text,
+document and equality. All operations are exact and pure.
 """
 
 from __future__ import annotations
@@ -29,10 +34,27 @@ _RAT_LITERAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
 class Ring:
-    """Shared behaviour; concrete rings fill in the primitive operations."""
+    """Shared behaviour; concrete rings fill in ``check`` and the ring-specific questions.
+
+    The arithmetic methods check their arguments, so a foreign element
+    raises RingMismatchError. Code that holds only checked elements may
+    apply the Python operators to them directly.
+    """
+
+    def add(self, a, b):
+        return self.check(a) + self.check(b)
+
+    def neg(self, a):
+        return -self.check(a)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.check(a) - self.check(b)
+
+    def mul(self, a, b):
+        return self.check(a) * self.check(b)
+
+    def is_zero(self, a) -> bool:
+        return not self.check(a)
 
     def divides(self, a, b) -> bool:
         """True iff a*q == b for some ring element q; divides(0, 0) is True."""
@@ -59,6 +81,21 @@ class Ring:
             out = self.mul(out, item)
         return out
 
+    def to_text(self, a) -> str:
+        return number_text(self.check(a))
+
+    def to_document(self) -> dict:
+        return {"kind": self.kind}
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+    def __eq__(self, other):
+        return isinstance(other, type(self))
+
+    def __hash__(self):
+        return hash(type(self).__name__)
+
 
 class IntegerRing(Ring):
     """The integers with Euclidean gcd and nonnegative normalization."""
@@ -75,18 +112,6 @@ class IntegerRing(Ring):
 
     def from_int(self, k: int) -> int:
         return int(k)
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def neg(self, a):
-        return -self.check(a)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
-
-    def is_zero(self, a) -> bool:
-        return self.check(a) == 0
 
     def is_unit(self, a) -> bool:
         return self.check(a) in (1, -1)
@@ -110,21 +135,6 @@ class IntegerRing(Ring):
             raise ParseError(f"malformed integer literal {excerpt(text)}", 0)
         return parse_int(text)
 
-    def to_text(self, a) -> str:
-        return number_text(self.check(a))
-
-    def to_document(self) -> dict:
-        return {"kind": "int"}
-
-    def __repr__(self):
-        return "IntegerRing()"
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("IntegerRing")
-
 
 class RationalRing(Ring):
     """The rationals; a field, so every nonzero element is a unit."""
@@ -145,18 +155,6 @@ class RationalRing(Ring):
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def neg(self, a):
-        return -self.check(a)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
-
-    def is_zero(self, a) -> bool:
-        return self.check(a) == 0
 
     def is_unit(self, a) -> bool:
         return self.check(a) != 0
@@ -184,21 +182,6 @@ class RationalRing(Ring):
                 raise ParseError("zero denominator", 0)
             return Fraction(parse_int(head), denominator)
         return Fraction(parse_int(head))
-
-    def to_text(self, a) -> str:
-        return number_text(self.check(a))
-
-    def to_document(self) -> dict:
-        return {"kind": "rat"}
-
-    def __repr__(self):
-        return "RationalRing()"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("RationalRing")
 
 
 class PolynomialRing(Ring):
@@ -244,21 +227,6 @@ class PolynomialRing(Ring):
 
     def variable(self, name: str) -> Polynomial:
         return Polynomial.variable(name, self.variables, self.coeff_kind)
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def neg(self, a):
-        return -self.check(a)
-
-    def sub(self, a, b):
-        return self.check(a) - self.check(b)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
-
-    def is_zero(self, a) -> bool:
-        return self.check(a).is_zero()
 
     def is_unit(self, a) -> bool:
         return self.check(a).is_unit()

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import Provenance, QInvariant, SplineMatrix, check_basis
+from .basis import Provenance, SplineMatrix, check_basis, compute_q
 from .errors import RingMismatchError
 from .graphs import LabeledGraph
 from .polynomials import RAT, Polynomial
@@ -215,7 +215,8 @@ def flow_up_search_bounded(
         raise RingMismatchError(
             "the bounded search needs a polynomial ring with rational coefficients"
         )
-    if not graph.pairwise_coprime_labels():
+    q = compute_q(graph)
+    if q.provenance is not Provenance.COPRIME_PRODUCT:
         raise ValueError("the bounded search requires pairwise coprime edge labels")
     factors = []
     for factor in q_factors:
@@ -223,8 +224,7 @@ def flow_up_search_bounded(
         if ring.is_zero(factor) or ring.is_unit(factor):
             raise ValueError("factors must be nonzero nonunits")
         factors.append(factor.normalized())
-    q_value = ring.product(graph.labels())
-    unit = ring.exact_div(ring.product(factors), q_value)
+    unit = ring.exact_div(ring.product(factors), q.value)
     if unit is None or not ring.is_unit(unit):
         raise ValueError("factor product is not a unit multiple of the label product")
     max_label_degree = max(
@@ -252,7 +252,7 @@ def flow_up_search_bounded(
             return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
         columns.append(tuple(entries))
     matrix = SplineMatrix(graph, columns)  # checks every column is a spline
-    verdict = check_basis(matrix, QInvariant(graph, q_value, Provenance.COPRIME_PRODUCT))
+    verdict = check_basis(matrix, q)
     if not verdict.is_basis:
         raise AssertionError("solved assignment must pass the determinant criterion")
     return SearchOutcome(matrix, tuple(leading), degree_bound, assignments_total,

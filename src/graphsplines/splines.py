@@ -40,11 +40,10 @@ def is_spline(graph: LabeledGraph, candidate) -> SplineCheck:
             f"candidate has {len(candidate)} entries; the graph has {graph.n} vertices"
         )
     ring = graph.ring
-    for entry in candidate:
-        ring.check(entry)
+    candidate = [ring.check(entry) for entry in candidate]
     violations = []
     for index, edge in enumerate(graph.edges):
-        difference = ring.sub(candidate[edge.u], candidate[edge.v])
+        difference = candidate[edge.u] - candidate[edge.v]
         if not ring.divides(edge.label, difference):
             violations.append(
                 EdgeViolation(

@@ -12,9 +12,10 @@ expansion that the recursive split replaced; and the token-by-token
 recursive-descent parser that builds a polynomial for every token, which
 the run-folding parser replaced; the divisibility probe that builds every
 sampled column and takes its n x n determinant over the graph's ring,
-which the pool-determinant probe replaced; and the coprimality test that
+which the pool-determinant probe replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
-replaced.
+replaced; and the printer that formats each term from its ``Fraction``
+coefficient, which the one-gcd-per-term printer replaced.
 """
 
 from __future__ import annotations
@@ -253,6 +254,31 @@ def pairwise_coprime_by_pairs(graph):
 
 def _grlex_key(exponents):
     return (sum(exponents), exponents)
+
+
+def fraction_text(p):
+    """A polynomial's text, each term formatted from its ``.terms`` coefficient."""
+    pieces = []
+    for exponents, coefficient in sorted(
+        p.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True
+    ):
+        monomial = "*".join(
+            name if power == 1 else f"{name}^{power}"
+            for name, power in zip(p.variables, exponents)
+            if power
+        )
+        magnitude = abs(coefficient)
+        if not monomial:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = monomial
+        else:
+            body = f"{magnitude}*{monomial}"
+        if not pieces:
+            pieces.append(f"-{body}" if coefficient < 0 else body)
+        else:
+            pieces.append(f"- {body}" if coefficient < 0 else f"+ {body}")
+    return " ".join(pieces) or "0"
 
 
 def schoolbook_multiply(a, b):

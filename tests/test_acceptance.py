@@ -11,7 +11,6 @@ import random
 
 from graphsplines import (
     ZZ,
-    LabeledGraph,
     Polynomial,
     PolynomialRing,
     SplineMatrix,
@@ -21,7 +20,6 @@ from graphsplines import (
     cramer_membership,
     divides_all_dets_probe,
     even_constant_term,
-    flow_up_index,
     flow_up_search_bounded,
     flow_up_witness,
     hermite_normal_form,

@@ -222,6 +222,19 @@ class TestPrinting:
     def test_zero(self):
         assert str(poly("0")) == "0"
 
+    def test_each_coefficient_in_lowest_terms(self):
+        # stored as (3*x + 2)/6: each term reduces by a different gcd
+        assert str(poly("1/2*x + 1/3")) == "1/2*x + 1/3"
+        assert str(poly("-4/6*x*y + 3/9*y - 2/2")) == "-2/3*x*y + 1/3*y - 1"
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_matches_fraction_printing(self, kind):
+        rng = random.Random(f"print-{kind}")
+        for nvars in range(4):
+            for bits in (3, 3, 70):
+                p = _random_polynomial(rng, NAMES[:nvars], kind, 5, 4, bits)
+                assert str(p) == oracles.fraction_text(p)
+
 
 class TestArithmetic:
     def test_ring_mismatch(self):

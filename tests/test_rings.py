@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from graphsplines import (
     QQ,
     ZZ,
+    IntegerRing,
     ParseError,
     PolynomialRing,
+    RationalRing,
     RingMismatchError,
     ring_from_document,
 )
@@ -126,6 +128,49 @@ class TestPolynomialRingInterface:
             ring_from_document({"kind": "poly", "coefficients": "rat", "variables": []})
         with pytest.raises(GraphError):
             ring_from_document({"kind": "galois"})
+
+
+ZX = PolynomialRing("int", ["x"])
+QXY = PolynomialRing("rat", ["x", "y"])
+SHARED_RINGS = [ZZ, QQ, ZX, QXY]
+
+
+class TestSharedRingMethods:
+    """The arithmetic and identity methods every ring takes from ``Ring``."""
+
+    @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
+    @pytest.mark.parametrize("method", ["add", "neg", "sub", "mul", "is_zero"])
+    def test_foreign_elements_raise(self, ring, method):
+        other_polynomial = ZX.variable("x") if ring == QXY else QXY.variable("y")
+        operate = getattr(ring, method)
+        for foreign in (True, "1", other_polynomial):
+            args = (foreign,) if method in ("neg", "is_zero") else (foreign, ring.one)
+            with pytest.raises(RingMismatchError):
+                operate(*args)
+            if len(args) == 2:
+                with pytest.raises(RingMismatchError):
+                    operate(ring.one, foreign)
+
+    @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
+    def test_arithmetic(self, ring):
+        two, three = ring.from_int(2), ring.from_int(3)
+        assert ring.add(two, three) == ring.from_int(5)
+        assert ring.sub(two, three) == ring.neg(ring.one)
+        assert ring.mul(two, three) == ring.from_int(6)
+        assert ring.is_zero(ring.zero) and not ring.is_zero(two)
+
+    def test_rational_results_are_fractions(self):
+        total = QQ.add(1, 2)
+        assert total == Fraction(3) and isinstance(total, Fraction)
+
+    def test_identity_and_text(self):
+        assert IntegerRing() == ZZ and RationalRing() == QQ
+        assert hash(IntegerRing()) == hash(ZZ)
+        assert ZZ != QQ and QQ != ZZ
+        assert repr(ZZ) == "IntegerRing()"
+        assert repr(QQ) == "RationalRing()"
+        assert ring_from_document(QQ.to_document()) == QQ
+        assert ZZ.to_text(-7) == "-7" and QQ.to_text(Fraction(-3, 4)) == "-3/4"
 
 
 def random_poly(ring, rng, max_degree=3, max_terms=3):
