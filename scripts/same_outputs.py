@@ -5,8 +5,9 @@
 
 Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
-search on the bundled graphs, and calls whose input fails to parse, each
-in JSON and in text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
+search on the bundled graphs, searches on labels with rational
+coefficients, and calls whose input fails to parse, each in JSON and in
+text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
 ``src/`` in a child interpreter), and reports every call whose stdout,
 stderr or exit code differs. The instances are generated once, by this
 checkout's ``splinebench/workloads.py``, and both checkouts read the same
@@ -92,6 +93,43 @@ def probe_search_calls(graphs: Path) -> list:
     ]
 
 
+# X and Y of the affine images in rational_search_calls
+RATIONAL_IMAGES = (("(1/2*x + 5/7)", "(2/3*y + 7/4)"), ("(3/5*y - 1/3)", "(-7/2*x + 1/6)"))
+
+
+def rational_search_calls(directory: Path) -> list:
+    """The argv of searches on labels with rational coefficients, their graphs
+    written to ``directory``.
+
+    Each of RATIONAL_IMAGES replaces x, y by X, Y in the 3-cycle
+    ``(x, y, x + y)`` and the 4-cycle ``(x, y, x + y, x - y)``, which have a
+    flow-up basis, and in the squares ``(x^2, y^2, (x + y)^2)``, which are
+    NONEXISTENT; each graph is searched at degrees 2 and 3.
+    """
+    ring = {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]}
+    calls = []
+    for index, (X, Y) in enumerate(RATIONAL_IMAGES):
+        total = f"{X} + {Y}"
+        cases = {
+            "xy": ([X, Y, total], [X, Y, total]),
+            "c4": ([X, Y, total, f"{X} - {Y}"], [X, Y, total, f"{X} - {Y}"]),
+            "sq": ([f"{X}^2", f"{Y}^2", f"({total})^2"], [X, X, Y, Y, total, total]),
+        }
+        for case, (labels, factors) in cases.items():
+            names = [f"v{k + 1}" for k in range(len(labels))]
+            edges = [
+                {"u": names[k], "v": names[(k + 1) % len(names)], "label": label}
+                for k, label in enumerate(labels)
+            ]
+            path = directory / f"rational-{case}-{index}.json"
+            path.write_text(json.dumps({"ring": ring, "vertices": names, "edges": edges}))
+            calls += [
+                ["search", str(path), "--factors", ";".join(factors), "--degree", str(degree)]
+                for degree in (2, 3)
+            ]
+    return calls
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -164,7 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
-        calls += probe_search_calls(ROOT / "graphs")
+        calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

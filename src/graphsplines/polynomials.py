@@ -54,9 +54,10 @@ RAT = "rat"
 # widths: __eq__ compares them at the wider one, and __hash__ hashes the
 # numerators repacked at the width their total degree alone calls for.
 #
-# ``terms`` unpacks the whole map and builds every Fraction, so nothing in
-# this module reads it; only the linear systems in search.py and callers
-# outside the package do.
+# ``terms`` unpacks the whole map and builds every Fraction, so no code in
+# the package reads it; the linear systems in search.py read the packed
+# numerators through ``packed_numerators``. Only callers outside the
+# package use ``terms``.
 # ---------------------------------------------------------------------------
 
 # Bits per packed field, guard bit included.
@@ -398,6 +399,11 @@ def _coerce_coefficient(value, coeff_kind):
 def _packed_form(monomials, coeff_kind) -> tuple[dict[int, int], int, int]:
     """(packed map, denominator, width) of a dict from exponent tuples to
     nonzero coefficients: ints, or over RAT ints and Fractions."""
+    if len(monomials) == 1:
+        # the common case of a parsed monomial: no lcm and no rescaling
+        ((exponents, c),) = monomials.items()
+        width = _width_for(sum(exponents))
+        return {_pack(exponents, width): c.numerator}, c.denominator, width
     width = _width_for(max(map(sum, monomials), default=0))
     if coeff_kind == INT:
         return {_pack(e, width): c for e, c in monomials.items()}, 1, width
@@ -438,6 +444,24 @@ def _repacked(p: Polynomial, width: int) -> dict[int, int]:
         return p._packed
     unpack = _unpacker(len(p.variables), p._width)
     return {_pack(unpack(m), width): c for m, c in p._packed.items()}
+
+
+def packed_numerators(p: Polynomial, degree: int) -> tuple[dict[int, int], int]:
+    """The numerators of ``p`` keyed by packed monomial, and their denominator.
+
+    Every monomial is packed as ``pack_exponents`` packs it for ``degree``,
+    which must be at least the total degree of ``p``. Integer order on the
+    keys is then grlex, and the sum of two keys is the key of the product of
+    their monomials while its degree is at most ``degree``. No ``Fraction``
+    is built. The map is ``p``'s own when ``p`` is stored at that width, so
+    it must not be changed.
+    """
+    return _repacked(p, _width_for(degree)), p._den
+
+
+def pack_exponents(exponents, degree: int) -> int:
+    """The key of the monomial ``exponents`` in ``packed_numerators(p, degree)``."""
+    return _pack(exponents, _width_for(degree))
 
 
 def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:

@@ -8,8 +8,9 @@ the labels joining i to earlier vertices divides its leading entry; the L_i
 multiply to Q, so each leading term is forced to be a unit times L_i.
 Prescribing the monic L_i turns every edge divisibility constraint on column
 i into affine-linear conditions on the unknown coefficients of the entries
-below it (capped at a total degree bound), decided exactly over the
-rationals: one linear system per vertex.
+below it (capped at a total degree bound), decided exactly: one linear
+system per vertex, built with integer coefficients and eliminated
+fraction-free.
 
 A NONEXISTENT outcome is a bounded-degree certificate: no flow-up class
 basis exists whose entries all have total degree at most the bound.
@@ -17,6 +18,7 @@ basis exists whose entries all have total degree at most the bound.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -26,52 +28,100 @@ from fractions import Fraction
 from .basis import Provenance, SplineMatrix, check_basis, compute_q
 from .errors import RingMismatchError
 from .graphs import LabeledGraph
-from .polynomials import RAT, Polynomial
+from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
 
 
 def solve_rational_system(rows):
     """Particular solution of sparse affine equations over the rationals.
 
     ``rows`` is a list of (coefficients, rhs) pairs where coefficients maps
-    variable index to Fraction. Returns a dict of variable values (free
-    variables are 0) or None when the system is inconsistent.
+    variable index to an ``int`` or ``Fraction`` coefficient and rhs is an
+    ``int`` or ``Fraction``. Returns a dict from each pivot variable to its
+    ``Fraction`` value (free variables, absent, are 0) or None when the
+    system is inconsistent.
+
+    Elimination is fraction-free (Bareiss, 1968): each row is scaled to
+    integers by the lcm of its denominators, reduced by a pivot row with
+    leading coefficient p where it has coefficient f as a*row - b*pivot_row
+    (a = p/g, b = f/g, g = gcd(p, f)), and divided by its content when it
+    becomes a pivot row. A row's pivot is its smallest variable, and it is
+    reduced at its smallest pivot variable first, so every stored row is a
+    rational multiple of the row that elimination with monic pivots stores
+    and the solution is the same. Fractions appear only in back-substitution.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    # each pivot variable maps to (its coefficient, the row's other terms, rhs)
+    pivots: dict[int, tuple[int, tuple[tuple[int, int], ...], int]] = {}
     for coefficients, rhs in rows:
-        row = dict(coefficients)
-        value = Fraction(rhs)
-        while True:
-            known = [v for v in row if v in pivots]
-            if not known:
+        # a row of nonzero ints with an int rhs is already scaled
+        row, value = dict(coefficients), rhs
+        for c in row.values():
+            if type(c) is not int or not c:
+                row, value = _integer_row(coefficients, rhs)
                 break
-            variable = min(known)
-            factor = row.pop(variable)
-            pivot_row, pivot_rhs = pivots[variable]
-            for pv, pc in pivot_row.items():
-                if pv == variable:
+        else:
+            if type(value) is not int:
+                row, value = _integer_row(coefficients, rhs)
+        # a pivot row holds only variables above its pivot, so the pivot
+        # variables met while reducing a row come out of the heap in order
+        known = [v for v in row if v in pivots]
+        heapq.heapify(known)
+        while known:
+            variable = heapq.heappop(known)
+            factor = row.pop(variable, 0)
+            if not factor:  # cancelled since it was pushed
+                continue
+            lead, pivot_terms, pivot_value = pivots[variable]
+            g = math.gcd(lead, factor)
+            a, b = lead // g, factor // g
+            if a != 1:
+                for v in row:
+                    row[v] *= a
+                value *= a
+            for pv, pc in pivot_terms:
+                old = row.get(pv, 0)
+                new = old - b * pc
+                if not new:
+                    del row[pv]
                     continue
-                s = row.get(pv, Fraction(0)) - factor * pc
-                if s:
-                    row[pv] = s
-                else:
-                    row.pop(pv, None)
-            value -= factor * pivot_rhs
+                row[pv] = new
+                if not old and pv in pivots:
+                    heapq.heappush(known, pv)
+            value -= b * pivot_value
         if not row:
             if value:
                 return None
             continue
+        content = math.gcd(value, *row.values())
+        if content != 1:
+            row = {v: c // content for v, c in row.items()}
+            value //= content
         variable = min(row)
-        scale = row[variable]
-        normalized = {v: c / scale for v, c in row.items()}
-        pivots[variable] = (normalized, value / scale)
+        lead = row.pop(variable)
+        pivots[variable] = (lead, tuple(row.items()), value)
     solution: dict[int, Fraction] = {}
-    for variable, (row, rhs) in reversed(list(pivots.items())):
-        total = rhs
-        for pv, pc in row.items():
-            if pv != variable:
-                total -= pc * solution.get(pv, Fraction(0))
-        solution[variable] = total
+    for variable, (lead, terms, value) in reversed(pivots.items()):
+        # value / den accumulates the rhs minus the known terms, over integers
+        den = 1
+        for pv, pc in terms:
+            known_value = solution.get(pv)  # None for a free variable
+            if known_value is None:
+                continue
+            d = known_value.denominator
+            g = math.gcd(den, d)
+            value = value * (d // g) - pc * known_value.numerator * (den // g)
+            den *= d // g
+        solution[variable] = Fraction(value, den * lead)
     return solution
+
+
+def _integer_row(coefficients, rhs):
+    """A row and its rhs scaled to integers by the lcm of their denominators,
+    without its zero coefficients."""
+    scale = rhs.denominator
+    for c in coefficients.values():
+        scale = math.lcm(scale, c.denominator)
+    row = {v: c.numerator * (scale // c.denominator) for v, c in coefficients.items() if c}
+    return row, rhs.numerator * (scale // rhs.denominator)
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -106,7 +156,12 @@ class SearchOutcome:
 
 
 class _ColumnSystem:
-    """Affine constraints for one candidate column of a flow-up basis."""
+    """Affine constraints for one candidate column of a flow-up basis.
+
+    Monomials are keyed as ``packed_numerators`` keys them for the degree
+    bound, so their integer order is grlex and adding two keys multiplies
+    their monomials.
+    """
 
     def __init__(self, graph: LabeledGraph, position: int, leading: Polynomial, bound: int):
         self.graph = graph
@@ -115,18 +170,21 @@ class _ColumnSystem:
         self.leading = leading
         self.bound = bound
         self.entry_monomials = monomials_up_to(len(self.ring.variables), bound)
-        self.rows: list[tuple[dict[int, Fraction], Fraction]] = []
+        # grlex order lists every monomial of degree d before any of degree
+        # d + 1, so a prefix of these keys is every monomial up to a lower degree
+        self.entry_keys = [pack_exponents(e, bound) for e in self.entry_monomials]
+        self.rows: list[tuple[dict[int, int], int]] = []
         self.next_variable = 0
         # unknown entries sit strictly below the prescribed leading entry
         self.entry_slots = {
-            row: self._new_slot(self.entry_monomials)
+            row: self._new_slot(self.entry_keys)
             for row in range(position + 1, graph.n)
         }
 
-    def _new_slot(self, monomials) -> dict[tuple[int, ...], int]:
+    def _new_slot(self, keys) -> dict[int, int]:
         slot = {}
-        for exponent in monomials:
-            slot[exponent] = self.next_variable
+        for key in keys:
+            slot[key] = self.next_variable
             self.next_variable += 1
         return slot
 
@@ -159,46 +217,48 @@ class _ColumnSystem:
             if isinstance(piece, Polynomial):
                 entries.append(piece)
             else:
-                terms = {
-                    exponent: solution.get(variable, Fraction(0))
-                    for exponent, variable in piece.items()
-                }
+                # free variables are absent from the solution, and 0
+                values = [solution.get(variable) for variable in piece.values()]
+                terms = {e: c for e, c in zip(self.entry_monomials, values) if c}
                 entries.append(Polynomial(self.ring.variables, RAT, terms))
         return entries
 
     def _add_divisibility_rows(self, lhs, rhs, label: Polynomial) -> None:
-        """Encode label | (lhs - rhs) as lhs - rhs - label*quotient == 0."""
-        quotient = self._new_slot(
-            monomials_up_to(len(self.ring.variables), self.bound - label.total_degree())
-        )
-        equations: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        constants: dict[tuple[int, ...], Fraction] = {}
+        """Encode label | (lhs - rhs) as lhs - rhs - label*quotient == 0.
 
-        def contribute(piece, sign: int) -> None:
-            if isinstance(piece, Polynomial):
-                for exponent, coefficient in piece.terms.items():
-                    constants[exponent] = (
-                        constants.get(exponent, Fraction(0)) + sign * coefficient
-                    )
-            else:
-                for exponent, variable in piece.items():
-                    equations.setdefault(exponent, {})[variable] = Fraction(sign)
-
-        contribute(lhs, 1)
-        contribute(rhs, -1)
-        label_terms = label.terms.items()  # built anew on every read of .terms
-        for q_exponent, variable in quotient.items():
-            for l_exponent, coefficient in label_terms:
-                exponent = tuple(a + b for a, b in zip(q_exponent, l_exponent))
-                row = equations.setdefault(exponent, {})
-                row[variable] = row.get(variable, Fraction(0)) - coefficient
-        for exponent in sorted(set(equations) | set(constants), key=lambda e: (sum(e), e)):
-            self.rows.append(
-                (
-                    equations.get(exponent, {}),
-                    -constants.get(exponent, Fraction(0)),
-                )
-            )
+        The equations are scaled by the lcm D of the denominators of lhs and
+        rhs, and label*quotient is written with the label's numerators: that
+        only rescales the quotient unknowns (by D over the label's
+        denominator), so the entry values do not change.
+        """
+        nvars = len(self.ring.variables)
+        quotient_degree = self.bound - label.total_degree()
+        # the monomials of degree at most quotient_degree; none if it is negative
+        count = math.comb(quotient_degree + nvars, nvars) if quotient_degree >= 0 else 0
+        quotient = self._new_slot(self.entry_keys[:count])
+        equations: dict[int, dict[int, int]] = {}
+        constants: dict[int, int] = {}
+        sides = [(lhs, 1), (rhs, -1)]
+        prescribed = [
+            (packed_numerators(piece, self.bound), sign)
+            for piece, sign in sides if isinstance(piece, Polynomial)
+        ]
+        scale = math.lcm(*(den for (_, den), _ in prescribed))
+        for (numerators, den), sign in prescribed:
+            factor = sign * (scale // den)
+            for key, numerator in numerators.items():
+                constants[key] = constants.get(key, 0) + factor * numerator
+        for piece, sign in sides:
+            if not isinstance(piece, Polynomial):
+                for key, variable in piece.items():
+                    equations.setdefault(key, {})[variable] = sign * scale
+        if quotient:  # else the label's degree is above the bound its keys need
+            label_numerators = packed_numerators(label, self.bound)[0].items()
+            for q_key, variable in quotient.items():
+                for l_key, numerator in label_numerators:
+                    equations.setdefault(q_key + l_key, {})[variable] = -numerator
+        for key in sorted(equations.keys() | constants.keys()):
+            self.rows.append((equations.get(key, {}), -constants.get(key, 0)))
 
 
 def flow_up_search_bounded(

@@ -15,12 +15,16 @@ sampled column and takes its n x n determinant over the graph's ring,
 which the pool-determinant probe replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
 replaced; and the printer that formats each term from its ``Fraction``
-coefficient, which the one-gcd-per-term printer replaced.
+coefficient, which the one-gcd-per-term printer replaced; the ``Fraction``
+Gaussian elimination with monic pivots that the fraction-free solver of
+``search`` replaced; and the packing of a monomial dict through the lcm of
+its denominators, which the one-term fast path of ``_packed_form`` bypasses.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +34,9 @@ from graphsplines.polynomials import (
     _MAX_NESTING,
     INT,
     Polynomial,
+    _pack,
     _power_too_large,
+    _width_for,
     parse_int,
 )
 from graphsplines.search import SearchOutcome, _ColumnSystem
@@ -216,6 +222,51 @@ def enumerating_flow_up_search(graph, factors, degree_bound):
     return SearchOutcome(None, None, degree_bound, assignments_total, len(seen))
 
 
+def fraction_solve_rational_system(rows):
+    """Particular solution of sparse affine equations over the rationals.
+
+    ``rows`` is a list of (coefficients, rhs) pairs where coefficients maps
+    variable index to Fraction. Returns a dict of variable values (free
+    variables are 0) or None when the system is inconsistent.
+    """
+    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    for coefficients, rhs in rows:
+        row = dict(coefficients)
+        value = Fraction(rhs)
+        while True:
+            known = [v for v in row if v in pivots]
+            if not known:
+                break
+            variable = min(known)
+            factor = row.pop(variable)
+            pivot_row, pivot_rhs = pivots[variable]
+            for pv, pc in pivot_row.items():
+                if pv == variable:
+                    continue
+                s = row.get(pv, Fraction(0)) - factor * pc
+                if s:
+                    row[pv] = s
+                else:
+                    row.pop(pv, None)
+            value -= factor * pivot_rhs
+        if not row:
+            if value:
+                return None
+            continue
+        variable = min(row)
+        scale = row[variable]
+        normalized = {v: c / scale for v, c in row.items()}
+        pivots[variable] = (normalized, value / scale)
+    solution: dict[int, Fraction] = {}
+    for variable, (row, rhs) in reversed(list(pivots.items())):
+        total = rhs
+        for pv, pc in row.items():
+            if pv != variable:
+                total -= pc * solution.get(pv, Fraction(0))
+        solution[variable] = total
+    return solution
+
+
 def combination_probe(graph, q, trials, seed):
     """``divides_all_dets_probe`` by building every sampled column.
 
@@ -279,6 +330,19 @@ def fraction_text(p):
         else:
             pieces.append(f"- {body}" if coefficient < 0 else f"+ {body}")
     return " ".join(pieces) or "0"
+
+
+def general_packed_form(monomials, coeff_kind):
+    """``_packed_form`` by its general path: the width of the largest degree,
+    and over RAT the lcm of every denominator."""
+    width = _width_for(max(map(sum, monomials), default=0))
+    if coeff_kind == INT:
+        return {_pack(e, width): c for e, c in monomials.items()}, 1, width
+    den = 1
+    for c in monomials.values():
+        den = math.lcm(den, c.denominator)
+    packed = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in monomials.items()}
+    return packed, den, width
 
 
 def schoolbook_multiply(a, b):

@@ -90,3 +90,19 @@ def test_same_outputs_probe_and_search_calls():
     assert "PROBE: ok (q divides all 20 sampled determinants)" in outputs[13]
     assert "flow-up class basis found:" in outputs[21]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_rational_search_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.rational_search_calls(tmp_path))
+    assert len(calls) == 24
+    labels = [edge["label"] for path in sorted(tmp_path.glob("*.json"))
+              for edge in json.loads(path.read_text())["edges"]]
+    assert len(labels) == 20 and all("/" in label for label in labels)
+    results = same_outputs.run_calls(ROOT, calls)
+    # per image: the 3-cycle and the 4-cycle are found, the squares NONEXISTENT
+    assert [code for code, _, _ in results] == ([0] * 8 + [1] * 4) * 2
+    outputs = [out for _, out, _ in results]
+    assert all(json.loads(out)["verdict"] == "yes" for out in outputs[0:8:2])
+    assert "NONEXISTENT(3)" in outputs[11]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []

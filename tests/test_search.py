@@ -19,7 +19,7 @@ import graphsplines.search as search_module
 from graphsplines.graphs import Edge
 from graphsplines.search import monomials_up_to, solve_rational_system
 from conftest import GRAPHS_DIR, bundled_graph, source_env
-from oracles import enumerating_flow_up_search
+from oracles import enumerating_flow_up_search, fraction_solve_rational_system
 
 
 class TestLinearSolver:
@@ -47,6 +47,10 @@ class TestLinearSolver:
     def test_degenerate_zero_rows(self):
         assert solve_rational_system([({}, Fraction(0))]) == {}
         assert solve_rational_system([({}, Fraction(1))]) is None
+
+    def test_int_rows(self):
+        rows = [({0: 2, 1: 3}, 7), ({1: 6}, 4), ({2: 5}, 0)]
+        assert solve_rational_system(rows) == {0: Fraction(5, 2), 1: Fraction(2, 3), 2: 0}
 
     def test_monomials(self):
         assert monomials_up_to(2, 1) == [(0, 0), (0, 1), (1, 0)]
@@ -297,5 +301,135 @@ def test_matches_enumerating_search(qxy, shape, degree, copy):
     assert outcome.assignments_total == expected.assignments_total
     if expected.found:
         assert outcome.basis.columns == expected.basis.columns
+    else:
+        assert outcome.systems_checked == expected.systems_checked
+
+
+def _random_coefficient(rng, fractions):
+    """A nonzero int, or a Fraction (possibly integral) when ``fractions``."""
+    value = rng.choice([-1, 1]) * rng.choice([1, 1, 2, 3, 5, 12, 10**20 + 7])
+    if fractions:
+        return Fraction(value, rng.choice([1, 2, 3, 7, 12]))
+    return value
+
+
+def _random_system(rng):
+    """Seeded sparse rows with int or Fraction coefficients (never zero).
+
+    Most right-hand sides come from a planted solution, so the system is
+    consistent; otherwise some rows get a random right-hand side, which
+    makes an overdetermined system inconsistent more often than not.
+    """
+    nvars = rng.randint(1, 9)
+    fractions = rng.random() < 0.5
+    planted = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(nvars)]
+    consistent = rng.random() < 0.6
+    rows = []
+    for _ in range(rng.randint(0, nvars + 3)):
+        width = rng.choice([0, 1, 1, 2, 2, 3, 4])
+        variables = rng.sample(range(nvars), min(width, nvars))
+        coefficients = {v: _random_coefficient(rng, fractions) for v in variables}
+        if rows and rng.random() < 0.2:
+            # a combination of two earlier rows makes the system degenerate
+            (c1, _), (c2, _) = rng.choice(rows), rng.choice(rows)
+            s, t = _random_coefficient(rng, fractions), _random_coefficient(rng, fractions)
+            coefficients = {v: s * c1.get(v, 0) + t * c2.get(v, 0) for v in c1.keys() | c2.keys()}
+            coefficients = {v: c for v, c in coefficients.items() if c}
+        rhs = sum(c * planted[v] for v, c in coefficients.items())
+        if not consistent and rng.random() < 0.5:
+            rhs += rng.randint(1, 5)
+        if not fractions and rhs.denominator == 1:
+            rhs = int(rhs)
+        rows.append((coefficients, rhs))
+    return rows
+
+
+def _as_fractions(rows):
+    """The rows with every coefficient and rhs a Fraction, as the oracle needs."""
+    return [
+        ({v: Fraction(c) for v, c in coefficients.items()}, Fraction(rhs))
+        for coefficients, rhs in rows
+    ]
+
+
+def test_solver_matches_fraction_oracle():
+    rng = random.Random("solver-oracle")
+    outcomes = {"solved": 0, "inconsistent": 0, "free": 0, "zero-row": 0, "int": 0}
+    for _ in range(600):
+        rows = _random_system(rng)
+        expected = fraction_solve_rational_system(_as_fractions(rows))
+        solution = solve_rational_system(rows)
+        assert solution == expected, rows
+        if expected is None:
+            outcomes["inconsistent"] += 1
+            continue
+        outcomes["solved"] += 1
+        assert all(type(value) is Fraction for value in solution.values())
+        variables = {v for coefficients, _ in rows for v in coefficients}
+        outcomes["free"] += len(variables) > len(solution)
+        outcomes["zero-row"] += any(not coefficients for coefficients, _ in rows)
+        outcomes["int"] += all(type(c) is int for coefficients, _ in rows for c in coefficients.values())
+        for coefficients, rhs in rows:
+            assert sum(c * solution.get(v, 0) for v, c in coefficients.items()) == rhs
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_solver_matches_fraction_oracle_on_search_rows(qxy):
+    # the rows of every column system of a found and a NONEXISTENT search
+    x, y = qxy.variable("x"), qxy.variable("y")
+    for name in ("xy", "squares"):
+        graph = bundled_graph(name)
+        for position in range(graph.n):
+            leading = graph.ring.product(
+                e.label for e in graph.edges if max(e.u, e.v) == position
+            ).normalized()
+            system = search_module._ColumnSystem(graph, position, leading, 3)
+            system.feasible()
+            fraction_rows = _as_fractions(system.rows)
+            expected = fraction_solve_rational_system(fraction_rows)
+            assert solve_rational_system(system.rows) == expected
+            assert solve_rational_system(fraction_rows) == expected
+
+
+def _rational_affine_image(rng):
+    """Texts of X, Y: an invertible affine image of x, y with rational coefficients."""
+    def number():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    while True:
+        a, b, c, d = (number() if rng.random() < 0.7 else Fraction(0) for _ in range(4))
+        if a * d - b * c:
+            break
+    e, f = number(), number()
+    return f"(({a})*x + ({b})*y + ({e}))", f"(({c})*x + ({d})*y + ({f}))"
+
+
+RATIONAL_CASES = [
+    (shape, degree, copy)
+    for shape in ("xy", "c4", "squares")
+    for degree in (2, 3)
+    for copy in range(3)
+]
+
+
+@pytest.mark.parametrize("shape,degree,copy", RATIONAL_CASES)
+def test_rational_labels_match_enumerating_search(qxy, shape, degree, copy):
+    rng = random.Random(f"search-rational/{shape}/{degree}/{copy}")
+    graph, texts = _oracle_case(qxy, shape, *_rational_affine_image(rng))
+    assert any(
+        coefficient.denominator != 1 for label in graph.labels()
+        for coefficient in label.terms.values()
+    )
+    factors = [qxy.element_from_text(t).normalized() for t in texts]
+    outcome = flow_up_search_bounded(graph, factors, degree)
+    expected = enumerating_flow_up_search(graph, factors, degree)
+    # in cycle order the 3-cycle and the 4-cycle have a flow-up basis at
+    # these degrees, and the squares have none
+    assert outcome.found == expected.found == (shape != "squares")
+    assert outcome.leading_terms == expected.leading_terms
+    assert outcome.assignments_total == expected.assignments_total
+    if expected.found:
+        assert outcome.basis.columns == expected.basis.columns
+        assert check_basis(outcome.basis, compute_q(graph)).is_basis is True
     else:
         assert outcome.systems_checked == expected.systems_checked
