@@ -399,11 +399,6 @@ def _coerce_coefficient(value, coeff_kind):
 def _packed_form(monomials, coeff_kind) -> tuple[dict[int, int], int, int]:
     """(packed map, denominator, width) of a dict from exponent tuples to
     nonzero coefficients: ints, or over RAT ints and Fractions."""
-    if len(monomials) == 1:
-        # the common case of a parsed monomial: no lcm and no rescaling
-        ((exponents, c),) = monomials.items()
-        width = _width_for(sum(exponents))
-        return {_pack(exponents, width): c.numerator}, c.denominator, width
     width = _width_for(max(map(sum, monomials), default=0))
     if coeff_kind == INT:
         return {_pack(e, width): c for e, c in monomials.items()}, 1, width

@@ -52,15 +52,7 @@ def solve_rational_system(rows):
     # each pivot variable maps to (its coefficient, the row's other terms, rhs)
     pivots: dict[int, tuple[int, tuple[tuple[int, int], ...], int]] = {}
     for coefficients, rhs in rows:
-        # a row of nonzero ints with an int rhs is already scaled
-        row, value = dict(coefficients), rhs
-        for c in row.values():
-            if type(c) is not int or not c:
-                row, value = _integer_row(coefficients, rhs)
-                break
-        else:
-            if type(value) is not int:
-                row, value = _integer_row(coefficients, rhs)
+        row, value = _integer_row(coefficients, rhs)
         # a pivot row holds only variables above its pivot, so the pivot
         # variables met while reducing a row come out of the heap in order
         known = [v for v in row if v in pivots]

@@ -15,16 +15,14 @@ sampled column and takes its n x n determinant over the graph's ring,
 which the pool-determinant probe replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
 replaced; and the printer that formats each term from its ``Fraction``
-coefficient, which the one-gcd-per-term printer replaced; the ``Fraction``
-Gaussian elimination with monic pivots that the fraction-free solver of
-``search`` replaced; and the packing of a monomial dict through the lcm of
-its denominators, which the one-term fast path of ``_packed_form`` bypasses.
+coefficient, which the one-gcd-per-term printer replaced; and the
+``Fraction`` Gaussian elimination with monic pivots that the fraction-free
+solver of ``search`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -34,9 +32,7 @@ from graphsplines.polynomials import (
     _MAX_NESTING,
     INT,
     Polynomial,
-    _pack,
     _power_too_large,
-    _width_for,
     parse_int,
 )
 from graphsplines.search import SearchOutcome, _ColumnSystem
@@ -330,19 +326,6 @@ def fraction_text(p):
         else:
             pieces.append(f"- {body}" if coefficient < 0 else f"+ {body}")
     return " ".join(pieces) or "0"
-
-
-def general_packed_form(monomials, coeff_kind):
-    """``_packed_form`` by its general path: the width of the largest degree,
-    and over RAT the lcm of every denominator."""
-    width = _width_for(max(map(sum, monomials), default=0))
-    if coeff_kind == INT:
-        return {_pack(e, width): c for e, c in monomials.items()}, 1, width
-    den = 1
-    for c in monomials.values():
-        den = math.lcm(den, c.denominator)
-    packed = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in monomials.items()}
-    return packed, den, width
 
 
 def schoolbook_multiply(a, b):

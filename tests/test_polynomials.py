@@ -891,27 +891,6 @@ class TestPackedStorage:
             Polynomial(VARS, kind, terms)
 
     @pytest.mark.parametrize("kind", [INT, RAT])
-    def test_one_term_packing_matches_general_path(self, kind):
-        rng = random.Random(f"one-term-packing/{kind}")
-        exponents = [(0, 0), (1, 0), (0, 1), (3, 4)]
-        exponents += [(d, 0) for d in BOUNDARY_DEGREES] + [(1, d - 1) for d in BOUNDARY_DEGREES]
-        coefficients = [1, -1, 7, -(10 ** 30) - 3]
-        if kind == RAT:
-            coefficients += [Fraction(1, 2), Fraction(-5, 7), Fraction(10 ** 30, 3), Fraction(4)]
-        for e in exponents:
-            for c in coefficients:
-                monomials = {e: c}
-                result = module._packed_form(monomials, kind)
-                assert result == oracles.general_packed_form(monomials, kind)
-                assert all(type(value) is int for value in result[0].values())
-                assert type(result[1]) is int
-        for _ in range(50):  # the general path itself is unchanged
-            monomials = {(rng.randint(0, 5), rng.randint(0, 5)): rng.choice(coefficients)
-                         for _ in range(rng.randint(0, 4))}
-            expected = oracles.general_packed_form(monomials, kind)
-            assert module._packed_form(monomials, kind) == expected
-
-    @pytest.mark.parametrize("kind", [INT, RAT])
     def test_packed_numerators(self, kind):
         p = poly("(1/2*x - 2/3*y + 3)^3" if kind == RAT else "(2*x - y + 3)^3", kind)
         high = poly("x^40000 - 1", kind) - poly("x^40000", kind)  # degree 0 at a wide field

@@ -374,9 +374,8 @@ def test_solver_matches_fraction_oracle():
     assert min(outcomes.values()) >= 30, outcomes
 
 
-def test_solver_matches_fraction_oracle_on_search_rows(qxy):
+def test_solver_matches_fraction_oracle_on_search_rows():
     # the rows of every column system of a found and a NONEXISTENT search
-    x, y = qxy.variable("x"), qxy.variable("y")
     for name in ("xy", "squares"):
         graph = bundled_graph(name)
         for position in range(graph.n):
