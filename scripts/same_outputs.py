@@ -6,7 +6,8 @@
 Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
 search on the bundled graphs, searches on labels with rational
-coefficients, and calls whose input fails to parse, each in JSON and in
+coefficients, calls at the edges of the integer-image determinant and gcd
+kernels, and calls whose input fails to parse, each in JSON and in
 text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
 ``src/`` in a child interpreter), and reports every call whose stdout,
 stderr or exit code differs. The instances are generated once, by this
@@ -130,6 +131,47 @@ def rational_search_calls(directory: Path) -> list:
     return calls
 
 
+def kernel_calls(directory: Path) -> list:
+    """The argv of calls at the edges of the integer-image kernels, their graphs
+    written to ``directory``.
+
+    A triangle with ``x^1000000`` labels over ZZ[x,y], past the image budget,
+    so its determinants stay on polynomial Bareiss; ``q`` on two-edge paths
+    whose coprimality test runs the heuristic gcd near its budget (degree
+    10001 over QQ[x]) and the subresultant fallback past it (degree 20001
+    over ZZ[x]); and ``check-basis`` on a triangle over ZZ[x,y] whose
+    determinant has degree 62 in y, so the images' coefficients are read
+    back as more than 60 digits, once as a basis and once not.
+    """
+
+    def write(name, coefficients, variables, labels, cycle=True):
+        """A cycle with one vertex per label, or a path with one vertex more."""
+        names = [f"v{k + 1}" for k in range(len(labels) + (not cycle))]
+        edges = [{"u": names[k], "v": names[(k + 1) % len(names)], "label": label}
+                 for k, label in enumerate(labels)]
+        ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
+        path = directory / f"kernel-{name}.json"
+        path.write_text(json.dumps({"ring": ring, "vertices": names, "edges": edges}))
+        return str(path)
+
+    huge = write("huge-degree", "int", ["x", "y"], ["x^1000000", "y", "x^1000000 + y"])
+    near = write("near-budget", "rat", ["x"], ["x^10000 + 1", "x^10001 + 1"], cycle=False)
+    past = write("past-budget", "int", ["x"], ["x^20000 + 1", "x^20001 + 1"], cycle=False)
+    a, b, c = "y^20 + x", "y^21 - x", "y^21 + y^20"  # pairwise coprime, a + b = c
+    deep = write("deep-digits", "int", ["x", "y"], [a, b, c])
+    return [
+        ["probe", huge, "--trials", "3"],
+        ["check-basis", huge, "--spline", "1,1,1", "--spline", "0,x^1000000,x^1000000+y",
+         "--spline", "0,0,y*(x^1000000+y)"],
+        ["q", near],
+        ["q", past],
+        ["check-basis", deep, "--spline", "1,1,1", "--spline", f"0,{a},{c}",
+         "--spline", f"0,0,({b})*({c})"],
+        ["check-basis", deep, "--spline", "1,1,1", "--spline", f"0,{a},{c}",
+         "--spline", f"0,0,x*({b})*({c})"],
+    ]
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -203,6 +245,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
         calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
+        calls += kernel_calls(Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

@@ -9,11 +9,12 @@ sound but rejection impossible, hence the UNDECIDED verdict.
 
 Every verdict needs one n x n determinant. Over ZZ[vars] and QQ[vars] it is
 taken from one integer image: each row is scaled to integer numerators, the
-last variable is set to xi = 2H + 2, where H = prod_i sum_j |a_ij|_1 bounds
-every coefficient of the determinant, and so on, one variable at a time,
-down to a matrix of integers. Bareiss elimination over ZZ gives its
-determinant, and the coefficients are read back level by level as symmetric
-xi-adic digits. A matrix whose images would pass a fixed bit budget (the
+last variable is set to the least power of two 2^bits at or above 2H + 2,
+where H = prod_i sum_j |a_ij|_1 bounds every coefficient of the
+determinant, and so on, one variable at a time, down to a matrix of
+integers. Bareiss elimination over ZZ gives its determinant, and the
+coefficients are read back level by level as symmetric base-2^bits digits,
+the bits-wide fields of each coefficient's binary text. A matrix whose images would pass a fixed bit budget (the
 one the heuristic gcd uses) stays on Bareiss elimination over the
 polynomial ring. The divisibility probe takes only integer determinants.
 """

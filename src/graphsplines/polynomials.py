@@ -818,7 +818,8 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 
     Multivariate division by the single divisor under graded-lex leading
     terms; any step whose leading monomial or (over INT) leading coefficient
-    fails to divide certifies non-divisibility.
+    fails to divide certifies non-divisibility, and so does a divisor whose
+    least monomial does not divide the numerator's, before any step.
 
     Over RAT the integer numerators of both operands are divided, after the
     divisor's numerators are made primitive. By Gauss's lemma a primitive
@@ -842,6 +843,9 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
     (lead, lead_coefficient), *rest = sorted(divisor.items(), reverse=True)
     guard = _guard_bits(len(numerator.variables), width)
     remainder = dict(_repacked(numerator, width))
+    # the least monomial of a product is the product of the least monomials
+    if (min(remainder) - min(divisor)) & guard:
+        return None
     heap = [-m for m in remainder]
     heapq.heapify(heap)
     quotient: dict[int, int] = {}
@@ -880,31 +884,35 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # Rational-coefficient inputs are scaled to integer coefficients first and
 # the result is returned monic. Over the integers the heuristic gcd GCDHEU
 # (Char, Geddes and Gonnet 1989) runs first: evaluate the last variable at a
-# large integer xi, take the gcd of the images (recursively, down to integer
-# gcds), rebuild a candidate from the xi-adic digits of that image gcd, and
-# accept its primitive part only if it divides both inputs. With xi at least
-# 2*min(|a|, |b|) + 2 in the max norm of the primitive inputs, passing that
-# check proves the candidate is the gcd (Geddes, Czapor and Labahn,
-# *Algorithms for Computer Algebra*, Thm 7.7). When the heuristic gives up,
-# the fallback views the polynomials as univariate in the last variable with
-# coefficients in the smaller ring, splits off contents, and runs Brown's
-# subresultant remainder sequence on the primitive parts.
+# large power of two 2^bits, take the gcd of the images (recursively, down
+# to integer gcds), rebuild a candidate from the base-2^bits digits of that
+# image gcd, and accept its primitive part only if it divides both inputs.
+# With 2^bits at least 2*min(|a|, |b|) + 2 in the max norm of the primitive
+# inputs, passing that check proves the candidate is the gcd (Geddes, Czapor
+# and Labahn, *Algorithms for Computer Algebra*, Thm 7.7). When the
+# heuristic gives up, the fallback views the polynomials as univariate in
+# the last variable with coefficients in the smaller ring, splits off
+# contents, and runs Brown's subresultant remainder sequence on the
+# primitive parts.
 #
 # The same evaluation and interpolation pair (_evaluate_last,
 # _interpolate_last; they read and build the packed maps, where the last
 # variable is the lowest field) turns a polynomial determinant into one
 # integer determinant (integer_image_determinant, the Kronecker-substitution
-# form of the idea in the same book, ch. 7). There no check is needed: xi is
-# chosen above twice a proven bound on the determinant's coefficients, so
-# the digits are exact.
+# form of the idea in the same book, ch. 7). There no check is needed: 2^bits
+# is chosen above twice a proven bound on the determinant's coefficients, so
+# the digits are exact. Any point above the bound would do; at a power of
+# two, evaluation is a shift and the digits are fixed-width bit fields, the
+# bit-packing form of Kronecker substitution (Harvey 2009), so each
+# coefficient is read back in one linear pass over its binary text.
 # ---------------------------------------------------------------------------
 
 # Evaluation points the heuristic tries before it gives up.
 _HEU_GCD_TRIES = 6
 # The heuristic gcd gives up, and the determinant stays on polynomial
-# Bareiss, when an evaluated image could need more bits than this (bits of
-# xi times the degree in the evaluated variable), so a label like x^1000000
-# never turns into a million-digit integer.
+# Bareiss, when an evaluated image could need more bits than this (the bits
+# of the point 2^bits times the degree in the evaluated variable), so a label
+# like x^1000000 never turns into a million-digit integer.
 _MAX_IMAGE_BITS = 1 << 16
 
 
@@ -975,23 +983,24 @@ def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
     a, b = _ground_quotient(a, content_a), _ground_quotient(b, content_b)
     # the last variable's exponent is the lowest packed field
     degree = max(m & ((1 << p._width) - 1) for p in (a, b) for m in p._packed)
-    # sympy's dmp_zz_heu_gcd may start below this bound, at min(B, 99*sqrt(B))
-    # with B = 2*min(|a|, |b|) + 29; below it the divisibility check proves
-    # nothing, so every xi here is at least B
-    xi = 2 * min(_max_norm(a), _max_norm(b)) + 29
+    # sympy's dmp_zz_heu_gcd may start below B = 2*min(|a|, |b|) + 29, at
+    # min(B, 99*sqrt(B)), where the divisibility check proves nothing; here
+    # the first point is the least power of two at or above B, and each
+    # later one has about a quarter more bits
+    bits = (2 * min(_max_norm(a), _max_norm(b)) + 28).bit_length()
     for _ in range(_HEU_GCD_TRIES):
-        if xi.bit_length() * degree > _MAX_IMAGE_BITS:
+        if bits * degree > _MAX_IMAGE_BITS:
             return None
-        image_a, image_b = _evaluate_last(a, xi), _evaluate_last(b, xi)
+        image_a, image_b = _evaluate_last(a, bits), _evaluate_last(b, bits)
         if image_a and image_b:
             image_gcd = _heu_gcd(image_a, image_b)
             if image_gcd is None:
                 return None
-            candidate = _interpolate_last(image_gcd, xi, a.variables)
+            candidate = _interpolate_last(image_gcd, bits, a.variables)
             candidate = _ground_quotient(candidate, _int_content(candidate))
             if all(exact_divide(p, candidate) is not None for p in (a, b)):
                 return (candidate * content).normalized()
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        bits += bits // 4 + 1
     return None
 
 
@@ -1004,8 +1013,8 @@ def _max_norm(p: Polynomial) -> int:
     return max(abs(c) for c in p._packed.values())
 
 
-def _evaluate_last(p: Polynomial, xi: int) -> Polynomial:
-    """Set the last variable of an INT polynomial to xi; the image drops that variable.
+def _evaluate_last(p: Polynomial, bits: int) -> Polynomial:
+    """Set the last variable of an INT polynomial to 2^bits; the image drops that variable.
 
     The last variable's exponent is the lowest packed field, so shifting it
     out leaves the other exponents in their fields with the total degree on
@@ -1015,73 +1024,41 @@ def _evaluate_last(p: Polynomial, xi: int) -> Polynomial:
     width = p._width
     mask = (1 << width) - 1
     top = width * (len(p.variables) - 1)
-    powers: dict[int, int] = {}
     image: dict[int, int] = {}
     get = image.get
     for m, c in p._packed.items():
         e = m & mask
-        power = powers.get(e)
-        if power is None:
-            power = powers[e] = xi ** e
         key = (m >> width) - (e << top)
-        image[key] = get(key, 0) + c * power
+        image[key] = get(key, 0) + (c << (bits * e))
     return _make(p.variables[:-1], INT, {m: c for m, c in image.items() if c}, 1, width)
 
 
-def _interpolate_last(image: Polynomial, xi: int, variables) -> Polynomial:
-    """Inverse of evaluation at xi for coefficients smaller than xi/2.
+def _interpolate_last(image: Polynomial, bits: int, variables) -> Polynomial:
+    """Inverse of evaluation at 2^bits, bits >= 2, for coefficients of magnitude below 2^(bits-1).
 
-    The symmetric xi-adic digits of each coefficient (each in (-xi/2, xi/2])
-    become the coefficients of the powers of the last variable, which is the
-    lowest packed field of the result.
+    The symmetric base-2^bits digits of each coefficient (each in
+    (-2^(bits-1), 2^(bits-1)]) become the coefficients of the powers of the
+    last variable, which is the lowest packed field of the result. Adding
+    ``offset = 2^(bits-1) - 1`` at every digit position makes every digit
+    non-negative, so the digits are the ``bits``-wide fields of the sum's
+    binary text, each less ``offset``.
     """
     width = image._width
     top = width * (len(variables) - 1)
-    digit_bits = xi.bit_length() - 1  # xi >= 2**digit_bits
+    offset = (1 << (bits - 1)) - 1
+    offset_field = format(offset, f"0{bits}b")
     triples: list[tuple[int, int, int]] = []  # image monomial, power, digit
     degree = 0
     for m, c in image._packed.items():
-        end = _symmetric_digits(c, xi, abs(c).bit_length() // digit_bits + 2, m, triples)
-        degree = max(degree, (m >> top) + end - 1)  # the top digit is nonzero
-    return _with_last(tuple(variables), triples, width, degree)
-
-
-# Up to this many digits _symmetric_digits peels one digit at a time.
-_PEEL_DIGITS = 32
-
-
-def _symmetric_digits(c: int, xi: int, count: int, m: int, triples: list, power: int = 0) -> int:
-    """Append ``(m, power + k, d)`` to ``triples`` for each nonzero symmetric
-    xi-adic digit ``d`` (in (-xi/2, xi/2]) of ``c`` at ``xi^k``, for xi >= 3,
-    and return ``power`` plus the number of digits up to the top nonzero one.
-
-    ``count`` is about how many digits ``c`` has; it only chooses where to
-    split. Peeling a digit divides the whole rest of ``c``, so peeling every
-    digit costs time quadratic in their number. Past _PEEL_DIGITS the digits
-    are split at ``P = xi^(count//2)``: the low half is the one residue of
-    ``c`` modulo P that the low digits can write, counted from ``least``
-    (every digit at its minimum), and each half is converted on its own.
-    """
-    if count <= _PEEL_DIGITS:
-        half = xi // 2
-        while c:
-            c, digit = divmod(c, xi)
-            if digit > half:
-                digit -= xi
-                c += 1
+        count = abs(c).bit_length() // bits + 2  # |c| < 2^(bits*(count-1))
+        text = format(c + int(offset_field * count, 2), f"0{bits * count}b")
+        for power, start in enumerate(range(bits * (count - 1), -1, -bits)):
+            digit = int(text[start:start + bits], 2) - offset
             if digit:
                 triples.append((m, power, digit))
-            power += 1
-        return power
-    low = count // 2
-    P = xi ** low
-    least = -((xi - 1) // 2) * ((P - 1) // (xi - 1))
-    rest = (c - least) % P + least
-    end = _symmetric_digits(rest, xi, low, m, triples, power)
-    high = (c - rest) // P
-    if not high:
-        return end
-    return _symmetric_digits(high, xi, count - low, m, triples, power + low)
+                end = power
+        degree = max(degree, (m >> top) + end)  # c != 0 has a nonzero digit
+    return _with_last(tuple(variables), triples, width, degree)
 
 
 def _with_last(variables, triples, width: int, degree: int) -> Polynomial:
@@ -1108,8 +1085,9 @@ def integer_image_determinant(rows, integer_determinant) -> Polynomial | None:
     Each row is scaled to integer numerators by the lcm of its entries'
     denominators. With H the product over rows of the sums of the entries'
     coefficient 1-norms, no coefficient of the determinant exceeds H, so
-    evaluating the last variable at xi = 2H + 2 and reading the symmetric
-    xi-adic digits of the image's determinant back is exact. That repeats
+    evaluating the last variable at the least power of two 2^bits at or
+    above 2H + 2 and reading the symmetric base-2^bits digits of the image's
+    determinant back is exact. That repeats
     down to a matrix of plain ints, whose determinant
     ``integer_determinant(int_rows)`` computes; over RAT the result is
     divided by the product of the row scales. Returns None when some level's
@@ -1145,14 +1123,14 @@ def _image_determinant(rows, variables, integer_determinant) -> Polynomial | Non
         degree += max((m & ((1 << p._width) - 1) for p in row for m in p._packed), default=0)
     if not bound:  # a zero row
         return _make(variables, INT, {}, 1, _MIN_WIDTH)
-    xi = 2 * bound + 2
-    if xi.bit_length() * degree > _MAX_IMAGE_BITS:
+    bits = (2 * bound + 1).bit_length()  # the least with 2^bits >= 2 * bound + 2
+    if bits * degree > _MAX_IMAGE_BITS:
         return None
-    image = [[_evaluate_last(p, xi) for p in row] for row in rows]
+    image = [[_evaluate_last(p, bits) for p in row] for row in rows]
     determinant = _image_determinant(image, variables[:-1], integer_determinant)
     if determinant is None:
         return None
-    return _interpolate_last(determinant, xi, variables)
+    return _interpolate_last(determinant, bits, variables)
 
 
 def _split_last(p: Polynomial) -> dict[int, Polynomial]:

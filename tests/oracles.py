@@ -8,7 +8,8 @@ for the bounded flow-up search, and the schoolbook tuple-keyed polynomial
 product, max-scan division, evaluation and interpolation in the last
 variable, and splitting off and joining back the last variable that the
 packed integer kernel replaced; the digit-at-a-time symmetric xi-adic
-expansion that the recursive split replaced; and the token-by-token
+expansion, against which the fixed-width bit fields read at xi = 2^bits
+are checked; and the token-by-token
 recursive-descent parser that builds a polynomial for every token, which
 the run-folding parser replaced; the divisibility probe that builds every
 sampled column and takes its n x n determinant over the graph's ring,

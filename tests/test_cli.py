@@ -522,6 +522,20 @@ class TestLongExponent:
         assert witnesses[0] == ["1", "1"] and witnesses[1][0] == "0"
         assert self._exponent(witnesses[1][1]) == self.EXPONENT
 
+    def test_verify_rejects_at_the_least_monomial(self):
+        # x + y cannot divide the entry's difference x^EXPONENT: its least
+        # monomial y does not divide x^EXPONENT, which the division checks
+        # before taking one step per degree of the quotient
+        result = subprocess.run(
+            [sys.executable, "-m", "graphsplines", "verify", XY, "--json",
+             "--spline", f"{self.LABEL},0,0"],
+            capture_output=True, env=source_env(), text=True, timeout=5,
+        )
+        assert (result.returncode, result.stderr) == (1, "")
+        report = json.loads(result.stdout)
+        assert report["verdict"] == "no"
+        assert [v["label"] for v in report["violations"]] == ["x + y"]
+
 
 class TestHugeDegree:
     """Labels of degree 10^6 keep the determinant on polynomial Bareiss.

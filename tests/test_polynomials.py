@@ -549,31 +549,33 @@ class TestHeuristicGcd:
         assert ring.lcm(a, b) == old
 
     def test_every_xi_meets_the_soundness_bound(self, monkeypatch):
-        # xi >= 2*min(|a|, |b|) + 2 for the primitive inputs of each level is
-        # what makes the divisibility check a proof
+        # xi = 2^bits >= 2*min(|a|, |b|) + 2 for the primitive inputs of each
+        # level is what makes the divisibility check a proof
         evaluations = []
         evaluate = module._evaluate_last
 
-        def recording(p, xi):
-            evaluations.append((p, xi))
-            return evaluate(p, xi)
+        def recording(p, bits):
+            evaluations.append((p, bits))
+            return evaluate(p, bits)
 
         monkeypatch.setattr(module, "_evaluate_last", recording)
         for a, b in GCD_CASES:
             poly_gcd(a, b)
         assert evaluations
-        for (a, xi), (b, same_xi) in zip(evaluations[::2], evaluations[1::2]):
-            assert xi == same_xi
+        for (a, bits), (b, same_bits) in zip(evaluations[::2], evaluations[1::2]):
+            assert bits == same_bits
             norm = min(max(map(abs, p.terms.values())) for p in (a, b))
-            assert xi >= 2 * norm + 2
+            assert 2 ** bits >= 2 * norm + 2
 
     def test_the_bound_is_needed(self, monkeypatch):
-        # why the bound above is asserted: at xi = 29 both images of
-        # (x-28)(x+1) and (x-28)(x+2) are coprime (30 and 31), so the
-        # candidate 1 divides both inputs and the gcd x - 28 is missed
-        a = parse_polynomial("(x-28)*(x+1)", ("x",), INT)
-        b = parse_polynomial("(x-28)*(x+2)", ("x",), INT)
-        assert poly_gcd(a, b) == parse_polynomial("x-28", ("x",), INT)
+        # why the bound above is asserted: with the norm taken as 0 the points
+        # are 2^5, 2^7 and 2^9; the first two candidates, 8x + 12 and x + 44,
+        # divide neither input, but at 2^9 the images of (x-300)(x+1) and
+        # (x-300)(x+2) have the gcd 212, a single digit, so the candidate 1
+        # divides both inputs and the gcd x - 300 is missed
+        a = parse_polynomial("(x-300)*(x+1)", ("x",), INT)
+        b = parse_polynomial("(x-300)*(x+2)", ("x",), INT)
+        assert poly_gcd(a, b) == parse_polynomial("x-300", ("x",), INT)
         monkeypatch.setattr(module, "_max_norm", lambda p: 0)
         assert poly_gcd(a, b) == parse_polynomial("1", ("x",), INT)
 
@@ -583,9 +585,9 @@ class TestHeuristicGcd:
         tries, fallbacks = [], []
         subresultant = module._subresultant_gcd
 
-        def wrong_candidate(image, xi, variables):
+        def wrong_candidate(image, bits, variables):
             # never divides a nonzero input of lower degree
-            tries.append(xi)
+            tries.append(bits)
             return Polynomial.variable(variables[-1], variables, INT) ** 100 + 1
 
         def counting(*args):
@@ -597,7 +599,7 @@ class TestHeuristicGcd:
         assert poly_gcd(a, b) == expected
         if not (a.is_constant() or b.is_constant()):
             assert len(tries) == module._HEU_GCD_TRIES == 6
-            assert tries == sorted(set(tries))  # xi grows between tries
+            assert tries == sorted(set(tries))  # the point grows between tries
             assert len(fallbacks) == 1
 
     def test_dense_trivariate_inputs_need_no_fallback(self, monkeypatch):
@@ -614,6 +616,17 @@ class TestHeuristicGcd:
         a, b = x ** 100000 - 1, x ** 75000 - 1
         assert module._heu_gcd(a, b) is None
         assert module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1) == x ** 1500 - 1
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_degree_near_the_budget_needs_no_fallback(self, monkeypatch, kind):
+        # 2^5 is the first point, and 5 bits times degree 13001 is just
+        # within the image budget
+        def unreachable(*args):
+            raise AssertionError("subresultant PRS reached")
+
+        monkeypatch.setattr(module, "_subresultant_gcd", unreachable)
+        x = Polynomial.variable("x", ("x",), kind)
+        assert poly_gcd(x ** 13000 + 1, x ** 13001 + 1) == Polynomial.constant(1, ("x",), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +664,39 @@ def _kernel_cases():
 
 
 KERNEL_CASES = _kernel_cases()
+
+
+def _least_monomial(p):
+    return min(p.terms, key=lambda e: (sum(e), e))
+
+
+def _least_monomial_cases():
+    """Seeded (numerator, divisor) pairs over INT and RAT in 1-3 variables.
+
+    Each divisor is a multiple of one variable u. Its product with a
+    cofactor passes the least-monomial check; the product plus 1 fails it
+    with a smaller least monomial; a multiple of w^3 for another variable w
+    mostly fails it with a larger one; the product plus a random term may
+    do either.
+    """
+    rng = random.Random("least-monomial")
+    cases = []
+    for kind in (INT, RAT):
+        for nvars in range(1, 4):
+            names = NAMES[:nvars]
+            for _ in range(6):
+                a = _random_polynomial(rng, names, kind, 5, 3, 8)
+                b = _random_polynomial(rng, names, kind, 4, 3, 8)
+                u, w = rng.sample(names, 2) if nvars > 1 else names * 2
+                b = b * Polynomial.variable(u, names, kind)
+                term = _random_polynomial(rng, names, kind, 1, 5, 8)
+                cases += [(a * b, b), (a * b + 1, b), (a * b + term, b)]
+                if u != w:
+                    cases.append((a * Polynomial.variable(w, names, kind) ** 3, b))
+    return cases
+
+
+LEAST_MONOMIAL_CASES = _least_monomial_cases()
 
 
 class TestIntegerKernel:
@@ -729,6 +775,30 @@ class TestIntegerKernel:
             assert a * b == oracles.schoolbook_multiply(a, b)
             assert exact_divide(a * b, b) == a
             assert exact_divide(a * b, a) == b
+
+    def test_least_monomial_check_matches_scanning_division(self):
+        fired = {"smaller": 0, "not dividing": 0}
+        for numerator, b in LEAST_MONOMIAL_CASES:
+            ours = exact_divide(numerator, b)
+            assert ours == oracles.scanning_divide(numerator, b)
+            least_n, least_b = _least_monomial(numerator), _least_monomial(b)
+            if not all(x >= y for x, y in zip(least_n, least_b)):
+                assert ours is None
+                smaller = (sum(least_n), least_n) < (sum(least_b), least_b)
+                fired["smaller" if smaller else "not dividing"] += 1
+        # the check fires on both kinds of least monomial, and not on the rest
+        assert all(fired.values()) and sum(fired.values()) < len(LEAST_MONOMIAL_CASES)
+
+    def test_least_monomial_check_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for numerator, b in LEAST_MONOMIAL_CASES:
+            rational = [_to_sympy(p, sympy).set_domain(sympy.QQ) for p in (numerator, b)]
+            quotient, remainder = sympy.div(*rational)
+            divisible = remainder.is_zero and (
+                b.coeff_kind == RAT or all(c.q == 1 for c in quotient.coeffs())
+            )
+            expected = _from_sympy(quotient, b.variables, b.coeff_kind) if divisible else None
+            assert exact_divide(numerator, b) == expected
 
     @pytest.mark.parametrize("a, b", KERNEL_CASES)
     def test_matches_sympy(self, a, b):
@@ -949,37 +1019,43 @@ EVALUATION_CASES = _evaluation_cases()
 class TestEvaluateInterpolate:
     @pytest.mark.parametrize("p", EVALUATION_CASES)
     def test_matches_the_tuple_oracles(self, p):
-        for xi in (2 * _max_norm(p) + 2, 2 ** 80 + 7):
-            image = module._evaluate_last(p, xi)
+        # the least point the determinant would use for p's norm, and a wide one
+        for bits in ((2 * _max_norm(p) + 1).bit_length(), 80):
+            xi = 2 ** bits
+            image = module._evaluate_last(p, bits)
             assert image == oracles.tuple_evaluate_last(p, xi)
             assert image.terms == oracles.tuple_evaluate_last(p, xi).terms
-            assert module._interpolate_last(image, xi, p.variables) == p
-            assert module._interpolate_last(image, xi, p.variables) == (
+            assert module._interpolate_last(image, bits, p.variables) == p
+            assert module._interpolate_last(image, bits, p.variables) == (
                 oracles.tuple_interpolate_last(image, xi, p.variables)
             )
 
     def test_digits_match_the_peeling_loop(self):
-        # long coefficients are split at powers of xi; short ones are peeled
         rng = random.Random("symmetric-digits")
-        for _ in range(300):
-            xi = rng.choice((3, 4, 5, 10, 2 ** 31 + 1, rng.randrange(3, 10 ** rng.randrange(1, 40))))
-            c = rng.randrange(-(10 ** rng.randrange(0, 2000)), 10 ** rng.randrange(0, 2000) + 1)
-            count = abs(c).bit_length() // (xi.bit_length() - 1) + 2
-            expected = oracles.peeled_digits(c, xi)
-            assert _digits(c, xi, count) == expected
-            # the count only chooses where to split
-            assert _digits(c, xi, max(count // 3, 40)) == expected
+        for bits in range(2, 321):
+            B = 2 ** bits
+            k = rng.randrange(1, 40)
+            # powers of the base, their neighbours and halves, and the largest
+            # value k digits hold, B/2 in every digit: its negative has no
+            # digit -B/2 and carries through every position
+            largest = B // 2 * (B ** k - 1) // (B - 1)
+            values = [B ** k + 1, B ** k - 1, B ** k // 2, largest, largest + 1]
+            for _ in range(2):
+                values.append(rng.randrange(10 ** rng.randrange(0, 2000) + 1))
+            for c in values:
+                for signed in (c, -c):
+                    assert _digits(signed, bits) == oracles.peeled_digits(signed, B)
 
     def test_interpolation_widens_past_the_guard_bit(self):
-        # the digits of 3^32768 at xi = 3 put x^32768 on a 16-bit field's guard bit
+        # the digits of 4^32768 at 2^2 put x^32768 on a 16-bit field's guard bit
         power = 2 ** 15
         x = Polynomial.variable("x", ("x",), INT)
-        result = module._interpolate_last(Polynomial.constant(3 ** power, (), INT), 3, ("x",))
+        result = module._interpolate_last(Polynomial.constant(4 ** power, (), INT), 2, ("x",))
         assert result == x ** power and result._width > module._MIN_WIDTH
         yx = ("y", "x")
         y = Polynomial.variable("y", ("y",), INT)
-        image = Polynomial.constant(-(3 ** power), ("y",), INT) * y ** 5
-        result = module._interpolate_last(image, 3, yx)
+        image = Polynomial.constant(-(4 ** power), ("y",), INT) * y ** 5
+        result = module._interpolate_last(image, 2, yx)
         y, x = (Polynomial.variable(name, yx, INT) for name in yx)
         expected = -(y ** 5 * x ** power)
         assert result == expected and result._width > module._MIN_WIDTH
@@ -989,11 +1065,12 @@ def _max_norm(p):
     return max(abs(c) for c in p.terms.values())
 
 
-def _digits(c, xi, count):
-    """The digits ``_symmetric_digits`` appends, as a list from the lowest up."""
-    triples = []
-    digits = [0] * module._symmetric_digits(c, xi, count, None, triples)
-    for _, power, digit in triples:
+def _digits(c, bits):
+    """The base-2^bits digits ``_interpolate_last`` reads from ``c``, lowest first,
+    up to the top nonzero one."""
+    terms = module._interpolate_last(Polynomial.constant(c, (), INT), bits, ("x",)).terms
+    digits = [0] * (max(terms, default=(-1,))[0] + 1)
+    for (power,), digit in terms.items():
         digits[power] = digit
     return digits
 

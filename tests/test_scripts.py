@@ -106,3 +106,20 @@ def test_same_outputs_rational_search_calls(tmp_path):
     assert all(json.loads(out)["verdict"] == "yes" for out in outputs[0:8:2])
     assert "NONEXISTENT(3)" in outputs[11]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_kernel_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.kernel_calls(tmp_path))
+    assert len(calls) == 12
+    results = same_outputs.run_calls(ROOT, calls)
+    assert [code for code, _, _ in results] == [0] * 10 + [1] * 2
+    outputs = [out for _, out, _ in results]
+    assert "PROBE: ok (q divides all 3 sampled determinants)" in outputs[1]
+    assert json.loads(outputs[2])["determinant"] == "x^2000000*y + x^1000000*y^2"
+    assert json.loads(outputs[4])["q"] == "x^20001 + x^10001 + x^10000 + 1"
+    assert json.loads(outputs[6])["q"] == "x^40001 + x^20001 + x^20000 + 1"
+    report = json.loads(outputs[8])
+    assert report["verdict"] == "yes" and report["determinant"].startswith("y^62 + y^61")
+    assert "BASIS: no" in outputs[11]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
