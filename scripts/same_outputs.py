@@ -7,10 +7,11 @@ Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
 search on the bundled graphs, searches on labels with rational
 coefficients, calls at the edges of the integer-image determinant and gcd
-kernels, and calls whose input fails to parse, each in JSON and in
-text mode, through ``graphsplines.cli.main`` of each checkout (imported from its
-``src/`` in a child interpreter), and reports every call whose stdout,
-stderr or exit code differs. The instances are generated once, by this
+kernels, basis checks of triangular candidates, and calls whose input
+fails to parse, each in JSON and in text mode, through
+``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
+child interpreter), and reports every call whose stdout, stderr or exit
+code differs. The instances are generated once, by this
 checkout's ``splinebench/workloads.py``, and both checkouts read the same
 files. Exits 1 if any call differs.
 """
@@ -131,6 +132,17 @@ def rational_search_calls(directory: Path) -> list:
     return calls
 
 
+def write_graph(directory: Path, name: str, ring: dict, labels, cycle=True) -> str:
+    """Write a cycle with one vertex per label, or a path with one vertex more,
+    to ``directory``; returns its path."""
+    names = [f"v{k + 1}" for k in range(len(labels) + (not cycle))]
+    edges = [{"u": names[k], "v": names[(k + 1) % len(names)], "label": label}
+             for k, label in enumerate(labels)]
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps({"ring": ring, "vertices": names, "edges": edges}))
+    return str(path)
+
+
 def kernel_calls(directory: Path) -> list:
     """The argv of calls at the edges of the integer-image kernels, their graphs
     written to ``directory``.
@@ -141,18 +153,22 @@ def kernel_calls(directory: Path) -> list:
     10001 over QQ[x]) and the subresultant fallback past it (degree 20001
     over ZZ[x]); and ``check-basis`` on a triangle over ZZ[x,y] whose
     determinant has degree 62 in y, so the images' coefficients are read
-    back as more than 60 digits, once as a basis and once not.
+    back as more than 60 digits, once as a basis and once not. A triangular
+    candidate's determinant is its diagonal product, so each ``check-basis``
+    candidate is also given mixed by the unimodular U with columns
+    (B1, B1 + B2, B2 + B3), which keeps its determinant and takes it through
+    the kernel.
     """
 
     def write(name, coefficients, variables, labels, cycle=True):
-        """A cycle with one vertex per label, or a path with one vertex more."""
-        names = [f"v{k + 1}" for k in range(len(labels) + (not cycle))]
-        edges = [{"u": names[k], "v": names[(k + 1) % len(names)], "label": label}
-                 for k, label in enumerate(labels)]
         ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
-        path = directory / f"kernel-{name}.json"
-        path.write_text(json.dumps({"ring": ring, "vertices": names, "edges": edges}))
-        return str(path)
+        return write_graph(directory, f"kernel-{name}", ring, labels, cycle)
+
+    def mixed(b1, b2, b3):
+        """The --spline flags of (B1, B1 + B2, B2 + B3) for columns given as entry lists."""
+        columns = (b1, [f"{u}+{v}" for u, v in zip(b1, b2)],
+                   [f"{u}+{v}" for u, v in zip(b2, b3)])
+        return [arg for column in columns for arg in ("--spline", ",".join(column))]
 
     huge = write("huge-degree", "int", ["x", "y"], ["x^1000000", "y", "x^1000000 + y"])
     near = write("near-budget", "rat", ["x"], ["x^10000 + 1", "x^10001 + 1"], cycle=False)
@@ -163,13 +179,54 @@ def kernel_calls(directory: Path) -> list:
         ["probe", huge, "--trials", "3"],
         ["check-basis", huge, "--spline", "1,1,1", "--spline", "0,x^1000000,x^1000000+y",
          "--spline", "0,0,y*(x^1000000+y)"],
+        ["check-basis", huge, *mixed(["1", "1", "1"], ["0", "x^1000000", "x^1000000+y"],
+                                     ["0", "0", "y*(x^1000000+y)"])],
         ["q", near],
         ["q", past],
         ["check-basis", deep, "--spline", "1,1,1", "--spline", f"0,{a},{c}",
          "--spline", f"0,0,({b})*({c})"],
         ["check-basis", deep, "--spline", "1,1,1", "--spline", f"0,{a},{c}",
          "--spline", f"0,0,x*({b})*({c})"],
+        ["check-basis", deep, *mixed(["1", "1", "1"], ["0", a, c], ["0", "0", f"({b})*({c})"])],
+        ["check-basis", deep, *mixed(["1", "1", "1"], ["0", a, c],
+                                     ["0", "0", f"x*({b})*({c})"])],
     ]
+
+
+def triangular_calls(graphs: Path, directory: Path) -> list:
+    """The argv of ``check-basis`` on candidates that are upper triangular,
+    diagonal or have a zero on the diagonal, with further graphs written to
+    ``directory``.
+
+    Over ZZ (``fig2.json`` under ``graphs`` and a one-edge path labelled 1),
+    ZZ[x,y] (the triangle x, y, x + y) and QQ[x,y] (``xy.json`` and a path
+    labelled 2, 3, whose labels are units); the verdicts are yes and no.
+    """
+    fig2, xy = str(graphs / "fig2.json"), str(graphs / "xy.json")
+    unit_zz = write_graph(directory, "triangular-unit-zz", {"kind": "int"}, ["1"], cycle=False)
+    xy_zz = write_graph(directory, "triangular-xy-zz",
+                        {"kind": "poly", "coefficients": "int", "variables": ["x", "y"]},
+                        ["x", "y", "x + y"])
+    unit_qq = write_graph(directory, "triangular-unit-qq",
+                          {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]},
+                          ["2", "3"], cycle=False)
+    candidates = [
+        (fig2, ["4,0,0", "2,10,0", "1,1,1"]),  # upper, a basis
+        (fig2, ["12,0,0", "2,10,0", "1,1,1"]),  # upper, 3 times a basis
+        (fig2, ["20,0,0", "0,20,0", "0,0,20"]),  # lcm * I
+        (fig2, ["1,1,1", "0,0,10", "0,0,10"]),  # zero on the diagonal
+        (unit_zz, ["1,0", "0,-1"]),  # diagonal, a basis
+        (xy_zz, ["(-x)*(x+y),0,0", "x+y,y,0", "1,1,1"]),  # upper, a basis (unit -1)
+        (xy_zz, ["x*(x+y),0,0", "0,x*y,0", "0,0,y*(x+y)"]),  # diagonal
+        (xy_zz, ["1,1,1", "0,x,x+y", "0,0,0"]),  # a zero column
+        (xy, ["x*(x+y),0,0", "x+y,y,0", "1,1,1"]),  # upper, a basis
+        (xy, ["x^2+x*y,0,0", "0,x*y,0", "1,1,1"]),  # upper, the flow-up witnesses
+        (xy, ["x*y*(x+y),0,0", "0,x*y*(x+y),0", "0,0,x*y*(x+y)"]),  # lcm * I
+        (xy, ["1,1,1", "0,0,y*(x+y)", "0,0,y*(x+y)"]),  # zero on the diagonal
+        (unit_qq, ["1,0,0", "0,1/2,0", "0,0,7"]),  # diagonal, a basis
+    ]
+    return [["check-basis", graph, *(arg for column in columns for arg in ("--spline", column))]
+            for graph, columns in candidates]
 
 
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
@@ -245,7 +302,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
         calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
-        calls += kernel_calls(Path(scratch))
+        calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

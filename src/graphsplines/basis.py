@@ -7,21 +7,26 @@ label product plays the same role. Otherwise only the label lcm is
 available; it divides every n-subset determinant, which makes acceptance
 sound but rejection impossible, hence the UNDECIDED verdict.
 
-Every verdict needs one n x n determinant. Over ZZ[vars] and QQ[vars] it is
-taken from one integer image: each row is scaled to integer numerators, the
-last variable is set to the least power of two 2^bits at or above 2H + 2,
-where H = prod_i sum_j |a_ij|_1 bounds every coefficient of the
-determinant, and so on, one variable at a time, down to a matrix of
-integers. Bareiss elimination over ZZ gives its determinant, and the
-coefficients are read back level by level as symmetric base-2^bits digits,
-the bits-wide fields of each coefficient's binary text. A matrix whose images would pass a fixed bit budget (the
-one the heuristic gcd uses) stays on Bareiss elimination over the
-polynomial ring. The divisibility probe takes only integer determinants.
+Every verdict needs one n x n determinant. A flow-up class basis, the
+candidate the criterion is about, is triangular, and so is ``lcm * I``: in
+any ring the determinant of a triangular matrix is the product of its
+diagonal entries, and it is taken as that product. Any other matrix over
+ZZ[vars] and QQ[vars] goes through one integer image: each row is scaled to
+integer numerators, the last variable is set to the least power of two
+2^bits at or above 2H + 2, where H = prod_i sum_j |a_ij|_1 bounds every
+coefficient of the determinant, and so on, one variable at a time, down to
+a matrix of integers. Bareiss elimination over ZZ gives its determinant,
+and the coefficients are read back level by level as symmetric
+base-2^bits digits, the bits-wide fields of each coefficient's binary
+text. A matrix whose images would pass a fixed bit budget (the one the
+heuristic gcd uses) stays on Bareiss elimination over the polynomial ring.
+The divisibility probe takes only integer determinants.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 
@@ -35,21 +40,34 @@ from .splines import flow_up_witness, is_spline, spline_combination
 def exact_determinant(ring, rows):
     """Exact determinant of a nonempty square matrix over ``ring``.
 
-    Over ZZ[vars] and QQ[vars] it is read back from the determinant of an
-    integer image (``polynomials.integer_image_determinant``, see the module
-    docstring); a matrix past that image's bit budget, such as one with
-    entries of degree 10^6, stays on Bareiss elimination over the ring
-    itself. Either way the one elimination loop is ``_bareiss``.
+    A matrix with only zeros above its diagonal, or only zeros below it, has
+    the product of its diagonal entries as determinant, in any ring. Any
+    other matrix over ZZ[vars] and QQ[vars] is read back from the
+    determinant of an integer image
+    (``polynomials.integer_image_determinant``, see the module docstring); a
+    matrix past that image's bit budget, such as one with entries of degree
+    10^6, stays on Bareiss elimination over the ring itself. Either way the
+    one elimination loop is ``_bareiss``.
     """
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("determinant needs a nonempty square matrix")
     a = [[ring.check(entry) for entry in row] for row in rows]
+    if _is_triangular(a):
+        return math.prod((a[i][i] for i in range(1, n)), start=a[0][0])
     if ring.kind == "poly":
         determinant = integer_image_determinant(a, _integer_bareiss)
         if determinant is not None:
             return determinant
     return _bareiss(ring, a)
+
+
+def _is_triangular(a):
+    """Whether every entry above the diagonal, or every entry below it, is zero."""
+    n = len(a)
+    return not any(a[i][j] for i in range(n) for j in range(i + 1, n)) or not any(
+        a[j][i] for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def _integer_bareiss(rows):

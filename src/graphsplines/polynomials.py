@@ -886,8 +886,9 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # (Char, Geddes and Gonnet 1989) runs first: evaluate the last variable at a
 # large power of two 2^bits, take the gcd of the images (recursively, down
 # to integer gcds), rebuild a candidate from the base-2^bits digits of that
-# image gcd, and accept its primitive part only if it divides both inputs.
-# With 2^bits at least 2*min(|a|, |b|) + 2 in the max norm of the primitive
+# image gcd, and accept its primitive part only if it divides both inputs
+# (a constant primitive part is +-1 and needs no trial division). With
+# 2^bits at least 2*min(|a|, |b|) + 2 in the max norm of the primitive
 # inputs, passing that check proves the candidate is the gcd (Geddes, Czapor
 # and Labahn, *Algorithms for Computer Algebra*, Thm 7.7). When the
 # heuristic gives up, the fallback views the polynomials as univariate in
@@ -998,7 +999,9 @@ def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
                 return None
             candidate = _interpolate_last(image_gcd, bits, a.variables)
             candidate = _ground_quotient(candidate, _int_content(candidate))
-            if all(exact_divide(p, candidate) is not None for p in (a, b)):
+            if candidate.is_constant() or all(
+                exact_divide(p, candidate) is not None for p in (a, b)
+            ):
                 return (candidate * content).normalized()
         bits += bits // 4 + 1
     return None

@@ -17,6 +17,7 @@ from graphsplines import (
     divides_all_dets_probe,
     even_constant_term,
     exact_determinant,
+    flow_up_search_bounded,
     integer_flow_up_basis,
     label_lcm,
     spline_combination,
@@ -158,6 +159,77 @@ class TestDeterminant:
             assert basis_module._bareiss(ring, [list(row) for row in rows]) == expected
 
 
+def _triangular_cases():
+    """Seeded lower, upper and diagonal matrices, as (ring, rows, triangular).
+
+    Over ZZ, ZZ[x,y] and QQ[x,y], n from 1 to 5; about one diagonal entry in
+    four is zero. Each lower and upper matrix also comes with one nonzero
+    entry added on the side that was zero, which makes it not triangular.
+    """
+    rng = random.Random(14)
+    rings = (ZZ, PolynomialRing("int", ("x", "y")), PolynomialRing("rat", ("x", "y")))
+    cases = []
+    for ring in rings:
+        def entry():
+            if ring is ZZ:
+                return rng.choice([k for k in range(-9, 10) if k])
+            return _random_entry(rng, ring, (1, 2, 3, 5), 2)
+
+        for n in range(1, 6):
+            for shape in ("lower", "upper", "diagonal"):
+                for _ in range(3):
+                    rows = [[ring.zero] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(n):
+                            keep = {"lower": j < i, "upper": j > i, "diagonal": False}[shape]
+                            if keep or (i == j and rng.random() >= 0.25):
+                                rows[i][j] = entry()
+                    cases.append((ring, rows, True))
+                    if n > 1 and shape != "diagonal":
+                        i, j = rng.sample(range(n), 2)
+                        if (shape == "lower") == (i > j):  # the side that is zero
+                            i, j = j, i
+                        near = [list(row) for row in rows]
+                        while not near[i][j]:
+                            near[i][j] = entry()
+                        cases.append((ring, near, False))
+    return cases
+
+
+class TestTriangularDeterminant:
+    def test_matches_cofactor_and_bareiss(self):
+        cases = _triangular_cases()
+        assert sum(triangular for _, _, triangular in cases) == 135
+        for ring, rows, triangular in cases:
+            assert basis_module._is_triangular(rows) is triangular
+            expected = cofactor_determinant(rows)
+            assert exact_determinant(ring, rows) == expected
+            assert basis_module._bareiss(ring, [list(row) for row in rows]) == expected
+
+    def test_flow_up_basis_takes_no_elimination(self, qxy, monkeypatch):
+        rng = random.Random(7)
+        fig2 = bundled_graph("fig2")
+        k6 = LabeledGraph.complete(ZZ, [rng.randint(1, 10 ** 9) for _ in range(15)])
+        q = compute_q(k6).value
+        xy = bundled_graph("xy")
+        x, y = qxy.variable("x"), qxy.variable("y")
+        candidates = [  # (graph, columns, is_basis)
+            (fig2, integer_flow_up_basis(fig2).columns, True),
+            (k6, integer_flow_up_basis(k6).columns, True),
+            (k6, [tuple(q if i == j else 0 for i in range(6)) for j in range(6)], False),
+            (xy, flow_up_search_bounded(xy, [x, y, x + y], 2).basis.columns, True),
+        ]
+
+        def unreachable(*args):
+            raise AssertionError("a triangular determinant was eliminated")
+
+        monkeypatch.setattr(basis_module, "_bareiss", unreachable)
+        monkeypatch.setattr(basis_module, "integer_image_determinant", unreachable)
+        for graph, columns, is_basis in candidates:
+            verdict = check_basis(SplineMatrix(graph, columns), compute_q(graph))
+            assert verdict.is_basis is is_basis
+
+
 def _sympy_entry(p, gens, sympy):
     total = sympy.Integer(0)
     for exponents, c in p.terms.items():
@@ -200,7 +272,9 @@ class TestIntegerImage:
         ring = PolynomialRing(kind, ("x", "y"))
         x, y = ring.variable("x"), ring.variable("y")
         entry = ring.constant(coefficient) * x ** 3 * y ** 2
-        assert exact_determinant(ring, [[entry]]) == entry
+        # a 1x1 matrix is triangular, so exact_determinant would not take the image
+        image = polynomials.integer_image_determinant([[entry]], basis_module._integer_bareiss)
+        assert image == entry
         # monomials on the antidiagonal: det = -(their product), again of magnitude H
         entries = [ring.constant(coefficient) * x, ring.from_int(-6) * y ** 2, ring.from_int(5)]
         rows = [[entries[i] if i + j == 2 else ring.zero for j in range(3)] for i in range(3)]

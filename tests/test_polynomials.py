@@ -579,6 +579,24 @@ class TestHeuristicGcd:
         monkeypatch.setattr(module, "_max_norm", lambda p: 0)
         assert poly_gcd(a, b) == parse_polynomial("1", ("x",), INT)
 
+    def test_unit_candidate_takes_no_trial_division(self, monkeypatch):
+        divisors = []
+        divide = module.exact_divide
+
+        def recording(numerator, denominator):
+            divisors.append(denominator)
+            return divide(numerator, denominator)
+
+        monkeypatch.setattr(module, "exact_divide", recording)
+        for a, b in [("x + 1", "x + 2"), ("2*x + 3*y + 1", "x - y"), ("x*y + 5", "x^2 - y")]:
+            a, b = (parse_polynomial(p, ("x", "y"), INT) for p in (a, b))
+            assert poly_gcd(a, b) == parse_polynomial("1", ("x", "y"), INT)
+        assert divisors == []
+        a = parse_polynomial("(x - 3)*(x + y)", ("x", "y"), INT)
+        b = parse_polynomial("(x - 3)*(x - y)", ("x", "y"), INT)
+        assert poly_gcd(a, b) == parse_polynomial("x - 3", ("x", "y"), INT)
+        assert divisors  # a candidate that is not constant is still checked
+
     @pytest.mark.parametrize("a, b", [c for c in GCD_CASES if len(c[0].variables) == 1])
     def test_wrong_candidates_fall_back_after_six_tries(self, monkeypatch, a, b):
         expected = _fallback_gcd(monkeypatch, a, b)

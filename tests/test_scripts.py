@@ -111,15 +111,36 @@ def test_same_outputs_rational_search_calls(tmp_path):
 def test_same_outputs_kernel_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.kernel_calls(tmp_path))
-    assert len(calls) == 12
+    assert len(calls) == 18
     results = same_outputs.run_calls(ROOT, calls)
-    assert [code for code, _, _ in results] == [0] * 10 + [1] * 2
+    assert [code for code, _, _ in results] == [0] * 12 + [1] * 2 + [0] * 2 + [1] * 2
     outputs = [out for _, out, _ in results]
     assert "PROBE: ok (q divides all 3 sampled determinants)" in outputs[1]
     assert json.loads(outputs[2])["determinant"] == "x^2000000*y + x^1000000*y^2"
-    assert json.loads(outputs[4])["q"] == "x^20001 + x^10001 + x^10000 + 1"
-    assert json.loads(outputs[6])["q"] == "x^40001 + x^20001 + x^20000 + 1"
-    report = json.loads(outputs[8])
+    assert json.loads(outputs[4]) == json.loads(outputs[2])  # the mixed candidate
+    assert json.loads(outputs[6])["q"] == "x^20001 + x^10001 + x^10000 + 1"
+    assert json.loads(outputs[8])["q"] == "x^40001 + x^20001 + x^20000 + 1"
+    report = json.loads(outputs[10])
     assert report["verdict"] == "yes" and report["determinant"].startswith("y^62 + y^61")
-    assert "BASIS: no" in outputs[11]
+    assert json.loads(outputs[14]) == report
+    assert "BASIS: no" in outputs[13] and outputs[17] == outputs[13]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_triangular_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.triangular_calls(GRAPHS_DIR, tmp_path))
+    assert len(calls) == 26
+    results = same_outputs.run_calls(ROOT, calls)
+    verdicts = "yes no no no yes yes no no yes no no no yes".split()
+    assert [code for code, _, _ in results] == [
+        {"yes": 0, "no": 1}[verdict] for verdict in verdicts for _ in range(2)
+    ]
+    reports = [json.loads(out) for _, out, _ in results[::2]]
+    assert [report["verdict"] for report in reports] == verdicts
+    assert [report["determinant"] for report in reports[:5]] == ["40", "120", "8000", "0", "-1"]
+    assert reports[5]["determinant"] == "-x^2*y - x*y^2"
+    assert reports[8]["determinant"] == reports[8]["q"] == "x^2*y + x*y^2"
+    assert [reports[i]["determinant"] for i in (7, 11)] == ["0", "0"]
+    assert reports[12]["determinant"] == "7/2"
     assert same_outputs.compare(ROOT, ROOT, calls) == []
