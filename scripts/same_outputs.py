@@ -6,9 +6,10 @@
 Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
 search on the bundled graphs, searches on labels with rational
-coefficients, calls at the edges of the integer-image determinant and gcd
-kernels, basis checks of triangular candidates, and calls whose input
-fails to parse, each in JSON and in text mode, through
+coefficients and on 3-variable cycles and K4s, calls at the edges of the
+integer-image determinant and gcd kernels, basis checks of triangular
+candidates, and calls whose input fails to parse, each in JSON and in text
+mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -229,6 +231,53 @@ def triangular_calls(graphs: Path, directory: Path) -> list:
             for graph, columns in candidates]
 
 
+# the labels of the graphs of search_shape_calls: cycles over QQ[x,y,z], and
+# K4s over QQ[x,y] whose edges v1v2, v1v3, v1v4, v2v3, v2v4, v3v4 take the
+# labels in turn (three of them chords of the 4-cycle v1, v2, v4, v3)
+SEARCH_SHAPES = {
+    "c3": ("x + z", "y", "x + y + z"),
+    "c3-none": ("x", "y", "z"),
+    "c4": ("x + z", "y", "x + y + z", "x - y + z"),
+    "k4": ("x", "y", "x + y", "x - y", "x + 2*y", "2*x + y"),
+    "k4-none": ("1/2*x", "y", "x + 1/3*y", "x - y", "x + 2*y", "2*x + y"),
+}
+
+
+def search_shape_calls(directory: Path) -> list:
+    """The argv of searches on the SEARCH_SHAPES graphs, written to ``directory``.
+
+    The 3-cycle ``c3``, the 4-cycle in cycle order and the K4 ``k4`` at
+    degree 3 have a flow-up basis; ``c3`` at degree 1, ``c3-none``,
+    ``k4-none``, ``k4`` at degree 2 and the 4-cycle in the order v1, v3, v2,
+    v4 are NONEXISTENT. Some calls take a permuted vertex order.
+    """
+    paths = {}
+    for name, labels in SEARCH_SHAPES.items():
+        if name.startswith("c"):
+            ring = {"kind": "poly", "coefficients": "rat", "variables": ["x", "y", "z"]}
+            paths[name] = write_graph(directory, f"shape-{name}", ring, labels)
+            continue
+        ring = {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]}
+        names = ["v1", "v2", "v3", "v4"]
+        edges = [{"u": names[u], "v": names[v], "label": label}
+                 for (u, v), label in zip(itertools.combinations(range(4), 2), labels)]
+        paths[name] = str(directory / f"shape-{name}.json")
+        Path(paths[name]).write_text(json.dumps({"ring": ring, "vertices": names, "edges": edges}))
+    searches = [
+        ("c3", 1, None), ("c3", 2, None), ("c3", 2, "v3,v2,v1"),
+        ("c3-none", 3, None), ("c3-none", 2, "v2,v3,v1"),
+        ("c4", 2, None), ("c4", 3, "v1,v3,v2,v4"), ("c4", 2, "v4,v3,v2,v1"),
+        ("k4", 3, None), ("k4", 3, "v4,v2,v3,v1"), ("k4", 2, None),
+        ("k4-none", 3, "v2,v4,v1,v3"),
+    ]
+    calls = []
+    for name, degree, order in searches:
+        argv = ["search", paths[name], "--factors", ";".join(SEARCH_SHAPES[name]),
+                "--degree", str(degree)]
+        calls.append(argv + (["--vertex-order", order] if order else []))
+    return calls
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -303,6 +352,7 @@ def main(argv=None) -> int:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
         calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
         calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
+        calls += search_shape_calls(Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

@@ -396,6 +396,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the options whose value can start with "-", as a negative entry or factor does
+_DASH_VALUE_OPTIONS = frozenset({"--spline", "--q", "--factors", "--vertex-order"})
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with each of _DASH_VALUE_OPTIONS and a separate value that
+    starts with a single "-" joined into one ``--option=value`` argument.
+
+    argparse reads a separate value that starts with "-" as an option, but
+    reads the value of the joined form as it stands. Arguments after "--"
+    are left alone.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in _DASH_VALUE_OPTIONS and "--" not in joined
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _json_text(report: dict) -> str:
     """The report as indented JSON.
 
@@ -421,8 +443,9 @@ def _long_ints_as_text(value):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         # argparse has printed usage (status 2) or help (status 0)
         return exc.code

@@ -9,8 +9,12 @@ multiply to Q, so each leading term is forced to be a unit times L_i.
 Prescribing the monic L_i turns every edge divisibility constraint on column
 i into affine-linear conditions on the unknown coefficients of the entries
 below it (capped at a total degree bound), decided exactly: one linear
-system per vertex, built with integer coefficients and eliminated
-fraction-free.
+system per vertex, built by one function with integer coefficients and
+eliminated fraction-free. The table of monomials up to the bound is built
+once per search. An edge whose endpoints both come no later than vertex i
+gets no rows: it joins two zero entries, or L_i and a zero entry across an
+edge whose label is a factor of L_i. SplineMatrix still checks every edge
+of each found column.
 
 A NONEXISTENT outcome is a bounded-degree certificate: no flow-up class
 basis exists whose entries all have total degree at most the bound.
@@ -147,110 +151,61 @@ class SearchOutcome:
         return self.basis is not None
 
 
-class _ColumnSystem:
-    """Affine constraints for one candidate column of a flow-up basis.
+def _solve_column(graph: LabeledGraph, position: int, leading: Polynomial, bound: int,
+                  monomials, keys) -> list[Polynomial] | None:
+    """Entries of the flow-up column with the forced leading term ``leading``
+    at ``position`` and unknown entries below it, or None if there are none
+    of total degree at most ``bound``.
 
-    Monomials are keyed as ``packed_numerators`` keys them for the degree
-    bound, so their integer order is grlex and adding two keys multiplies
-    their monomials.
+    ``monomials`` are ``monomials_up_to(nvars, bound)`` and ``keys`` their
+    ``pack_exponents`` keys, so the key order is grlex, a prefix of the keys
+    is every monomial up to a lower degree, and adding two keys multiplies
+    their monomials. The unknowns are the coefficients of the entries in row
+    order, then those of one quotient per edge with rows, in edge order.
     """
-
-    def __init__(self, graph: LabeledGraph, position: int, leading: Polynomial, bound: int):
-        self.graph = graph
-        self.ring = graph.ring
-        self.position = position
-        self.leading = leading
-        self.bound = bound
-        self.entry_monomials = monomials_up_to(len(self.ring.variables), bound)
-        # grlex order lists every monomial of degree d before any of degree
-        # d + 1, so a prefix of these keys is every monomial up to a lower degree
-        self.entry_keys = [pack_exponents(e, bound) for e in self.entry_monomials]
-        self.rows: list[tuple[dict[int, int], int]] = []
-        self.next_variable = 0
-        # unknown entries sit strictly below the prescribed leading entry
-        self.entry_slots = {
-            row: self._new_slot(self.entry_keys)
-            for row in range(position + 1, graph.n)
-        }
-
-    def _new_slot(self, keys) -> dict[int, int]:
-        slot = {}
-        for key in keys:
-            slot[key] = self.next_variable
-            self.next_variable += 1
-        return slot
-
-    def _entry(self, row: int):
-        """Constant Polynomial or an unknown slot for the column entry at ``row``."""
-        if row < self.position:
-            return self.ring.zero
-        if row == self.position:
-            return self.leading
-        return self.entry_slots[row]
-
-    def feasible(self) -> list[Polynomial] | None:
-        """Solve the column's constraints; returns its entries or None."""
-        if self.leading.total_degree() > self.bound:
-            return None
-        for edge in self.graph.edges:
-            lhs = self._entry(edge.u)
-            rhs = self._entry(edge.v)
-            if isinstance(lhs, Polynomial) and isinstance(rhs, Polynomial):
-                if not self.ring.divides(edge.label, lhs - rhs):
-                    return None
-                continue
-            self._add_divisibility_rows(lhs, rhs, edge.label)
-        solution = solve_rational_system(self.rows)
-        if solution is None:
-            return None
-        entries = []
-        for row in range(self.graph.n):
-            piece = self._entry(row)
-            if isinstance(piece, Polynomial):
-                entries.append(piece)
-            else:
-                # free variables are absent from the solution, and 0
-                values = [solution.get(variable) for variable in piece.values()]
-                terms = {e: c for e, c in zip(self.entry_monomials, values) if c}
-                entries.append(Polynomial(self.ring.variables, RAT, terms))
-        return entries
-
-    def _add_divisibility_rows(self, lhs, rhs, label: Polynomial) -> None:
-        """Encode label | (lhs - rhs) as lhs - rhs - label*quotient == 0.
-
-        The equations are scaled by the lcm D of the denominators of lhs and
-        rhs, and label*quotient is written with the label's numerators: that
-        only rescales the quotient unknowns (by D over the label's
-        denominator), so the entry values do not change.
-        """
-        nvars = len(self.ring.variables)
-        quotient_degree = self.bound - label.total_degree()
-        # the monomials of degree at most quotient_degree; none if it is negative
-        count = math.comb(quotient_degree + nvars, nvars) if quotient_degree >= 0 else 0
-        quotient = self._new_slot(self.entry_keys[:count])
+    if leading.total_degree() > bound:
+        return None
+    nvars = len(graph.ring.variables)
+    size = len(keys)
+    entry_variables = (graph.n - position - 1) * size
+    leading_numerators, leading_den = packed_numerators(leading, bound)
+    rows: list[tuple[dict[int, int], int]] = []
+    next_variable = entry_variables
+    for edge in graph.edges:
+        if max(edge.u, edge.v) <= position:
+            continue  # 0 against 0, or L_i against 0 across a label dividing L_i
+        # label | (entry(u) - entry(v)), as entry(u) - entry(v) - label*quotient == 0
+        # scaled by the denominator of the prescribed entries; writing
+        # label*quotient with the label's numerators only rescales the quotient
+        scale = leading_den if position in (edge.u, edge.v) else 1
         equations: dict[int, dict[int, int]] = {}
         constants: dict[int, int] = {}
-        sides = [(lhs, 1), (rhs, -1)]
-        prescribed = [
-            (packed_numerators(piece, self.bound), sign)
-            for piece, sign in sides if isinstance(piece, Polynomial)
-        ]
-        scale = math.lcm(*(den for (_, den), _ in prescribed))
-        for (numerators, den), sign in prescribed:
-            factor = sign * (scale // den)
-            for key, numerator in numerators.items():
-                constants[key] = constants.get(key, 0) + factor * numerator
-        for piece, sign in sides:
-            if not isinstance(piece, Polynomial):
-                for key, variable in piece.items():
-                    equations.setdefault(key, {})[variable] = sign * scale
-        if quotient:  # else the label's degree is above the bound its keys need
-            label_numerators = packed_numerators(label, self.bound)[0].items()
-            for q_key, variable in quotient.items():
-                for l_key, numerator in label_numerators:
-                    equations.setdefault(q_key + l_key, {})[variable] = -numerator
+        for row, sign in ((edge.u, 1), (edge.v, -1)):
+            if row == position:
+                constants = {key: sign * c for key, c in leading_numerators.items()}
+            elif row > position:
+                base = (row - position - 1) * size
+                for k, key in enumerate(keys):
+                    equations.setdefault(key, {})[base + k] = sign * scale
+        label_numerators = packed_numerators(edge.label, bound)[0].items()
+        # bound is at least the label's degree, so the quotient has a monomial
+        count = math.comb(bound - edge.label.total_degree() + nvars, nvars)
+        for q_key in keys[:count]:
+            for l_key, numerator in label_numerators:
+                equations.setdefault(q_key + l_key, {})[next_variable] = -numerator
+            next_variable += 1
         for key in sorted(equations.keys() | constants.keys()):
-            self.rows.append((equations.get(key, {}), -constants.get(key, 0)))
+            rows.append((equations.get(key, {}), -constants.get(key, 0)))
+    solution = solve_rational_system(rows)
+    if solution is None:
+        return None
+    entries = [graph.ring.zero] * position + [leading]
+    for base in range(0, entry_variables, size):
+        # free variables are absent from the solution, and 0
+        values = (solution.get(variable) for variable in range(base, base + size))
+        terms = {e: c for e, c in zip(monomials, values) if c}
+        entries.append(Polynomial(graph.ring.variables, RAT, terms))
+    return entries
 
 
 def flow_up_search_bounded(
@@ -297,9 +252,12 @@ def flow_up_search_bounded(
         ring.product(e.label for e in graph.edges if max(e.u, e.v) == i).normalized()
         for i in range(n)
     ]
+    monomials = monomials_up_to(len(ring.variables), degree_bound)
+    keys = [pack_exponents(e, degree_bound) for e in monomials]
     columns = []
     for position in range(n):
-        entries = _ColumnSystem(graph, position, leading[position], degree_bound).feasible()
+        entries = _solve_column(graph, position, leading[position], degree_bound,
+                                monomials, keys)
         if entries is None:
             return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
         columns.append(tuple(entries))

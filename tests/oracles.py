@@ -16,27 +16,33 @@ sampled column and takes its n x n determinant over the graph's ring,
 which the pool-determinant probe replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
 replaced; and the printer that formats each term from its ``Fraction``
-coefficient, which the one-gcd-per-term printer replaced; and the
+coefficient, which the one-gcd-per-term printer replaced; the
 ``Fraction`` Gaussian elimination with monic pivots that the fraction-free
-solver of ``search`` replaced.
+solver of ``search`` replaced; and the column-system class, which takes
+any prescribed leading term, that ``search._solve_column`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from graphsplines.basis import ProbeResult, SplineMatrix, exact_determinant
 from graphsplines.errors import ParseError, excerpt
+from graphsplines.graphs import LabeledGraph
 from graphsplines.polynomials import (
     _MAX_NESTING,
     INT,
+    RAT,
     Polynomial,
     _power_too_large,
+    pack_exponents,
+    packed_numerators,
     parse_int,
 )
-from graphsplines.search import SearchOutcome, _ColumnSystem
+from graphsplines.search import SearchOutcome, monomials_up_to, solve_rational_system
 from graphsplines.splines import flow_up_witness, spline_combination
 
 
@@ -183,6 +189,112 @@ def minimal_positive_leading_term(splines, leading_zeros):
     return best
 
 
+class ColumnSystem:
+    """Affine constraints for one candidate column of a flow-up basis.
+
+    Monomials are keyed as ``packed_numerators`` keys them for the degree
+    bound, so their integer order is grlex and adding two keys multiplies
+    their monomials.
+    """
+
+    def __init__(self, graph: LabeledGraph, position: int, leading: Polynomial, bound: int):
+        self.graph = graph
+        self.ring = graph.ring
+        self.position = position
+        self.leading = leading
+        self.bound = bound
+        self.entry_monomials = monomials_up_to(len(self.ring.variables), bound)
+        # grlex order lists every monomial of degree d before any of degree
+        # d + 1, so a prefix of these keys is every monomial up to a lower degree
+        self.entry_keys = [pack_exponents(e, bound) for e in self.entry_monomials]
+        self.rows: list[tuple[dict[int, int], int]] = []
+        self.next_variable = 0
+        # unknown entries sit strictly below the prescribed leading entry
+        self.entry_slots = {
+            row: self._new_slot(self.entry_keys)
+            for row in range(position + 1, graph.n)
+        }
+
+    def _new_slot(self, keys) -> dict[int, int]:
+        slot = {}
+        for key in keys:
+            slot[key] = self.next_variable
+            self.next_variable += 1
+        return slot
+
+    def _entry(self, row: int):
+        """Constant Polynomial or an unknown slot for the column entry at ``row``."""
+        if row < self.position:
+            return self.ring.zero
+        if row == self.position:
+            return self.leading
+        return self.entry_slots[row]
+
+    def feasible(self) -> list[Polynomial] | None:
+        """Solve the column's constraints; returns its entries or None."""
+        if self.leading.total_degree() > self.bound:
+            return None
+        for edge in self.graph.edges:
+            lhs = self._entry(edge.u)
+            rhs = self._entry(edge.v)
+            if isinstance(lhs, Polynomial) and isinstance(rhs, Polynomial):
+                if not self.ring.divides(edge.label, lhs - rhs):
+                    return None
+                continue
+            self._add_divisibility_rows(lhs, rhs, edge.label)
+        solution = solve_rational_system(self.rows)
+        if solution is None:
+            return None
+        entries = []
+        for row in range(self.graph.n):
+            piece = self._entry(row)
+            if isinstance(piece, Polynomial):
+                entries.append(piece)
+            else:
+                # free variables are absent from the solution, and 0
+                values = [solution.get(variable) for variable in piece.values()]
+                terms = {e: c for e, c in zip(self.entry_monomials, values) if c}
+                entries.append(Polynomial(self.ring.variables, RAT, terms))
+        return entries
+
+    def _add_divisibility_rows(self, lhs, rhs, label: Polynomial) -> None:
+        """Encode label | (lhs - rhs) as lhs - rhs - label*quotient == 0.
+
+        The equations are scaled by the lcm D of the denominators of lhs and
+        rhs, and label*quotient is written with the label's numerators: that
+        only rescales the quotient unknowns (by D over the label's
+        denominator), so the entry values do not change.
+        """
+        nvars = len(self.ring.variables)
+        quotient_degree = self.bound - label.total_degree()
+        # the monomials of degree at most quotient_degree; none if it is negative
+        count = math.comb(quotient_degree + nvars, nvars) if quotient_degree >= 0 else 0
+        quotient = self._new_slot(self.entry_keys[:count])
+        equations: dict[int, dict[int, int]] = {}
+        constants: dict[int, int] = {}
+        sides = [(lhs, 1), (rhs, -1)]
+        prescribed = [
+            (packed_numerators(piece, self.bound), sign)
+            for piece, sign in sides if isinstance(piece, Polynomial)
+        ]
+        scale = math.lcm(*(den for (_, den), _ in prescribed))
+        for (numerators, den), sign in prescribed:
+            factor = sign * (scale // den)
+            for key, numerator in numerators.items():
+                constants[key] = constants.get(key, 0) + factor * numerator
+        for piece, sign in sides:
+            if not isinstance(piece, Polynomial):
+                for key, variable in piece.items():
+                    equations.setdefault(key, {})[variable] = sign * scale
+        if quotient:  # else the label's degree is above the bound its keys need
+            label_numerators = packed_numerators(label, self.bound)[0].items()
+            for q_key, variable in quotient.items():
+                for l_key, numerator in label_numerators:
+                    equations.setdefault(q_key + l_key, {})[variable] = -numerator
+        for key in sorted(equations.keys() | constants.keys()):
+            self.rows.append((equations.get(key, {}), -constants.get(key, 0)))
+
+
 def enumerating_flow_up_search(graph, factors, degree_bound):
     """Bounded flow-up search over every factor-to-position assignment.
 
@@ -207,7 +319,7 @@ def enumerating_flow_up_search(graph, factors, degree_bound):
         seen.add(key)
         columns = []
         for position in range(n):
-            entries = _ColumnSystem(graph, position, leading[position], degree_bound).feasible()
+            entries = ColumnSystem(graph, position, leading[position], degree_bound).feasible()
             if entries is None:
                 break
             columns.append(tuple(entries))

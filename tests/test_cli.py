@@ -388,6 +388,32 @@ class TestErrors:
 
 
 
+# calls whose option value starts with "-", the value at index 3
+DASH_VALUE_CALLS = [
+    ("check-basis", FIG2, "--spline", "-4,0,0", "--spline", "2,10,0", "--spline", "1,1,1"),
+    ("verify", XY, "--spline", "-x,0,0"),
+    ("search", XY, "--factors", "-x;y;x+y", "--degree", "2"),
+    ("probe", XY, "--q", "-x*y", "--trials", "5"),
+    ("q", XY, "--vertex-order", "-v1,v2,v3"),
+]
+
+
+class TestDashValues:
+    @pytest.mark.parametrize("argv", DASH_VALUE_CALLS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_separate_value_reads_as_joined(self, capsys, argv, mode):
+        joined = (*argv[:2], f"{argv[2]}={argv[3]}", *argv[4:], *mode)
+        code, out, err = run(capsys, *argv, *mode)
+        assert (code, out, err) == run(capsys, *joined)
+        # a wrong vertex order is an error of the document, not of the usage
+        assert code != 2 or "BAD_DOCUMENT" in err
+
+    def test_option_after_option_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", XY, "--spline", "--json")
+        assert (code, out) == (2, "")
+        assert "argument --spline: expected one argument" in err
+
+
 def _digits_value(text: str) -> int:
     """int(text) for decimal text of any length, parsed 4000 digits at a time."""
     sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -17,9 +18,10 @@ from graphsplines import (
 )
 import graphsplines.search as search_module
 from graphsplines.graphs import Edge
+from graphsplines.polynomials import pack_exponents
 from graphsplines.search import monomials_up_to, solve_rational_system
 from conftest import GRAPHS_DIR, bundled_graph, source_env
-from oracles import enumerating_flow_up_search, fraction_solve_rational_system
+from oracles import ColumnSystem, enumerating_flow_up_search, fraction_solve_rational_system
 
 
 class TestLinearSolver:
@@ -162,15 +164,15 @@ class TestSearch:
 
     NON_SPLINE_COLUMN = textwrap.dedent(
         """
-        from graphsplines.search import _ColumnSystem
+        import graphsplines.search as search
 
-        solve = _ColumnSystem.feasible
+        solve = search._solve_column
 
-        def feasible(system):
+        def solve_column(graph, position, *args):
             # a constant added to the last entry of column 2 breaks its congruences
-            entries = solve(system)
-            if system.position == 1:
-                entries[-1] = entries[-1] + system.ring.one
+            entries = solve(graph, position, *args)
+            if position == 1:
+                entries[-1] = entries[-1] + graph.ring.one
             return entries
         """
     )
@@ -178,7 +180,7 @@ class TestSearch:
     def test_non_spline_column_is_rejected(self, qxy, monkeypatch):
         namespace = {}
         exec(self.NON_SPLINE_COLUMN, namespace)
-        monkeypatch.setattr(search_module._ColumnSystem, "feasible", namespace["feasible"])
+        monkeypatch.setattr(search_module, "_solve_column", namespace["solve_column"])
         x, y = qxy.variable("x"), qxy.variable("y")
         with pytest.raises(ValueError, match="^column 2 is not a spline: edge "):
             flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y], 2)
@@ -189,7 +191,7 @@ class TestSearch:
             import sys
             from graphsplines import flow_up_search_bounded, load_graph
 
-            _ColumnSystem.feasible = feasible
+            search._solve_column = solve_column
             assert False, "assert statements are not stripped"
             graph = load_graph(open(sys.argv[1]).read())
             factors = [graph.ring.element_from_text(t) for t in ("x", "y", "x+y")]
@@ -269,6 +271,14 @@ def _oracle_case(ring, shape, X, Y):
         edges = [Edge(0, k + 1, parse(t)) for k, t in enumerate(texts)]
         return LabeledGraph(ring, ["c", "l1", "l2", "l3"], edges), texts
     raise ValueError(shape)
+
+
+def _forced_leading_terms(graph):
+    """L_i for each vertex i: the monic product of the labels joining i to earlier vertices."""
+    return [
+        graph.ring.product(e.label for e in graph.edges if max(e.u, e.v) == i).normalized()
+        for i in range(graph.n)
+    ]
 
 
 ORACLE_CASES = [
@@ -378,11 +388,8 @@ def test_solver_matches_fraction_oracle_on_search_rows():
     # the rows of every column system of a found and a NONEXISTENT search
     for name in ("xy", "squares"):
         graph = bundled_graph(name)
-        for position in range(graph.n):
-            leading = graph.ring.product(
-                e.label for e in graph.edges if max(e.u, e.v) == position
-            ).normalized()
-            system = search_module._ColumnSystem(graph, position, leading, 3)
+        for position, leading in enumerate(_forced_leading_terms(graph)):
+            system = ColumnSystem(graph, position, leading, 3)
             system.feasible()
             fraction_rows = _as_fractions(system.rows)
             expected = fraction_solve_rational_system(fraction_rows)
@@ -432,3 +439,73 @@ def test_rational_labels_match_enumerating_search(qxy, shape, degree, copy):
         assert check_basis(outcome.basis, compute_q(graph)).is_basis is True
     else:
         assert outcome.systems_checked == expected.systems_checked
+
+
+# pairwise coprime labels of cycles over QQ[x,y,z] and of K4s over QQ[x,y];
+# the first cycle of each length and the first K4 have a flow-up basis
+XYZ_CYCLES = (
+    ("x + z", "y", "x + y + z"),
+    ("x", "y", "z"),
+    ("x^2 + y", "y - z", "x*z + 1"),
+    ("x + z", "y", "x + y + z", "x - y + z"),
+    ("1/2*x + z", "y - 2/3", "x + y + z", "z^2 + x"),
+)
+K4_LABELS = (
+    ("x", "y", "x + y", "x - y", "x + 2*y", "2*x + y"),
+    ("x", "y", "x + y", "x - y", "x + 2*y + 1", "1/3*x - y + 2"),
+)
+
+
+def _column_graphs():
+    """The graphs of the column differential test, each in its own and a shuffled order."""
+    qxy = PolynomialRing("rat", ["x", "y"])
+    qxyz = PolynomialRing("rat", ["x", "y", "z"])
+    rng = random.Random("solve-column")
+    graphs = [bundled_graph("xy"), bundled_graph("squares")]
+    graphs += [_oracle_case(qxy, shape, *_rational_affine_image(rng))[0]
+               for shape in ("xy", "c4", "squares")]
+    graphs += [LabeledGraph.cycle(qxyz, [qxyz.element_from_text(t) for t in labels])
+               for labels in XYZ_CYCLES]
+    for labels in K4_LABELS:
+        edges = [Edge(u, v, qxy.element_from_text(t))
+                 for (u, v), t in zip(itertools.combinations(range(4), 2), labels)]
+        graphs.append(LabeledGraph(qxy, ["a", "b", "c", "d"], edges))
+    shuffled = []
+    for graph in graphs:
+        order = list(graph.vertices)
+        rng.shuffle(order)
+        shuffled.append(graph.reorder(order))
+    return graphs + shuffled
+
+
+def test_solve_column_matches_column_system(monkeypatch):
+    # with the forced leading terms, each column gives the reference class's
+    # entries and passes the solver the reference class's rows
+    solved = []
+
+    def recording_solve(rows):
+        solved.append(rows)
+        return solve_rational_system(rows)
+
+    monkeypatch.setattr(search_module, "solve_rational_system", recording_solve)
+    outcomes = {"found": 0, "infeasible": 0, "leading term above the bound": 0}
+    for graph in _column_graphs():
+        assert graph.pairwise_coprime_labels()
+        low = max(label.total_degree() for label in graph.labels())
+        for degree in range(low, low + 3):
+            monomials = monomials_up_to(len(graph.ring.variables), degree)
+            keys = [pack_exponents(e, degree) for e in monomials]
+            for position, leading in enumerate(_forced_leading_terms(graph)):
+                solved.clear()
+                entries = search_module._solve_column(
+                    graph, position, leading, degree, monomials, keys
+                )
+                system = ColumnSystem(graph, position, leading, degree)
+                assert entries == system.feasible(), (graph.vertices, degree, position)
+                if leading.total_degree() > degree:
+                    assert solved == [] and system.rows == []
+                    outcomes["leading term above the bound"] += 1
+                    continue
+                assert solved == [system.rows]
+                outcomes["found" if entries else "infeasible"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
