@@ -8,8 +8,9 @@ bundled demo commands of ``scripts/run_demos.py``, further probes and a
 search on the bundled graphs, searches on labels with rational
 coefficients and on 3-variable cycles and K4s, calls at the edges of the
 integer-image determinant and gcd kernels, basis checks of triangular
-candidates, and calls whose input fails to parse, each in JSON and in text
-mode, through
+candidates, verify and check-basis calls whose entries nest scaled groups or
+cross a packed field boundary, and calls whose input fails to parse, each in
+JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -278,6 +279,53 @@ def search_shape_calls(directory: Path) -> list:
     return calls
 
 
+def parser_calls(graphs: Path) -> list:
+    """The argv of ``verify`` and ``check-basis`` on the bundled graphs under
+    ``graphs``, with entries that nest scaled groups or whose degrees cross
+    the 2^15 boundary of the narrowest packed field.
+
+    The scaled groups take the shape of the seeded check-basis columns: the
+    flow-up basis of ``xy.json`` mixed by a unit upper triangular matrix,
+    each entry a sum of ``(u)*((t))``. The wide entries reach the boundary
+    inside and outside groups, and some cancel back below it.
+    """
+    xy, squares, zx = (str(graphs / f"{name}.json") for name in ("xy", "squares", "zx-obstruction"))
+    basis = (["1", "1", "1"], ["0", "x", "x + y"], ["0", "0", "y*(x + y)"])
+
+    def mixed(columns, signs):
+        """The --spline flags of (B1, B2 + s1*B1, B3 + s2*B2 + s3*B1) as sums of scaled groups."""
+        s1, s2, s3 = signs
+        units = ((1,), (s1, 1), (s3, s2, 1))
+        flags = []
+        for row in units:
+            entries = [" + ".join(f"({u})*(({column[i]}))" for u, column in zip(row, columns))
+                       for i in range(3)]
+            flags += ["--spline", ",".join(entries)]
+        return flags
+
+    wide = [list(column) for column in basis]
+    wide[2][2] = "x^40000*y*(x + y)"
+    cancelled = [list(column) for column in basis]
+    cancelled[2][2] = "(x^40000 + y*(x + y)) - x^40000"
+    return [
+        ["verify", xy, "--spline", "x^40000*(x + y),0,0"],
+        ["verify", xy, "--spline", "x^40000 - x^40000 + x*(x + y),0,0"],
+        ["verify", xy, "--spline", "(x^16384 + y)^2 - (x^16384 + y)^2,x,0"],
+        ["verify", xy, "--spline", "0,(x*y)^16384,(x*y)^16384 + (x + y)*y^32768"],
+        ["verify", xy, "--spline", "(x^16383*y + 1)*(x^16383 + 1)*x*(x + y),0,0"],
+        ["verify", squares, "--spline",
+         "(1)*(((x + y)^2)*((x^2))) + (-1)*((x^2)*((x + y)^2)),(3)*((x^2)*(((y^2)))),0"],
+        ["verify", squares, "--spline", "(2)*(((x^2)*((y^2)))),0,(x^2)^16384*(x + y)^2"],
+        ["verify", zx, "--spline", "2*x*(x + 1)*x^40000,0,0"],
+        ["verify", zx, "--spline", "(x^20000 + 1)*(x^20000 - 1) - x^40000 + 1,x + 1,0"],
+        ["check-basis", xy, *mixed(basis, (1, -1, 1))],
+        ["check-basis", xy, *mixed(basis, (-1, 1, -1))],
+        ["check-basis", xy, *mixed(wide, (1, 1, -1))],
+        ["check-basis", xy, *mixed(cancelled, (-1, -1, 1))],
+        ["check-basis", xy, *(arg for column in wide for arg in ("--spline", ",".join(column)))],
+    ]
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -352,7 +400,7 @@ def main(argv=None) -> int:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
         calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
         calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
-        calls += search_shape_calls(Path(scratch))
+        calls += search_shape_calls(Path(scratch)) + parser_calls(ROOT / "graphs")
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

@@ -400,22 +400,47 @@ def _parser() -> argparse.ArgumentParser:
 _DASH_VALUE_OPTIONS = frozenset({"--spline", "--q", "--factors", "--vertex-order"})
 
 
-def _join_dash_values(argv: list[str]) -> list[str]:
+def _join_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """``argv`` with each of _DASH_VALUE_OPTIONS and a separate value that
     starts with a single "-" joined into one ``--option=value`` argument.
 
     argparse reads a separate value that starts with "-" as an option, but
-    reads the value of the joined form as it stands. Arguments after "--"
+    reads the value of the joined form as it stands. An option may be
+    abbreviated, as argparse allows, to a prefix of exactly one option of
+    the subcommand of ``parser`` that ``argv`` chooses. Arguments after "--"
     are left alone.
     """
+    command = next((token for token in argv if not token.startswith("-")), None)
+    options = _subcommand_options(parser, command)
     joined: list[str] = []
     for token in argv:
-        if (joined and joined[-1] in _DASH_VALUE_OPTIONS and "--" not in joined
-                and token.startswith("-") and not token.startswith("--")):
+        if (joined and _option_named(joined[-1], options) in _DASH_VALUE_OPTIONS
+                and "--" not in joined and token.startswith("-") and not token.startswith("--")):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
+
+
+def _subcommand_options(parser: argparse.ArgumentParser, command) -> list[str]:
+    """The option strings of ``parser``'s subcommand ``command``, or none if
+    it has no such subcommand."""
+    # argparse keeps its subcommands and their options only in these fields
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
+            return list(action.choices[command]._option_string_actions)
+    return []
+
+
+def _option_named(token: str, options: list[str]) -> str | None:
+    """The option of ``options`` that argparse reads ``token`` as: itself, or
+    the only one it is a prefix of; None if there is no such option."""
+    if token in options:
+        return token
+    if not token.startswith("--"):
+        return None
+    matches = [option for option in options if option.startswith(token)]
+    return matches[0] if len(matches) == 1 else None
 
 
 def _json_text(report: dict) -> str:
@@ -445,7 +470,8 @@ def _long_ints_as_text(value):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(_join_dash_values(argv))
+        parser = _parser()
+        args = parser.parse_args(_join_dash_values(argv, parser))
     except SystemExit as exc:
         # argparse has printed usage (status 2) or help (status 0)
         return exc.code

@@ -115,7 +115,8 @@ class Polynomial:
                 clean[exponents] = clean.get(exponents, 0) + coefficient
                 if not clean[exponents]:
                     del clean[exponents]
-        packed, den, width = _packed_form(clean, coeff_kind)
+        width = _width_for(max(map(sum, clean), default=0))
+        packed, den = _numerators({_pack(e, width): c for e, c in clean.items()}, coeff_kind)
         self.variables = variables
         self.coeff_kind = coeff_kind
         self._packed = packed
@@ -270,22 +271,7 @@ class Polynomial:
         width = max(self._width, other._width)
         if degree >> (width - 1):  # the product's degree would reach the guard bit
             width = _width_for(degree)
-        a, b = _repacked(self, width), _repacked(other, width)
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # a one-term factor (often a constant) cannot cancel anything
-            ((shift, d),) = b.items()
-            out = {m + shift: c * d for m, c in a.items()}
-        else:
-            out: dict[int, int] = {}
-            get = out.get
-            items = list(b.items())
-            for m, c in a.items():
-                for p, d in items:
-                    key = m + p
-                    out[key] = get(key, 0) + c * d
-            out = {m: c for m, c in out.items() if c}
+        out = _product(_repacked(self, width), _repacked(other, width))
         if kind == INT:
             return _make(variables, INT, out, 1, width)
         return _reduced(variables, out, self._den * other._den, width)
@@ -396,20 +382,37 @@ def _coerce_coefficient(value, coeff_kind):
     raise RingMismatchError(f"{value!r} is not a rational coefficient")
 
 
-def _packed_form(monomials, coeff_kind) -> tuple[dict[int, int], int, int]:
-    """(packed map, denominator, width) of a dict from exponent tuples to
-    nonzero coefficients: ints, or over RAT ints and Fractions."""
-    width = _width_for(max(map(sum, monomials), default=0))
+def _numerators(coefficients, coeff_kind) -> tuple[dict, int]:
+    """(numerators, denominator) of a map to nonzero coefficients: ints, or
+    over RAT ints and Fractions. Over INT the map itself is the numerators."""
     if coeff_kind == INT:
-        return {_pack(e, width): c for e, c in monomials.items()}, 1, width
+        return coefficients, 1
     # pairwise, not math.lcm(*generator): unpacking a generator grows a tuple
     # by resizing and frees it onto the free list of its final length, which
     # leaves idle tuples in a long process
     den = 1
-    for c in monomials.values():
+    for c in coefficients.values():
         den = math.lcm(den, c.denominator)
-    packed = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in monomials.items()}
-    return packed, den, width
+    return {m: c.numerator * (den // c.denominator) for m, c in coefficients.items()}, den
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two nonzero maps from packed monomials at one width to
+    coefficients (ints, or ints and Fractions), zero coefficients dropped."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # a one-term factor (often a constant) cannot cancel anything
+        ((shift, d),) = b.items()
+        return {m + shift: c * d for m, c in a.items()}
+    out = {}
+    get = out.get
+    items = list(b.items())
+    for m, c in a.items():
+        for p, d in items:
+            key = m + p
+            out[key] = get(key, 0) + c * d
+    return {m: c for m, c in out.items() if c}
 
 
 def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
@@ -509,12 +512,18 @@ def _term_text(variables, exponents, magnitude: str) -> str:
 # polynomials such as "-x" round-trip. Nesting depth and the size of a power
 # are capped (below), so a short label cannot make the parser run away.
 #
-# A term folds its literals, variables, their powers and its parenthesised
-# monomials into one coefficient and one exponent vector as it reads them,
-# and an expression gathers those monomials in one dict keyed by exponent
-# tuple, packed once when the expression ends. Polynomial arithmetic runs
-# only on parenthesised factors that are not monomials: their powers, their
-# products with the rest of a term, and the sum of such terms.
+# Every value the parser builds is one map from packed monomials, at the
+# parser's field width, to nonzero int or Fraction coefficients, and the
+# map of the whole text becomes a Polynomial once, when the parse ends. A
+# term is read as a coefficient, a packed monomial (the sum of per-variable
+# keys, each times its exponent; a parenthesised monomial folds in the same
+# way) and, if it has any, the product map of its parenthesised factors that
+# are not monomials; the term then enters its expression's map as one
+# scaled add. Two such factors are multiplied by Polynomial.__mul__'s loop
+# (_product), and a power of one is expanded by Polynomial.__pow__ and read
+# back. A monomial whose total degree would reach the guard bit stops the
+# parse (_Widen), and the parse starts again at a width that holds that
+# degree and is at least twice the last one.
 # ---------------------------------------------------------------------------
 
 # Each parenthesis level costs two Python frames of recursion (expr and
@@ -635,8 +644,12 @@ def _token_positions(text: str) -> list[int]:
     return positions
 
 
+class _Widen(Exception):
+    """A parsed monomial of total degree ``args[0]`` would reach the guard bit."""
+
+
 class _Parser:
-    """Recursive descent over the token strings.
+    """Recursive descent over the token strings, building maps at one field width.
 
     Its ParseErrors carry the index of the offending token, not its offset
     in the text; ``parse_polynomial`` translates them. Only the tokens a
@@ -645,74 +658,96 @@ class _Parser:
     the parse fail, and ``parse_polynomial`` then reports the first one.
     """
 
-    def __init__(self, tokens, variables, coeff_kind):
+    def __init__(self, tokens, variables, coeff_kind, width):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.variables = tuple(variables)
-        self.index: dict[str, int] = {}
-        for k, name in enumerate(self.variables):
+        self.variables = variables
+        self.coeff_kind = coeff_kind
+        self.width = width
+        nvars = len(variables)
+        self.top = width * nvars  # the shift of the total-degree field
+        # a monomial's total degree reaches the guard bit exactly when this
+        # shift of it is nonzero, even where its exponent fields overflow
+        self.guard = self.top + width - 1
+        self.keys: dict[str, int] = {}
+        for k, name in enumerate(variables):
             # a name token starts with a letter or "_", so no other variable
             # can be read; of equal names the first counts
             if name[:1].isalpha() or name[:1] == "_":
-                self.index.setdefault(name, k)
-        self.coeff_kind = coeff_kind
+                self.keys.setdefault(name, 1 << self.top | 1 << (width * (nvars - 1 - k)))
 
-    def parse(self) -> Polynomial:
-        monomials, rest = self.expr()
+    def parse(self) -> dict:
+        terms = self.expr()
         token = self.tokens[self.pos]
         if token != _END:
             raise ParseError(f"unexpected trailing input {excerpt(token)}", self.pos)
-        return self.polynomial(monomials, rest)
+        return terms
 
-    def polynomial(self, monomials, rest=None) -> Polynomial:
-        """The sum of a monomial dict and ``rest`` (a Polynomial or None)."""
-        if rest is not None and not monomials:
-            return rest
-        value = _make(self.variables, self.coeff_kind, *_packed_form(monomials, self.coeff_kind))
-        return value if rest is None else _sum(value, rest, 1)
+    def polynomial(self, terms: dict) -> Polynomial:
+        """The map ``terms`` as a Polynomial at the parser's width."""
+        return _make(self.variables, self.coeff_kind, *_numerators(terms, self.coeff_kind),
+                     self.width)
 
-    def expr(self):
-        """An expression as its monomial terms summed in one dict plus the sum
-        of its other terms (None if it has none)."""
-        tokens = self.tokens
-        monomials: dict[tuple[int, ...], int | Fraction] = {}
-        rest = None
+    def expr(self) -> dict:
+        """An expression as one map, each term added in as it is read."""
+        tokens, top, guard = self.tokens, self.top, self.guard
+        out: dict = {}
         sign = tokens[self.pos]
         if sign == "+" or sign == "-":
             self.pos += 1
         while True:
-            coefficient, exponents, product = self.term()
+            coefficient, monomial, product = self.term()
             if sign == "-":
                 coefficient = -coefficient
-            if product is None or not coefficient:  # a monomial, or zero
-                key = tuple(exponents)
-                total = monomials.pop(key, 0) + coefficient
+            if product is None:  # a monomial
+                total = out.get(monomial, 0) + coefficient
                 if total:
-                    monomials[key] = total
-            else:
-                if coefficient != 1 or any(exponents):
-                    product = product * self.polynomial({tuple(exponents): coefficient})
-                rest = product if rest is None else _sum(rest, product, 1)
+                    out[monomial] = total
+                else:
+                    out.pop(monomial, None)
+            elif coefficient:
+                if monomial:
+                    lead = max(product)
+                    if (monomial + lead) >> guard:
+                        raise _Widen((monomial >> top) + (lead >> top))
+                if not out:
+                    # the product map is the term's own, so it can be taken over
+                    out = product if coefficient == 1 and not monomial else {
+                        monomial + p: coefficient * d for p, d in product.items()
+                    }
+                else:
+                    get = out.get
+                    for p, d in product.items():
+                        key = monomial + p
+                        total = get(key, 0) + coefficient * d
+                        if total:
+                            out[key] = total
+                        else:
+                            del out[key]
             sign = tokens[self.pos]
             if sign != "+" and sign != "-":
-                return monomials, rest
+                return out
             self.pos += 1
 
     def term(self):
-        """A term as (coefficient, exponent list, product of its factors that
-        are not monomials, or None)."""
-        tokens, index = self.tokens, self.index
+        """A term as (coefficient, packed monomial, product map of its
+        factors that are not monomials, or None)."""
+        tokens, keys, top, guard = self.tokens, self.keys, self.top, self.guard
         coefficient: int | Fraction = 1
-        exponents = [0] * len(self.variables)
+        monomial = 0
         product = None
         while True:
             start = self.pos
             token = tokens[start]
             self.pos += 1
-            k = index.get(token)
-            if k is not None:
-                exponents[k] += self.exponent(1)
+            key = keys.get(token)
+            if key is not None:
+                power = self.exponent(1)
+                grown = monomial + key * power
+                if grown >> guard:
+                    raise _Widen((monomial >> top) + power)
+                monomial = grown
             elif token[:1].isdecimal():
                 value = self.literal(token, start)
                 coefficient *= value ** self.exponent(value)
@@ -722,23 +757,23 @@ class _Parser:
                     raise ParseError(
                         f"parentheses nested deeper than {_MAX_NESTING} levels", start
                     )
-                monomials, rest = self.expr()
+                group = self.expr()
                 if tokens[self.pos] != ")":
                     raise ParseError("expected ')'", self.pos)
                 self.pos += 1
                 self.depth -= 1
-                if rest is None and len(monomials) <= 1:  # a monomial, or zero
-                    inner, c = next(iter(monomials.items()), ((), 0))
+                if len(group) <= 1:  # a monomial, or zero
+                    inner, c = next(iter(group.items()), (0, 0))
                     power = self.exponent(c)
                     coefficient *= c ** power
-                    for j, e in enumerate(inner):
-                        exponents[j] += e * power
+                    grown = monomial + inner * power
+                    if grown >> guard:
+                        raise _Widen((monomial >> top) + (inner >> top) * power)
+                    monomial = grown
                 else:
-                    base = self.polynomial(monomials, rest)
-                    power = self.exponent(base)
-                    if power != 1:
-                        base = base ** power
-                    product = base if product is None else product * base
+                    if tokens[self.pos] == "^":
+                        group = self.power(group)
+                    product = group if product is None else self.product(product, group)
             elif token[:1].isalpha() or token[:1] == "_":
                 raise ParseError(f"unknown variable {excerpt(token)}", start)
             else:
@@ -746,8 +781,29 @@ class _Parser:
                     "expected a literal, variable, or parenthesized expression", start
                 )
             if tokens[self.pos] != "*":
-                return coefficient, exponents, product
+                return coefficient, monomial, product
             self.pos += 1
+
+    def product(self, a: dict, b: dict) -> dict:
+        lead_a, lead_b = max(a), max(b)
+        if (lead_a + lead_b) >> self.guard:
+            raise _Widen((lead_a >> self.top) + (lead_b >> self.top))
+        return _product(a, b)
+
+    def power(self, group: dict) -> dict:
+        """The map of a group that is not a monomial raised to the exponent
+        that follows it."""
+        base = self.polynomial(group)
+        exponent = self.exponent(base)
+        if exponent == 1:
+            return group
+        result = base ** exponent
+        if result._width > self.width:
+            raise _Widen(result.total_degree())
+        packed, den = _repacked(result, self.width), result._den  # base ** 0 is narrower
+        if den == 1:
+            return packed
+        return {m: Fraction(c, den) for m, c in packed.items()}
 
     def exponent(self, base) -> int:
         """The exponent on ``base`` (1 if no '^' follows), checked against the
@@ -791,13 +847,22 @@ def parse_polynomial(text: str, variables, coeff_kind: str) -> Polynomial:
     if not tokens:
         raise ParseError("empty input", 0)
     tokens.append(_END)
-    try:
-        return _Parser(tokens, variables, coeff_kind).parse()
-    except ParseError as exc:
-        # a malformed token is reported first, as the token-by-token reading
-        # of the text would meet it before any parse error
-        position = _token_positions(text)[exc.position]
-        raise ParseError(exc.reason, position) from None
+    variables = tuple(variables)
+    width = _MIN_WIDTH
+    while True:
+        try:
+            terms = _Parser(tokens, variables, coeff_kind, width).parse()
+        except _Widen as widen:
+            # at least doubling the width: a label whose degree grows by one
+            # bit after another restarts a few times, not once per bit
+            width = max(_width_for(widen.args[0]), 2 * width)
+            continue
+        except ParseError as exc:
+            # a malformed token is reported first, as the token-by-token
+            # reading of the text would meet it before any parse error
+            position = _token_positions(text)[exc.position]
+            raise ParseError(exc.reason, position) from None
+        return _make(variables, coeff_kind, *_numerators(terms, coeff_kind), width)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +1109,8 @@ def _interpolate_last(image: Polynomial, bits: int, variables) -> Polynomial:
     last variable, which is the lowest packed field of the result. Adding
     ``offset = 2^(bits-1) - 1`` at every digit position makes every digit
     non-negative, so the digits are the ``bits``-wide fields of the sum's
-    binary text, each less ``offset``.
+    binary text, each less ``offset``. A coefficient in [-offset, offset + 1]
+    is its own one digit.
     """
     width = image._width
     top = width * (len(variables) - 1)
@@ -1053,13 +1119,17 @@ def _interpolate_last(image: Polynomial, bits: int, variables) -> Polynomial:
     triples: list[tuple[int, int, int]] = []  # image monomial, power, digit
     degree = 0
     for m, c in image._packed.items():
-        count = abs(c).bit_length() // bits + 2  # |c| < 2^(bits*(count-1))
-        text = format(c + int(offset_field * count, 2), f"0{bits * count}b")
-        for power, start in enumerate(range(bits * (count - 1), -1, -bits)):
-            digit = int(text[start:start + bits], 2) - offset
-            if digit:
-                triples.append((m, power, digit))
-                end = power
+        if -offset <= c <= offset + 1:  # c is its own one digit
+            triples.append((m, 0, c))
+            end = 0
+        else:
+            count = abs(c).bit_length() // bits + 2  # |c| < 2^(bits*(count-1))
+            text = format(c + int(offset_field * count, 2), f"0{bits * count}b")
+            for power, start in enumerate(range(bits * (count - 1), -1, -bits)):
+                digit = int(text[start:start + bits], 2) - offset
+                if digit:
+                    triples.append((m, power, digit))
+                    end = power
         degree = max(degree, (m >> top) + end)  # c != 0 has a nonzero digit
     return _with_last(tuple(variables), triples, width, degree)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+from graphsplines import cli
 from graphsplines.cli import main
 from conftest import GRAPHS_DIR, ROOT, source_env
 
@@ -395,6 +397,12 @@ DASH_VALUE_CALLS = [
     ("search", XY, "--factors", "-x;y;x+y", "--degree", "2"),
     ("probe", XY, "--q", "-x*y", "--trials", "5"),
     ("q", XY, "--vertex-order", "-v1,v2,v3"),
+    # abbreviations argparse resolves to one option of the subcommand
+    pytest.param(("verify", XY, "--spl", "-x,0,0"), id="verify-spl"),
+    pytest.param(("check-basis", FIG2, "--spl", "-4,0,0", "--s", "2,10,0", "--spline", "1,1,1"),
+                 id="check-basis-spl"),
+    pytest.param(("search", XY, "--fac", "-x;y;x+y", "--degree", "2"), id="search-fac"),
+    pytest.param(("q", XY, "--vert", "-v1,v2,v3"), id="q-vert"),
 ]
 
 
@@ -412,6 +420,25 @@ class TestDashValues:
         code, out, err = run(capsys, "verify", XY, "--spline", "--json")
         assert (code, out) == (2, "")
         assert "argument --spline: expected one argument" in err
+
+    def test_ambiguous_prefix_is_left_to_argparse(self, capsys):
+        parser = argparse.ArgumentParser(prog="demo")
+        sub = parser.add_subparsers(dest="command").add_parser("verify")
+        sub.add_argument("--spline")
+        sub.add_argument("--splice")
+        argv = ["verify", "--spl", "-x,0,0"]
+        assert cli._join_dash_values(argv, parser) == argv  # a prefix of both
+        assert cli._join_dash_values(["verify", "--splin", "-x"], parser) == [
+            "verify", "--splin=-x"]
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+        assert exit_.value.code == 2
+        assert "ambiguous option: --spl could match --spline, --splice" in capsys.readouterr().err
+
+    def test_prefix_of_another_option_is_not_joined(self):
+        # in probe, --s abbreviates --seed, which takes a number, not a label
+        argv = ["probe", XY, "--s", "-3", "--q", "-x*y"]
+        assert cli._join_dash_values(argv, cli._parser()) == argv[:4] + ["--q=-x*y"]
 
 
 def _digits_value(text: str) -> int:

@@ -174,6 +174,49 @@ def _mutated(rng, text):
     return text[:at] + text[at + 1:]
 
 
+def _literal(rng, kind):
+    choices = ("1", "-1", "2", "-3", "17", "0")
+    return rng.choice(choices + (("3/4", "-5/2") if kind == RAT else ()))
+
+
+def _nested(rng, kind, depth):
+    """A sum that is not a monomial, with groups nested ``depth`` deep."""
+    if not depth:
+        return rng.choice(("x + y - 1", "2*x - 3*y", "x*y + 1", "x^2 - y", "-x + 4"))
+    inner = _nested(rng, kind, depth - 1)
+    return rng.choice((
+        f"({inner})",
+        f"({_literal(rng, kind)})*({inner}) + {rng.choice(('x', 'y', '1', 'x*y'))}",
+        f"x*({inner}) - y",
+    ))
+
+
+def _wide(rng):
+    """A monomial or group whose degree is at or near 2^15."""
+    e = rng.choice((16383, 16384, 32767, 32768, 40000))
+    return rng.choice((f"x^{e}", f"x^{e}*y", f"(x^{e} + y)", f"(x*y)^{e // 2}",
+                       f"(x^{e // 2} - 1)^2", f"(x^{e // 2} + y)*(y^{e // 2} - x)"))
+
+
+# Label shapes the parser folds in its own way, each drawn by (rng, kind).
+SHAPES = {
+    # sums of (u)*(t), t nested two or three groups deep
+    "scaled-sums": lambda rng, kind: " + ".join(
+        f"({_literal(rng, kind)})*({_nested(rng, kind, rng.randint(2, 3))})"
+        for _ in range(rng.randint(1, 4))),
+    # products of two or three groups that are not monomials
+    "products": lambda rng, kind: rng.choice(("", "3*", "x*", "-y*")) + "*".join(
+        f"({_nested(rng, kind, rng.randint(0, 2))})" for _ in range(rng.randint(2, 3))),
+    "powers": lambda rng, kind: rng.choice(("", "2*", "(x + 1)*")) + (
+        f"({_nested(rng, kind, rng.randint(0, 2))})^{rng.choice((0, 1, 2, 3, 4, 44))}"
+        f" - (y - ({_nested(rng, kind, 0)})^{rng.randint(0, 3)})^2"),
+    # degrees across the 2^15 field boundary, inside and outside groups
+    "wide": lambda rng, kind: f"{_wide(rng)}*({_wide(rng)}) + {_nested(rng, kind, 1)}",
+    # the same, cancelled back below the boundary
+    "cancelled": lambda rng, kind: "{0} + ({1}) - {0}".format(_wide(rng), _nested(rng, kind, 2)),
+}
+
+
 def _parsed(parse, text, kind, variables=VARS):
     try:
         value = parse(text, variables, kind)
@@ -183,7 +226,7 @@ def _parsed(parse, text, kind, variables=VARS):
 
 
 class TestParserAgainstTokenOracle:
-    """The run-folding parser against the token-by-token one it replaced."""
+    """The package's parser against the token-by-token one in oracles.py."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", [INT, RAT])
@@ -200,6 +243,26 @@ class TestParserAgainstTokenOracle:
     @pytest.mark.parametrize("kind", [INT, RAT])
     @pytest.mark.parametrize("text", MALFORMED_PIECES + ("", "  ", "x + ", "(x", "x)", "1/2/3"))
     def test_each_piece_alone(self, kind, text):
+        expected = _parsed(oracles.token_parse_polynomial, text, kind)
+        assert _parsed(parse_polynomial, text, kind) == expected
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_shaped_labels(self, kind, shape):
+        rng = random.Random(f"parse-shape/{kind}/{shape}")
+        for _ in range(40):
+            text = SHAPES[shape](rng, kind)
+            expected = _parsed(oracles.token_parse_polynomial, text, kind)
+            assert _parsed(parse_polynomial, text, kind) == expected, text
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    @pytest.mark.parametrize("text", [
+        "x^40000 - x^40000 + 1", "(x^16383*y + 1)*(x^16383 + 1)", "(x*y)^16384",
+        "(x^16384 + y)^2 - (x^16384 + y)^2 + x", "((x^32768))*(y + 1) - x^32768*y - x^32768",
+        "0*x^40000 + y", "(x^40000 + y)^0", "(x^20000 - y)*(x^20000 + y) - x^40000 + y^2",
+        "(x^" + "9" * 40 + ")^3 - x^" + "9" * 40 + "*x^" + "9" * 40 + "*x^" + "9" * 40,
+    ])
+    def test_widening(self, kind, text):
         expected = _parsed(oracles.token_parse_polynomial, text, kind)
         assert _parsed(parse_polynomial, text, kind) == expected
 
@@ -1058,6 +1121,9 @@ class TestEvaluateInterpolate:
             # digit -B/2 and carries through every position
             largest = B // 2 * (B ** k - 1) // (B - 1)
             values = [B ** k + 1, B ** k - 1, B ** k // 2, largest, largest + 1]
+            # the ends of the one-digit range [-offset, offset + 1], and past them
+            offset = B // 2 - 1
+            values += [offset, offset + 1, offset + 2]
             for _ in range(2):
                 values.append(rng.randrange(10 ** rng.randrange(0, 2000) + 1))
             for c in values:

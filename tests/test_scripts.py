@@ -160,3 +160,20 @@ def test_same_outputs_search_shape_calls(tmp_path):
     assert reports[9]["determinant"] == reports[8]["determinant"]  # k4 in another order
     assert "4096 distinct leading-term systems" in results[23][1]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_parser_calls():
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.parser_calls(GRAPHS_DIR))
+    assert len(calls) == 28
+    results = same_outputs.run_calls(ROOT, calls)
+    codes = [0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1]
+    assert [code for code, _, _ in results] == [code for code in codes for _ in range(2)]
+    outputs = [out for _, out, _ in results]
+    assert "candidate: (x^40001 + x^40000*y, 0, 0)" in outputs[1]
+    assert "candidate: (x^2 + x*y, 0, 0)" in outputs[3]  # cancelled below the boundary
+    reports = [json.loads(out) for out in outputs[18::2]]  # the check-basis calls
+    assert [report["determinant"] for report in reports] == [
+        "x^2*y + x*y^2", "x^2*y + x*y^2", "x^40002*y + x^40001*y^2", "x^2*y + x*y^2",
+        "x^40002*y + x^40001*y^2"]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
