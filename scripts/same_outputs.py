@@ -9,8 +9,9 @@ search on the bundled graphs, searches on labels with rational
 coefficients and on 3-variable cycles and K4s, calls at the edges of the
 integer-image determinant and gcd kernels, basis checks of triangular
 candidates, verify and check-basis calls whose entries nest scaled groups or
-cross a packed field boundary, and calls whose input fails to parse, each in
-JSON and in text mode, through
+cross a packed field boundary, integer-lattice calls on graphs whose
+vertices have far apart label lcms, coprimality tests of linear labels, and
+calls whose input fails to parse, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -25,6 +26,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -326,6 +328,104 @@ def parser_calls(graphs: Path) -> list:
     ]
 
 
+def spline_flags(columns) -> list:
+    """The ``--spline`` flags of columns given as text."""
+    return [arg for column in columns for arg in ("--spline", column)]
+
+
+def lattice_calls(base: Path, directory: Path) -> list:
+    """The argv of integer-lattice calls whose vertices have far apart label
+    lcms, their graphs written to ``directory``.
+
+    A hub with six 9-digit spokes and a pendant path with small labels, a
+    multigraph whose parallel edges carry powers of 2 and 3, and a K12 with
+    9-digit labels. Each graph gets ``flowup``, ``q``, ``check-basis`` of its
+    flow-up basis (taken from ``base``) mixed by the unimodular matrix with
+    columns (B1, B1 + B2, ..., B(n-1) + Bn), which is a basis, and of that
+    candidate with its last column doubled, which is not, and ``verify`` of
+    the sum of the basis columns, a spline, and of that sum plus the last
+    unit vector, which is not.
+    """
+    rng = random.Random("same-outputs/lattice")
+
+    def nine_digits():
+        return str(rng.randrange(10**8, 10**9))
+
+    hub = [("h", f"s{k}", nine_digits()) for k in range(1, 7)]
+    hub += [("s1", "p1", "6"), ("p1", "p2", "4"), ("p2", "p3", "9"), ("p3", "p4", "2")]
+    multi = [("a", "b", "8"), ("a", "b", "9"), ("b", "c", "4"), ("b", "c", "27"),
+             ("c", "d", "2"), ("c", "d", "3"), ("d", "a", "16"), ("a", "c", "81")]
+    k12 = [(f"v{u + 1}", f"v{v + 1}", nine_digits())
+           for u, v in itertools.combinations(range(12), 2)]
+    calls = []
+    for name, edges in (("hub", hub), ("multi", multi), ("k12", k12)):
+        names = list(dict.fromkeys(end for edge in edges for end in edge[:2]))
+        path = directory / f"lattice-{name}.json"
+        path.write_text(json.dumps({
+            "ring": {"kind": "int"}, "vertices": names,
+            "edges": [{"u": u, "v": v, "label": label} for u, v, label in edges],
+        }))
+        columns = json.loads(run_calls(base, [["flowup", str(path), "--json"]])[0][1])["columns"]
+        n = len(columns)
+        mixed = [columns[0]] + [[a + b for a, b in zip(columns[k - 1], columns[k])]
+                                for k in range(1, n)]
+        doubled = mixed[:-1] + [[2 * entry for entry in mixed[-1]]]
+        spline = [sum(entries) for entries in zip(*columns)]
+        off = spline[:-1] + [spline[-1] + 1]
+        texts = [[",".join(map(str, column)) for column in candidate]
+                 for candidate in (mixed, doubled, [spline], [off])]
+        graph = str(path)
+        calls += [["flowup", graph], ["q", graph]]
+        calls += [[command, graph, *spline_flags(candidate)]
+                  for command, candidate in zip(["check-basis"] * 2 + ["verify"] * 2, texts)]
+    return calls
+
+
+# the triangles (a, b, a + b) of coprime_calls, whose second label is linear:
+# a content shared with a nonlinear first label (coprime over QQ only), two
+# contents that are coprime, a linear label dividing the quadratic first one,
+# proportional linear labels and three coprime linear labels
+COPRIME_TRIANGLES = {
+    "content": ("2*x^2 + 2", "4*y + 6"),
+    "content-coprime": ("3*x^2 + 3", "4*y + 6"),
+    "divides": ("x^2 - y^2", "x + y"),
+    "proportional": ("2*x + 4*y", "3*x + 6*y"),
+    "linear": ("x + 1", "2*y - 3"),
+}
+
+
+def coprime_calls(directory: Path) -> list:
+    """The argv of ``q``, ``check-basis`` and ``probe`` on cycles over ZZ[x,y]
+    and QQ[x,y] whose labels exercise the coprimality test of linear labels,
+    their graphs written to ``directory``.
+
+    Each of COPRIME_TRIANGLES is the triangle (a, b, a + b), whose flow-up
+    basis (1, 1, 1), (0, a, a + b), (0, 0, b*(a + b)) is checked as it is and
+    with its last column times x, and probed with its own Q and with
+    ``x*a*b*(a + b)``; the 4-cycle (x, y, x + y, x - y) of linear labels gets
+    ``q`` and ``probe`` only. Over each ring some are pairwise coprime and
+    some are not.
+    """
+    calls = []
+    for coefficients in ("int", "rat"):
+        ring = {"kind": "poly", "coefficients": coefficients, "variables": ["x", "y"]}
+        for name, (a, b) in COPRIME_TRIANGLES.items():
+            c = f"{a} + {b}"
+            graph = write_graph(directory, f"coprime-{name}-{coefficients}", ring, [a, b, c])
+            basis = ["1,1,1", f"0,{a},{c}", f"0,0,({b})*({c})"]
+            calls += [
+                ["q", graph],
+                ["check-basis", graph, *spline_flags(basis)],
+                ["check-basis", graph, *spline_flags(basis[:2] + [f"0,0,x*({b})*({c})"])],
+                ["probe", graph, "--trials", "10"],
+                ["probe", graph, "--q", f"x*({a})*({b})*({c})", "--trials", "10"],
+            ]
+        cycle = write_graph(directory, f"coprime-c4-{coefficients}", ring,
+                            ["x", "y", "x + y", "x - y"])
+        calls += [["q", cycle], ["probe", cycle, "--trials", "10"]]
+    return calls
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -401,6 +501,7 @@ def main(argv=None) -> int:
         calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
         calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
         calls += search_shape_calls(Path(scratch)) + parser_calls(ROOT / "graphs")
+        calls += lattice_calls(args.base, Path(scratch)) + coprime_calls(Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

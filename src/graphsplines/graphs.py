@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import GraphError, ParseError, excerpt
+from .polynomials import linear_coprime
 from .rings import Ring, ring_from_document
 
 
@@ -89,13 +90,21 @@ class LabeledGraph:
         """True iff every pair of edge labels has a unit gcd.
 
         The label rings are UFDs, where a prime dividing a product divides a
-        factor, so one gcd per label, with the product before it, decides.
+        factor, so one test per label, against the product before it,
+        decides. A polynomial label of total degree 1 is its integer content
+        times a prime polynomial, so ``linear_coprime`` decides it with a
+        content gcd and one exact division; every other label takes one gcd.
         """
         ring = self.ring
         labels = self.labels()
         product = labels[0] if labels else ring.one
+        polynomial = ring.kind == "poly"
         for label in labels[1:]:
-            if not ring.is_unit(ring.gcd(product, label)):
+            if polynomial and label.total_degree() == 1:
+                coprime = linear_coprime(label, product)
+            else:
+                coprime = ring.is_unit(ring.gcd(product, label))
+            if not coprime:
                 return False
             product = product * label
         return True

@@ -1,16 +1,17 @@
 """Integer-lattice engine: Hermite normal form and the canonical flow-up basis.
 
 Over the integers the splines of a graph form a full-rank lattice in Z^n:
-the vectors f with f[u] == f[v] (mod label) on every edge. The lattice
-contains L*Z^n, where L is the lcm of the absolute labels, so the pivots of
-its column Hermite normal form divide L and no canonical entry exceeds L.
+the vectors f with f[u] == f[v] (mod label) on every edge. For each vertex
+v the lattice contains L_v*e_v, where L_v is the lcm of the absolute labels
+of the edges at v, so the pivot of row v in its column Hermite normal form
+divides L_v and no canonical entry of row v exceeds L_v.
 ``spline_lattice_generators`` builds that form directly: starting from the
 identity basis of Z^n, it imposes the edge congruences one at a time and
-keeps every entry in [0, L] on the way. This is the modular HNF of Domich,
-Kannan and Trotter (1987), in the form of Cohen, *A Course in Computational
-Algebraic Number Theory*, GTM 138, section 2.4. Its columns are the
-canonical flow-up basis, with the minimal positive leading terms on the
-diagonal.
+keeps every entry of row v below the diagonal in [0, L_v) on the way. This
+is the modular HNF of Domich, Kannan and Trotter (1987), with one modulus
+per row, in the form of Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, section 2.4. Its columns are the canonical flow-up basis,
+with the minimal positive leading terms on the diagonal.
 
 ``hermite_normal_form`` and ``kernel_basis`` are the general column HNF,
 with its unimodular transform, and the integer kernel built on it.
@@ -131,12 +132,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _reduce_below_pivots(columns, lcm: int) -> None:
+def _reduce_below_pivots(columns, moduli) -> None:
     """Canonical column HNF of a lower-triangular basis with positive diagonal.
 
     Entry (i, k) for k < i is brought into [0, pivot_i) with the column of
     pivot i, working down the rows so that a finished row is never touched
-    again; the other entries that change are taken mod ``lcm``.
+    again; every other entry that changes, in row r, is taken mod
+    ``moduli[r]``.
     """
     n = len(columns)
     for i in range(1, n):
@@ -148,10 +150,10 @@ def _reduce_below_pivots(columns, lcm: int) -> None:
             if quotient:
                 column[i] -= quotient * pivot
                 for r in range(i + 1, n):
-                    column[r] = (column[r] - quotient * pivot_column[r]) % lcm
+                    column[r] = (column[r] - quotient * pivot_column[r]) % moduli[r]
 
 
-def _impose_congruence(columns, u: int, v: int, label: int, lcm: int) -> None:
+def _impose_congruence(columns, u: int, v: int, label: int, moduli) -> None:
     """Restrict a lower-triangular lattice basis to f[u] == f[v] (mod label).
 
     ``columns[j]`` has zeros above row j. A vector sum(c_j * b_j) satisfies
@@ -161,8 +163,10 @@ def _impose_congruence(columns, u: int, v: int, label: int, lcm: int) -> None:
     g_j = gcd(a_j, g_{j+1}), its column j is d_j*e_j plus a correction over
     the later coordinates, where d_j = g_{j+1} / g_j. The new column j is
     therefore d_j*b_j - (a_j/g_j)*w, where w is a combination of the later
-    columns with residue g_{j+1}. Entries below the diagonal are taken mod
-    ``lcm`` as they are formed; they are not reduced below the pivots.
+    columns with residue g_{j+1}. Each row-i entry of a new column and of w
+    below the diagonal is taken mod ``moduli[i]`` as it is formed; the
+    diagonal entries are left as they are, and nothing is reduced below the
+    pivots.
     """
     residues = [(column[u] - column[v]) % label for column in columns]
     if not any(residues):
@@ -180,9 +184,10 @@ def _impose_congruence(columns, u: int, v: int, label: int, lcm: int) -> None:
         new_column = [0] * n
         new_column[j] = scale * column[j]
         for i in range(j + 1, n):
-            new_column[i] = (scale * column[i] + shift * helper[i]) % lcm
-            helper[i] = (s * column[i] + t * helper[i]) % lcm
-        helper[j] = s * column[j] % lcm
+            modulus, entry, carry = moduli[i], column[i], helper[i]
+            new_column[i] = (scale * entry + shift * carry) % modulus
+            helper[i] = (s * entry + t * carry) % modulus
+        helper[j] = s * column[j] % moduli[j]
         columns[j] = new_column
         tail_gcd = g
 
@@ -192,25 +197,35 @@ def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
 
     The splines are the f in Z^n with f[u] == f[v] (mod label) on every
     edge. Starting from the identity basis of Z^n, each edge congruence is
-    imposed on the current lower-triangular basis with every entry kept in
-    [0, L], where L is the lcm of the absolute labels, and the last basis
-    is reduced once to canonical form: the diagonal entries divide L and
-    the entries left of them are smaller. This is the modular Hermite
-    normal form of Domich, Kannan and Trotter (1987); see Cohen, *A Course
-    in Computational Algebraic Number Theory*, GTM 138, section 2.4.
+    imposed, in document order, on the current lower-triangular basis with
+    every entry of row v below the diagonal kept in [0, L_v), where L_v is
+    the lcm of the absolute labels at vertex v, and the last basis is
+    reduced once to canonical form: the diagonal entry of row v divides L_v
+    and the entries left of it are smaller. This is the modular Hermite
+    normal form of Domich, Kannan and Trotter (1987), with one modulus per
+    row; see Cohen, *A Course in Computational Algebraic Number Theory*,
+    GTM 138, section 2.4.
     """
     if graph.ring.kind != "int":
         raise RingMismatchError("the spline lattice is defined over the integer ring")
     n = graph.n
-    # Every lattice met on the way contains L*Z^n, because L is a multiple of
-    # each label. So each pivot divides L, and changing an entry below a
-    # pivot by a multiple of L keeps the basis inside the lattice with the
-    # same diagonal, hence the same index: the span does not change.
-    lcm = math.lcm(*(abs(edge.label) for edge in graph.edges))
+    # L_v*e_v is a spline: its only nonzero differences are L_v, across the
+    # edges at v, whose labels all divide L_v. So it lies in every lattice
+    # met on the way, the pivot of row v divides L_v, and adding a multiple
+    # of L_v*e_v to an entry below a pivot keeps the basis lower triangular
+    # with the same diagonal inside that lattice: the same index, hence the
+    # same span. The same multiple added to the helper w changes no residue
+    # mod the label, and moves the new columns by such multiples only. The
+    # canonical form is unique, so the output does not change either.
+    moduli = [1] * n
+    for edge in graph.edges:
+        label = abs(edge.label)
+        moduli[edge.u] = math.lcm(moduli[edge.u], label)
+        moduli[edge.v] = math.lcm(moduli[edge.v], label)
     columns = [[int(i == j) for i in range(n)] for j in range(n)]
     for edge in graph.edges:
-        _impose_congruence(columns, edge.u, edge.v, abs(edge.label), lcm)
-    _reduce_below_pivots(columns, lcm)
+        _impose_congruence(columns, edge.u, edge.v, abs(edge.label), moduli)
+    _reduce_below_pivots(columns, moduli)
     return [[column[i] for column in columns] for i in range(n)]
 
 

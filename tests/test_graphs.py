@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from graphsplines import polynomials, rings
 from graphsplines import (
     ZZ,
     Edge,
@@ -217,6 +218,21 @@ class TestQueries:
         ("rat", ["2", "4", "1/3"], True),
         ("int", ["x^2 - 1", "x^2 + y^2", "x + 1"], False),
         ("int", ["x^2 + y^2", "x + y", "x - y"], True),
+        # a linear label's content against a nonlinear earlier label's
+        ("int", ["2*x^2 + 2", "4*y + 6"], False),
+        ("rat", ["2*x^2 + 2", "4*y + 6"], True),
+        ("int", ["3*x^2 + 3", "4*y + 6"], True),
+        # a linear label that divides an earlier quadratic one
+        ("int", ["x^2 - y^2", "x + y"], False),
+        ("rat", ["x^2 - y^2", "x + y"], False),
+        ("int", ["x^2 - y^2", "x + 2*y"], True),
+        ("rat", ["x^2 - y^2", "x + 2*y"], True),
+        # proportional linear labels
+        ("int", ["2*x + 4*y", "3*x + 6*y"], False),
+        ("rat", ["2*x + 4*y", "3*x + 6*y"], False),
+        ("int", ["x - y", "-x + y"], False),
+        ("rat", ["1/2*x - 1/3*y", "3*x - 2*y"], False),
+        ("int", ["2*x + 4*y", "3*x + 5*y", "7"], True),
     ])
     def test_pairwise_coprime_matches_pairs(self, coefficients, texts, expected):
         if coefficients == "zz":
@@ -245,6 +261,41 @@ class TestQueries:
             seen.add(expected)
             assert graph.pairwise_coprime_labels() is expected
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("coefficients", ["int", "rat"])
+    def test_linear_labels_match_pairs_randomly(self, coefficients):
+        ring = PolynomialRing(coefficients, ["x", "y"])
+        parse = ring.element_from_text
+        factors = [parse(t) for t in ("2", "3", "x", "2*x + 4", "3*y - 6", "x - y",
+                                      "2*x - 2*y", "x + y + 1", "x^2 + 1", "2*x^2 + 2")]
+        rng = random.Random(f"linear-coprime-oracle/{coefficients}")
+        seen = set()
+        for _ in range(200):
+            labels = [
+                ring.product(rng.sample(factors, rng.randint(1, 2)))
+                for _ in range(rng.randint(2, 5))
+            ]
+            graph = LabeledGraph.path(ring, labels)
+            expected = pairwise_coprime_by_pairs(graph)
+            seen.add(expected)
+            assert graph.pairwise_coprime_labels() is expected, [str(x) for x in labels]
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("coefficients", ["int", "rat"])
+    def test_linear_labels_take_no_gcd(self, coefficients, monkeypatch):
+        ring = PolynomialRing(coefficients, ["x", "y"])
+        texts = ["x", "y", "x + y + 1", "2*x - 3*y + 5", "x - y"]
+        graph = LabeledGraph.cycle(ring, [ring.element_from_text(t) for t in texts])
+
+        def no_gcd(a, b):
+            raise AssertionError("poly_gcd called on linear labels")
+
+        monkeypatch.setattr(rings, "poly_gcd", no_gcd)
+        monkeypatch.setattr(polynomials, "poly_gcd", no_gcd)
+        assert graph.pairwise_coprime_labels()
+        proportional = LabeledGraph.cycle(ring, [ring.element_from_text(t) for t in
+                                                 ("x + y", "y", "2*x + 2*y")])
+        assert not proportional.pairwise_coprime_labels()
 
     def test_round_trip(self):
         for name in ("fig2", "xy", "squares", "zx-obstruction"):

@@ -154,10 +154,44 @@ def complete_nine_digit(k, seed):
     return LabeledGraph.complete(ZZ, labels)
 
 
+def sparse_mixed_graph(seed):
+    """Connected graph on 10-14 vertices whose labels mix 9 digits and small values.
+
+    Two hubs carry most of the 9-digit labels and the other edges mostly
+    small ones, so a hub's vertex lcm is hundreds of bits above that of a
+    vertex whose edges all carry small labels.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(10, 14)
+    hubs = rng.sample(range(n), 2)
+
+    def label(big):
+        if big:
+            value = rng.randrange(10**8, 10**9)
+        else:
+            value = rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 30])
+        return -value if rng.random() < 0.2 else value
+
+    edges = [Edge(rng.randrange(v), v, label(rng.random() < 0.2)) for v in range(1, n)]
+    for _ in range(rng.randint(n, 3 * n // 2)):
+        hub = rng.choice(hubs)
+        other = rng.choice([v for v in range(n) if v != hub])
+        edges.append(Edge(hub, other, label(rng.random() < 0.9)))
+    rng.shuffle(edges)
+    return LabeledGraph(ZZ, [f"v{i + 1}" for i in range(n)], edges)
+
+
 def differential_graphs():
     rng = random.Random(2022)
     graphs = [random_int_graph(rng) for _ in range(1000)]
+    graphs += [sparse_mixed_graph(seed) for seed in range(20)]
     return graphs + [complete_nine_digit(k, k) for k in range(6, 10)]
+
+
+def vertex_label_lcms(graph):
+    """The lcm of the absolute labels at each vertex."""
+    return [math.lcm(*(abs(label) for label in graph.incident_labels(v)))
+            for v in range(graph.n)]
 
 
 class TestSplineLatticeGenerators:
@@ -176,11 +210,17 @@ class TestSplineLatticeGenerators:
         for graph in differential_graphs():
             lcm = math.lcm(*(abs(label) for label in graph.labels()))
             gens = spline_lattice_generators(graph)
-            for i, row in enumerate(gens):
-                assert lcm % row[i] == 0
+            for i, (row, vertex_lcm) in enumerate(zip(gens, vertex_label_lcms(graph))):
+                # L_i*e_i is a spline, so the pivot of row i divides L_i
+                assert vertex_lcm % row[i] == 0
+                assert lcm % vertex_lcm == 0
                 assert all(0 <= entry < row[i] for entry in row[:i])
                 assert not any(row[i + 1 :])
 
+    def test_sparse_graphs_have_far_apart_vertex_lcms(self):
+        for seed in range(20):
+            moduli = vertex_label_lcms(sparse_mixed_graph(seed))
+            assert max(moduli).bit_length() - min(moduli).bit_length() >= 100
 
     def test_path_span(self):
         g = LabeledGraph.path(ZZ, [7])

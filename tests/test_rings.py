@@ -31,6 +31,10 @@ class TestIntegerRing:
         assert ZZ.divides(0, 0)
         with pytest.raises(ZeroDivisionError):
             ZZ.divides(0, 3)
+        assert ZZ.divides(-3, 12) and not ZZ.divides(-5, 12)
+        for a, b in ((True, 4), (2, True), (0, False), (2, 4.0), ("2", 4), (2, Fraction(4))):
+            with pytest.raises(RingMismatchError):
+                ZZ.divides(a, b)
 
     def test_gcd(self):
         assert ZZ.gcd(4, 10) == 2

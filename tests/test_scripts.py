@@ -177,3 +177,51 @@ def test_same_outputs_parser_calls():
         "x^2*y + x*y^2", "x^2*y + x*y^2", "x^40002*y + x^40001*y^2", "x^2*y + x*y^2",
         "x^40002*y + x^40001*y^2"]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_lattice_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.lattice_calls(ROOT, tmp_path))
+    assert len(calls) == 36
+    results = same_outputs.run_calls(ROOT, calls)
+    # per graph: flowup, q, check-basis yes and no, verify yes and no
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1] * 3
+    reports = [json.loads(out) for _, out, _ in results[::2]]
+    for flowup, q, basis, scaled, spline, off in zip(*[iter(reports)] * 6):
+        determinant = int(flowup["determinant"])
+        assert int(q["q"]) == determinant and q["provenance"] == "pid-diagonal"
+        assert (basis["verdict"], int(basis["determinant"])) == ("yes", determinant)
+        assert (scaled["verdict"], int(scaled["determinant"])) == ("no", 2 * determinant)
+        assert (spline["verdict"], off["verdict"]) == ("yes", "no")
+    assert len(reports[12]["columns"]) == 12
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_coprime_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.coprime_calls(tmp_path))
+    assert len(calls) == 108
+    results = same_outputs.run_calls(ROOT, calls)
+    reports = [json.loads(out) for _, out, _ in results[::2]]
+    # the triangles in COPRIME_TRIANGLES order, then the 4-cycle, over ZZ then QQ
+    coprime = {"int": [False, True, False, False, True, True],
+               "rat": [True, True, False, False, True, True]}
+    expected = []
+    for coefficients in ("int", "rat"):
+        for is_coprime in coprime[coefficients][:-1]:
+            # q, check-basis of the basis and of x times its last column, two probes
+            if is_coprime:
+                expected += ["yes", "yes", "no", "yes", "no"]
+            else:
+                expected += ["yes", "UNDECIDED", "UNDECIDED", "yes", "no"]
+        expected += ["yes", "yes"]
+    assert [report["verdict"] for report in reports] == expected
+    provenances = [report["provenance"] for report in reports if report["command"] == "q"]
+    assert provenances == [
+        "coprime-product" if is_coprime else "lcm-lower-bound"
+        for coefficients in ("int", "rat") for is_coprime in coprime[coefficients]
+    ]
+    assert [code for code, _, _ in results[::2]] == [
+        {"yes": 0, "UNDECIDED": 0, "no": 1}[verdict] for verdict in expected
+    ]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
