@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import GraphError, ParseError, excerpt
-from .polynomials import linear_coprime
 from .rings import Ring, ring_from_document
 
 
@@ -90,21 +89,13 @@ class LabeledGraph:
         """True iff every pair of edge labels has a unit gcd.
 
         The label rings are UFDs, where a prime dividing a product divides a
-        factor, so one test per label, against the product before it,
-        decides. A polynomial label of total degree 1 is its integer content
-        times a prime polynomial, so ``linear_coprime`` decides it with a
-        content gcd and one exact division; every other label takes one gcd.
+        factor, so one gcd per label, with the product before it, decides.
         """
         ring = self.ring
         labels = self.labels()
         product = labels[0] if labels else ring.one
-        polynomial = ring.kind == "poly"
         for label in labels[1:]:
-            if polynomial and label.total_degree() == 1:
-                coprime = linear_coprime(label, product)
-            else:
-                coprime = ring.is_unit(ring.gcd(product, label))
-            if not coprime:
+            if not ring.is_unit(ring.gcd(product, label)):
                 return False
             product = product * label
         return True

@@ -997,28 +997,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _make(a.variables, RAT, g._packed, 1, g._width).normalized()
 
 
-def linear_coprime(linear: Polynomial, other: Polynomial) -> bool:
-    """True iff ``linear``, of total degree 1, and nonzero ``other`` have a unit gcd.
-
-    A polynomial of total degree 1 is its integer content times a primitive
-    linear polynomial, which is irreducible. By Gauss's lemma an integer
-    prime divides ``other`` iff it divides its content, so over INT the two
-    are coprime iff their contents are and the primitive part does not
-    divide ``other``. Over RAT the content is a unit, and ``exact_divide``
-    makes the divisor primitive itself. One polynomial division, and no
-    polynomial gcd.
-    """
-    linear._check_compatible(other)
-    if linear.total_degree() != 1:
-        raise ValueError("linear_coprime needs a polynomial of total degree 1")
-    if linear.coeff_kind == INT:
-        content = _int_content(linear)
-        if math.gcd(content, _int_content(other)) != 1:
-            return False
-        linear = _ground_quotient(linear, content)
-    return exact_divide(other, linear) is None
-
-
 def _integer_scaled(p: Polynomial) -> Polynomial:
     """``p`` times its common denominator: an INT view sharing its numerators."""
     return _make(p.variables, INT, p._packed, 1, p._width)

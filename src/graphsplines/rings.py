@@ -7,9 +7,8 @@ operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
 derives ``divides``, ``lcm`` and ``product`` from them, and prints numbers.
 Each subclass holds only what differs between rings: the element ``check``,
 ``from_int``, exact division, gcd, the unit test, canonical unit
-normalization and parsing; :class:`IntegerRing` also its one-remainder
-``divides``, and :class:`PolynomialRing` its own text, document and
-equality. All operations are exact and pure.
+normalization and parsing; :class:`PolynomialRing` also its own text,
+document and equality. All operations are exact and pure.
 """
 
 from __future__ import annotations
@@ -122,18 +121,6 @@ class IntegerRing(Ring):
             raise ZeroDivisionError("division by zero")
         q, r = divmod(self.check(a), b)
         return q if r == 0 else None
-
-    def divides(self, a, b) -> bool:
-        """True iff a*q == b for some integer q; divides(0, 0) is True.
-
-        One remainder, with no quotient: ``is_spline`` asks this per edge.
-        """
-        a, b = self.check(a), self.check(b)
-        if not a:
-            if not b:
-                return True
-            raise ZeroDivisionError("only 0 is divisible by 0")
-        return not b % a
 
     def gcd(self, a, b):
         if self.check(a) == 0 and self.check(b) == 0:

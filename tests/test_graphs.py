@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from graphsplines import polynomials, rings
 from graphsplines import (
     ZZ,
     Edge,
@@ -280,22 +279,6 @@ class TestQueries:
             seen.add(expected)
             assert graph.pairwise_coprime_labels() is expected, [str(x) for x in labels]
         assert seen == {True, False}
-
-    @pytest.mark.parametrize("coefficients", ["int", "rat"])
-    def test_linear_labels_take_no_gcd(self, coefficients, monkeypatch):
-        ring = PolynomialRing(coefficients, ["x", "y"])
-        texts = ["x", "y", "x + y + 1", "2*x - 3*y + 5", "x - y"]
-        graph = LabeledGraph.cycle(ring, [ring.element_from_text(t) for t in texts])
-
-        def no_gcd(a, b):
-            raise AssertionError("poly_gcd called on linear labels")
-
-        monkeypatch.setattr(rings, "poly_gcd", no_gcd)
-        monkeypatch.setattr(polynomials, "poly_gcd", no_gcd)
-        assert graph.pairwise_coprime_labels()
-        proportional = LabeledGraph.cycle(ring, [ring.element_from_text(t) for t in
-                                                 ("x + y", "y", "2*x + 2*y")])
-        assert not proportional.pairwise_coprime_labels()
 
     def test_round_trip(self):
         for name in ("fig2", "xy", "squares", "zx-obstruction"):

@@ -390,14 +390,6 @@ class TestGcd:
         with pytest.raises(ValueError):
             poly_gcd(poly("0"), poly("0"))
 
-    def test_linear_coprime_needs_total_degree_one(self):
-        for text in ("3", "x^2 + y", "x*y"):
-            with pytest.raises(ValueError):
-                module.linear_coprime(poly(text), poly("x"))
-        assert module.linear_coprime(poly("2*x + 4"), poly("3"))
-        assert not module.linear_coprime(parse_polynomial("2*x + 4", VARS, INT),
-                                         parse_polynomial("6", VARS, INT))
-
     def test_int_content_preserved(self):
         a = parse_polynomial("2*x", VARS, INT)
         b = parse_polynomial("4*x", VARS, INT)
