@@ -261,25 +261,6 @@ class TestQueries:
             assert graph.pairwise_coprime_labels() is expected
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("coefficients", ["int", "rat"])
-    def test_linear_labels_match_pairs_randomly(self, coefficients):
-        ring = PolynomialRing(coefficients, ["x", "y"])
-        parse = ring.element_from_text
-        factors = [parse(t) for t in ("2", "3", "x", "2*x + 4", "3*y - 6", "x - y",
-                                      "2*x - 2*y", "x + y + 1", "x^2 + 1", "2*x^2 + 2")]
-        rng = random.Random(f"linear-coprime-oracle/{coefficients}")
-        seen = set()
-        for _ in range(200):
-            labels = [
-                ring.product(rng.sample(factors, rng.randint(1, 2)))
-                for _ in range(rng.randint(2, 5))
-            ]
-            graph = LabeledGraph.path(ring, labels)
-            expected = pairwise_coprime_by_pairs(graph)
-            seen.add(expected)
-            assert graph.pairwise_coprime_labels() is expected, [str(x) for x in labels]
-        assert seen == {True, False}
-
     def test_round_trip(self):
         for name in ("fig2", "xy", "squares", "zx-obstruction"):
             g = bundled_graph(name)
