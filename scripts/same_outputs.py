@@ -344,7 +344,9 @@ def lattice_calls(base: Path, directory: Path) -> list:
     columns (B1, B1 + B2, ..., B(n-1) + Bn), which is a basis, and of that
     candidate with its last column doubled, which is not, and ``verify`` of
     the sum of the basis columns, a spline, and of that sum plus the last
-    unit vector, which is not.
+    unit vector, which is not; then ``flowup`` and ``q`` again in the
+    reversed vertex order, so the canonical form is compared under other
+    pivot orders than the document's.
     """
     rng = random.Random("same-outputs/lattice")
 
@@ -378,6 +380,8 @@ def lattice_calls(base: Path, directory: Path) -> list:
         calls += [["flowup", graph], ["q", graph]]
         calls += [[command, graph, *spline_flags(candidate)]
                   for command, candidate in zip(["check-basis"] * 2 + ["verify"] * 2, texts)]
+        reversed_order = ["--vertex-order", ",".join(reversed(names))]
+        calls += [["flowup", graph, *reversed_order], ["q", graph, *reversed_order]]
     return calls
 
 

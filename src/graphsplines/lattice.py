@@ -5,16 +5,17 @@ the vectors f with f[u] == f[v] (mod label) on every edge. For each vertex
 v the lattice contains L_v*e_v, where L_v is the lcm of the absolute labels
 of the edges at v, so the pivot of row v in its column Hermite normal form
 divides L_v and no canonical entry of row v exceeds L_v.
-``spline_lattice_generators`` builds that form directly: starting from the
-identity basis of Z^n, it imposes the edge congruences one at a time and
-keeps every entry of row v below the diagonal in [0, L_v) on the way. This
-is the modular HNF of Domich, Kannan and Trotter (1987), with one modulus
-per row, in the form of Cohen, *A Course in Computational Algebraic Number
-Theory*, GTM 138, section 2.4. Its columns are the canonical flow-up basis,
-with the minimal positive leading terms on the diagonal.
+``spline_lattice_generators`` starts from the identity basis of Z^n and
+imposes the edge congruences one at a time, keeping every entry of row v
+below the diagonal in [0, L_v) on the way: the modular HNF of Domich,
+Kannan and Trotter (1987), with one modulus per row. ``hermite_normal_form``
+of the lower-triangular basis it ends with is the column HNF of the
+lattice, which is unique (Cohen, *A Course in Computational Algebraic
+Number Theory*, GTM 138, section 2.4). Its columns are the canonical
+flow-up basis, with the minimal positive leading terms on the diagonal.
 
-``hermite_normal_form`` and ``kernel_basis`` are the general column HNF,
-with its unimodular transform, and the integer kernel built on it.
+``hermite_normal_form`` is the general column HNF, with its unimodular
+transform, and ``kernel_basis`` the integer kernel built on it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import RingMismatchError
 from .graphs import LabeledGraph
+from .rings import ZZ
 
 
 def _validated(matrix) -> list[list[int]]:
@@ -132,27 +134,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _reduce_below_pivots(columns, moduli) -> None:
-    """Canonical column HNF of a lower-triangular basis with positive diagonal.
-
-    Entry (i, k) for k < i is brought into [0, pivot_i) with the column of
-    pivot i, working down the rows so that a finished row is never touched
-    again; every other entry that changes, in row r, is taken mod
-    ``moduli[r]``.
-    """
-    n = len(columns)
-    for i in range(1, n):
-        pivot_column = columns[i]
-        pivot = pivot_column[i]
-        for k in range(i):
-            column = columns[k]
-            quotient = column[i] // pivot
-            if quotient:
-                column[i] -= quotient * pivot
-                for r in range(i + 1, n):
-                    column[r] = (column[r] - quotient * pivot_column[r]) % moduli[r]
-
-
 def _impose_congruence(columns, u: int, v: int, label: int, moduli) -> None:
     """Restrict a lower-triangular lattice basis to f[u] == f[v] (mod label).
 
@@ -165,8 +146,8 @@ def _impose_congruence(columns, u: int, v: int, label: int, moduli) -> None:
     therefore d_j*b_j - (a_j/g_j)*w, where w is a combination of the later
     columns with residue g_{j+1}. Each row-i entry of a new column and of w
     below the diagonal is taken mod ``moduli[i]`` as it is formed; the
-    diagonal entries are left as they are, and nothing is reduced below the
-    pivots.
+    diagonal entries are left as they are, and no entry is reduced by a
+    pivot.
     """
     residues = [(column[u] - column[v]) % label for column in columns]
     if not any(residues):
@@ -199,12 +180,12 @@ def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
     edge. Starting from the identity basis of Z^n, each edge congruence is
     imposed, in document order, on the current lower-triangular basis with
     every entry of row v below the diagonal kept in [0, L_v), where L_v is
-    the lcm of the absolute labels at vertex v, and the last basis is
-    reduced once to canonical form: the diagonal entry of row v divides L_v
-    and the entries left of it are smaller. This is the modular Hermite
-    normal form of Domich, Kannan and Trotter (1987), with one modulus per
-    row; see Cohen, *A Course in Computational Algebraic Number Theory*,
-    GTM 138, section 2.4.
+    the lcm of the absolute labels at vertex v: the modular Hermite normal
+    form of Domich, Kannan and Trotter (1987), with one modulus per row.
+    ``hermite_normal_form`` of the last basis gives the canonical form: the
+    diagonal entry of row v divides L_v and the entries left of it are
+    smaller. That form is unique; see Cohen, *A Course in Computational
+    Algebraic Number Theory*, GTM 138, section 2.4.
     """
     if graph.ring.kind != "int":
         raise RingMismatchError("the spline lattice is defined over the integer ring")
@@ -216,7 +197,8 @@ def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
     # with the same diagonal inside that lattice: the same index, hence the
     # same span. The same multiple added to the helper w changes no residue
     # mod the label, and moves the new columns by such multiples only. The
-    # canonical form is unique, so the output does not change either.
+    # column HNF of a lattice is unique, so hermite_normal_form of the last
+    # basis does not depend on the moduli either.
     moduli = [1] * n
     for edge in graph.edges:
         label = abs(edge.label)
@@ -225,8 +207,8 @@ def spline_lattice_generators(graph: LabeledGraph) -> list[list[int]]:
     columns = [[int(i == j) for i in range(n)] for j in range(n)]
     for edge in graph.edges:
         _impose_congruence(columns, edge.u, edge.v, abs(edge.label), moduli)
-    _reduce_below_pivots(columns, moduli)
-    return [[column[i] for column in columns] for i in range(n)]
+    hnf, _ = hermite_normal_form([[column[i] for column in columns] for i in range(n)])
+    return hnf
 
 
 @dataclass(frozen=True)
@@ -258,9 +240,13 @@ class HnfBasis:
 
 
 def integer_flow_up_basis(graph: LabeledGraph) -> HnfBasis:
-    """Flow-up class basis with minimal positive leading terms (HNF diagonal)."""
-    generators = spline_lattice_generators(graph)
-    hnf, _ = hermite_normal_form(generators)
+    """Flow-up class basis with minimal positive leading terms (HNF diagonal).
+
+    Column k is column k of ``spline_lattice_generators``; a column with a
+    nonzero entry above row k or a nonpositive diagonal entry raises
+    ``AssertionError``.
+    """
+    hnf = spline_lattice_generators(graph)
     n = graph.n
     columns = []
     for k in range(n):
@@ -275,10 +261,11 @@ def lattice_membership(basis: HnfBasis, candidate):
     """Integer coordinates of ``candidate`` in the basis, or None.
 
     Back-substitution down the triangle; a non-divisible pivot step certifies
-    that the candidate is outside the lattice.
+    that the candidate is outside the lattice. An entry that is not an
+    integer, such as a float or a bool, raises ``RingMismatchError``.
     """
     n = len(basis.columns)
-    candidate = list(candidate)
+    candidate = [ZZ.check(entry) for entry in candidate]
     if len(candidate) != n:
         raise ValueError(f"candidate has {len(candidate)} entries, expected {n}")
     coordinates = []

@@ -2,6 +2,7 @@
 
 Everything here is deliberately implemented with different algorithms than
 the library under test: brute-force enumeration for spline lattices,
+widest paths, prime by prime, for the flow-up diagonal over the integers,
 subset-DP cofactor expansion for determinants, dense rational Gaussian
 elimination for span questions, enumeration of every factor assignment
 for the bounded flow-up search, and the schoolbook tuple-keyed polynomial
@@ -187,6 +188,46 @@ def minimal_positive_leading_term(splines, leading_zeros):
         if lead > 0 and (best is None or lead < best):
             best = lead
     return best
+
+
+def widest_path_diagonal(vertex_count, int_edges):
+    """The flow-up diagonal of an integer graph from widest paths, prime by prime.
+
+    ``int_edges`` is a list of (u, v, label) integer triples. For each prime
+    p of the labels (from ``sympy.factorint``), v_p(d_i) is the largest t
+    such that some path from vertex i to an earlier vertex uses only edges
+    whose label has v_p >= t, and 0 if no path reaches one; so d_1 = 1. Each
+    t is read off a union-find of the edges with v_p >= t: vertex i meets an
+    earlier vertex iff the least vertex of its component is below i. Uses
+    no lattice reduction at all.
+    """
+    from sympy import factorint
+
+    valuations = {}  # prime -> [(v_p(label), u, v)] over the edges
+    for u, v, label in int_edges:
+        for prime, exponent in factorint(abs(label)).items():
+            valuations.setdefault(prime, []).append((exponent, u, v))
+    diagonal = [1] * vertex_count
+    for prime, edges in valuations.items():
+        exponents = [0] * vertex_count
+        for threshold in sorted({exponent for exponent, _, _ in edges}):
+            parent = list(range(vertex_count))
+
+            def root(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for exponent, u, v in edges:
+                if exponent >= threshold:
+                    a, b = root(u), root(v)
+                    parent[max(a, b)] = min(a, b)  # a root is its component's least vertex
+            for i in range(vertex_count):
+                if root(i) < i:
+                    exponents[i] = threshold
+        for i, exponent in enumerate(exponents):
+            diagonal[i] *= prime**exponent
+    return tuple(diagonal)
 
 
 class ColumnSystem:

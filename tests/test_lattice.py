@@ -24,6 +24,7 @@ from oracles import (
     matrix_multiply,
     minimal_positive_leading_term,
     solve_exact,
+    widest_path_diagonal,
 )
 
 
@@ -217,6 +218,32 @@ class TestSplineLatticeGenerators:
                 assert all(0 <= entry < row[i] for entry in row[:i])
                 assert not any(row[i + 1 :])
 
+    def test_diagonal_matches_widest_paths(self):
+        pytest.importorskip("sympy")
+        rng = random.Random("widest-paths")
+        for graph in differential_graphs():
+            names = list(graph.vertices)
+            rng.shuffle(names)
+            for ordered in (graph, graph.reorder(names)):
+                expected = widest_path_diagonal(ordered.n, int_edges(ordered))
+                assert integer_flow_up_basis(ordered).diagonal == expected, ordered.to_document()
+
+    def test_one_hermite_normal_form_per_basis(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return hermite_normal_form(matrix)
+
+        monkeypatch.setattr("graphsplines.lattice.hermite_normal_form", counting)
+        for graph in (bundled_graph("fig2"), complete_nine_digit(6, 6)):
+            del calls[:]
+            integer_flow_up_basis(graph)
+            assert calls == [graph.n]
+            del calls[:]
+            spline_lattice_generators(graph)
+            assert calls == [graph.n]
+
     def test_sparse_graphs_have_far_apart_vertex_lcms(self):
         for seed in range(20):
             moduli = vertex_label_lcms(sparse_mixed_graph(seed))
@@ -319,6 +346,16 @@ class TestLatticeMembership:
         assert coords == (3, 3, -1)
         recombined = spline_combination(ZZ, list(coords), list(basis.columns))
         assert recombined == (3, 15, 5)
+
+    def test_float_and_bool_entries_are_rejected(self):
+        # the same candidates that is_spline rejects
+        graph = bundled_graph("fig2")
+        basis = integer_flow_up_basis(graph)
+        for candidate in ((3.0, 15.0, 5.0), (True, True, True)):
+            with pytest.raises(RingMismatchError):
+                is_spline(graph, candidate)
+            with pytest.raises(RingMismatchError):
+                lattice_membership(basis, candidate)
 
     def test_non_member(self):
         basis = integer_flow_up_basis(bundled_graph("fig2"))

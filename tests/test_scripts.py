@@ -182,18 +182,22 @@ def test_same_outputs_parser_calls():
 def test_same_outputs_lattice_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.lattice_calls(ROOT, tmp_path))
-    assert len(calls) == 36
+    assert len(calls) == 48
     results = same_outputs.run_calls(ROOT, calls)
-    # per graph: flowup, q, check-basis yes and no, verify yes and no
-    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1] * 3
+    # per graph: flowup, q, check-basis yes and no, verify yes and no, then
+    # flowup and q in the reversed vertex order
+    assert [code for code, _, _ in results] == ([0] * 6 + [1, 1, 0, 0, 1, 1] + [0] * 4) * 3
     reports = [json.loads(out) for _, out, _ in results[::2]]
-    for flowup, q, basis, scaled, spline, off in zip(*[iter(reports)] * 6):
+    for flowup, q, basis, scaled, spline, off, flipped, flipped_q in zip(*[iter(reports)] * 8):
         determinant = int(flowup["determinant"])
         assert int(q["q"]) == determinant and q["provenance"] == "pid-diagonal"
         assert (basis["verdict"], int(basis["determinant"])) == ("yes", determinant)
         assert (scaled["verdict"], int(scaled["determinant"])) == ("no", 2 * determinant)
         assert (spline["verdict"], off["verdict"]) == ("yes", "no")
-    assert len(reports[12]["columns"]) == 12
+        # the index of the spline lattice does not depend on the vertex order
+        assert int(flipped["determinant"]) == int(flipped_q["q"]) == determinant
+        assert flipped["columns"] != flowup["columns"]
+    assert len(reports[16]["columns"]) == 12
     assert same_outputs.compare(ROOT, ROOT, calls) == []
 
 
