@@ -10,8 +10,9 @@ coefficients and on 3-variable cycles and K4s, calls at the edges of the
 integer-image determinant and gcd kernels, basis checks of triangular
 candidates, verify and check-basis calls whose entries nest scaled groups or
 cross a packed field boundary, integer-lattice calls on graphs whose
-vertices have far apart label lcms, coprimality tests of linear labels, and
-calls whose input fails to parse, each in JSON and in text mode, through
+vertices have far apart label lcms, coprimality tests of linear labels,
+label lcms of cycles whose labels share factors, and calls whose input
+fails to parse, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -430,6 +431,45 @@ def coprime_calls(directory: Path) -> list:
     return calls
 
 
+# cycles whose labels share factors, so q gives the label lcm: over ZZ[x,y]
+# with negative leading coefficients, the integer contents 6 and -4, and the
+# first label repeated; over QQ[x,y,z] with rational coefficients; and over
+# ZZ[x,y] with two labels sharing x^7000 + y, whose images pass the image
+# budget, so the subresultant fallback gives their gcd and cofactors
+GCD_CYCLES = {
+    "zz": ("int", ["x", "y"], [
+        "(-3*x^2 + x*y - 2)*(x - 2*y + 1)", "6*(x - 2*y + 1)*(y^2 + 3)",
+        "-4*(y^2 + 3)*(x*y + 5)", "(-3*x^2 + x*y - 2)*(x - 2*y + 1)",
+    ]),
+    "qq": ("rat", ["x", "y", "z"], [
+        "(1/2*x*z - 2/3*y + 1)*(3/4*z^2 - x)", "(-5/3*y*z + x + 1/2)*(3/4*z^2 - x)",
+        "(-5/3*y*z + x + 1/2)*(2/7*x - y*z)", "-(1/2*x*z - 2/3*y + 1)*(2/7*x - y*z)",
+    ]),
+    "fallback": ("int", ["x", "y"], [
+        "(x^7000 + y)*(x + y)", "(x^7000 + y)*(x - y)", "x*y + 1",
+    ]),
+}
+
+
+def gcd_calls(directory: Path) -> list:
+    """The argv of ``q`` and ``verify`` on each of GCD_CYCLES, their graphs
+    written to ``directory``.
+
+    ``verify`` is given the spline (0, P, ..., P) for P the product of the
+    labels, and that spline with 1 added to its last entry, which is not one.
+    """
+    calls = []
+    for name, (coefficients, variables, labels) in GCD_CYCLES.items():
+        ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
+        graph = write_graph(directory, f"gcd-{name}", ring, labels)
+        product = "*".join(f"({label})" for label in labels)
+        spline = ["0"] + [product] * (len(labels) - 1)
+        off = spline[:-1] + [f"{product} + 1"]
+        calls += [["q", graph], ["verify", graph, "--spline", ",".join(spline)],
+                  ["verify", graph, "--spline", ",".join(off)]]
+    return calls
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -506,6 +546,7 @@ def main(argv=None) -> int:
         calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
         calls += search_shape_calls(Path(scratch)) + parser_calls(ROOT / "graphs")
         calls += lattice_calls(args.base, Path(scratch)) + coprime_calls(Path(scratch))
+        calls += gcd_calls(Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

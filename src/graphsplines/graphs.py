@@ -94,10 +94,11 @@ class LabeledGraph:
         ring = self.ring
         labels = self.labels()
         product = labels[0] if labels else ring.one
-        for label in labels[1:]:
-            if not ring.is_unit(ring.gcd(product, label)):
+        for k in range(1, len(labels)):
+            if not ring.is_unit(ring.gcd(product, labels[k])):
                 return False
-            product = product * label
+            if k + 1 < len(labels):  # no gcd reads the product with the last label
+                product = product * labels[k]
         return True
 
     def describe(self) -> str:

@@ -344,18 +344,35 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._packed:
+        packed = self._packed
+        if not packed:
             return "0"
-        unpack = _unpacker(len(self.variables), self._width)
-        den = self._den
+        width, den = self._width, self._den
+        mask = (1 << width) - 1
+        # each variable with the shift of its exponent field, first one highest
+        last = len(self.variables) - 1
+        fields = [(name, width * (last - k)) for k, name in enumerate(self.variables)]
         pieces = []
-        for m in sorted(self._packed, reverse=True):  # descending grlex
-            numerator = self._packed[m]
-            g = math.gcd(numerator, den)  # numerator/den in lowest terms
-            magnitude = number_text(abs(numerator) // g)
-            if g != den:
-                magnitude = f"{magnitude}/{number_text(den // g)}"
-            body = _term_text(self.variables, unpack(m), magnitude)
+        for m in sorted(packed, reverse=True):  # descending grlex
+            numerator = packed[m]
+            size = abs(numerator)
+            factors = []
+            for name, shift in fields:
+                power = (m >> shift) & mask
+                if power:
+                    factors.append(name if power == 1 else f"{name}^{number_text(power)}")
+            if factors and size == den:  # a coefficient of magnitude 1
+                body = "*".join(factors)
+            else:
+                if den == 1:
+                    body = number_text(size)
+                else:
+                    g = math.gcd(size, den)  # size/den in lowest terms
+                    body = number_text(size // g)
+                    if g != den:
+                        body = f"{body}/{number_text(den // g)}"
+                if factors:
+                    body = f"{body}*{'*'.join(factors)}"
             if not pieces:
                 pieces.append(f"-{body}" if numerator < 0 else body)
             else:
@@ -483,19 +500,6 @@ def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
     if a.coeff_kind == INT:
         return _make(a.variables, INT, out, 1, width)
     return _reduced(a.variables, out, den, width)
-
-
-def _term_text(variables, exponents, magnitude: str) -> str:
-    monomial = "*".join(
-        name if power == 1 else f"{name}^{number_text(power)}"
-        for name, power in zip(variables, exponents)
-        if power
-    )
-    if not monomial:
-        return magnitude
-    if magnitude == "1":
-        return monomial
-    return f"{magnitude}*{monomial}"
 
 
 # ---------------------------------------------------------------------------
@@ -961,6 +965,14 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # contents, and runs Brown's subresultant remainder sequence on the
 # primitive parts.
 #
+# The gcd comes with its cofactors a/g and b/g (gcd_cofactors), which is
+# what an lcm needs. GCDHEU already holds them: the quotients of its two
+# trial divisions, scaled by the inputs' contents over the gcd's and by the
+# normalizing sign, or, when the gcd is a constant c, the inputs' quotients
+# by c, which are the inputs themselves when c = 1. Only the fallback has to
+# divide for them, once per input. The levels of GCDHEU below the top, and
+# poly_gcd, read only the gcd, so none of them scales a quotient.
+#
 # The same evaluation and interpolation pair (_evaluate_last,
 # _interpolate_last; they read and build the packed maps, where the last
 # variable is the lowest field) turns a polynomial determinant into one
@@ -991,14 +1003,41 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     a._check_compatible(b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
+    g = _gcd_int(_integer_scaled(a), _integer_scaled(b))[0]
+    if a.coeff_kind == INT:
+        return g
+    return _make(a.variables, RAT, g._packed, 1, g._width).normalized()
+
+
+def gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """``(g, a/g, b/g)`` with ``g = poly_gcd(a, b)``.
+
+    The cofactors are the quotients the gcd computation already holds: the
+    heuristic's two trial divisions, or the inputs themselves divided by an
+    integer when the gcd is a constant, so no further division is made.
+    """
+    a._check_compatible(b)
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
     if a.coeff_kind == INT:
         return _gcd_int(a, b)
-    g = _gcd_int(_integer_scaled(a), _integer_scaled(b))
-    return _make(a.variables, RAT, g._packed, 1, g._width).normalized()
+    g, cofactor_a, cofactor_b = _gcd_int(_integer_scaled(a), _integer_scaled(b))
+    # with N the numerators of a over its denominator d and G the integer gcd
+    # with leading coefficient lead, a / (G/lead) = (N/G) * lead / d
+    lead = g._packed[max(g._packed)]
+    return (
+        _make(a.variables, RAT, g._packed, 1, g._width).normalized(),
+        _reduced(a.variables, _ground_product(cofactor_a, lead)._packed, a._den,
+                 cofactor_a._width),
+        _reduced(a.variables, _ground_product(cofactor_b, lead)._packed, b._den,
+                 cofactor_b._width),
+    )
 
 
 def _integer_scaled(p: Polynomial) -> Polynomial:
     """``p`` times its common denominator: an INT view sharing its numerators."""
+    if p.coeff_kind == INT:
+        return p
     return _make(p.variables, INT, p._packed, 1, p._width)
 
 
@@ -1012,17 +1051,27 @@ def _int_content(p: Polynomial) -> int:
     return g
 
 
-def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
+def _sign(p: Polynomial) -> int:
+    """The sign of the leading coefficient of a nonzero polynomial."""
+    return -1 if p._packed[max(p._packed)] < 0 else 1
+
+
+def _gcd_int(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """``(g, a/g, b/g)`` for INT polynomials not both zero, ``g`` normalized."""
     if a.is_zero():
-        return b.normalized()
+        return b.normalized(), a, Polynomial.constant(_sign(b), b.variables, INT)
     if b.is_zero():
-        return a.normalized()
+        return a.normalized(), Polynomial.constant(_sign(a), a.variables, INT), b
     if a.is_constant() or b.is_constant():
-        return Polynomial.constant(
-            math.gcd(_int_content(a), _int_content(b)), a.variables, INT
+        content = math.gcd(_int_content(a), _int_content(b))
+        return (
+            Polynomial.constant(content, a.variables, INT),
+            _ground_quotient(a, content),
+            _ground_quotient(b, content),
         )
     if a == b:
-        return a.normalized()
+        unit = Polynomial.constant(_sign(a), a.variables, INT)
+        return a.normalized(), unit, unit
     heuristic = _heu_gcd(a, b)
     if heuristic is not None:
         return heuristic
@@ -1032,21 +1081,45 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
     sub_vars = a.variables[:-1]
     content_a = _coef_content(uni_a, sub_vars)
     content_b = _coef_content(uni_b, sub_vars)
-    content = _gcd_int(content_a, content_b)
+    content = _gcd_int(content_a, content_b)[0]
     prim_a = {d: exact_divide(c, content_a) for d, c in uni_a.items()}
     prim_b = {d: exact_divide(c, content_b) for d, c in uni_b.items()}
     prim_gcd = _subresultant_gcd(prim_a, prim_b, sub_vars)
     scaled = {d: c * content for d, c in prim_gcd.items()}
-    return _join_last(a.variables, scaled).normalized()
+    g = _join_last(a.variables, scaled).normalized()
+    cofactor_a, cofactor_b = exact_divide(a, g), exact_divide(b, g)
+    if cofactor_a is None or cofactor_b is None:
+        raise ArithmeticError("the subresultant gcd does not divide its inputs")
+    return g, cofactor_a, cofactor_b
 
 
-def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
-    """Normalized gcd of nonzero INT polynomials by GCDHEU, or None if it gives up."""
+def _heu_gcd(a: Polynomial, b: Polynomial):
+    """``(g, a/g, b/g)`` for nonconstant INT polynomials by GCDHEU, ``g``
+    normalized, or None if the heuristic gives up."""
+    found = _heu_search(a, b)
+    if found is None:
+        return None
+    g, quotient_a, quotient_b, scale_a, scale_b = found
+    if quotient_a is None:  # a constant gcd divides every coefficient
+        content = g._packed[0]
+        return g, _ground_quotient(a, content), _ground_quotient(b, content)
+    return g, _ground_product(quotient_a, scale_a), _ground_product(quotient_b, scale_b)
+
+
+def _heu_search(a: Polynomial, b: Polynomial):
+    """GCDHEU on nonzero INT polynomials with at least one variable.
+
+    Returns None if it gives up, else ``(g, quotient_a, quotient_b, scale_a,
+    scale_b)`` with ``g`` the normalized gcd. If ``g`` is not a constant,
+    the quotients are those of the inputs' primitive parts by the candidate,
+    from the trial divisions, and ``a/g = scale_a * quotient_a``, ``b/g =
+    scale_b * quotient_b``; if it is, the rest is None. The levels below the
+    top read only ``g``, so only ``_heu_gcd`` applies the scales.
+    """
     content_a, content_b = _int_content(a), _int_content(b)
     content = math.gcd(content_a, content_b)
-    if not a.variables:
-        return Polynomial.constant(content, (), INT)
     a, b = _ground_quotient(a, content_a), _ground_quotient(b, content_b)
+    integer_images = len(a.variables) == 1
     # the last variable's exponent is the lowest packed field
     degree = max(m & ((1 << p._width) - 1) for p in (a, b) for m in p._packed)
     # sympy's dmp_zz_heu_gcd may start below B = 2*min(|a|, |b|) + 29, at
@@ -1059,22 +1132,42 @@ def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
             return None
         image_a, image_b = _evaluate_last(a, bits), _evaluate_last(b, bits)
         if image_a and image_b:
-            image_gcd = _heu_gcd(image_a, image_b)
-            if image_gcd is None:
-                return None
+            if integer_images:
+                image_gcd = _make((), INT, {0: math.gcd(image_a._packed[0], image_b._packed[0])},
+                                  1, _MIN_WIDTH)
+            else:
+                found = _heu_search(image_a, image_b)
+                if found is None:
+                    return None
+                image_gcd = found[0]
             candidate = _interpolate_last(image_gcd, bits, a.variables)
+            if candidate.is_constant():  # its primitive part is +-1
+                return Polynomial.constant(content, a.variables, INT), None, None, None, None
             candidate = _ground_quotient(candidate, _int_content(candidate))
-            if candidate.is_constant() or all(
-                exact_divide(p, candidate) is not None for p in (a, b)
-            ):
-                return (candidate * content).normalized()
+            quotient_a = exact_divide(a, candidate)
+            if quotient_a is not None:
+                quotient_b = exact_divide(b, candidate)
+                if quotient_b is not None:
+                    sign = _sign(candidate)
+                    return (_ground_product(candidate, sign * content), quotient_a,
+                            quotient_b, sign * (content_a // content),
+                            sign * (content_b // content))
         bits += bits // 4 + 1
     return None
 
 
 def _ground_quotient(p: Polynomial, divisor: int) -> Polynomial:
     """Divide every coefficient by an integer that divides them all."""
+    if divisor == 1:
+        return p
     return _make(p.variables, INT, {m: c // divisor for m, c in p._packed.items()}, 1, p._width)
+
+
+def _ground_product(p: Polynomial, factor: int) -> Polynomial:
+    """Multiply every coefficient of an INT polynomial by a nonzero integer."""
+    if factor == 1:
+        return p
+    return _make(p.variables, INT, {m: c * factor for m, c in p._packed.items()}, 1, p._width)
 
 
 def _max_norm(p: Polynomial) -> int:
@@ -1101,7 +1194,7 @@ def _evaluate_last(p: Polynomial, bits: int) -> Polynomial:
     return _make(p.variables[:-1], INT, {m: c for m, c in image.items() if c}, 1, width)
 
 
-def _interpolate_last(image: Polynomial, bits: int, variables) -> Polynomial:
+def _interpolate_last(image: Polynomial, bits: int, variables: tuple) -> Polynomial:
     """Inverse of evaluation at 2^bits, bits >= 2, for coefficients of magnitude below 2^(bits-1).
 
     The symmetric base-2^bits digits of each coefficient (each in
@@ -1110,15 +1203,22 @@ def _interpolate_last(image: Polynomial, bits: int, variables) -> Polynomial:
     ``offset = 2^(bits-1) - 1`` at every digit position makes every digit
     non-negative, so the digits are the ``bits``-wide fields of the sum's
     binary text, each less ``offset``. A coefficient in [-offset, offset + 1]
-    is its own one digit.
+    is its own one digit; if every coefficient is, the result is the image
+    with the last variable's field added at exponent 0, built in place.
     """
     width = image._width
-    top = width * (len(variables) - 1)
+    packed = image._packed
     offset = (1 << (bits - 1)) - 1
+    for c in packed.values():
+        if not -offset <= c <= offset + 1:
+            break
+    else:  # every coefficient is its own one digit
+        return _make(variables, INT, {m << width: c for m, c in packed.items()}, 1, width)
+    top = width * (len(variables) - 1)
     offset_field = format(offset, f"0{bits}b")
     triples: list[tuple[int, int, int]] = []  # image monomial, power, digit
     degree = 0
-    for m, c in image._packed.items():
+    for m, c in packed.items():
         if -offset <= c <= offset + 1:  # c is its own one digit
             triples.append((m, 0, c))
             end = 0
@@ -1131,7 +1231,7 @@ def _interpolate_last(image: Polynomial, bits: int, variables) -> Polynomial:
                     triples.append((m, power, digit))
                     end = power
         degree = max(degree, (m >> top) + end)  # c != 0 has a nonzero digit
-    return _with_last(tuple(variables), triples, width, degree)
+    return _with_last(variables, triples, width, degree)
 
 
 def _with_last(variables, triples, width: int, degree: int) -> Polynomial:
@@ -1231,7 +1331,7 @@ def _coef_content(univariate: dict[int, Polynomial], sub_vars) -> Polynomial:
     content = Polynomial.zero(sub_vars, INT)
     one = Polynomial.constant(1, sub_vars, INT)
     for degree in sorted(univariate):
-        content = _gcd_int(content, univariate[degree])
+        content = _gcd_int(content, univariate[degree])[0]
         if content == one:
             break
     return content

@@ -7,8 +7,9 @@ operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
 derives ``divides``, ``lcm`` and ``product`` from them, and prints numbers.
 Each subclass holds only what differs between rings: the element ``check``,
 ``from_int``, exact division, gcd, the unit test, canonical unit
-normalization and parsing; :class:`PolynomialRing` also its own text,
-document and equality. All operations are exact and pure.
+normalization and parsing; :class:`PolynomialRing` also its lcm, taken from
+the cofactor its gcd returns, and its own text, document and equality. All
+operations are exact and pure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .polynomials import (
     RAT,
     Polynomial,
     exact_divide,
+    gcd_cofactors,
     number_text,
     parse_int,
     parse_polynomial,
@@ -68,7 +70,8 @@ class Ring:
         """Normalized least common multiple; requires nonzero arguments.
 
         Computed as ``a`` times the cofactor ``b / gcd(a, b)``, so the only
-        division is of ``b``, never of the full product ``a*b``.
+        division is of ``b``, never of the full product ``a*b``; a ring whose
+        gcd yields that cofactor overrides this to skip the division.
         """
         if self.is_zero(a) or self.is_zero(b):
             raise ValueError("lcm requires nonzero arguments")
@@ -236,6 +239,16 @@ class PolynomialRing(Ring):
 
     def gcd(self, a, b):
         return poly_gcd(self.check(a), self.check(b))
+
+    def lcm(self, a, b):
+        """Normalized least common multiple; requires nonzero arguments.
+
+        ``a`` times the cofactor ``b / gcd(a, b)`` that ``gcd_cofactors``
+        returns with the gcd, so no division is made here.
+        """
+        if self.is_zero(a) or self.is_zero(b):
+            raise ValueError("lcm requires nonzero arguments")
+        return self.normalize(a * gcd_cofactors(a, b)[2])
 
     def normalize(self, a):
         return self.check(a).normalized()

@@ -17,7 +17,9 @@ sampled column and takes its n x n determinant over the graph's ring,
 which the pool-determinant probe replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
 replaced; and the printer that formats each term from its ``Fraction``
-coefficient, which the one-gcd-per-term printer replaced; the
+coefficient, which the one-gcd-per-term printer replaced, and that
+printer, which unpacked each exponent tuple and built each term in a helper,
+as the reference for the one-pass printer that replaced it; the
 ``Fraction`` Gaussian elimination with monic pivots that the fraction-free
 solver of ``search`` replaced; and the column-system class, which takes
 any prescribed leading term, that ``search._solve_column`` replaced.
@@ -39,6 +41,8 @@ from graphsplines.polynomials import (
     RAT,
     Polynomial,
     _power_too_large,
+    _unpacker,
+    number_text,
     pack_exponents,
     packed_numerators,
     parse_int,
@@ -480,6 +484,40 @@ def fraction_text(p):
         else:
             pieces.append(f"- {body}" if coefficient < 0 else f"+ {body}")
     return " ".join(pieces) or "0"
+
+
+def reference_text(p):
+    """A polynomial's text, built term by term from each unpacked exponent tuple."""
+    if not p._packed:
+        return "0"
+    unpack = _unpacker(len(p.variables), p._width)
+    den = p._den
+    pieces = []
+    for m in sorted(p._packed, reverse=True):  # descending grlex
+        numerator = p._packed[m]
+        g = math.gcd(numerator, den)  # numerator/den in lowest terms
+        magnitude = number_text(abs(numerator) // g)
+        if g != den:
+            magnitude = f"{magnitude}/{number_text(den // g)}"
+        body = _term_text(p.variables, unpack(m), magnitude)
+        if not pieces:
+            pieces.append(f"-{body}" if numerator < 0 else body)
+        else:
+            pieces.append(f"- {body}" if numerator < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+def _term_text(variables, exponents, magnitude: str) -> str:
+    monomial = "*".join(
+        name if power == 1 else f"{name}^{number_text(power)}"
+        for name, power in zip(variables, exponents)
+        if power
+    )
+    if not monomial:
+        return magnitude
+    if magnitude == "1":
+        return monomial
+    return f"{magnitude}*{monomial}"
 
 
 def schoolbook_multiply(a, b):

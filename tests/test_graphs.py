@@ -9,6 +9,7 @@ from graphsplines import (
     Edge,
     GraphError,
     LabeledGraph,
+    Polynomial,
     PolynomialRing,
     is_connected,
     load_graph,
@@ -260,6 +261,25 @@ class TestQueries:
             seen.add(expected)
             assert graph.pairwise_coprime_labels() is expected
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("coefficients", ["int", "rat"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_pairwise_coprime_takes_no_product_with_the_last_label(
+        self, monkeypatch, coefficients, k
+    ):
+        ring = PolynomialRing(coefficients, ["x", "y"])
+        texts = ["x", "y", "x + y + 1", "x^2 + y^2 + 3", "x*y - 2"][:k]
+        graph = LabeledGraph.path(ring, [ring.element_from_text(t) for t in texts])
+        products = []
+        multiply = Polynomial.__mul__
+
+        def counting(a, b):
+            products.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        assert graph.pairwise_coprime_labels() is True
+        assert len(products) == k - 2
 
     def test_round_trip(self):
         for name in ("fig2", "xy", "squares", "zx-obstruction"):

@@ -18,10 +18,12 @@ from graphsplines import (
     PolynomialRing,
     RingMismatchError,
     exact_divide,
+    gcd_cofactors,
     parse_polynomial,
     poly_gcd,
 )
 import graphsplines.polynomials as module
+from graphsplines.polynomials import number_text
 import oracles
 
 VARS = ("x", "y")
@@ -297,6 +299,40 @@ class TestPrinting:
             for bits in (3, 3, 70):
                 p = _random_polynomial(rng, NAMES[:nvars], kind, 5, 4, bits)
                 assert str(p) == oracles.fraction_text(p)
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_matches_the_reference_printer(self, kind):
+        rng = random.Random(f"reference-printer-{kind}")
+        cases = [Polynomial.constant(c, VARS, kind) for c in (0, 1, -1, 7, -12)]
+        for nvars in range(4):
+            names = NAMES[:nvars]
+            for bits in (3, 3, 70):
+                p = _random_polynomial(rng, names, kind, 6, 4, bits)
+                cases += [p, -p]
+        x, y = (Polynomial.variable(name, VARS, kind) for name in VARS)
+        cases += [x ** 40000 * y - 3 * y ** 2 + 1, -(x ** 70000) + x * y ** 2 - x]
+        long = 10 ** 4400 + 7
+        cases += [x * long - y, -long * x ** 2 + y * 3, Polynomial.constant(-long, VARS, kind)]
+        if kind == RAT:
+            # (3*x + 2)/6 and its kin: each term reduces by its own gcd with the
+            # denominator, or not at all
+            cases += [poly("1/2*x + 1/3"), poly("-4/6*x*y + 3/9*y - 2/2"),
+                      poly("5/7*x^2 - 1/7"), poly("-1/3*x - 1/3"),
+                      x * Fraction(long, 3) + Fraction(1, long)]
+        assert any(p._width > 16 for p in cases)
+        for p in cases:
+            text = str(p)
+            assert text == oracles.reference_text(p)
+            if max(map(_coefficient_digits, p.terms.values()), default=0) <= 4300:
+                assert parse_polynomial(text, p.variables, kind) == p
+
+    def test_matches_the_reference_printer_on_a_long_exponent(self):
+        p = parse_polynomial("(x^" + "9" * 4300 + ")^10 - 2", ("x",), INT)
+        assert str(p) == oracles.reference_text(p)
+
+
+def _coefficient_digits(c):
+    return max(len(number_text(abs(c.numerator))), len(number_text(c.denominator)))
 
 
 class TestArithmetic:
@@ -594,6 +630,20 @@ def _fallback_gcd(monkeypatch, a, b):
         return poly_gcd(a, b)
 
 
+def _check_cofactors(monkeypatch, path, a, b):
+    """``gcd_cofactors(a, b)`` on the heuristic or the fallback path, checked
+    against ``poly_gcd`` and the two products."""
+    expected = poly_gcd(a, b)
+    with monkeypatch.context() as patch:
+        if path == "fallback":
+            patch.setattr(module, "_heu_gcd", lambda a, b: None)
+        g, cofactor_a, cofactor_b = gcd_cofactors(a, b)
+    assert g * cofactor_a == a
+    assert g * cofactor_b == b
+    assert g == expected
+    return g, cofactor_a, cofactor_b
+
+
 class TestHeuristicGcd:
     @pytest.mark.parametrize("a, b", GCD_CASES)
     def test_matches_the_subresultant_fallback(self, monkeypatch, a, b):
@@ -610,6 +660,39 @@ class TestHeuristicGcd:
         ring = PolynomialRing(a.coeff_kind, a.variables)
         old = ring.normalize(ring.exact_div(ring.mul(a, b), ring.gcd(a, b)))
         assert ring.lcm(a, b) == old
+
+    @pytest.mark.parametrize("path", ["heuristic", "fallback"])
+    @pytest.mark.parametrize("a, b", GCD_CASES)
+    def test_cofactors(self, monkeypatch, path, a, b):
+        _check_cofactors(monkeypatch, path, a, b)
+
+    @pytest.mark.parametrize("path", ["heuristic", "fallback"])
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    @pytest.mark.parametrize("a, b", [
+        ("0", "-2*x*y + 4"), ("-3*x + y", "0"), ("6", "4*x^2 - 2*y"), ("-5", "7"),
+        ("2*x^2 - y", "-4"), ("x*y - 3", "x*y - 3"), ("-2*x + 4*y", "-2*x + 4*y"),
+        ("x^2 + y", "-x^2 - y"), ("2*x + 2", "4*x + 4"), ("-6*x*y - 6", "4*x*y + 4"),
+        ("(x - y)*(3*x + 1)", "(y - x)*(2*y + 5)"),
+        # the candidate interpolated from the images is x - y^2, whose
+        # leading coefficient is negative
+        ("(x - y^2)*(x + 1)", "-2*(x - y^2)*(x + 2)"),
+    ])
+    def test_cofactors_of_special_inputs(self, monkeypatch, path, kind, a, b):
+        for p in _check_cofactors(monkeypatch, path, poly(a, kind), poly(b, kind)):
+            assert (p.variables, p.coeff_kind) == (VARS, kind)
+
+    def test_a_fallback_gcd_that_does_not_divide_raises(self, monkeypatch):
+        # a wrong subresultant result is caught by the cofactor divisions,
+        # with an explicit raise that python -O keeps
+        monkeypatch.setattr(module, "_heu_gcd", lambda a, b: None)
+        monkeypatch.setattr(module, "_subresultant_gcd",
+                            lambda f, g, sub_vars: {1: Polynomial.constant(1, sub_vars, INT)})
+        with pytest.raises(ArithmeticError):
+            gcd_cofactors(poly("x + 1", INT), poly("x + 2", INT))
+
+    def test_cofactors_of_zero_and_zero_are_rejected(self):
+        with pytest.raises(ValueError):
+            gcd_cofactors(poly("0", INT), poly("0", INT))
 
     def test_every_xi_meets_the_soundness_bound(self, monkeypatch):
         # xi = 2^bits >= 2*min(|a|, |b|) + 2 for the primitive inputs of each
@@ -696,7 +779,8 @@ class TestHeuristicGcd:
         x = Polynomial.variable("x", ("x",), INT)
         a, b = x ** 100000 - 1, x ** 75000 - 1
         assert module._heu_gcd(a, b) is None
-        assert module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1) == x ** 1500 - 1
+        g, _, _ = module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1)
+        assert g == x ** 1500 - 1
 
     @pytest.mark.parametrize("kind", [INT, RAT])
     def test_degree_near_the_budget_needs_no_fallback(self, monkeypatch, kind):
@@ -1110,6 +1194,16 @@ class TestEvaluateInterpolate:
             assert module._interpolate_last(image, bits, p.variables) == (
                 oracles.tuple_interpolate_last(image, xi, p.variables)
             )
+
+    @pytest.mark.parametrize("p", EVALUATION_CASES)
+    def test_one_digit_images_match_the_tuple_oracle(self, p):
+        # the terms of p free of the last variable are their own image, and
+        # each of its coefficients is one digit at a point above twice the norm
+        free = Polynomial(p.variables, INT, {e: c for e, c in p.terms.items() if not e[-1]})
+        image = Polynomial(p.variables[:-1], INT, {e[:-1]: c for e, c in free.terms.items()})
+        bits = (2 * _max_norm(p) + 1).bit_length()
+        result = module._interpolate_last(image, bits, p.variables)
+        assert result == free == oracles.tuple_interpolate_last(image, 2 ** bits, p.variables)
 
     def test_digits_match_the_peeling_loop(self):
         rng = random.Random("symmetric-digits")

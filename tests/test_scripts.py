@@ -229,3 +229,19 @@ def test_same_outputs_coprime_calls(tmp_path):
         {"yes": 0, "UNDECIDED": 0, "no": 1}[verdict] for verdict in expected
     ]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_gcd_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.gcd_calls(tmp_path))
+    assert len(calls) == 18
+    results = same_outputs.run_calls(ROOT, calls)
+    # per cycle: q, verify of a spline, verify of one that is not
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 1, 1] * 3
+    reports = [json.loads(out) for _, out, _ in results[::2]]
+    assert [report["verdict"] for report in reports] == ["yes", "yes", "no"] * 3
+    assert {report["provenance"] for report in reports[::3]} == {"lcm-lower-bound"}
+    # the lcm of the fallback cycle: (x^7000 + y)*(x + y)*(x - y)*(x*y + 1)
+    assert reports[6]["q"] == ("x^7003*y - x^7001*y^3 + x^7002 - x^7000*y^2 + x^3*y^2"
+                               " - x*y^4 + x^2*y - y^3")
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
