@@ -11,8 +11,9 @@ integer-image determinant and gcd kernels, basis checks of triangular
 candidates, verify and check-basis calls whose entries nest scaled groups or
 cross a packed field boundary, integer-lattice calls on graphs whose
 vertices have far apart label lcms, coprimality tests of linear labels,
-label lcms of cycles whose labels share factors, and calls whose input
-fails to parse, each in JSON and in text mode, through
+label lcms of cycles whose labels share factors, calls whose input
+fails to parse, and graph documents with one fault per GraphError code the
+loader raises, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -470,6 +471,58 @@ def gcd_calls(directory: Path) -> list:
     return calls
 
 
+def document_calls(graphs: Path, directory: Path) -> list:
+    """The argv of ``q`` and ``verify`` on graph documents the loader rejects,
+    each ``fig2.json`` under ``graphs`` with one or two faults, written to
+    ``directory``.
+
+    One document per GraphError code the loader raises: an edge that is
+    not an object, an edge without its label and edges that are not a list
+    (BAD_DOCUMENT), a repeated vertex (DUPLICATE_VERTEX), an unknown name
+    and a reference that is not a string (UNKNOWN_VERTEX), a label that is
+    not a string and a malformed integer (LABEL_PARSE), a zero label
+    (ZERO_LABEL), a self-loop (SELF_LOOP), an isolated vertex
+    (DISCONNECTED) and a rational ring (BAD_RING). Two more carry faults of
+    different phases: a zero label in edge 1 and a label that is not a
+    string in edge 2, and a self-loop in edge 1 and an unparsable label in
+    edge 3; the label checks run over every edge first, so both report
+    LABEL_PARSE.
+    """
+    fig2 = json.loads((graphs / "fig2.json").read_text())
+    first, second, third = fig2["edges"]
+
+    def edited(edits=(), **top):
+        """fig2 with the ``top`` keys replaced and each (edge, key, value) of
+        ``edits`` set."""
+        document = json.loads(json.dumps({**fig2, **top}))
+        for index, key, value in edits:
+            document["edges"][index][key] = value
+        return document
+
+    documents = {
+        "edge-not-object": edited(edges=[first, ["v2", "v3", "5"], third]),
+        "missing-key": edited(edges=[first, second, {"u": "v3", "v": "v1"}]),
+        "edges-not-list": edited(edges={"v1~v2": "4"}),
+        "duplicate-vertex": edited(vertices=["v1", "v2", "v1"]),
+        "unknown-name": edited([(1, "v", "v4")]),
+        "non-string-reference": edited([(0, "u", 1)]),
+        "non-string-label": edited([(1, "label", 5)]),
+        "malformed-integer": edited([(2, "label", "2_0")]),
+        "zero-label": edited([(1, "label", "-0")]),
+        "self-loop": edited([(2, "u", "v1")]),
+        "disconnected": edited(vertices=["v1", "v2", "v3", "v4"]),
+        "bad-ring": edited(ring={"kind": "rat"}),
+        "zero-then-non-string": edited([(0, "label", "0"), (1, "label", 5)]),
+        "self-loop-then-unparsable": edited([(0, "v", "v1"), (2, "label", "2x")]),
+    }
+    calls = []
+    for name, document in documents.items():
+        path = directory / f"document-{name}.json"
+        path.write_text(json.dumps(document))
+        calls += [["q", str(path)], ["verify", str(path), "--spline", "0,0,0"]]
+    return calls
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -546,7 +599,7 @@ def main(argv=None) -> int:
         calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
         calls += search_shape_calls(Path(scratch)) + parser_calls(ROOT / "graphs")
         calls += lattice_calls(args.base, Path(scratch)) + coprime_calls(Path(scratch))
-        calls += gcd_calls(Path(scratch))
+        calls += gcd_calls(Path(scratch)) + document_calls(ROOT / "graphs", Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

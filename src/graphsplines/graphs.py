@@ -54,16 +54,20 @@ class LabeledGraph:
         n = len(vertices)
         checked = []
         for index, edge in enumerate(edges):
-            if not (0 <= edge.u < n and 0 <= edge.v < n):
+            u, v = edge.u, edge.v
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError("UNKNOWN_VERTEX", f"edge {index + 1} has a bad endpoint")
-            if edge.u == edge.v:
+            if u == v:
                 raise GraphError(
-                    "SELF_LOOP", f"edge {index + 1} joins {vertices[edge.u]!r} to itself"
+                    "SELF_LOOP", f"edge {index + 1} joins {vertices[u]!r} to itself"
                 )
             label = ring.check(edge.label)
-            if ring.is_zero(label):
+            if not label:  # a checked element is falsy exactly when it is zero
                 raise GraphError("ZERO_LABEL", f"edge {index + 1} has label 0")
-            checked.append(Edge(edge.u, edge.v, label))
+            # an Edge whose label passed the check unchanged is kept, not rebuilt
+            if label is not edge.label or type(edge) is not Edge:
+                edge = Edge(u, v, label)
+            checked.append(edge)
         if not is_connected(n, [(e.u, e.v) for e in checked]):
             raise GraphError("DISCONNECTED", "the graph is not connected")
         self.ring = ring
@@ -145,27 +149,27 @@ class LabeledGraph:
         if not isinstance(raw_edges, list):
             raise GraphError("BAD_DOCUMENT", "'edges' must be a list")
         for k, raw in enumerate(raw_edges):
-            if not isinstance(raw, dict) or not {"u", "v", "label"} <= set(raw):
+            if not (isinstance(raw, dict) and "u" in raw and "v" in raw and "label" in raw):
                 raise GraphError(
                     "BAD_DOCUMENT", f"edge {k + 1} needs 'u', 'v', and 'label'"
                 )
-            for end in ("u", "v"):
-                if not isinstance(raw[end], str) or raw[end] not in index:
-                    raise GraphError(
-                        "UNKNOWN_VERTEX", f"edge {k + 1} references {raw[end]!r}"
-                    )
-            if not isinstance(raw["label"], str):
-                raise GraphError(
-                    "LABEL_PARSE",
-                    f"edge {k + 1} label {raw['label']!r} is not a string",
-                )
+            u, v, text = raw["u"], raw["v"], raw["label"]
+            # the isinstance test keeps get() from hashing a list or an object
+            iu = index.get(u) if isinstance(u, str) else None
+            if iu is None:
+                raise GraphError("UNKNOWN_VERTEX", f"edge {k + 1} references {u!r}")
+            iv = index.get(v) if isinstance(v, str) else None
+            if iv is None:
+                raise GraphError("UNKNOWN_VERTEX", f"edge {k + 1} references {v!r}")
+            if not isinstance(text, str):
+                raise GraphError("LABEL_PARSE", f"edge {k + 1} label {text!r} is not a string")
             try:
-                label = ring.element_from_text(raw["label"])
+                label = ring.element_from_text(text)
             except ParseError as exc:
                 raise GraphError(
-                    "LABEL_PARSE", f"edge {k + 1} label {excerpt(raw['label'])}: {exc}"
+                    "LABEL_PARSE", f"edge {k + 1} label {excerpt(text)}: {exc}"
                 ) from exc
-            edges.append(Edge(index[raw["u"]], index[raw["v"]], label))
+            edges.append(Edge(iu, iv, label))
         return cls(ring, vertices, edges)
 
     def to_document(self) -> dict:

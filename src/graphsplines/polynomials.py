@@ -971,7 +971,9 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # normalizing sign, or, when the gcd is a constant c, the inputs' quotients
 # by c, which are the inputs themselves when c = 1. Only the fallback has to
 # divide for them, once per input. The levels of GCDHEU below the top, and
-# poly_gcd, read only the gcd, so none of them scales a quotient.
+# poly_gcd, read only the gcd, so none of them scales a quotient; poly_lcm
+# reads only b/g of the numerators' integer gcd, so over RAT it builds no
+# rational cofactor.
 #
 # The same evaluation and interpolation pair (_evaluate_last,
 # _interpolate_last; they read and build the packed maps, where the last
@@ -1007,6 +1009,24 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.coeff_kind == INT:
         return g
     return _make(a.variables, RAT, g._packed, 1, g._width).normalized()
+
+
+def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Normalized least common multiple of nonzero polynomials.
+
+    The integer numerators of ``a`` times the cofactor ``b/g`` that the gcd
+    ``g`` of the numerators comes with, normalized once: over RAT that
+    product is an associate of the lcm, so no rational gcd or cofactor is
+    built.
+    """
+    a._check_compatible(b)
+    if a.is_zero() or b.is_zero():
+        raise ValueError("lcm requires nonzero arguments")
+    numerators = _integer_scaled(a)
+    product = numerators * _gcd_int(numerators, _integer_scaled(b))[2]
+    if a.coeff_kind == INT:
+        return product.normalized()
+    return _make(a.variables, RAT, product._packed, 1, product._width).normalized()
 
 
 def gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:

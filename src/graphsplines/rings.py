@@ -7,9 +7,9 @@ operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
 derives ``divides``, ``lcm`` and ``product`` from them, and prints numbers.
 Each subclass holds only what differs between rings: the element ``check``,
 ``from_int``, exact division, gcd, the unit test, canonical unit
-normalization and parsing; :class:`PolynomialRing` also its lcm, taken from
-the cofactor its gcd returns, and its own text, document and equality. All
-operations are exact and pure.
+normalization and parsing; :class:`PolynomialRing` also its lcm
+(``poly_lcm``, taken from the cofactor the numerators' integer gcd returns),
+and its own text, document and equality. All operations are exact and pure.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .polynomials import (
     RAT,
     Polynomial,
     exact_divide,
-    gcd_cofactors,
     number_text,
     parse_int,
     parse_polynomial,
     poly_gcd,
+    poly_lcm,
 )
 
-_INT_LITERAL = re.compile(r"[+-]?\d+\Z")
 _RAT_LITERAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
@@ -134,7 +133,12 @@ class IntegerRing(Ring):
         return abs(self.check(a))
 
     def element_from_text(self, text: str):
-        if not _INT_LITERAL.match(text.strip()):
+        # one optional sign, then decimal digits: str.isdecimal tests exactly
+        # what \d matches in a str pattern and what int() reads as a digit
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if not digits.isdecimal():
             raise ParseError(f"malformed integer literal {excerpt(text)}", 0)
         return parse_int(text)
 
@@ -243,12 +247,13 @@ class PolynomialRing(Ring):
     def lcm(self, a, b):
         """Normalized least common multiple; requires nonzero arguments.
 
-        ``a`` times the cofactor ``b / gcd(a, b)`` that ``gcd_cofactors``
-        returns with the gcd, so no division is made here.
+        ``poly_lcm``: the numerators of ``a`` times the cofactor that their
+        integer gcd with ``b``'s comes with, normalized once, so no division
+        is made here.
         """
         if self.is_zero(a) or self.is_zero(b):
             raise ValueError("lcm requires nonzero arguments")
-        return self.normalize(a * gcd_cofactors(a, b)[2])
+        return poly_lcm(a, b)
 
     def normalize(self, a):
         return self.check(a).normalized()

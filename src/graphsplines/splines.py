@@ -42,9 +42,11 @@ def is_spline(graph: LabeledGraph, candidate) -> SplineCheck:
     ring = graph.ring
     candidate = [ring.check(entry) for entry in candidate]
     violations = []
+    # a graph's labels are nonzero, so the label divides the difference
+    # exactly when the division has a quotient
+    exact_div = ring.exact_div
     for index, edge in enumerate(graph.edges):
-        difference = candidate[edge.u] - candidate[edge.v]
-        if not ring.divides(edge.label, difference):
+        if exact_div(candidate[edge.u] - candidate[edge.v], edge.label) is None:
             violations.append(
                 EdgeViolation(
                     index,

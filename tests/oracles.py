@@ -21,8 +21,9 @@ coefficient, which the one-gcd-per-term printer replaced, and that
 printer, which unpacked each exponent tuple and built each term in a helper,
 as the reference for the one-pass printer that replaced it; the
 ``Fraction`` Gaussian elimination with monic pivots that the fraction-free
-solver of ``search`` replaced; and the column-system class, which takes
-any prescribed leading term, that ``search._solve_column`` replaced.
+solver of ``search`` replaced; the column-system class, which takes
+any prescribed leading term, that ``search._solve_column`` replaced; and
+the regex check of integer literals that ``str.isdecimal`` replaced.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 from graphsplines.basis import ProbeResult, SplineMatrix, exact_determinant
@@ -783,3 +785,14 @@ class _Parser:
         raise ParseError(
             "expected a literal, variable, or parenthesized expression", position
         )
+
+
+_INT_LITERAL = re.compile(r"[+-]?\d+\Z")
+
+
+def regex_integer_from_text(text: str) -> int:
+    """``ZZ.element_from_text`` as it was: the stripped text must match
+    ``[+-]?\\d+\\Z`` before ``parse_int`` reads it."""
+    if not _INT_LITERAL.match(text.strip()):
+        raise ParseError(f"malformed integer literal {excerpt(text)}", 0)
+    return parse_int(text)

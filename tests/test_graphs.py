@@ -1,10 +1,12 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from graphsplines import (
+    QQ,
     ZZ,
     Edge,
     GraphError,
@@ -143,6 +145,40 @@ class TestLoading:
             load_graph(json.dumps(document))
         assert err.value.code == "DUPLICATE_VERTEX"
 
+    @pytest.mark.parametrize(
+        "edits, expected",
+        [
+            # the label checks run over every edge before the endpoint, self-loop
+            # and zero-label checks of any edge
+            ({("edges", 0, "label"): "0", ("edges", 1, "label"): 5},
+             "LABEL_PARSE: edge 2 label 5 is not a string"),
+            ({("edges", 0, "v"): "v1", ("edges", 2, "label"): "2x"},
+             "LABEL_PARSE: edge 3 label '2x': malformed integer literal '2x' (column 1)"),
+            # the vertex names are checked before any edge
+            ({("vertices",): ["v1", "v2", "v1"], ("edges", 1): ["v2", "v3", "5"]},
+             "DUPLICATE_VERTEX: vertex names must be distinct"),
+            # within an edge, its endpoints before its label
+            ({("edges", 1, "v"): None, ("edges", 1, "label"): 5},
+             "UNKNOWN_VERTEX: edge 2 references None"),
+            # edges in order, within either phase
+            ({("edges", 0, "label"): "x", ("edges", 1, "u"): "w9"},
+             "LABEL_PARSE: edge 1 label 'x': malformed integer literal 'x' (column 1)"),
+            ({("edges", 0, "label"): "0", ("edges", 1, "v"): "v2"},
+             "ZERO_LABEL: edge 1 has label 0"),
+        ],
+    )
+    def test_first_of_two_faults_is_reported(self, edits, expected):
+        document = doc()
+        for (*keys, last), value in edits.items():
+            target = document
+            for key in keys:
+                target = target[key]
+            target[last] = value
+        with pytest.raises(GraphError) as err:
+            load_graph(json.dumps(document))
+        assert str(err.value) == expected
+        assert err.value.code == expected.split(":")[0]
+
     def test_empty_graph(self):
         with pytest.raises(GraphError) as err:
             LabeledGraph(ZZ, [], [])
@@ -169,6 +205,30 @@ class TestLoading:
         with pytest.raises(GraphError) as err:
             load_graph(json.dumps(doc(ring={"kind": "rat"})))
         assert err.value.code == "BAD_RING"
+
+    def test_each_edge_is_built_once(self, monkeypatch):
+        built = []
+        init = Edge.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Edge, "__init__", counting)
+        ring = {"kind": "poly", "coefficients": "rat", "variables": ["x"]}
+        for document in (doc(), doc(labels=("x", "x + 1", "2*x"), ring=ring)):
+            built.clear()
+            g = load_graph(json.dumps(document))
+            assert len(built) == len(g.edges) == 3
+
+    def test_checked_edges_are_kept(self):
+        edges = [Edge(0, 1, 4), Edge(1, 2, 5), Edge(2, 0, 2)]
+        g = LabeledGraph(ZZ, ["a", "b", "c"], edges)
+        assert all(kept is given for kept, given in zip(g.edges, edges))
+        # a label that the check converts gives a new edge with the converted label
+        h = LabeledGraph(QQ, ["a", "b", "c"], edges)
+        assert all(type(e.label) is Fraction for e in h.edges)
+        assert [(e.u, e.v, e.label) for e in h.edges] == [(0, 1, 4), (1, 2, 5), (2, 0, 2)]
 
     def test_multi_edge_allowed(self):
         ring = PolynomialRing("rat", ["x"])

@@ -21,6 +21,7 @@ from graphsplines import (
     gcd_cofactors,
     parse_polynomial,
     poly_gcd,
+    poly_lcm,
 )
 import graphsplines.polynomials as module
 from graphsplines.polynomials import number_text
@@ -660,6 +661,36 @@ class TestHeuristicGcd:
         ring = PolynomialRing(a.coeff_kind, a.variables)
         old = ring.normalize(ring.exact_div(ring.mul(a, b), ring.gcd(a, b)))
         assert ring.lcm(a, b) == old
+
+    @pytest.mark.parametrize("path", ["heuristic", "fallback"])
+    @pytest.mark.parametrize("a, b", GCD_CASES)
+    def test_poly_lcm(self, monkeypatch, path, a, b):
+        expected = exact_divide(a * b, poly_gcd(a, b)).normalized()
+        with monkeypatch.context() as patch:
+            if path == "fallback":
+                patch.setattr(module, "_heu_gcd", lambda a, b: None)
+            assert poly_lcm(a, b) == poly_lcm(b, a) == expected
+
+    @pytest.mark.parametrize("a, b", [("0", "x + y"), ("x*y - 3", "0"), ("0", "0")])
+    def test_poly_lcm_of_zero_is_rejected(self, a, b):
+        with pytest.raises(ValueError, match="lcm requires nonzero arguments"):
+            poly_lcm(poly(a, RAT), poly(b, RAT))
+
+    def test_poly_lcm_builds_no_rational_cofactor(self, monkeypatch):
+        # over QQ the only reduced rational polynomial is the normalized lcm
+        reduced = []
+        build = module._reduced
+
+        def counting(*args):
+            reduced.append(args)
+            return build(*args)
+
+        a = poly("(1/2*x*y - 2/3*y + 1)*(3/4*y^2 - x)", RAT)
+        b = poly("(-5/3*y + x + 1/2)*(3/4*y^2 - x)", RAT)
+        expected = exact_divide(a * b, poly_gcd(a, b)).normalized()
+        monkeypatch.setattr(module, "_reduced", counting)
+        assert poly_lcm(a, b) == expected
+        assert len(reduced) == 1
 
     @pytest.mark.parametrize("path", ["heuristic", "fallback"])
     @pytest.mark.parametrize("a, b", GCD_CASES)

@@ -15,6 +15,7 @@ from graphsplines import (
     RingMismatchError,
     ring_from_document,
 )
+from oracles import regex_integer_from_text
 
 
 class TestIntegerRing:
@@ -75,6 +76,52 @@ class TestIntegerRing:
             ZZ.add(1, Fraction(1, 2))
         with pytest.raises(RingMismatchError):
             ZZ.check(True)
+
+
+def _read(parse, text):
+    """The value ``parse`` reads from ``text``, or the message of its ParseError."""
+    try:
+        return "value", parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+# ASCII, Arabic-Indic, extended Arabic-Indic, Devanagari, fullwidth and
+# mathematical double-struck digits (all category Nd); superscripts, a
+# subscript, a vulgar fraction and a Roman numeral (numeric, not Nd); "_",
+# which int() takes between digits and the literal check must not, and
+# other punctuation; signs and whitespace, ASCII and not
+LITERAL_CHARACTERS = (
+    "0123456789" "\u0660\u0663\u0669" "\u06f0\u06f7" "\u0966\u096f" "\uff10\uff19"
+    "\U0001d7d8\U0001d7e1" "\u00b2\u00b3\u00b9\u2070" "\u2082" "\u00bd" "\u2167"
+    "_.,/eE" "+-\u2212" " \t\n\u00a0\u2003\u3000"
+)
+literal_bodies = st.text(alphabet=LITERAL_CHARACTERS, max_size=12)
+whitespace = st.text(alphabet=" \t\n\r\x0b\x0c\u00a0\u2003\u3000", max_size=3)
+signs = st.sampled_from(["", "+", "-", "++", "--", "+-", "-+", "\u2212"])
+digit_runs = st.text(alphabet="07\u0663\u0969\uff15\U0001d7dc", min_size=1, max_size=8)
+
+
+class TestIntegerLiteralCheck:
+    """``ZZ.element_from_text`` against the regex check it replaced."""
+
+    @given(st.one_of(
+        literal_bodies,
+        st.builds(lambda *parts: "".join(parts), whitespace, signs, literal_bodies, whitespace),
+        st.builds(lambda *parts: "".join(parts), whitespace, signs, digit_runs,
+                  st.sampled_from(["", "_", " ", "\u00b2", "+", "\u0660"]), digit_runs,
+                  whitespace),
+    ))
+    def test_matches_the_regex_check(self, text):
+        assert _read(ZZ.element_from_text, text) == _read(regex_integer_from_text, text)
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "+", "-", "+-5", "--5", "- 5", "5-", "+\u0663\u0664", "-\uff17",
+        "\u00b2", "1\u00b2", "1_000", "_1", "1_", " \t-12\n", "1 2", "\u00a012\u3000",
+        "7" * 4300, "7" * 4301, "-" + "7" * 5000, " +" + "\u0663" * 4400 + " ", "7" * 4400 + "x",
+    ])
+    def test_matches_the_regex_check_on(self, text):
+        assert _read(ZZ.element_from_text, text) == _read(regex_integer_from_text, text)
 
 
 class TestRationalRing:

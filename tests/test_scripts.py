@@ -245,3 +245,25 @@ def test_same_outputs_gcd_calls(tmp_path):
     assert reports[6]["q"] == ("x^7003*y - x^7001*y^3 + x^7002 - x^7000*y^2 + x^3*y^2"
                                " - x*y^4 + x^2*y - y^3")
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_document_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.document_calls(GRAPHS_DIR, tmp_path))
+    assert len(calls) == 56
+    results = same_outputs.run_calls(ROOT, calls)
+    for argv, (code, out, err) in zip(calls, results):
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err, argv
+    # per document: q and verify, each in JSON and in text mode
+    assert {err for _, _, err in results[-8:]} == {
+        "error: LABEL_PARSE: edge 2 label 5 is not a string\n",
+        "error: LABEL_PARSE: edge 3 label '2x': malformed integer literal '2x' (column 1)\n",
+    }
+    codes = [err.split(":")[1].strip() for _, _, err in results[::4]]
+    assert codes == ["BAD_DOCUMENT"] * 3 + ["DUPLICATE_VERTEX"] + ["UNKNOWN_VERTEX"] * 2 + [
+        "LABEL_PARSE"] * 2 + ["ZERO_LABEL", "SELF_LOOP", "DISCONNECTED", "BAD_RING"] + [
+        "LABEL_PARSE"] * 2
+    assert all(results[k][2] == results[k + 1][2] == results[k + 2][2] == results[k + 3][2]
+               for k in range(0, len(results), 4))
+    assert same_outputs.compare(ROOT, ROOT, calls) == []

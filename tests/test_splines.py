@@ -46,6 +46,25 @@ class TestIsSpline:
         assert is_spline(g, (qxy.zero, x, x + y)).ok
         assert not is_spline(g, (qxy.one, x, qxy.zero)).ok
 
+    @pytest.mark.parametrize("name", ["fig2", "xy", "squares", "zx-obstruction", "k4"])
+    def test_violations_match_divides(self, corpus, name):
+        # every edge whose label does not divide its endpoints' difference, by
+        # the ring's own divides, on candidates built from labels and units
+        graph = corpus[name]
+        ring = graph.ring
+        rng = random.Random(name)
+        pool = [ring.zero, ring.one, ring.from_int(-2), *graph.labels()]
+        pool += [ring.mul(a, b) for a in graph.labels() for b in graph.labels()]
+        for _ in range(60):
+            candidate = [rng.choice(pool) for _ in range(graph.n)]
+            failed = [
+                index for index, e in enumerate(graph.edges)
+                if not ring.divides(e.label, ring.sub(candidate[e.u], candidate[e.v]))
+            ]
+            check = is_spline(graph, candidate)
+            assert [v.edge_index for v in check.violations] == failed
+            assert check.ok == (not failed)
+
 
 class TestFlowUpClassification:
     def test_index_examples(self):
