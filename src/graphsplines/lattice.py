@@ -15,7 +15,8 @@ Number Theory*, GTM 138, section 2.4). Its columns are the canonical
 flow-up basis, with the minimal positive leading terms on the diagonal.
 
 ``hermite_normal_form`` is the general column HNF, with its unimodular
-transform, and ``kernel_basis`` the integer kernel built on it.
+transform U carried under H in each column, and ``kernel_basis`` the
+integer kernel built on it.
 """
 
 from __future__ import annotations
@@ -47,33 +48,20 @@ def hermite_normal_form(matrix):
 
     H is in column echelon form with strictly increasing pivot rows, positive
     pivots, entries left of each pivot reduced into [0, pivot), and zero
-    columns trailing. Each row is cleared by Euclidean steps: every other
-    active column is reduced by the one with the smallest nonzero entry in
-    that row until a single nonzero entry remains. Nothing bounds the
-    entries of the columns or of the transform on the way.
+    columns trailing. Each column of the work array is a column of H with
+    the same column of U below it, starting from the matrix over the
+    identity, so every column operation acts on H and U together. Each row
+    is cleared by Euclidean steps: every other active column is reduced by
+    the one with the smallest nonzero entry in that row until a single
+    nonzero entry remains. Nothing bounds the entries of H or U on the way.
     """
     rows = _validated(matrix)
     n_rows, n_cols = len(rows), len(rows[0])
-    cols = [[rows[i][j] for i in range(n_rows)] for j in range(n_cols)]
-    transform = [
-        [1 if i == j else 0 for i in range(n_cols)] for j in range(n_cols)
-    ]
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n_cols)]
+            for j in range(n_cols)]
 
     def add_multiple(target: int, source: int, factor: int) -> None:
-        tc, sc = cols[target], cols[source]
-        for i in range(n_rows):
-            tc[i] += factor * sc[i]
-        tu, su = transform[target], transform[source]
-        for i in range(n_cols):
-            tu[i] += factor * su[i]
-
-    def swap(a: int, b: int) -> None:
-        cols[a], cols[b] = cols[b], cols[a]
-        transform[a], transform[b] = transform[b], transform[a]
-
-    def negate(target: int) -> None:
-        cols[target] = [-x for x in cols[target]]
-        transform[target] = [-x for x in transform[target]]
+        cols[target] = [t + factor * s for t, s in zip(cols[target], cols[source])]
 
     pivot = 0
     for row in range(n_rows):
@@ -90,22 +78,19 @@ def hermite_normal_form(matrix):
                 quotient = cols[j][row] // cols[smallest][row]
                 if quotient:
                     add_multiple(j, smallest, -quotient)
-        active = [j for j in range(pivot, n_cols) if cols[j][row]]
         if not active:
             continue
-        if active[0] != pivot:
-            swap(active[0], pivot)
+        cols[active[0]], cols[pivot] = cols[pivot], cols[active[0]]
         if cols[pivot][row] < 0:
-            negate(pivot)
+            cols[pivot] = [-x for x in cols[pivot]]
         for j in range(pivot):
             quotient = cols[j][row] // cols[pivot][row]
             if quotient:
                 add_multiple(j, pivot, -quotient)
         pivot += 1
 
-    hnf = [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
-    unimodular = [[transform[j][i] for j in range(n_cols)] for i in range(n_cols)]
-    return hnf, unimodular
+    transposed = [list(row) for row in zip(*cols)]
+    return transposed[:n_rows], transposed[n_rows:]
 
 
 def kernel_basis(matrix) -> list[list[int]]:

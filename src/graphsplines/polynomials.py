@@ -44,8 +44,10 @@ RAT = "rat"
 # The coefficients are integer numerators over one positive denominator.
 # Over RAT the denominator and the numerators have no common factor, so a
 # rational polynomial has exactly one stored form at a given width: it is
-# the lcm of the coefficients' reduced denominators. Every result that can
-# break this is divided once by math.gcd(denominator, *numerators).
+# the lcm of the coefficients' reduced denominators. Every arithmetic result
+# of either kind is built by _reduced, which divides it once by
+# math.gcd(denominator, *numerators); over INT the denominator is always 1,
+# so no gcd is taken.
 #
 # A result is repacked at a wider field only when its total degree would
 # reach its guard bit: below 2**(_MIN_WIDTH - 1) that never happens, and a
@@ -146,10 +148,8 @@ class Polynomial:
     def constant(cls, value, variables, coeff_kind) -> "Polynomial":
         _check_kind(coeff_kind)
         value = _coerce_coefficient(value, coeff_kind)
-        if coeff_kind == INT:
-            return _make(tuple(variables), INT, {0: value} if value else {}, 1, _MIN_WIDTH)
         packed = {0: value.numerator} if value else {}
-        return _make(tuple(variables), RAT, packed, value.denominator, _MIN_WIDTH)
+        return _make(tuple(variables), coeff_kind, packed, value.denominator, _MIN_WIDTH)
 
     @classmethod
     def variable(cls, name, variables, coeff_kind) -> "Polynomial":
@@ -222,7 +222,7 @@ class Polynomial:
             packed = {m: -c for m, c in self._packed.items()}
         else:
             packed = self._packed
-        return _reduced(self.variables, packed, abs(lead), self._width)
+        return _reduced(self.variables, RAT, packed, abs(lead), self._width)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -272,9 +272,7 @@ class Polynomial:
         if degree >> (width - 1):  # the product's degree would reach the guard bit
             width = _width_for(degree)
         out = _product(_repacked(self, width), _repacked(other, width))
-        if kind == INT:
-            return _make(variables, INT, out, 1, width)
-        return _reduced(variables, out, self._den * other._den, width)
+        return _reduced(variables, kind, out, self._den * other._den, width)
 
     __rmul__ = __mul__
 
@@ -443,14 +441,18 @@ def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
     return p
 
 
-def _reduced(variables, packed, den, width) -> Polynomial:
-    """A RAT polynomial from numerators over ``den``, with the common factor removed."""
+def _reduced(variables, coeff_kind, packed, den, width) -> Polynomial:
+    """The polynomial with numerators ``packed`` over ``den``, common factor removed.
+
+    Every arithmetic result of either kind is built here. Over INT ``den``
+    is 1, and a denominator of 1 takes no gcd.
+    """
     if den != 1:
         g = math.gcd(den, *packed.values())
         if g != 1:
             packed = {m: c // g for m, c in packed.items()}
             den //= g
-    return _make(variables, RAT, packed, den, width)
+    return _make(variables, coeff_kind, packed, den, width)
 
 
 def _repacked(p: Polynomial, width: int) -> dict[int, int]:
@@ -497,9 +499,7 @@ def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
             out[m] = s
         else:
             del out[m]
-    if a.coeff_kind == INT:
-        return _make(a.variables, INT, out, 1, width)
-    return _reduced(a.variables, out, den, width)
+    return _reduced(a.variables, a.coeff_kind, out, den, width)
 
 
 # ---------------------------------------------------------------------------
@@ -938,13 +938,13 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
                 heapq.heappush(heap, -key)
             else:
                 remainder[key] = s - q * d
-    if numerator.coeff_kind == INT:
-        return _make(numerator.variables, INT, quotient, 1, width)
-    # (N / n_den) / (D / d_den) = (N / (D / content)) * d_den / (n_den * content)
+    # (N / n_den) / (D / d_den) = (N / (D / content)) * d_den / (n_den * content),
+    # where over INT both denominators and the content are 1
     d_den = denominator._den
     if d_den != 1:
         quotient = {m: c * d_den for m, c in quotient.items()}
-    return _reduced(numerator.variables, quotient, numerator._den * content, width)
+    return _reduced(numerator.variables, numerator.coeff_kind, quotient,
+                    numerator._den * content, width)
 
 
 # ---------------------------------------------------------------------------
@@ -970,10 +970,12 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # trial divisions, scaled by the inputs' contents over the gcd's and by the
 # normalizing sign, or, when the gcd is a constant c, the inputs' quotients
 # by c, which are the inputs themselves when c = 1. Only the fallback has to
-# divide for them, once per input. The levels of GCDHEU below the top, and
-# poly_gcd, read only the gcd, so none of them scales a quotient; poly_lcm
-# reads only b/g of the numerators' integer gcd, so over RAT it builds no
-# rational cofactor.
+# divide for them, once per input. _heu_gcd is one recursive function that
+# returns (g, a/g, b/g) at every level: a level reads only the gcd of its
+# images, and the cofactors that every level builds cost at most one scaling
+# pass each, none when the contents and the sign are 1. poly_lcm reads only
+# b/g of the numerators' integer gcd, so over RAT it builds no rational
+# cofactor.
 #
 # The same evaluation and interpolation pair (_evaluate_last,
 # _interpolate_last; they read and build the packed maps, where the last
@@ -1006,9 +1008,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     g = _gcd_int(_integer_scaled(a), _integer_scaled(b))[0]
-    if a.coeff_kind == INT:
-        return g
-    return _make(a.variables, RAT, g._packed, 1, g._width).normalized()
+    return _make(a.variables, a.coeff_kind, g._packed, 1, g._width).normalized()
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -1024,9 +1024,7 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("lcm requires nonzero arguments")
     numerators = _integer_scaled(a)
     product = numerators * _gcd_int(numerators, _integer_scaled(b))[2]
-    if a.coeff_kind == INT:
-        return product.normalized()
-    return _make(a.variables, RAT, product._packed, 1, product._width).normalized()
+    return _make(a.variables, a.coeff_kind, product._packed, 1, product._width).normalized()
 
 
 def gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -1047,9 +1045,9 @@ def gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial,
     lead = g._packed[max(g._packed)]
     return (
         _make(a.variables, RAT, g._packed, 1, g._width).normalized(),
-        _reduced(a.variables, _ground_product(cofactor_a, lead)._packed, a._den,
+        _reduced(a.variables, RAT, _ground_product(cofactor_a, lead)._packed, a._den,
                  cofactor_a._width),
-        _reduced(a.variables, _ground_product(cofactor_b, lead)._packed, b._den,
+        _reduced(a.variables, RAT, _ground_product(cofactor_b, lead)._packed, b._den,
                  cofactor_b._width),
     )
 
@@ -1114,31 +1112,19 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Poly
 
 
 def _heu_gcd(a: Polynomial, b: Polynomial):
-    """``(g, a/g, b/g)`` for nonconstant INT polynomials by GCDHEU, ``g``
-    normalized, or None if the heuristic gives up."""
-    found = _heu_search(a, b)
-    if found is None:
-        return None
-    g, quotient_a, quotient_b, scale_a, scale_b = found
-    if quotient_a is None:  # a constant gcd divides every coefficient
-        content = g._packed[0]
-        return g, _ground_quotient(a, content), _ground_quotient(b, content)
-    return g, _ground_product(quotient_a, scale_a), _ground_product(quotient_b, scale_b)
+    """``(g, a/g, b/g)`` by GCDHEU, ``g`` normalized, or None if the heuristic
+    gives up. ``a`` and ``b`` are nonzero INT polynomials in at least one
+    variable; the gcd of their images, in one variable fewer, comes from a
+    call of this function unless the images are integers.
 
-
-def _heu_search(a: Polynomial, b: Polynomial):
-    """GCDHEU on nonzero INT polynomials with at least one variable.
-
-    Returns None if it gives up, else ``(g, quotient_a, quotient_b, scale_a,
-    scale_b)`` with ``g`` the normalized gcd. If ``g`` is not a constant,
-    the quotients are those of the inputs' primitive parts by the candidate,
-    from the trial divisions, and ``a/g = scale_a * quotient_a``, ``b/g =
-    scale_b * quotient_b``; if it is, the rest is None. The levels below the
-    top read only ``g``, so only ``_heu_gcd`` applies the scales.
+    A constant gcd divides every coefficient, so its cofactors are the
+    inputs divided by it. Otherwise they are the quotients of the inputs'
+    primitive parts by the candidate, from the trial divisions, scaled by
+    the inputs' contents over the gcd's and by the normalizing sign.
     """
     content_a, content_b = _int_content(a), _int_content(b)
     content = math.gcd(content_a, content_b)
-    a, b = _ground_quotient(a, content_a), _ground_quotient(b, content_b)
+    prim_a, prim_b = _ground_quotient(a, content_a), _ground_quotient(b, content_b)
     integer_images = len(a.variables) == 1
     # the last variable's exponent is the lowest packed field
     degree = max(m & ((1 << p._width) - 1) for p in (a, b) for m in p._packed)
@@ -1146,32 +1132,33 @@ def _heu_search(a: Polynomial, b: Polynomial):
     # min(B, 99*sqrt(B)), where the divisibility check proves nothing; here
     # the first point is the least power of two at or above B, and each
     # later one has about a quarter more bits
-    bits = (2 * min(_max_norm(a), _max_norm(b)) + 28).bit_length()
+    bits = (2 * min(_max_norm(prim_a), _max_norm(prim_b)) + 28).bit_length()
     for _ in range(_HEU_GCD_TRIES):
         if bits * degree > _MAX_IMAGE_BITS:
             return None
-        image_a, image_b = _evaluate_last(a, bits), _evaluate_last(b, bits)
+        image_a, image_b = _evaluate_last(prim_a, bits), _evaluate_last(prim_b, bits)
         if image_a and image_b:
             if integer_images:
                 image_gcd = _make((), INT, {0: math.gcd(image_a._packed[0], image_b._packed[0])},
                                   1, _MIN_WIDTH)
             else:
-                found = _heu_search(image_a, image_b)
+                found = _heu_gcd(image_a, image_b)
                 if found is None:
                     return None
                 image_gcd = found[0]
             candidate = _interpolate_last(image_gcd, bits, a.variables)
             if candidate.is_constant():  # its primitive part is +-1
-                return Polynomial.constant(content, a.variables, INT), None, None, None, None
+                return (Polynomial.constant(content, a.variables, INT),
+                        _ground_quotient(a, content), _ground_quotient(b, content))
             candidate = _ground_quotient(candidate, _int_content(candidate))
-            quotient_a = exact_divide(a, candidate)
+            quotient_a = exact_divide(prim_a, candidate)
             if quotient_a is not None:
-                quotient_b = exact_divide(b, candidate)
+                quotient_b = exact_divide(prim_b, candidate)
                 if quotient_b is not None:
                     sign = _sign(candidate)
-                    return (_ground_product(candidate, sign * content), quotient_a,
-                            quotient_b, sign * (content_a // content),
-                            sign * (content_b // content))
+                    return (_ground_product(candidate, sign * content),
+                            _ground_product(quotient_a, sign * (content_a // content)),
+                            _ground_product(quotient_b, sign * (content_b // content)))
         bits += bits // 4 + 1
     return None
 
@@ -1300,9 +1287,9 @@ def integer_image_determinant(rows, integer_determinant) -> Polynomial | None:
             entries.append(_make(variables, INT, packed, 1, p._width))
         scaled.append(entries)
     determinant = _image_determinant(scaled, variables, integer_determinant)
-    if determinant is None or kind == INT:
-        return determinant
-    return _reduced(variables, determinant._packed, scale, determinant._width)
+    if determinant is None:
+        return None
+    return _reduced(variables, kind, determinant._packed, scale, determinant._width)
 
 
 def _image_determinant(rows, variables, integer_determinant) -> Polynomial | None:

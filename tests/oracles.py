@@ -22,8 +22,10 @@ printer, which unpacked each exponent tuple and built each term in a helper,
 as the reference for the one-pass printer that replaced it; the
 ``Fraction`` Gaussian elimination with monic pivots that the fraction-free
 solver of ``search`` replaced; the column-system class, which takes
-any prescribed leading term, that ``search._solve_column`` replaced; and
-the regex check of integer literals that ``str.isdecimal`` replaced.
+any prescribed leading term, that ``search._solve_column`` replaced; the
+regex check of integer literals that ``str.isdecimal`` replaced; and the
+column HNF that kept its transform in a second array, which the HNF that
+carries the transform under each column replaced.
 """
 
 from __future__ import annotations
@@ -796,3 +798,72 @@ def regex_integer_from_text(text: str) -> int:
     if not _INT_LITERAL.match(text.strip()):
         raise ParseError(f"malformed integer literal {excerpt(text)}", 0)
     return parse_int(text)
+
+
+def two_array_hermite_normal_form(matrix):
+    """``lattice.hermite_normal_form`` as it was, for a valid integer matrix:
+    the columns of H and of the transform U are kept in two arrays, and every
+    column operation updates both through its own closure."""
+    rows = [list(row) for row in matrix]
+    n_rows, n_cols = len(rows), len(rows[0])
+    cols = [[rows[i][j] for i in range(n_rows)] for j in range(n_cols)]
+    transform = [
+        [1 if i == j else 0 for i in range(n_cols)] for j in range(n_cols)
+    ]
+
+    def add_multiple(target: int, source: int, factor: int) -> None:
+        tc, sc = cols[target], cols[source]
+        for i in range(n_rows):
+            tc[i] += factor * sc[i]
+        tu, su = transform[target], transform[source]
+        for i in range(n_cols):
+            tu[i] += factor * su[i]
+
+    def swap(a: int, b: int) -> None:
+        cols[a], cols[b] = cols[b], cols[a]
+        transform[a], transform[b] = transform[b], transform[a]
+
+    def negate(target: int) -> None:
+        cols[target] = [-x for x in cols[target]]
+        transform[target] = [-x for x in transform[target]]
+
+    pivot = 0
+    for row in range(n_rows):
+        if pivot >= n_cols:
+            break
+        while True:
+            active = [j for j in range(pivot, n_cols) if cols[j][row]]
+            if len(active) <= 1:
+                break
+            smallest = min(active, key=lambda j: abs(cols[j][row]))
+            for j in active:
+                if j == smallest:
+                    continue
+                quotient = cols[j][row] // cols[smallest][row]
+                if quotient:
+                    add_multiple(j, smallest, -quotient)
+        active = [j for j in range(pivot, n_cols) if cols[j][row]]
+        if not active:
+            continue
+        if active[0] != pivot:
+            swap(active[0], pivot)
+        if cols[pivot][row] < 0:
+            negate(pivot)
+        for j in range(pivot):
+            quotient = cols[j][row] // cols[pivot][row]
+            if quotient:
+                add_multiple(j, pivot, -quotient)
+        pivot += 1
+
+    hnf = [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
+    unimodular = [[transform[j][i] for j in range(n_cols)] for i in range(n_cols)]
+    return hnf, unimodular
+
+
+def two_array_kernel_basis(matrix):
+    """``lattice.kernel_basis`` on ``two_array_hermite_normal_form``: the
+    transform columns over zero columns of H."""
+    hnf, transform = two_array_hermite_normal_form(matrix)
+    n_cols = len(hnf[0])
+    return [[transform[i][j] for i in range(n_cols)] for j in range(n_cols)
+            if all(row[j] == 0 for row in hnf)]

@@ -255,6 +255,14 @@ class TestQueries:
         with pytest.raises(IndexError):
             bundled_graph("fig2").incident_labels(3)
 
+    def test_edge_name(self):
+        g = bundled_graph("fig2")
+        assert [g.edge_name(k) for k in range(3)] == ["v1~v2", "v2~v3", "v3~v1"]
+        reordered = g.reorder(["v3", "v1", "v2"])
+        assert [reordered.edge_name(k) for k in range(3)] == ["v1~v2", "v2~v3", "v3~v1"]
+        with pytest.raises(IndexError):
+            g.edge_name(3)
+
     def test_pairwise_coprime(self, qxy):
         assert bundled_graph("xy").pairwise_coprime_labels()
         assert bundled_graph("squares").pairwise_coprime_labels()

@@ -24,6 +24,8 @@ from oracles import (
     matrix_multiply,
     minimal_positive_leading_term,
     solve_exact,
+    two_array_hermite_normal_form,
+    two_array_kernel_basis,
     widest_path_diagonal,
 )
 
@@ -102,6 +104,56 @@ class TestHermiteNormalForm:
                     sum(m[i][j] * vector[j] for j in range(cols)) == 0
                     for i in range(rows)
                 )
+
+    def test_matches_the_two_array_reference(self):
+        # a different valid U would pass test_random_matrices; no CLI call
+        # prints U, so only this comparison sees a changed transform
+        matrices = reference_matrices()
+        assert len(matrices) >= 300
+        for m in matrices:
+            assert hermite_normal_form(m) == two_array_hermite_normal_form(m), m
+            assert kernel_basis(m) == two_array_kernel_basis(m), m
+
+    def test_matches_the_two_array_reference_on_lattice_bases(self, monkeypatch):
+        bases = []
+
+        def recording(matrix):
+            bases.append(matrix)
+            return hermite_normal_form(matrix)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("graphsplines.lattice.hermite_normal_form", recording)
+            for k in range(6, 13):
+                spline_lattice_generators(complete_nine_digit(k, k))
+        assert [len(matrix) for matrix in bases] == list(range(6, 13))
+        for m in bases:
+            assert hermite_normal_form(m) == two_array_hermite_normal_form(m)
+            assert kernel_basis(m) == two_array_kernel_basis(m) == []
+
+
+def reference_matrices():
+    """Seeded matrices with 1-6 rows, 1-7 columns and entries in [-9, 9]:
+    random ones, every zero shape, rank-deficient ones (a row and a column
+    repeated) and lower-triangular ones."""
+    rng = random.Random("hnf-reference")
+
+    def random_matrix(rows, cols):
+        return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+    matrices = [random_matrix(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(300)]
+    matrices += [[[0] * cols for _ in range(rows)] for rows in range(1, 7) for cols in range(1, 8)]
+    for _ in range(30):
+        m = random_matrix(rng.randint(2, 6), rng.randint(2, 7))
+        m[-1] = list(m[0])
+        for row in m:
+            row[-1] = row[0]
+        matrices.append(m)
+    for _ in range(30):
+        m = random_matrix(rng.randint(1, 6), rng.randint(1, 7))
+        for i, row in enumerate(m):
+            row[i + 1:] = [0] * len(row[i + 1:])
+        matrices.append(m)
+    return matrices
 
 
 def kernel_generators(graph):
@@ -286,6 +338,13 @@ class TestIntegerFlowUpBasis:
         assert basis.columns == ((1, 1, 1), (0, 4, 4), (0, 0, 10))
         assert basis.diagonal == (1, 4, 10)
         assert basis.determinant == 40
+
+    def test_rows(self):
+        basis = integer_flow_up_basis(bundled_graph("fig2"))
+        assert basis.rows() == [[1, 0, 0], [1, 4, 0], [1, 4, 10]]
+        for graph in (bundled_graph("fig2-text"), complete_nine_digit(6, 6)):
+            basis = integer_flow_up_basis(graph)
+            assert basis.rows() == spline_lattice_generators(graph)
 
     def test_fig2_text(self):
         basis = integer_flow_up_basis(bundled_graph("fig2-text"))

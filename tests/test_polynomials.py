@@ -374,6 +374,42 @@ class TestArithmetic:
             poly("x").substitute({"y": 1})
 
 
+class TestLeadingTerm:
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_zero_has_none(self, kind):
+        zero = Polynomial.zero(VARS, kind)
+        with pytest.raises(ValueError, match="no leading term"):
+            zero.leading_exponent()
+        with pytest.raises(ValueError, match="no leading term"):
+            zero.leading_coefficient()
+
+    def test_an_int_over_int(self):
+        # grlex: x^3 and x*y^2 have degree 3, and x^3 is lex first
+        p = poly("-3*x*y^2 + 5*x^3 - 7", INT)
+        assert p.leading_exponent() == (3, 0)
+        assert p.leading_coefficient() == 5 and type(p.leading_coefficient()) is int
+        assert poly("-7", INT).leading_exponent() == (0, 0)
+        assert poly("-7", INT).leading_coefficient() == -7
+
+    def test_a_fraction_over_rat(self):
+        p = poly("-1/2*y^3 + 2/3*x*y^2 + x", RAT)
+        assert p.leading_exponent() == (1, 2)
+        assert p.leading_coefficient() == Fraction(2, 3)
+        whole = poly("4*x - 1", RAT).leading_coefficient()
+        assert whole == 4 and type(whole) is Fraction
+
+    @pytest.mark.parametrize("kind, text, coefficient", [
+        (INT, "y - 3*x^40000", -3), (RAT, "y - 5/2*x^40000", Fraction(-5, 2)),
+    ])
+    def test_at_a_widened_field(self, kind, text, coefficient):
+        p = poly(text, kind)
+        assert p._width > module._MIN_WIDTH
+        assert p.leading_exponent() == (40000, 0)
+        assert p.leading_coefficient() == coefficient
+        assert type(p.leading_coefficient()) is type(coefficient)
+        assert (p * poly("y", kind)).leading_exponent() == (40000, 1)
+
+
 class TestExactDivide:
     def test_binomial(self):
         assert exact_divide(poly("(x+y)^2"), poly("x+y")) == poly("x+y")
@@ -677,13 +713,15 @@ class TestHeuristicGcd:
             poly_lcm(poly(a, RAT), poly(b, RAT))
 
     def test_poly_lcm_builds_no_rational_cofactor(self, monkeypatch):
-        # over QQ the only reduced rational polynomial is the normalized lcm
+        # over QQ the only reduced rational polynomial is the normalized lcm;
+        # the integer products and quotients are built by _reduced too
         reduced = []
         build = module._reduced
 
-        def counting(*args):
-            reduced.append(args)
-            return build(*args)
+        def counting(variables, coeff_kind, *args):
+            if coeff_kind == RAT:
+                reduced.append(args)
+            return build(variables, coeff_kind, *args)
 
         a = poly("(1/2*x*y - 2/3*y + 1)*(3/4*y^2 - x)", RAT)
         b = poly("(-5/3*y + x + 1/2)*(3/4*y^2 - x)", RAT)

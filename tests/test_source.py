@@ -12,6 +12,11 @@ def _sources():
     yield from sorted((ROOT / "scripts").glob("*.py"))
 
 
+def names_read(tree) -> set[str]:
+    """Names that some expression of ``tree`` reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def unused_imports(tree) -> list[str]:
     """Names an import binds in the module that no expression of it reads."""
     imported = []
@@ -20,8 +25,47 @@ def unused_imports(tree) -> list[str]:
             imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = names_read(tree)
     return [name for name in imported if name not in used]
+
+
+def unread_private_definitions(trees) -> list[str]:
+    """Module-level private functions and classes of ``trees``, a map from
+    a module's name to its syntax tree, that no other top-level statement
+    of any of them reads; a recursive call is not a read."""
+    statements = [(where, statement) for where, tree in trees.items() for statement in tree.body]
+    reads = [(statement, names_read(statement)) for _, statement in statements]
+    return [f"{where}: {statement.name}" for where, statement in statements
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+            and statement.name.startswith("_")
+            and not any(statement.name in names for other, names in reads if other is not statement)]
+
+
+def test_every_private_definition_in_the_package_is_read():
+    # a refactor must not leave a dead helper behind
+    package = ROOT / "src" / "graphsplines"
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    assert "polynomials.py" in trees
+    assert unread_private_definitions(trees) == []
+
+
+def test_a_helper_read_only_by_itself_is_unread():
+    source = """
+def _dead(n):
+    return _dead(n - 1) if n else 0
+
+def _used():
+    return 1
+
+class _Kept:
+    pass
+
+def public():
+    return _used() + len([_Kept])
+"""
+    trees = {"module.py": ast.parse(source)}
+    assert unread_private_definitions(trees) == ["module.py: _dead"]
 
 
 def test_no_unused_imports_and_no_assert_in_the_package():
