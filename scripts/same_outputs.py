@@ -12,8 +12,9 @@ candidates, verify and check-basis calls whose entries nest scaled groups or
 cross a packed field boundary, integer-lattice calls on graphs whose
 vertices have far apart label lcms, coprimality tests of linear labels,
 label lcms of cycles whose labels share factors, calls whose input
-fails to parse, and graph documents with one fault per GraphError code the
-loader raises, each in JSON and in text mode, through
+fails to parse, graph documents with one fault per GraphError code the
+loader raises, and verify and check-basis calls whose entries repeat,
+with flowup on integer and polynomial graphs, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -523,6 +524,62 @@ def document_calls(graphs: Path, directory: Path) -> list:
     return calls
 
 
+def entry_calls(graphs: Path, directory: Path) -> list:
+    """The argv of calls that read an entry text more than once, and of
+    ``flowup`` on integer and polynomial graphs.
+
+    ``verify`` and ``check-basis`` on the bundled graphs under ``graphs``
+    and on a ZZ[x,y] triangle written to ``directory`` repeat entries as
+    written and with spaces around them, one with rational coefficients;
+    four calls repeat an entry that fails to parse. ``flowup`` runs on
+    ``fig2.json``, a one-vertex graph, a multigraph with negative labels and
+    a seeded K6 with 9-digit labels, all over ZZ and written to
+    ``directory``, and on ``xy.json`` and ``zx-obstruction.json``, whose
+    witness tables are printed from the same entry texts in both modes.
+    """
+    fig2, xy, zx = (str(graphs / f"{name}.json") for name in ("fig2", "xy", "zx-obstruction"))
+    zxy = write_graph(directory, "entries-zxy", {"kind": "poly", "coefficients": "int",
+                                                 "variables": ["x", "y"]}, ["x", "y", "x + y"])
+    rng = random.Random("same-outputs/entries")
+    k6 = [{"u": f"v{u + 1}", "v": f"v{v + 1}",
+           "label": str(rng.choice((-1, 1)) * rng.randrange(10**8, 10**9))}
+          for u, v in itertools.combinations(range(6), 2)]
+    integer_graphs = {
+        "one-vertex": (["a"], []),
+        "negative-multi": (["a", "b", "c"], [{"u": "a", "v": "b", "label": "-6"},
+                                              {"u": "b", "v": "a", "label": "4"},
+                                              {"u": "b", "v": "c", "label": "-9"},
+                                              {"u": "c", "v": "a", "label": "-10"},
+                                              {"u": "c", "v": "b", "label": "-6"}]),
+        "k6": ([f"v{k}" for k in range(1, 7)], k6),
+    }
+    flowups = [fig2, xy, zx]
+    for name, (vertices, edges) in integer_graphs.items():
+        path = directory / f"entries-{name}.json"
+        path.write_text(json.dumps({"ring": {"kind": "int"}, "vertices": vertices,
+                                    "edges": edges}))
+        flowups.append(str(path))
+    return [
+        ["check-basis", fig2, *spline_flags(["1, 1 ,1", " 0,4 , 4", "0,0, 10 "])],
+        ["check-basis", fig2, *spline_flags(["1,1,1", "0,4,4", " 0, 4,4 "])],
+        ["verify", fig2, "--spline", "5,5, 5"],
+        ["verify", fig2, "--spline", "-4,-4 ,0"],
+        ["check-basis", xy, *spline_flags(["1, 1 ,1", "0 ,x, x + y", "0, 0 ,y*(x + y)"])],
+        ["check-basis", xy, *spline_flags(["1,1,1", "x,x, x ", "0,0,y*(x + y)"])],
+        ["check-basis", xy, *spline_flags(["1/2,1/2, 1/2 ", "0,3/2*x,3/2*x + 3/2*y",
+                                           "0, 0 ,1/2*y*(x + y)"])],
+        ["verify", xy, "--spline", "1/2*x + 1/3, 1/2*x + 1/3 ,1/2*x + 1/3"],
+        ["verify", xy, "--spline", "x,x ,y"],
+        ["check-basis", zxy, *spline_flags(["1, 1 ,1", "0 ,x, x + y", "0, 0 ,y*(x + y)"])],
+        ["verify", zx, "--spline", "2*x, 2*x ,0"],
+        ["check-basis", xy, *spline_flags(["1,1,1", "0,x^, x^ ", "0,0,y*(x + y)"])],
+        ["check-basis", fig2, *spline_flags(["1,1,1", "0,4,4", "0,0,1x", " 1x,0,0"])],
+        ["verify", xy, "--spline", "y^,y^, y^"],
+        ["verify", xy, "--spline", "x,x,x^"],
+        *(["flowup", graph] for graph in flowups),
+    ]
+
+
 def workload_calls(base: Path, names, seeds, directory: Path) -> list:
     """The argv of every call of the seeded workloads, their graphs written to ``directory``.
 
@@ -600,6 +657,7 @@ def main(argv=None) -> int:
         calls += search_shape_calls(Path(scratch)) + parser_calls(ROOT / "graphs")
         calls += lattice_calls(args.base, Path(scratch)) + coprime_calls(Path(scratch))
         calls += gcd_calls(Path(scratch)) + document_calls(ROOT / "graphs", Path(scratch))
+        calls += entry_calls(ROOT / "graphs", Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

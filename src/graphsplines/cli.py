@@ -121,12 +121,22 @@ def _parse_element(ring, text: str, where: str):
         raise ValueError(f"{where}, character {exc.position + 1}: {exc.reason}") from None
 
 
-def _parse_spline(graph: LabeledGraph, text: str, index: int) -> tuple:
-    """The ``index``-th (1-based) ``--spline`` argument as a tuple of entries."""
-    entries = [
-        _parse_element(graph.ring, piece.strip(), f"--spline {index}, entry {k}")
-        for k, piece in enumerate(text.split(","), start=1)
-    ]
+def _parse_spline(graph: LabeledGraph, text: str, index: int, parsed: dict) -> tuple:
+    """The ``index``-th (1-based) ``--spline`` argument as a tuple of entries.
+
+    ``parsed`` maps each stripped entry text already read in this call to
+    its element, so a text is parsed once however often it occurs. A text
+    that fails to parse is not stored: it raises where it first occurs.
+    """
+    entries = []
+    for k, piece in enumerate(text.split(","), start=1):
+        piece = piece.strip()
+        entry = parsed.get(piece)
+        if entry is None:
+            entry = parsed[piece] = _parse_element(
+                graph.ring, piece, f"--spline {index}, entry {k}"
+            )
+        entries.append(entry)
     if len(entries) != graph.n:
         raise ValueError(
             f"--spline {index}: spline has {len(entries)} entries; "
@@ -141,7 +151,7 @@ def _spline_text(graph: LabeledGraph, spline) -> str:
 
 def _cmd_verify(args):
     graph = _load(args)
-    candidate = _parse_spline(graph, args.spline, 1)
+    candidate = _parse_spline(graph, args.spline, 1, {})
     check = is_spline(graph, candidate)
     lines = [f"graph: {graph.describe()}"]
     if not args.json:  # only the text report shows the candidate
@@ -172,6 +182,9 @@ def _cmd_flowup(args):
     lines = [f"graph: {graph.describe()}"]
     if ring.kind == "int":
         basis = integer_flow_up_basis(graph)
+        report = {"command": "flowup", "verdict": "yes", **basis.to_document()}
+        if args.json:  # the JSON report holds the numbers, not the text
+            return 0, report, lines
         lines.append("flow-up class basis (columns):")
         for k, column in enumerate(basis.columns):
             lines.append(f"  B{k + 1} = {_spline_text(graph, column)}")
@@ -179,20 +192,18 @@ def _cmd_flowup(args):
         diagonal = ", ".join(map(number_text, basis.diagonal))
         lines.append(f"diagonal: ({diagonal}{',' if len(basis.diagonal) == 1 else ''})")
         lines.append(f"determinant: {number_text(basis.determinant)}")
-        report = {"command": "flowup", "verdict": "yes", **basis.to_document()}
         return 0, report, lines
+    # both reports print the same entry texts, so each is printed once
+    witnesses = [[ring.to_text(ring.one)] * graph.n]
+    witnesses += [
+        [ring.to_text(entry) for entry in flow_up_witness(graph, index)]
+        for index in range(1, graph.n)
+    ]
     lines.append("flow-up witness table (one representative per nonzero class):")
-    witnesses = [tuple(ring.one for _ in range(graph.n))]
-    lines.append(f"  class 0: {_spline_text(graph, witnesses[0])} (constant spline)")
+    lines.append(f"  class 0: ({', '.join(witnesses[0])}) (constant spline)")
     for index in range(1, graph.n):
-        witness = flow_up_witness(graph, index)
-        witnesses.append(witness)
-        lines.append(f"  class {index}: {_spline_text(graph, witness)}")
-    report = {
-        "command": "flowup",
-        "verdict": "yes",
-        "witnesses": [[ring.to_text(entry) for entry in w] for w in witnesses],
-    }
+        lines.append(f"  class {index}: ({', '.join(witnesses[index])})")
+    report = {"command": "flowup", "verdict": "yes", "witnesses": witnesses}
     return 0, report, lines
 
 
@@ -218,8 +229,10 @@ def _cmd_q(args):
 
 def _cmd_check_basis(args):
     graph = _load(args)
+    parsed: dict = {}  # one parse per distinct entry text, for this call only
     columns = [
-        _parse_spline(graph, text, index) for index, text in enumerate(args.spline, start=1)
+        _parse_spline(graph, text, index, parsed)
+        for index, text in enumerate(args.spline, start=1)
     ]
     matrix = SplineMatrix(graph, columns)
     invariant = compute_q(graph)

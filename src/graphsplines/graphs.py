@@ -24,22 +24,27 @@ class Edge:
 
 
 def is_connected(vertex_count: int, pairs) -> bool:
-    """BFS connectivity over undirected index pairs."""
+    """Connectivity over undirected index pairs, by union-find.
+
+    Each pair that joins two components merges them, so the graph is
+    connected as soon as ``vertex_count - 1`` pairs have merged; the pairs
+    after that are not read.
+    """
     if vertex_count <= 1:
         return True
-    adjacency: dict[int, list[int]] = {i: [] for i in range(vertex_count)}
+    parent = list(range(vertex_count))
+    merges_left = vertex_count - 1
     for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {0}
-    queue = [0]
-    while queue:
-        node = queue.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == vertex_count
+        while parent[u] != u:  # path halving
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            merges_left -= 1
+            if not merges_left:
+                return True
+    return False
 
 
 class LabeledGraph:

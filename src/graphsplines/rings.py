@@ -3,13 +3,15 @@
 A ring object is the descriptor every other module programs against. Elements
 are plain values (``int``, ``Fraction``, or :class:`Polynomial`) whose own
 operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
-``mul`` and ``is_zero`` once, as those operators applied after ``check``,
-derives ``divides``, ``lcm`` and ``product`` from them, and prints numbers.
-Each subclass holds only what differs between rings: the element ``check``,
-``from_int``, exact division, gcd, the unit test, canonical unit
-normalization and parsing; :class:`PolynomialRing` also its lcm
-(``poly_lcm``, taken from the cofactor the numerators' integer gcd returns),
-and its own text, document and equality. All operations are exact and pure.
+``mul`` and ``is_zero`` once, as those operators applied after ``check``, and
+``exact_div`` once, as ``check`` and a zero test before the subclass's
+unchecked ``_exact_quotient``; it derives ``divides``, ``lcm`` and
+``product`` from them, and prints numbers. Each subclass holds only what
+differs between rings: the element ``check``, ``from_int``, the exact
+quotient, gcd, the unit test, canonical unit normalization and parsing;
+:class:`PolynomialRing` also its lcm (``poly_lcm``, taken from the cofactor
+the numerators' integer gcd returns), and its own text, document and
+equality. All operations are exact and pure.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class Ring:
 
     The arithmetic methods check their arguments, so a foreign element
     raises RingMismatchError. Code that holds only checked elements may
-    apply the Python operators to them directly.
+    apply the Python operators to them directly, and divide them by a
+    nonzero checked element with ``_exact_quotient``.
     """
 
     def add(self, a, b):
@@ -56,6 +59,13 @@ class Ring:
 
     def is_zero(self, a) -> bool:
         return not self.check(a)
+
+    def exact_div(self, a, b):
+        """The q with b*q == a, or None if there is none; b must be nonzero."""
+        a, b = self.check(a), self.check(b)
+        if not b:  # a checked element is falsy exactly when it is zero
+            raise ZeroDivisionError("division by zero")
+        return self._exact_quotient(a, b)
 
     def divides(self, a, b) -> bool:
         """True iff a*q == b for some ring element q; divides(0, 0) is True."""
@@ -118,10 +128,8 @@ class IntegerRing(Ring):
     def is_unit(self, a) -> bool:
         return self.check(a) in (1, -1)
 
-    def exact_div(self, a, b):
-        if self.check(b) == 0:
-            raise ZeroDivisionError("division by zero")
-        q, r = divmod(self.check(a), b)
+    def _exact_quotient(self, a, b):
+        q, r = divmod(a, b)
         return q if r == 0 else None
 
     def gcd(self, a, b):
@@ -166,10 +174,8 @@ class RationalRing(Ring):
     def is_unit(self, a) -> bool:
         return self.check(a) != 0
 
-    def exact_div(self, a, b):
-        if self.check(b) == 0:
-            raise ZeroDivisionError("division by zero")
-        return self.check(a) / b
+    def _exact_quotient(self, a, b):
+        return a / b
 
     def gcd(self, a, b):
         if self.check(a) == 0 and self.check(b) == 0:
@@ -238,8 +244,8 @@ class PolynomialRing(Ring):
     def is_unit(self, a) -> bool:
         return self.check(a).is_unit()
 
-    def exact_div(self, a, b):
-        return exact_divide(self.check(a), self.check(b))
+    def _exact_quotient(self, a, b):
+        return exact_divide(a, b)
 
     def gcd(self, a, b):
         return poly_gcd(self.check(a), self.check(b))

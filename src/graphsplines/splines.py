@@ -33,7 +33,14 @@ class SplineCheck:
 
 
 def is_spline(graph: LabeledGraph, candidate) -> SplineCheck:
-    """Check every edge congruence; reports all violated edges, not just the first."""
+    """Check every edge congruence; reports all violated edges, not just the first.
+
+    Each entry is checked once, on entry, so a foreign one raises
+    RingMismatchError. The graph checked its labels when it was built: they
+    are elements of its ring and nonzero. So each difference is divided by
+    its label with the ring's unchecked ``_exact_quotient``, and the label
+    divides the difference exactly when there is a quotient.
+    """
     candidate = tuple(candidate)
     if len(candidate) != graph.n:
         raise ValueError(
@@ -42,11 +49,9 @@ def is_spline(graph: LabeledGraph, candidate) -> SplineCheck:
     ring = graph.ring
     candidate = [ring.check(entry) for entry in candidate]
     violations = []
-    # a graph's labels are nonzero, so the label divides the difference
-    # exactly when the division has a quotient
-    exact_div = ring.exact_div
+    quotient = ring._exact_quotient
     for index, edge in enumerate(graph.edges):
-        if exact_div(candidate[edge.u] - candidate[edge.v], edge.label) is None:
+        if quotient(candidate[edge.u] - candidate[edge.v], edge.label) is None:
             violations.append(
                 EdgeViolation(
                     index,

@@ -23,9 +23,10 @@ as the reference for the one-pass printer that replaced it; the
 ``Fraction`` Gaussian elimination with monic pivots that the fraction-free
 solver of ``search`` replaced; the column-system class, which takes
 any prescribed leading term, that ``search._solve_column`` replaced; the
-regex check of integer literals that ``str.isdecimal`` replaced; and the
+regex check of integer literals that ``str.isdecimal`` replaced; the
 column HNF that kept its transform in a second array, which the HNF that
-carries the transform under each column replaced.
+carries the transform under each column replaced; and the breadth-first
+connectivity test over adjacency lists that union-find replaced.
 """
 
 from __future__ import annotations
@@ -867,3 +868,23 @@ def two_array_kernel_basis(matrix):
     n_cols = len(hnf[0])
     return [[transform[i][j] for i in range(n_cols)] for j in range(n_cols)
             if all(row[j] == 0 for row in hnf)]
+
+
+def breadth_first_is_connected(vertex_count, pairs):
+    """``graphs.is_connected`` as it was: adjacency lists built from every
+    pair, then a search from vertex 0."""
+    if vertex_count <= 1:
+        return True
+    adjacency: dict[int, list[int]] = {i: [] for i in range(vertex_count)}
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = {0}
+    queue = [0]
+    while queue:
+        node = queue.pop()
+        for nxt in adjacency[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == vertex_count

@@ -9,6 +9,7 @@ import pytest
 
 from graphsplines import cli
 from graphsplines.cli import main
+from graphsplines.rings import IntegerRing, PolynomialRing
 from conftest import GRAPHS_DIR, ROOT, source_env
 
 FIG2 = str(GRAPHS_DIR / "fig2.json")
@@ -142,6 +143,75 @@ class TestCheckBasis:
         )
         assert code == 0
         assert "BASIS: yes" in out
+
+
+class TestEntryCache:
+    """check-basis and verify parse each distinct stripped entry text once
+    per call, and keep nothing between calls."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The texts the rings parse, labels included, in order."""
+        texts = []
+        for ring_class in (IntegerRing, PolynomialRing):
+            def recording(ring, text, parse=ring_class.element_from_text):
+                texts.append(text)
+                return parse(ring, text)
+
+            monkeypatch.setattr(ring_class, "element_from_text", recording)
+        return texts
+
+    @staticmethod
+    def flags(columns):
+        return [arg for column in columns for arg in ("--spline", column)]
+
+    def test_integer_entries(self, capsys, parsed):
+        columns = ["1, 1 ,1", " 0,4 , 4", " 0 ,0, 10 "]
+        code, out, _ = run(capsys, "check-basis", FIG2, "--json", *self.flags(columns))
+        assert (code, json.loads(out)["determinant"]) == (0, "40")
+        assert parsed == ["4", "5", "2"] + ["1", "0", "4", "10"]
+
+    @pytest.mark.parametrize("coefficients", ["int", "rat"])
+    def test_polynomial_entries(self, capsys, tmp_path, parsed, coefficients):
+        graph = tmp_path / "triangle.json"
+        graph.write_text(json.dumps({
+            "ring": {"kind": "poly", "coefficients": coefficients, "variables": ["x", "y"]},
+            "vertices": ["v1", "v2", "v3"],
+            "edges": [{"u": "v1", "v": "v2", "label": "x"},
+                      {"u": "v2", "v": "v3", "label": "y"},
+                      {"u": "v3", "v": "v1", "label": "x + y"}],
+        }))
+        labels = ["x", "y", "x + y"]
+        columns = ["1, 1 ,1", "x, x ,x", "(x+1)*y,(x+1)*y , (x+1)*y "]
+        code, out, _ = run(capsys, "check-basis", str(graph), "--json", *self.flags(columns))
+        assert (code, json.loads(out)["determinant"]) == (1, "0")
+        assert parsed == labels + ["1", "x", "(x+1)*y"]
+        columns = ["1, 1 ,1", " 0 ,x,x + y", "0, 0 ,y*(x + y)"]
+        code, out, _ = run(capsys, "check-basis", str(graph), *self.flags(columns))
+        assert code == 0 and "BASIS: yes (unit 1)" in out
+        assert parsed[6:] == labels + ["1", "0", "x", "x + y", "y*(x + y)"]
+        # a second call parses its entries again
+        del parsed[:]
+        for _ in range(2):
+            code, out, _ = run(capsys, "verify", str(graph), "--spline", " x ,x, x")
+            assert code == 0 and "candidate: (x, x, x)" in out
+        assert parsed == (labels + ["x"]) * 2
+
+    def test_repeated_entry_that_fails_to_parse(self, capsys, parsed):
+        code, out, err = run(capsys, "check-basis", XY, "--spline", "1,1,1",
+                             "--spline", "0,x^, x^ ", "--spline", "0,0,y*(x + y)")
+        assert (code, out) == (2, "")
+        assert err == ("error: --spline 2, entry 2, character 3: "
+                       "expected a natural-number exponent\n")
+        code, out, err = run(capsys, "check-basis", FIG2, "--spline", "1,1,1",
+                             "--spline", "0,4x,4", "--spline", "4x,0, 4x")
+        assert (code, out) == (2, "")
+        assert err == ("error: --spline 2, entry 2, character 1: "
+                       "malformed integer literal '4x'\n")
+        code, _, err = run(capsys, "verify", XY, "--spline", "x,y^,y^")
+        assert code == 2 and err.startswith("error: --spline 1, entry 2, character 3: ")
+        # the labels, then each entry up to the first that fails
+        assert parsed[-5:] == ["x", "y", "x + y", "x", "y^"]
 
 
 class TestSearch:

@@ -17,7 +17,7 @@ from graphsplines import (
     load_graph,
 )
 from conftest import bundled_graph
-from oracles import pairwise_coprime_by_pairs
+from oracles import breadth_first_is_connected, pairwise_coprime_by_pairs
 
 
 def doc(labels=("4", "5", "2"), ring=None):
@@ -385,3 +385,27 @@ class TestConnectivity:
                     if v in reachable:
                         reachable.add(u)
             assert is_connected(n, pairs) == (len(reachable) == n)
+
+    def test_union_find_matches_breadth_first_search(self):
+        # seeded multigraphs on 1..12 vertices: a random forest over some of
+        # the vertices (the others isolated), each pair possibly repeated
+        # and reversed, in a shuffled order
+        rng = random.Random(2208)
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            reached = rng.sample(range(n), rng.randint(1, n))
+            pairs = []
+            for k in range(1, len(reached)):
+                if rng.random() < 0.9:
+                    pairs.append((reached[rng.randrange(k)], reached[k]))
+            pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3))] if pairs else []
+            pairs += [(v, u) for u, v in pairs if rng.random() < 0.3]
+            rng.shuffle(pairs)
+            expected = breadth_first_is_connected(n, pairs)
+            assert is_connected(n, pairs) == expected, (n, pairs)
+            assert is_connected(n, iter(pairs)) == expected
+            seen[expected] += 1
+        assert min(seen.values()) > 300
+        assert is_connected(1, []) and breadth_first_is_connected(1, [])
+        assert not is_connected(2, [(0, 0), (1, 1)])

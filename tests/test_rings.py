@@ -190,7 +190,7 @@ class TestSharedRingMethods:
     """The arithmetic and identity methods every ring takes from ``Ring``."""
 
     @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
-    @pytest.mark.parametrize("method", ["add", "neg", "sub", "mul", "is_zero"])
+    @pytest.mark.parametrize("method", ["add", "neg", "sub", "mul", "is_zero", "exact_div"])
     def test_foreign_elements_raise(self, ring, method):
         other_polynomial = ZX.variable("x") if ring == QXY else QXY.variable("y")
         operate = getattr(ring, method)
@@ -201,6 +201,23 @@ class TestSharedRingMethods:
             if len(args) == 2:
                 with pytest.raises(RingMismatchError):
                     operate(ring.one, foreign)
+
+    @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
+    def test_exact_div_is_checks_then_the_unchecked_quotient(self, ring):
+        values = [ring.from_int(k) for k in (-6, -2, -1, 1, 3, 4, 12)]
+        if ring.kind == "poly":
+            x = ring.variable("x")
+            values += [x, x * x - ring.one, ring.from_int(-2) * x + ring.one]
+        for a in values + [ring.zero]:
+            for b in values:
+                product = ring.mul(a, b)
+                assert ring.exact_div(product, b) == ring._exact_quotient(product, b) == a
+                assert ring.exact_div(a, b) == ring._exact_quotient(a, b)
+            with pytest.raises(ZeroDivisionError):
+                ring.exact_div(a, ring.zero)
+        # ZZ and ZZ[x] have non-divisible pairs; QQ and QQ[x,y] divide by constants
+        assert (ring.exact_div(ring.from_int(3), ring.from_int(2)) is None) == (
+            ring in (ZZ, ZX))
 
     @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
     def test_arithmetic(self, ring):

@@ -267,3 +267,33 @@ def test_same_outputs_document_calls(tmp_path):
     assert all(results[k][2] == results[k + 1][2] == results[k + 2][2] == results[k + 3][2]
                for k in range(0, len(results), 4))
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_entry_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.entry_calls(GRAPHS_DIR, tmp_path))
+    assert len(calls) == 42
+    results = same_outputs.run_calls(ROOT, calls)
+    codes = [0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 2, 2, 2, 2] + [0] * 6
+    assert [code for code, _, _ in results] == [code for code in codes for _ in range(2)]
+    # a repeated entry that fails to parse is reported where it first occurs
+    assert [err for _, _, err in results[22:30:2]] == [
+        "error: --spline 2, entry 2, character 3: expected a natural-number exponent\n",
+        "error: --spline 3, entry 3, character 1: malformed integer literal '1x'\n",
+        "error: --spline 1, entry 1, character 3: expected a natural-number exponent\n",
+        "error: --spline 1, entry 3, character 3: expected a natural-number exponent\n",
+    ]
+    reports = [json.loads(out) for _, out, _ in results[:22:2]]
+    assert [report["verdict"] for report in reports] == [
+        "yes", "no", "yes", "no", "yes", "no", "yes", "yes", "no", "yes", "yes"]
+    assert reports[6]["unit"] == "3/8"
+    flowups = [json.loads(out) for _, out, _ in results[30::2]]
+    assert flowups[0]["columns"] == [[1, 1, 1], [0, 4, 4], [0, 0, 10]]
+    assert flowups[1]["witnesses"] == [["1", "1", "1"], ["0", "x*y", "0"],
+                                       ["0", "0", "x*y + y^2"]]
+    assert flowups[3]["diagonal"] == [1] and "diagonal: (1,)" in results[37][1]
+    assert flowups[4]["diagonal"] == [1, 12, 90]
+    # the text report of a K6 prints the same numbers as the JSON report
+    assert results[41][1].count("B") == 6
+    assert str(flowups[5]["determinant"]) in results[41][1]
+    assert same_outputs.compare(ROOT, ROOT, calls) == []

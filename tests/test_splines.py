@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from graphsplines import (
     ZZ,
+    IntegerRing,
     LabeledGraph,
+    PolynomialRing,
+    RingMismatchError,
     flow_up_index,
     flow_up_witness,
     integer_flow_up_basis,
@@ -18,6 +22,13 @@ from conftest import bundled_graph
 @pytest.fixture(scope="module")
 def fig2():
     return bundled_graph("fig2")
+
+
+# integer graphs with negative labels, whose quotients round toward -infinity
+NEGATIVE_LABELS = {
+    "k4-negative": LabeledGraph.complete(ZZ, [-2, 3, -4, 5, -6, -7]),
+    "c5-negative": LabeledGraph.cycle(ZZ, [-6, -10, 15, -4, -9]),
+}
 
 
 class TestIsSpline:
@@ -46,11 +57,13 @@ class TestIsSpline:
         assert is_spline(g, (qxy.zero, x, x + y)).ok
         assert not is_spline(g, (qxy.one, x, qxy.zero)).ok
 
-    @pytest.mark.parametrize("name", ["fig2", "xy", "squares", "zx-obstruction", "k4"])
+    @pytest.mark.parametrize(
+        "name", ["fig2", "xy", "squares", "zx-obstruction", "k4", "k4-negative", "c5-negative"]
+    )
     def test_violations_match_divides(self, corpus, name):
         # every edge whose label does not divide its endpoints' difference, by
         # the ring's own divides, on candidates built from labels and units
-        graph = corpus[name]
+        graph = NEGATIVE_LABELS.get(name) or corpus[name]
         ring = graph.ring
         rng = random.Random(name)
         pool = [ring.zero, ring.one, ring.from_int(-2), *graph.labels()]
@@ -64,6 +77,30 @@ class TestIsSpline:
             check = is_spline(graph, candidate)
             assert [v.edge_index for v in check.violations] == failed
             assert check.ok == (not failed)
+
+
+    @pytest.mark.parametrize("name", ["fig2", "xy", "zx-obstruction"])
+    def test_foreign_entry_raises(self, corpus, name):
+        graph = corpus[name]
+        other = PolynomialRing("int", ["z"]).variable("z")
+        foreign = [1.0, True, other] + ([Fraction(1, 2)] if graph.ring is ZZ else [1])
+        for entry in foreign:
+            for position in range(graph.n):
+                candidate = [graph.ring.one] * graph.n
+                candidate[position] = entry
+                with pytest.raises(RingMismatchError):
+                    is_spline(graph, candidate)
+
+    def test_each_entry_is_checked_once_and_no_label(self, corpus, monkeypatch):
+        checked = []
+        check = IntegerRing.check
+        monkeypatch.setattr(
+            IntegerRing, "check", lambda ring, a: checked.append(a) or check(ring, a)
+        )
+        # four entries and six labels; the labels were checked when the graph
+        # was built (only a violated one is read again, to print it)
+        assert is_spline(corpus["k4"], (-7, -7, -7, -7)).ok
+        assert checked == [-7, -7, -7, -7]
 
 
 class TestFlowUpClassification:
