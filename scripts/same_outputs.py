@@ -6,8 +6,9 @@
 Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
 search on the bundled graphs, searches on labels with rational
-coefficients and on 3-variable cycles and K4s, calls at the edges of the
-integer-image determinant and gcd kernels, basis checks of triangular
+coefficients, on 3-variable cycles, K4s and a 2-vertex multigraph, calls
+at the edges of the integer-image determinant and gcd kernels, basis
+checks of triangular
 candidates, verify and check-basis calls whose entries nest scaled groups or
 cross a packed field boundary, integer-lattice calls on graphs whose
 vertices have far apart label lcms, coprimality tests of linear labels,
@@ -246,6 +247,7 @@ SEARCH_SHAPES = {
     "c4": ("x + z", "y", "x + y + z", "x - y + z"),
     "k4": ("x", "y", "x + y", "x - y", "x + 2*y", "2*x + y"),
     "k4-none": ("1/2*x", "y", "x + 1/3*y", "x - y", "x + 2*y", "2*x + y"),
+    "m2": ("x + 2*y", "y - 1"),
 }
 
 
@@ -255,12 +257,15 @@ def search_shape_calls(directory: Path) -> list:
     The 3-cycle ``c3``, the 4-cycle in cycle order and the K4 ``k4`` at
     degree 3 have a flow-up basis; ``c3`` at degree 1, ``c3-none``,
     ``k4-none``, ``k4`` at degree 2 and the 4-cycle in the order v1, v3, v2,
-    v4 are NONEXISTENT. Some calls take a permuted vertex order.
+    v4 are NONEXISTENT. ``m2`` is two vertices joined by two edges, so it has
+    no interior class: a basis at degree 2, NONEXISTENT at degree 1. Some
+    calls take a permuted vertex order.
     """
     paths = {}
     for name, labels in SEARCH_SHAPES.items():
-        if name.startswith("c"):
-            ring = {"kind": "poly", "coefficients": "rat", "variables": ["x", "y", "z"]}
+        if name.startswith(("c", "m")):
+            variables = ["x", "y", "z"] if name.startswith("c") else ["x", "y"]
+            ring = {"kind": "poly", "coefficients": "rat", "variables": variables}
             paths[name] = write_graph(directory, f"shape-{name}", ring, labels)
             continue
         ring = {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]}
@@ -275,6 +280,7 @@ def search_shape_calls(directory: Path) -> list:
         ("c4", 2, None), ("c4", 3, "v1,v3,v2,v4"), ("c4", 2, "v4,v3,v2,v1"),
         ("k4", 3, None), ("k4", 3, "v4,v2,v3,v1"), ("k4", 2, None),
         ("k4-none", 3, "v2,v4,v1,v3"),
+        ("m2", 2, None), ("m2", 1, None), ("m2", 2, "v2,v1"), ("m2", 1, "v2,v1"),
     ]
     calls = []
     for name, degree, order in searches:

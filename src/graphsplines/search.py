@@ -6,15 +6,17 @@ lower triangular, so its determinant is the product of its leading terms.
 A class-i flow-up spline vanishes before vertex i, so the product L_i of
 the labels joining i to earlier vertices divides its leading entry; the L_i
 multiply to Q, so each leading term is forced to be a unit times L_i.
-Prescribing the monic L_i turns every edge divisibility constraint on column
-i into affine-linear conditions on the unknown coefficients of the entries
-below it (capped at a total degree bound), decided exactly: one linear
-system per vertex, built by one function with integer coefficients and
-eliminated fraction-free. The table of monomials up to the bound is built
-once per search. An edge whose endpoints both come no later than vertex i
-gets no rows: it joins two zero entries, or L_i and a zero entry across an
-edge whose label is a factor of L_i. SplineMatrix still checks every edge
-of each found column.
+Class 0 is then the constant spline (1, ..., 1) and the last class is
+L_{n-1} at the last vertex, feasible exactly when deg L_{n-1} is within the
+bound. Prescribing the monic L_i turns every edge divisibility constraint on
+an interior column i into affine-linear conditions on the unknown
+coefficients of the entries below it (capped at a total degree bound),
+decided exactly: one linear system per interior vertex, built by one
+function with integer coefficients and eliminated fraction-free. The table
+of monomials up to the bound is built once per search. An edge whose
+endpoints both come no later than vertex i gets no rows: it joins two zero
+entries, or L_i and a zero entry across an edge whose label is a factor of
+L_i. SplineMatrix still checks every edge of each column.
 
 A NONEXISTENT outcome is a bounded-degree certificate: no flow-up class
 basis exists whose entries all have total degree at most the bound.
@@ -33,6 +35,14 @@ from .basis import Provenance, SplineMatrix, check_basis, compute_q
 from .errors import RingMismatchError
 from .graphs import LabeledGraph
 from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
+
+# A degree bound that gives more than this many monomials per entry is
+# rejected before any table is built: the monomial table and each interior
+# system grow with it, and "--degree 100000" alone would exhaust memory.
+# At the cap, a K4 over QQ[x,y] (degree 198) takes 4.5 s and 431 MiB with
+# Python 3.11 on a 2-core host; twice the cap took a 4-cycle over QQ[x,y,z]
+# to 1.4 GiB.
+_MAX_TABLE_MONOMIALS = 20_000
 
 
 def solve_rational_system(rows):
@@ -213,9 +223,16 @@ def flow_up_search_bounded(
 ) -> SearchOutcome:
     """Search for a flow-up class basis with entry degrees at most the bound.
 
-    Column i gets the forced leading term L_i; the first infeasible column
-    certifies NONEXISTENT. ``q_factors`` must multiply to the label product
-    up to a unit; they set only the counts reported in the outcome.
+    Column i gets the forced leading term L_i, so a column whose L_i exceeds
+    the bound certifies NONEXISTENT, and so does the first infeasible
+    interior column. Two classes take no system. Class 0 is the constant
+    spline (1, ..., 1): its system is solved by every entry 1 and every
+    quotient 0, so every stored row with a quotient pivot has rhs 0, back
+    substitution with the free variables at 0 sets every quotient to 0, and
+    across the edges of a connected graph every entry is then 1. The last
+    class is (0, ..., 0, L_{n-1}), whose system has no unknowns. ``q_factors``
+    must multiply to the label product up to a unit; they set only the
+    counts reported in the outcome.
     """
     ring = graph.ring
     if ring.kind != "poly" or ring.coeff_kind != RAT:
@@ -242,25 +259,36 @@ def flow_up_search_bounded(
             f"degree bound {degree_bound} is below the largest label degree "
             f"{max_label_degree}"
         )
+    nvars = len(ring.variables)
+    if math.comb(degree_bound + nvars, nvars) > _MAX_TABLE_MONOMIALS:
+        raise ValueError(
+            f"degree bound {degree_bound} gives more than {_MAX_TABLE_MONOMIALS} "
+            f"monomials per entry in {nvars} variables"
+        )
 
     n = graph.n
     assignments_total = n ** len(factors)
     systems_checked = math.prod(
         math.comb(m + n - 1, n - 1) for m in Counter(factors).values()
     )
+    nonexistent = SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
     leading = [
         ring.product(e.label for e in graph.edges if max(e.u, e.v) == i).normalized()
         for i in range(n)
     ]
-    monomials = monomials_up_to(len(ring.variables), degree_bound)
+    if max(term.total_degree() for term in leading) > degree_bound:
+        return nonexistent
+    monomials = monomials_up_to(nvars, degree_bound)
     keys = [pack_exponents(e, degree_bound) for e in monomials]
-    columns = []
-    for position in range(n):
+    columns = [(ring.one,) * n]
+    for position in range(1, n - 1):
         entries = _solve_column(graph, position, leading[position], degree_bound,
                                 monomials, keys)
         if entries is None:
-            return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
+            return nonexistent
         columns.append(tuple(entries))
+    if n > 1:
+        columns.append((ring.zero,) * (n - 1) + (leading[-1],))
     matrix = SplineMatrix(graph, columns)  # checks every column is a spline
     verdict = check_basis(matrix, q)
     if not verdict.is_basis:

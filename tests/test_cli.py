@@ -8,6 +8,7 @@ import time
 import pytest
 
 from graphsplines import cli
+import graphsplines.search as search_module
 from graphsplines.cli import main
 from graphsplines.rings import IntegerRing, PolynomialRing
 from conftest import GRAPHS_DIR, ROOT, source_env
@@ -253,6 +254,23 @@ class TestSearch:
         assert "B1 = (1, 1, 1)" in out
         assert "B2 = (0, x, x)" in out
         assert "B3 = (0, 0, y)" in out
+
+    @pytest.mark.parametrize("degree", ["100000", "99999999999999999999"])
+    def test_huge_degree_is_rejected_before_any_table(self, capsys, monkeypatch, degree):
+        def no_table(*args):
+            raise AssertionError("a monomial table was built")
+
+        monkeypatch.setattr(search_module, "monomials_up_to", no_table)
+        code, out, err = run(capsys, "search", XY, "--factors", "x;y;x+y", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert err == (f"error: degree bound {degree} gives more than 20000 monomials "
+                       "per entry in 2 variables\n")
+
+    def test_degree_at_the_table_cap(self, capsys):
+        # 199 * 200 / 2 = 19900 monomials per entry in x, y; degree 199 gives 20100
+        code, out, _ = run(capsys, "search", XY, "--factors", "x;y;x+y", "--degree", "198")
+        assert code == 0 and "B3 = (0, 0, x*y + y^2)" in out
+        assert run(capsys, "search", XY, "--factors", "x;y;x+y", "--degree", "199")[0] == 2
 
 
 class TestObstruct:

@@ -149,15 +149,17 @@ def test_same_outputs_triangular_calls(tmp_path):
 def test_same_outputs_search_shape_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.search_shape_calls(tmp_path))
-    assert len(calls) == 24
+    assert len(calls) == 32
     results = same_outputs.run_calls(ROOT, calls)
     # 0 where a flow-up basis is found, 1 where it is NONEXISTENT
-    codes = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
+    codes = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1]
     assert [code for code, _, _ in results] == [code for code in codes for _ in range(2)]
     reports = [json.loads(out) for _, out, _ in results[::2]]
     assert [report["verdict"] for report in reports] == ["no" if code else "yes" for code in codes]
     assert reports[2]["determinant"] == reports[1]["determinant"]  # c3 in another order
     assert reports[9]["determinant"] == reports[8]["determinant"]  # k4 in another order
+    assert reports[14]["columns"] == reports[12]["columns"] == [
+        ["1", "1"], ["0", "x*y + 2*y^2 - x - 2*y"]]  # m2, no interior class
     assert "4096 distinct leading-term systems" in results[23][1]
     assert same_outputs.compare(ROOT, ROOT, calls) == []
 

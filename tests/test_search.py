@@ -488,7 +488,8 @@ def test_solve_column_matches_column_system(monkeypatch):
         return solve_rational_system(rows)
 
     monkeypatch.setattr(search_module, "solve_rational_system", recording_solve)
-    outcomes = {"found": 0, "infeasible": 0, "leading term above the bound": 0}
+    outcomes = {"found": 0, "infeasible": 0, "leading term above the bound": 0,
+                "last class found": 0, "last class infeasible": 0}
     for graph in _column_graphs():
         assert graph.pairwise_coprime_labels()
         low = max(label.total_degree() for label in graph.labels())
@@ -502,6 +503,15 @@ def test_solve_column_matches_column_system(monkeypatch):
                 )
                 system = ColumnSystem(graph, position, leading, degree)
                 assert entries == system.feasible(), (graph.vertices, degree, position)
+                # the closed forms flow_up_search_bounded takes for the outer classes
+                if position == 0:
+                    assert entries == [graph.ring.one] * graph.n
+                elif position == graph.n - 1:
+                    last = [graph.ring.zero] * position + [leading]
+                    if leading.total_degree() > degree:
+                        last = None
+                    assert entries == last
+                    outcomes["last class " + ("infeasible" if last is None else "found")] += 1
                 if leading.total_degree() > degree:
                     assert solved == [] and system.rows == []
                     outcomes["leading term above the bound"] += 1
