@@ -78,8 +78,9 @@ def _bareiss(ring, a):
     """Determinant by fraction-free (Bareiss) elimination, in place on ``a``.
 
     Valid in any ring with exact division. The entries are checked elements
-    of ``ring``, so their own operators do the arithmetic; only the division
-    goes through the ring.
+    of ``ring``, so their own operators do the arithmetic, and each division
+    is the ring's unchecked ``_exact_quotient``: its divisor is ``ring.one``
+    or a nonzero pivot built from checked entries.
 
     Every intermediate entry is a true subdeterminant, so the divisions are
     guaranteed exact and entries stay polynomial-sized.
@@ -99,7 +100,7 @@ def _bareiss(ring, a):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 numerator = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                quotient = ring.exact_div(numerator, previous)
+                quotient = ring._exact_quotient(numerator, previous)
                 if quotient is None:
                     raise AssertionError("Bareiss division was not exact")
                 a[i][j] = quotient

@@ -44,10 +44,10 @@ RAT = "rat"
 # The coefficients are integer numerators over one positive denominator.
 # Over RAT the denominator and the numerators have no common factor, so a
 # rational polynomial has exactly one stored form at a given width: it is
-# the lcm of the coefficients' reduced denominators. Every arithmetic result
-# of either kind is built by _reduced, which divides it once by
-# math.gcd(denominator, *numerators); over INT the denominator is always 1,
-# so no gcd is taken.
+# the lcm of the coefficients' reduced denominators. Every polynomial that
+# Polynomial.__init__ does not build is built by _make, which makes that
+# form: it divides once by math.gcd(denominator, *numerators), and over INT,
+# where the denominator is always 1, it takes no gcd.
 #
 # A result is repacked at a wider field only when its total degree would
 # reach its guard bit: below 2**(_MIN_WIDTH - 1) that never happens, and a
@@ -222,7 +222,7 @@ class Polynomial:
             packed = {m: -c for m, c in self._packed.items()}
         else:
             packed = self._packed
-        return _reduced(self.variables, RAT, packed, abs(lead), self._width)
+        return _make(self.variables, RAT, packed, abs(lead), self._width)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -272,7 +272,7 @@ class Polynomial:
         if degree >> (width - 1):  # the product's degree would reach the guard bit
             width = _width_for(degree)
         out = _product(_repacked(self, width), _repacked(other, width))
-        return _reduced(variables, kind, out, self._den * other._den, width)
+        return _make(variables, kind, out, self._den * other._den, width)
 
     __rmul__ = __mul__
 
@@ -431,7 +431,18 @@ def _product(a: dict, b: dict) -> dict:
 
 
 def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
-    """Build from an already canonical packed map, skipping validation."""
+    """The polynomial with numerators ``packed`` over ``den``, common factor removed.
+
+    ``packed`` maps packed monomials at ``width`` to nonzero ints and ``den``
+    is positive; they are not validated. Every polynomial that
+    ``Polynomial.__init__`` does not build is built here. A denominator of
+    1, which every INT polynomial has, takes no gcd.
+    """
+    if den != 1:
+        g = math.gcd(den, *packed.values())
+        if g != 1:
+            packed = {m: c // g for m, c in packed.items()}
+            den //= g
     p = Polynomial.__new__(Polynomial)
     p.variables = variables
     p.coeff_kind = coeff_kind
@@ -439,20 +450,6 @@ def _make(variables, coeff_kind, packed, den, width) -> Polynomial:
     p._den = den
     p._width = width
     return p
-
-
-def _reduced(variables, coeff_kind, packed, den, width) -> Polynomial:
-    """The polynomial with numerators ``packed`` over ``den``, common factor removed.
-
-    Every arithmetic result of either kind is built here. Over INT ``den``
-    is 1, and a denominator of 1 takes no gcd.
-    """
-    if den != 1:
-        g = math.gcd(den, *packed.values())
-        if g != 1:
-            packed = {m: c // g for m, c in packed.items()}
-            den //= g
-    return _make(variables, coeff_kind, packed, den, width)
 
 
 def _repacked(p: Polynomial, width: int) -> dict[int, int]:
@@ -499,7 +496,7 @@ def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
             out[m] = s
         else:
             del out[m]
-    return _reduced(a.variables, a.coeff_kind, out, den, width)
+    return _make(a.variables, a.coeff_kind, out, den, width)
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +678,12 @@ class _Parser:
             if name[:1].isalpha() or name[:1] == "_":
                 self.keys.setdefault(name, 1 << self.top | 1 << (width * (nvars - 1 - k)))
 
-    def parse(self) -> dict:
+    def parse(self) -> Polynomial:
         terms = self.expr()
         token = self.tokens[self.pos]
         if token != _END:
             raise ParseError(f"unexpected trailing input {excerpt(token)}", self.pos)
-        return terms
+        return self.polynomial(terms)
 
     def polynomial(self, terms: dict) -> Polynomial:
         """The map ``terms`` as a Polynomial at the parser's width."""
@@ -855,18 +852,16 @@ def parse_polynomial(text: str, variables, coeff_kind: str) -> Polynomial:
     width = _MIN_WIDTH
     while True:
         try:
-            terms = _Parser(tokens, variables, coeff_kind, width).parse()
+            return _Parser(tokens, variables, coeff_kind, width).parse()
         except _Widen as widen:
             # at least doubling the width: a label whose degree grows by one
             # bit after another restarts a few times, not once per bit
             width = max(_width_for(widen.args[0]), 2 * width)
-            continue
         except ParseError as exc:
             # a malformed token is reported first, as the token-by-token
             # reading of the text would meet it before any parse error
             position = _token_positions(text)[exc.position]
             raise ParseError(exc.reason, position) from None
-        return _make(variables, coeff_kind, *_numerators(terms, coeff_kind), width)
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +938,8 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
     d_den = denominator._den
     if d_den != 1:
         quotient = {m: c * d_den for m, c in quotient.items()}
-    return _reduced(numerator.variables, numerator.coeff_kind, quotient,
-                    numerator._den * content, width)
+    return _make(numerator.variables, numerator.coeff_kind, quotient,
+                 numerator._den * content, width)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,10 +1040,10 @@ def gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial,
     lead = g._packed[max(g._packed)]
     return (
         _make(a.variables, RAT, g._packed, 1, g._width).normalized(),
-        _reduced(a.variables, RAT, _ground_product(cofactor_a, lead)._packed, a._den,
-                 cofactor_a._width),
-        _reduced(a.variables, RAT, _ground_product(cofactor_b, lead)._packed, b._den,
-                 cofactor_b._width),
+        _make(a.variables, RAT, _ground_product(cofactor_a, lead)._packed, a._den,
+              cofactor_a._width),
+        _make(a.variables, RAT, _ground_product(cofactor_b, lead)._packed, b._den,
+              cofactor_b._width),
     )
 
 
@@ -1087,9 +1082,6 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Poly
             _ground_quotient(a, content),
             _ground_quotient(b, content),
         )
-    if a == b:
-        unit = Polynomial.constant(_sign(a), a.variables, INT)
-        return a.normalized(), unit, unit
     heuristic = _heu_gcd(a, b)
     if heuristic is not None:
         return heuristic
@@ -1289,7 +1281,7 @@ def integer_image_determinant(rows, integer_determinant) -> Polynomial | None:
     determinant = _image_determinant(scaled, variables, integer_determinant)
     if determinant is None:
         return None
-    return _reduced(variables, kind, determinant._packed, scale, determinant._width)
+    return _make(variables, kind, determinant._packed, scale, determinant._width)
 
 
 def _image_determinant(rows, variables, integer_determinant) -> Polynomial | None:

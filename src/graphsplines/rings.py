@@ -3,14 +3,15 @@
 A ring object is the descriptor every other module programs against. Elements
 are plain values (``int``, ``Fraction``, or :class:`Polynomial`) whose own
 operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
-``mul`` and ``is_zero`` once, as those operators applied after ``check``, and
-``exact_div`` once, as ``check`` and a zero test before the subclass's
-unchecked ``_exact_quotient``; it derives ``divides``, ``lcm`` and
-``product`` from them, and prints numbers. Each subclass holds only what
-differs between rings: the element ``check``, ``from_int``, the exact
-quotient, gcd, the unit test, canonical unit normalization and parsing;
+``mul``, ``is_zero`` and ``product`` once, as those operators applied after
+one ``check`` per element; ``exact_div`` once, as ``check`` and a zero test
+before the subclass's unchecked ``_exact_quotient``; ``to_text`` once, as
+``check`` before the unchecked ``_text``, which prints numbers; and
+``divides`` and ``lcm`` from them. Each subclass holds only what differs
+between rings: the element ``check``, ``from_int``, the exact quotient,
+gcd, the unit test, canonical unit normalization and parsing;
 :class:`PolynomialRing` also its lcm (``poly_lcm``, taken from the cofactor
-the numerators' integer gcd returns), and its own text, document and
+the numerators' integer gcd returns), and its own ``_text``, document and
 equality. All operations are exact and pure.
 """
 
@@ -41,8 +42,8 @@ class Ring:
 
     The arithmetic methods check their arguments, so a foreign element
     raises RingMismatchError. Code that holds only checked elements may
-    apply the Python operators to them directly, and divide them by a
-    nonzero checked element with ``_exact_quotient``.
+    apply the Python operators to them directly, divide them by a nonzero
+    checked element with ``_exact_quotient``, and print them with ``_text``.
     """
 
     def add(self, a, b):
@@ -88,13 +89,13 @@ class Ring:
         return self.normalize(self.mul(a, cofactor))
 
     def product(self, items):
-        out = self.one
-        for item in items:
-            out = self.mul(out, item)
-        return out
+        return math.prod(map(self.check, items), start=self.one)
 
     def to_text(self, a) -> str:
-        return number_text(self.check(a))
+        return self._text(self.check(a))
+
+    def _text(self, a) -> str:
+        return number_text(a)
 
     def to_document(self) -> dict:
         return {"kind": self.kind}
@@ -267,8 +268,8 @@ class PolynomialRing(Ring):
     def element_from_text(self, text: str):
         return parse_polynomial(text, self.variables, self.coeff_kind)
 
-    def to_text(self, a) -> str:
-        return str(self.check(a))
+    def _text(self, a) -> str:
+        return str(a)
 
     def to_document(self) -> dict:
         return {

@@ -25,7 +25,6 @@ basis exists whose entries all have total degree at most the bound.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -131,14 +130,17 @@ def _integer_row(coefficients, rhs):
 
 
 def monomials_up_to(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree at most ``max_degree``, grlex order."""
-    out = [
-        e
-        for e in itertools.product(range(max_degree + 1), repeat=nvars)
-        if sum(e) <= max_degree
-    ]
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    """All exponent tuples of total degree at most ``max_degree``, grlex order.
+
+    Each degree's tuples are built in ascending order, one variable more per
+    pass, in time proportional to the size of the table.
+    """
+    of_degree = [[()]] + [[] for _ in range(max_degree)]
+    for _ in range(nvars):
+        of_degree = [[(first,) + rest for first in range(degree + 1)
+                      for rest in of_degree[degree - first]]
+                     for degree in range(max_degree + 1)]
+    return [e for tuples in of_degree for e in tuples]
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ def is_spline(graph: LabeledGraph, candidate) -> SplineCheck:
 
     Each entry is checked once, on entry, so a foreign one raises
     RingMismatchError. The graph checked its labels when it was built: they
-    are elements of its ring and nonzero. So each difference is divided by
-    its label with the ring's unchecked ``_exact_quotient``, and the label
-    divides the difference exactly when there is a quotient.
+    are elements of its ring and nonzero, so the ring's unchecked
+    ``_exact_quotient`` divides each difference by its label (None when the
+    label does not divide it), and ``_text`` prints a violated label.
     """
     candidate = tuple(candidate)
     if len(candidate) != graph.n:
@@ -57,7 +57,7 @@ def is_spline(graph: LabeledGraph, candidate) -> SplineCheck:
                     index,
                     graph.vertices[edge.u],
                     graph.vertices[edge.v],
-                    ring.to_text(edge.label),
+                    ring._text(edge.label),
                 )
             )
     return SplineCheck(not violations, tuple(violations))

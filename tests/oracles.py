@@ -25,8 +25,10 @@ solver of ``search`` replaced; the column-system class, which takes
 any prescribed leading term, that ``search._solve_column`` replaced; the
 regex check of integer literals that ``str.isdecimal`` replaced; the
 column HNF that kept its transform in a second array, which the HNF that
-carries the transform under each column replaced; and the breadth-first
-connectivity test over adjacency lists that union-find replaced.
+carries the transform under each column replaced; the breadth-first
+connectivity test over adjacency lists that union-find replaced; and the
+monomial table that filters and sorts every exponent tuple up to the bound
+in each variable, which the table built degree by degree replaced.
 """
 
 from __future__ import annotations
@@ -888,3 +890,15 @@ def breadth_first_is_connected(vertex_count, pairs):
                 seen.add(nxt)
                 queue.append(nxt)
     return len(seen) == vertex_count
+
+
+def filtered_monomials_up_to(nvars, max_degree):
+    """Every exponent tuple of total degree at most ``max_degree``, grlex order,
+    from all ``(max_degree + 1) ** nvars`` tuples, filtered and sorted."""
+    out = [
+        e
+        for e in itertools.product(range(max_degree + 1), repeat=nvars)
+        if sum(e) <= max_degree
+    ]
+    out.sort(key=lambda e: (sum(e), e))
+    return out

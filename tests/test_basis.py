@@ -6,6 +6,7 @@ import pytest
 from graphsplines import (
     ZZ,
     Edge,
+    IntegerRing,
     LabeledGraph,
     PolynomialRing,
     Provenance,
@@ -143,6 +144,20 @@ class TestDeterminant:
             n = rng.randint(1, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert exact_determinant(ZZ, rows) == cofactor_determinant(rows)
+
+    def test_each_entry_is_checked_once(self, monkeypatch):
+        # Bareiss divides by 1 or by a nonzero pivot built from checked
+        # entries, so it checks nothing again
+        rows = [[2, -1, 3, 0, 4], [1, 5, -2, 7, 1], [-3, 2, 4, 1, 0],
+                [6, 0, -1, 2, 3], [1, 1, 1, -4, 5]]
+        expected = cofactor_determinant(rows)
+        checked = []
+        check = IntegerRing.check
+        monkeypatch.setattr(
+            IntegerRing, "check", lambda ring, a: checked.append(a) or check(ring, a)
+        )
+        assert exact_determinant(ZZ, rows) == expected != 0
+        assert checked == [entry for row in rows for entry in row]
 
     def test_bareiss_matches_cofactor_polynomials(self, qxy):
         rng = random.Random(4)

@@ -272,6 +272,27 @@ class TestSearch:
         assert code == 0 and "B3 = (0, 0, x*y + y^2)" in out
         assert run(capsys, "search", XY, "--factors", "x;y;x+y", "--degree", "199")[0] == 2
 
+    def test_many_variables_under_the_table_cap(self, tmp_path):
+        # 19448 monomials per entry in ten variables at degree 7: a table
+        # filtered from all 8^10 exponent tuples took more than 20 s
+        names = [f"x{k}" for k in range(1, 11)]
+        document = {
+            "ring": {"kind": "poly", "coefficients": "rat", "variables": names},
+            "vertices": ["a", "b", "c"],
+            "edges": [{"u": "a", "v": "b", "label": "x1"},
+                      {"u": "b", "v": "c", "label": "x2"},
+                      {"u": "c", "v": "a", "label": "x3"}],
+        }
+        path = tmp_path / "triangle10.json"
+        path.write_text(json.dumps(document))
+        result = subprocess.run(
+            [sys.executable, "-m", "graphsplines", "search", str(path),
+             "--factors", "x1;x2;x3", "--degree", "7"],
+            capture_output=True, env=source_env(), text=True, timeout=5,
+        )
+        assert (result.returncode, result.stderr) == (1, "")
+        assert "NONEXISTENT(7)" in result.stdout
+
 
 class TestObstruct:
     def test_default_predicate(self, capsys):

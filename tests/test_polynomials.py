@@ -642,6 +642,12 @@ def _gcd_cases():
         xy = ("x", "y")
         x, y = Polynomial.variable("x", xy, kind), Polynomial.variable("y", xy, kind)
         cases.append((x ** 40 * y - y, x ** 24 * y ** 2 - y ** 2))  # y*(x^8 - 1)
+        # equal inputs, constant and not
+        half = "1/2" if kind == RAT else "2"
+        for names, text in [(("x",), "-6"), (xy, half), (("x",), f"{half}*x^3 - 4*x + 6"),
+                            (xy, f"-(x - y^2)*({half}*x*y + 1)")]:
+            p = parse_polynomial(text, names, kind)
+            cases.append((p, p))
     return cases
 
 
@@ -713,22 +719,23 @@ class TestHeuristicGcd:
             poly_lcm(poly(a, RAT), poly(b, RAT))
 
     def test_poly_lcm_builds_no_rational_cofactor(self, monkeypatch):
-        # over QQ the only reduced rational polynomial is the normalized lcm;
-        # the integer products and quotients are built by _reduced too
-        reduced = []
-        build = module._reduced
+        # over QQ the only rational polynomials built are the integer lcm of
+        # the numerators, viewed over QQ, and its normalized form; the
+        # integer products and quotients are built by _make too
+        built = []
+        build = module._make
 
         def counting(variables, coeff_kind, *args):
             if coeff_kind == RAT:
-                reduced.append(args)
+                built.append(args)
             return build(variables, coeff_kind, *args)
 
         a = poly("(1/2*x*y - 2/3*y + 1)*(3/4*y^2 - x)", RAT)
         b = poly("(-5/3*y + x + 1/2)*(3/4*y^2 - x)", RAT)
         expected = exact_divide(a * b, poly_gcd(a, b)).normalized()
-        monkeypatch.setattr(module, "_reduced", counting)
+        monkeypatch.setattr(module, "_make", counting)
         assert poly_lcm(a, b) == expected
-        assert len(reduced) == 1
+        assert len(built) == 2
 
     @pytest.mark.parametrize("path", ["heuristic", "fallback"])
     @pytest.mark.parametrize("a, b", GCD_CASES)

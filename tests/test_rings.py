@@ -77,6 +77,18 @@ class TestIntegerRing:
         with pytest.raises(RingMismatchError):
             ZZ.check(True)
 
+    def test_product_checks_each_item_once(self, monkeypatch):
+        checked = []
+        check = IntegerRing.check
+        monkeypatch.setattr(
+            IntegerRing, "check", lambda ring, a: checked.append(a) or check(ring, a)
+        )
+        assert ZZ.product([2, 3, 5]) == 30
+        assert checked == [2, 3, 5]
+        assert ZZ.product([]) == 1
+        with pytest.raises(RingMismatchError):
+            ZZ.product([2, Fraction(1, 2)])
+
 
 def _read(parse, text):
     """The value ``parse`` reads from ``text``, or the message of its ParseError."""
@@ -190,12 +202,14 @@ class TestSharedRingMethods:
     """The arithmetic and identity methods every ring takes from ``Ring``."""
 
     @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
-    @pytest.mark.parametrize("method", ["add", "neg", "sub", "mul", "is_zero", "exact_div"])
+    @pytest.mark.parametrize(
+        "method", ["add", "neg", "sub", "mul", "is_zero", "exact_div", "to_text"]
+    )
     def test_foreign_elements_raise(self, ring, method):
         other_polynomial = ZX.variable("x") if ring == QXY else QXY.variable("y")
         operate = getattr(ring, method)
         for foreign in (True, "1", other_polynomial):
-            args = (foreign,) if method in ("neg", "is_zero") else (foreign, ring.one)
+            args = (foreign,) if method in ("neg", "is_zero", "to_text") else (foreign, ring.one)
             with pytest.raises(RingMismatchError):
                 operate(*args)
             if len(args) == 2:

@@ -21,7 +21,12 @@ from graphsplines.graphs import Edge
 from graphsplines.polynomials import pack_exponents
 from graphsplines.search import monomials_up_to, solve_rational_system
 from conftest import GRAPHS_DIR, bundled_graph, source_env
-from oracles import ColumnSystem, enumerating_flow_up_search, fraction_solve_rational_system
+from oracles import (
+    ColumnSystem,
+    enumerating_flow_up_search,
+    filtered_monomials_up_to,
+    fraction_solve_rational_system,
+)
 
 
 class TestLinearSolver:
@@ -57,6 +62,11 @@ class TestLinearSolver:
     def test_monomials(self):
         assert monomials_up_to(2, 1) == [(0, 0), (0, 1), (1, 0)]
         assert len(monomials_up_to(2, 6)) == 28
+
+    def test_monomials_match_the_filtered_table(self):
+        for nvars in range(1, 5):
+            for degree in range(8):
+                assert monomials_up_to(nvars, degree) == filtered_monomials_up_to(nvars, degree)
 
 
 class TestSearch:

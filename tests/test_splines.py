@@ -98,9 +98,11 @@ class TestIsSpline:
             IntegerRing, "check", lambda ring, a: checked.append(a) or check(ring, a)
         )
         # four entries and six labels; the labels were checked when the graph
-        # was built (only a violated one is read again, to print it)
-        assert is_spline(corpus["k4"], (-7, -7, -7, -7)).ok
-        assert checked == [-7, -7, -7, -7]
+        # was built, so a violated one is printed without a check
+        for candidate, violated in [((-7, -7, -7, -7), 0), ((0, 2, 3, 4), 3)]:
+            checked.clear()
+            assert len(is_spline(corpus["k4"], candidate).violations) == violated
+            assert checked == list(candidate)
 
 
 class TestFlowUpClassification:
