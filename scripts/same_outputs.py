@@ -5,8 +5,10 @@
 
 Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
-search on the bundled graphs, searches on labels with rational
-coefficients, on 3-variable cycles, K4s and a 2-vertex multigraph, calls
+search on the bundled graphs, probes at the default trials with their own Q
+and with a ``--q`` that divides the pool's determinant on the bundled and
+seeded poly-det graphs, searches on labels with rational coefficients, on
+3-variable cycles, K4s and a 2-vertex multigraph, calls
 at the edges of the integer-image determinant and gcd kernels, basis
 checks of triangular
 candidates, verify and check-basis calls whose entries nest scaled groups or
@@ -30,6 +32,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -102,6 +105,46 @@ def probe_search_calls(graphs: Path) -> list:
         ["probe", fig2, "--vertex-order", "v3,v2,v1", "--q", "20", "--trials", "100"],
         ["search", xy, "--vertex-order", "v2,v3,v1", "--factors", "x;y;x+y", "--degree", "2"],
     ]
+
+
+# the seeds of the poly-det graphs that default_probe_calls probes
+PROBE_SEEDS = (11, 23)
+
+
+def default_probe_calls(graphs: Path, directory: Path) -> list:
+    """The argv of probes at the default 500 trials and seed, on the bundled
+    graphs under ``graphs`` and on the poly-det graphs of PROBE_SEEDS,
+    written to ``directory``.
+
+    Each graph is probed with its own Q and with ``--q`` the product of its
+    labels times the label of an edge away from its first vertex. That edge
+    joins two later vertices, so its label divides two witnesses of the
+    pool, and the product divides the pool's determinant.
+    """
+    sys.path.insert(0, str(ROOT / "splinebench"))
+    import workloads
+
+    paths = sorted(graphs.glob("*.json"))
+    for seed in PROBE_SEEDS:
+        folder = directory / f"default-probe-{seed}"
+        workloads.write_graphs(workloads.build("poly-det", seed), folder)
+        paths += sorted(folder.glob("*.json"))
+    calls = []
+    for path in paths:
+        document = json.loads(path.read_text())
+        labels = [edge["label"] for edge in document["edges"]]
+        first = document["vertices"][0]
+        far = [edge["label"] for edge in document["edges"] if first not in (edge["u"], edge["v"])]
+        calls.append(["probe", str(path)])
+        if not far:
+            continue
+        factors = [*labels, far[0]]
+        if document["ring"]["kind"] == "int":  # an integer --q is one literal
+            q = str(math.prod(map(int, factors)))
+        else:
+            q = "*".join(f"({label})" for label in factors)
+        calls.append(["probe", str(path), "--q", q])
+    return calls
 
 
 # X and Y of the affine images in rational_search_calls
@@ -658,7 +701,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         calls = demo_calls(ROOT / "graphs") + error_calls(ROOT / "graphs", Path(scratch))
-        calls += probe_search_calls(ROOT / "graphs") + rational_search_calls(Path(scratch))
+        calls += probe_search_calls(ROOT / "graphs")
+        calls += default_probe_calls(ROOT / "graphs", Path(scratch))
+        calls += rational_search_calls(Path(scratch))
         calls += kernel_calls(Path(scratch)) + triangular_calls(ROOT / "graphs", Path(scratch))
         calls += search_shape_calls(Path(scratch)) + parser_calls(ROOT / "graphs")
         calls += lattice_calls(args.base, Path(scratch)) + coprime_calls(Path(scratch))

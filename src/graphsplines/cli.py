@@ -274,9 +274,11 @@ def _cmd_search(args):
     outcome = flow_up_search_bounded(graph, factors, args.degree)
     lines = [f"graph: {graph.describe()}"]
     if outcome.found:
+        # both reports print the same entry texts, so each is printed once
+        document = outcome.basis.to_document()
         lines.append("flow-up class basis found:")
-        for k, column in enumerate(outcome.basis.columns):
-            lines.append(f"  B{k + 1} = {_spline_text(graph, column)}")
+        for k, column in enumerate(document["columns"]):
+            lines.append(f"  B{k + 1} = ({', '.join(column)})")
         determinant = ring.to_text(outcome.determinant)
         lines.append(f"determinant: {determinant}")
         report = {
@@ -284,7 +286,7 @@ def _cmd_search(args):
             "verdict": "yes",
             "degree_bound": outcome.degree_bound,
             "determinant": determinant,
-            **outcome.basis.to_document(),
+            **document,
         }
         return 0, report, lines
     lines.append(

@@ -4,15 +4,16 @@ A ring object is the descriptor every other module programs against. Elements
 are plain values (``int``, ``Fraction``, or :class:`Polynomial`) whose own
 operators do the arithmetic. :class:`Ring` defines ``add``, ``neg``, ``sub``,
 ``mul``, ``is_zero`` and ``product`` once, as those operators applied after
-one ``check`` per element; ``exact_div`` once, as ``check`` and a zero test
-before the subclass's unchecked ``_exact_quotient``; ``to_text`` once, as
-``check`` before the unchecked ``_text``, which prints numbers; and
-``divides`` and ``lcm`` from them. Each subclass holds only what differs
-between rings: the element ``check``, ``from_int``, the exact quotient,
-gcd, the unit test, canonical unit normalization and parsing;
-:class:`PolynomialRing` also its lcm (``poly_lcm``, taken from the cofactor
-the numerators' integer gcd returns), and its own ``_text``, document and
-equality. All operations are exact and pure.
+one ``check`` per element; ``exact_div`` and ``divides`` once, as ``check``
+and a zero test before the subclass's unchecked ``_exact_quotient``; ``lcm``
+once, as ``check`` and a zero test before the unchecked ``_lcm``; and
+``to_text`` once, as ``check`` before the unchecked ``_text``, which prints
+numbers. Each subclass holds only what differs between rings: the element
+``check``, ``from_int``, the exact quotient, the lcm (``math.lcm`` over ZZ,
+1 over QQ, and over polynomials ``poly_lcm``, taken from the cofactor the
+numerators' integer gcd returns), gcd, the unit test, canonical unit
+normalization and parsing; :class:`PolynomialRing` also its own ``_text``,
+document and equality. All operations are exact and pure.
 """
 
 from __future__ import annotations
@@ -70,23 +71,19 @@ class Ring:
 
     def divides(self, a, b) -> bool:
         """True iff a*q == b for some ring element q; divides(0, 0) is True."""
-        if self.is_zero(a):
-            if self.is_zero(b):
+        a, b = self.check(a), self.check(b)
+        if not a:
+            if not b:
                 return True
             raise ZeroDivisionError("only 0 is divisible by 0")
-        return self.exact_div(b, a) is not None
+        return self._exact_quotient(b, a) is not None
 
     def lcm(self, a, b):
-        """Normalized least common multiple; requires nonzero arguments.
-
-        Computed as ``a`` times the cofactor ``b / gcd(a, b)``, so the only
-        division is of ``b``, never of the full product ``a*b``; a ring whose
-        gcd yields that cofactor overrides this to skip the division.
-        """
-        if self.is_zero(a) or self.is_zero(b):
+        """Normalized least common multiple; requires nonzero arguments."""
+        a, b = self.check(a), self.check(b)
+        if not a or not b:
             raise ValueError("lcm requires nonzero arguments")
-        cofactor = self.exact_div(b, self.gcd(a, b))
-        return self.normalize(self.mul(a, cofactor))
+        return self._lcm(a, b)
 
     def product(self, items):
         return math.prod(map(self.check, items), start=self.one)
@@ -133,6 +130,9 @@ class IntegerRing(Ring):
         q, r = divmod(a, b)
         return q if r == 0 else None
 
+    def _lcm(self, a, b):
+        return math.lcm(a, b)
+
     def gcd(self, a, b):
         if self.check(a) == 0 and self.check(b) == 0:
             raise ValueError("gcd(0, 0) is undefined")
@@ -177,6 +177,9 @@ class RationalRing(Ring):
 
     def _exact_quotient(self, a, b):
         return a / b
+
+    def _lcm(self, a, b):
+        return Fraction(1)
 
     def gcd(self, a, b):
         if self.check(a) == 0 and self.check(b) == 0:
@@ -251,15 +254,10 @@ class PolynomialRing(Ring):
     def gcd(self, a, b):
         return poly_gcd(self.check(a), self.check(b))
 
-    def lcm(self, a, b):
-        """Normalized least common multiple; requires nonzero arguments.
-
-        ``poly_lcm``: the numerators of ``a`` times the cofactor that their
+    def _lcm(self, a, b):
+        """``poly_lcm``: the numerators of ``a`` times the cofactor that their
         integer gcd with ``b``'s comes with, normalized once, so no division
-        is made here.
-        """
-        if self.is_zero(a) or self.is_zero(b):
-            raise ValueError("lcm requires nonzero arguments")
+        is made here."""
         return poly_lcm(a, b)
 
     def normalize(self, a):

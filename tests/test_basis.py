@@ -9,6 +9,7 @@ from graphsplines import (
     IntegerRing,
     LabeledGraph,
     PolynomialRing,
+    ProbeResult,
     Provenance,
     SplineMatrix,
     c3_flowup_obstruction,
@@ -27,6 +28,7 @@ from graphsplines import (
 )
 import graphsplines.basis as basis_module
 import graphsplines.polynomials as polynomials
+import graphsplines.rings as rings_module
 from conftest import bundled_graph
 from oracles import (
     cofactor_determinant,
@@ -500,16 +502,45 @@ PROBE_CASES = [
 
 @pytest.mark.parametrize("ring_name,shape,n", PROBE_CASES)
 def test_probe_matches_combination_oracle(ring_name, shape, n):
-    """Pool determinant times one integer determinant, against every column built."""
+    """The probe against every column built, 500 trials on graphs of up to
+    three vertices. Q, the label lcm and Q times the label of an edge away
+    from the first vertex divide det(pool), so they need no trial: that edge
+    joins two later vertices, so its label divides two witnesses. Q times a
+    non-unit is drawn trial by trial."""
     ring = PROBE_RINGS[ring_name]
     rng = random.Random(f"probe-oracle/{ring_name}/{shape}/{n}")
     graph = _probe_graph(ring, shape, n, rng)
     q = compute_q(graph).value
     non_unit = 3 if ring is ZZ else ring.variable("x")
-    for divisor in (q, label_lcm(graph), ring.mul(q, non_unit)):
+    divisors = [q, label_lcm(graph), ring.mul(q, non_unit)]
+    divisors += [ring.mul(q, edge.label) for edge in graph.edges if 0 not in (edge.u, edge.v)][:1]
+    trials = 500 if n <= 3 else 4
+    for divisor in divisors:
         seed = rng.randrange(10 ** 6)
-        result = divides_all_dets_probe(graph, divisor, 4, seed)
-        assert result == combination_probe(graph, divisor, 4, seed)
+        result = divides_all_dets_probe(graph, divisor, trials, seed)
+        assert result == combination_probe(graph, divisor, trials, seed)
+
+
+def test_probe_with_q_dividing_the_pool_determinant_draws_no_trial(monkeypatch):
+    """One polynomial division decides all 500 trials: no determinant, no draw."""
+    graph = bundled_graph("xy")
+    q = compute_q(graph).value
+    calls = {"exact_divide": 0, "exact_determinant": 0, "randint": 0}
+
+    def spy(owner, name):
+        function = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(rings_module, "exact_divide")
+    spy(basis_module, "exact_determinant")
+    spy(random.Random, "randint")
+    assert divides_all_dets_probe(graph, q, 500, 12345) == ProbeResult(True, None, 500)
+    assert calls == {"exact_divide": 1, "exact_determinant": 0, "randint": 0}
 
 
 @pytest.mark.parametrize("q_text,first_failure", [("8*x^2+8*x", 2), ("12*x^2+12*x", 3)])

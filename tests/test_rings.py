@@ -203,7 +203,8 @@ class TestSharedRingMethods:
 
     @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
     @pytest.mark.parametrize(
-        "method", ["add", "neg", "sub", "mul", "is_zero", "exact_div", "to_text"]
+        "method",
+        ["add", "neg", "sub", "mul", "is_zero", "exact_div", "divides", "lcm", "to_text"],
     )
     def test_foreign_elements_raise(self, ring, method):
         other_polynomial = ZX.variable("x") if ring == QXY else QXY.variable("y")
@@ -232,6 +233,19 @@ class TestSharedRingMethods:
         # ZZ and ZZ[x] have non-divisible pairs; QQ and QQ[x,y] divide by constants
         assert (ring.exact_div(ring.from_int(3), ring.from_int(2)) is None) == (
             ring in (ZZ, ZX))
+
+    @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
+    def test_divides_and_lcm_check_each_argument_once(self, ring, monkeypatch):
+        four, six, twelve = (ring.from_int(k) for k in (4, 6, 12))
+        lcm = twelve if ring in (ZZ, ZX) else ring.one  # QQ's nonzero elements are units
+        checked = []
+        check = type(ring).check
+        monkeypatch.setattr(
+            type(ring), "check", lambda self, a: checked.append(a) or check(self, a)
+        )
+        assert ring.divides(four, twelve)
+        assert ring.lcm(four, six) == lcm
+        assert checked == [four, twelve, four, six]
 
     @pytest.mark.parametrize("ring", SHARED_RINGS, ids=lambda ring: ring.description)
     def test_arithmetic(self, ring):

@@ -92,6 +92,23 @@ def test_same_outputs_probe_and_search_calls():
     assert same_outputs.compare(ROOT, ROOT, calls) == []
 
 
+def test_same_outputs_default_probe_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.default_probe_calls(GRAPHS_DIR, tmp_path))
+    # each of 5 bundled and 2 x 21 poly-det graphs with its own Q and a dividing --q
+    assert len(calls) == 2 * 2 * (5 + 2 * 21)
+    assert all("--trials" not in argv for argv in calls)
+    results = same_outputs.run_calls(ROOT, calls)
+    assert [code for code, _, _ in results] == [0] * len(calls)
+    for argv, (_, out, _) in zip(calls, results):
+        if "--json" in argv:
+            assert (json.loads(out)["verdict"], json.loads(out)["trials"]) == ("yes", 500)
+        else:
+            assert "PROBE: ok (q divides all 500 sampled determinants)" in out
+    assert json.loads(results[2][1])["q"] == "100"  # fig2-text: 4 * 5 * 1, times 5
+    assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
 def test_same_outputs_rational_search_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.rational_search_calls(tmp_path))
