@@ -10,25 +10,37 @@ which side runs first from one pair to the next. For every end-to-end metric
 named in the parent's ``BENCHMARK.json`` it writes each side's median and
 quartiles, the runs themselves and the number of pairs the change won
 (ties count for neither side) to ``BENCH_<label>.json``.
+
+Both sides run with the same bytecode state: with ``-B`` and
+``PYTHONDONTWRITEBYTECODE=1`` nothing is written, and ``PYTHONPYCACHEPREFIX``
+names an empty directory, so no ``__pycache__`` that a test run left in a
+checkout is read either. Every module is compiled from source on both
+sides, in the interpreters that ``run.py`` starts as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object (last stdout line) of one benchmark run in ``checkout``."""
-    command = [sys.executable, "splinebench/run.py", "--workload", workload,
+    """The result object (last stdout line) of one benchmark run in ``checkout``,
+    which reads and writes no bytecode cache."""
+    command = [sys.executable, "-B", "splinebench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory() as empty:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": empty}
+        done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 

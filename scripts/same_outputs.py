@@ -6,9 +6,9 @@
 Runs every call of the given splinebench workloads and seeds, plus the
 bundled demo commands of ``scripts/run_demos.py``, further probes and a
 search on the bundled graphs, probes at the default trials with their own Q
-and with a ``--q`` that divides the pool's determinant on the bundled and
-seeded poly-det graphs, searches on labels with rational coefficients, on
-3-variable cycles, K4s and a 2-vertex multigraph, calls
+and with a ``--q`` that divides the pool's determinant but not Q on the
+bundled and seeded poly-det graphs, searches on labels with rational
+coefficients, on 3-variable cycles, K4s and a 2-vertex multigraph, calls
 at the edges of the integer-image determinant and gcd kernels, basis
 checks of triangular
 candidates, verify and check-basis calls whose entries nest scaled groups or
@@ -85,9 +85,9 @@ def error_calls(graphs: Path, directory: Path) -> list:
 def probe_search_calls(graphs: Path) -> list:
     """The argv of probes and a search on the bundled graphs under ``graphs``.
 
-    The first five probes find a counterexample (the two on
-    ``zx-obstruction.json`` only on trials 2 and 3), the other five pass,
-    and the search runs in a permuted vertex order.
+    The first five probes say no, each with its pool as the counterexample
+    (its determinant is not a multiple of q), the other five say yes, and
+    the search runs in a permuted vertex order.
     """
     xy, squares, zx, fig2 = (
         str(graphs / f"{name}.json") for name in ("xy", "squares", "zx-obstruction", "fig2")
@@ -119,7 +119,9 @@ def default_probe_calls(graphs: Path, directory: Path) -> list:
     Each graph is probed with its own Q and with ``--q`` the product of its
     labels times the label of an edge away from its first vertex. That edge
     joins two later vertices, so its label divides two witnesses of the
-    pool, and the product divides the pool's determinant.
+    pool, and the product divides the pool's determinant. It does not
+    divide Q, so that probe says no: with the flow-up basis as the
+    counterexample over ZZ, and from Q alone for pairwise coprime labels.
     """
     sys.path.insert(0, str(ROOT / "splinebench"))
     import workloads

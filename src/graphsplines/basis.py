@@ -20,22 +20,24 @@ and the coefficients are read back level by level as symmetric
 base-2^bits digits, the bits-wide fields of each coefficient's binary
 text. A matrix whose images would pass a fixed bit budget (the one the
 heuristic gcd uses) stays on Bareiss elimination over the polynomial ring.
-The divisibility probe divides the witness pool's determinant once, and
-takes integer determinants only when that division fails.
+The divisibility probe takes no determinant of a full matrix. Q divides the
+determinant of every n splines, and with the HNF diagonal or pairwise
+coprime labels it is their gcd, so ``q | Q`` decides whether q divides
+them all; a triangular pool of splines supplies the counterexample when its
+diagonal product is not a multiple of q.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph
 from .lattice import integer_flow_up_basis
 from .polynomials import Polynomial, integer_image_determinant
 from .rings import ZZ
-from .splines import flow_up_witness, is_spline, spline_combination
+from .splines import flow_up_witness, is_spline
 
 
 def exact_determinant(ring, rows):
@@ -254,45 +256,55 @@ def cramer_membership(matrix: SplineMatrix, target) -> tuple:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    ok: bool
+    """Outcome of ``divides_all_dets_probe``.
+
+    ``ok`` is True when q divides the determinant of every n splines, False
+    when it does not, and None for UNDECIDED. ``counterexample`` holds n
+    splines whose determinant q does not divide, when the probe has them.
+    ``trials`` echoes the argument, and ``invariant`` is the Q the verdict
+    was read from.
+    """
+
+    ok: bool | None
     counterexample: tuple | None
     trials: int
+    invariant: QInvariant | None = None
 
 
 def divides_all_dets_probe(
-    graph: LabeledGraph, q, trials: int, seed: int
+    graph: LabeledGraph, q, trials: int, seed: int, invariant: QInvariant | None = None
 ) -> ProbeResult:
-    """Randomized check that q divides det of sampled n-column spline sets.
+    """Decide whether q divides the determinant of every n splines on ``graph``.
 
-    Columns are random small combinations of the constant spline and the
-    flow-up witnesses, so a sampled matrix is pool * C, with pool that
-    lower-triangular matrix and C an integer matrix, and
-    det(pool * C) = det(pool) * det(C). If q divides det(pool), it divides
-    every sampled determinant, so the probe returns ok after that one
-    division and draws no trial; for the default q it always does. Only
-    when q does not divide det(pool) are the trials drawn, one integer
-    det(C) each, and the first counterexample matrix is returned if one
-    appears.
+    ``invariant`` is ``compute_q(graph)``, computed here when not given. Q
+    divides every such determinant in each provenance, so q | Q answers
+    yes. Otherwise the pool is tried: over ZZ the flow-up class basis, whose
+    determinant is Q; over a polynomial ring the constant spline and the
+    flow-up witnesses. The pool is triangular, so its determinant is the
+    product of its diagonal, and if q does not divide it the pool is the
+    counterexample. Otherwise, with pairwise coprime labels Q is the gcd of
+    all the determinants, so q | Q failing answers no without columns; with
+    Q only the label lcm the answer is UNDECIDED. Nothing is drawn:
+    ``trials`` must be positive and ``seed`` is not read, both kept for the
+    caller's record.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ring = graph.ring
     if ring.is_zero(q):
         raise ValueError("q must be nonzero")
-    n = graph.n
-    pool = [tuple(ring.one for _ in range(n))]
-    pool.extend(flow_up_witness(graph, i) for i in range(1, n))
-    pool_determinant = ring.product(pool[i][i] for i in range(1, n))
-    if ring.divides(q, pool_determinant):
-        return ProbeResult(True, None, trials)
-    rng = random.Random(seed)
-    for trial in range(trials):
-        draws = [[rng.randint(-3, 3) for _ in pool] for _ in range(n)]  # C transposed
-        determinant = pool_determinant * ring.from_int(exact_determinant(ZZ, draws))
-        if not ring.divides(q, determinant):
-            columns = (spline_combination(ring, map(ring.from_int, c), pool) for c in draws)
-            return ProbeResult(False, tuple(columns), trial + 1)
-    return ProbeResult(True, None, trials)
+    invariant = invariant or compute_q(graph)
+    if ring.divides(q, invariant.value):
+        return ProbeResult(True, None, trials, invariant)
+    if ring.kind == "int":
+        pool = integer_flow_up_basis(graph).columns
+    else:
+        pool = (tuple(ring.one for _ in range(graph.n)),)
+        pool += tuple(flow_up_witness(graph, i) for i in range(1, graph.n))
+    if not ring.divides(q, ring.product(pool[i][i] for i in range(graph.n))):
+        return ProbeResult(False, pool, trials, invariant)
+    undecided = invariant.provenance is Provenance.LCM_LOWER_BOUND
+    return ProbeResult(None if undecided else False, None, trials, invariant)
 
 
 def even_constant_term(p: Polynomial) -> bool:

@@ -5,6 +5,12 @@ Exit status is 0 on affirmative verdicts (UNDECIDED included), 1 on negative
 verdicts, and 2 on errors, a standard output closed by its reader included.
 Reports are human-readable by default and machine-readable with --json; both
 carry identical verdicts.
+
+``probe`` decides whether q divides the determinant of every n splines by
+the exact rule of ``basis.divides_all_dets_probe``: one division of Q by q,
+then at most one of a triangular pool's determinant. It samples nothing;
+``--trials`` and ``--seed`` are accepted and echoed, and the yes line reads
+"sampled determinants", so that existing callers' reports stay stable.
 """
 
 from __future__ import annotations
@@ -92,10 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
         "zero-constant-term over rational coefficients)",
     )
 
-    sub = subcommand("probe", "randomized q-divides-all-determinants probe")
+    sub = subcommand("probe", "does q divide the determinant of every n splines?")
     sub.add_argument("--q", help="divisor to probe (default: the computed Q invariant)")
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                     help="accepted and echoed; the decision samples nothing")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help="accepted and echoed; the decision samples nothing")
 
     return parser
 
@@ -365,32 +373,31 @@ def _cmd_obstruct(args):
 def _cmd_probe(args):
     graph = _load(args)
     ring = graph.ring
-    if args.q is not None:
-        q_value = _parse_element(ring, args.q, "--q")
-    else:
-        q_value = compute_q(graph).value
-    result = divides_all_dets_probe(graph, q_value, args.trials, args.seed)
+    q_value = None if args.q is None else _parse_element(ring, args.q, "--q")
+    invariant = compute_q(graph)  # the one Q of this call: the default q and the verdict's
+    q_value = invariant.value if q_value is None else q_value
+    result = divides_all_dets_probe(graph, q_value, args.trials, args.seed, invariant)
     q_text = ring.to_text(q_value)
     lines = [f"graph: {graph.describe()}"]
     lines.append(f"q = {q_text}, trials = {args.trials}, seed = {args.seed}")
-    report = {
-        "command": "probe",
-        "q": q_text,
-        "trials": result.trials,
-        "seed": args.seed,
-    }
+    report = {"command": "probe", "q": q_text, "trials": args.trials, "seed": args.seed}
     if result.ok:
-        lines.append(f"PROBE: ok (q divides all {result.trials} sampled determinants)")
+        lines.append(f"PROBE: ok (q divides all {args.trials} sampled determinants)")
         report["verdict"] = "yes"
         return 0, report, lines
-    lines.append(f"PROBE: counterexample found on trial {result.trials}:")
-    for k, column in enumerate(result.counterexample):
-        lines.append(f"  C{k + 1} = {_spline_text(graph, column)}")
-    report["verdict"] = "no"
-    report["counterexample"] = [
-        [ring.to_text(entry) for entry in column] for column in result.counterexample
-    ]
-    return 1, report, lines
+    columns = [[ring.to_text(entry) for entry in column] for column in result.counterexample or ()]
+    report.update(verdict="UNDECIDED" if result.ok is None else "no", counterexample=columns or None,
+                  Q=ring.to_text(invariant.value), provenance=invariant.provenance.value)
+    bound = f"Q = {report['Q']} ({report['provenance']})"
+    if result.ok is None:
+        lines.append(f"PROBE: UNDECIDED (q divides the pool's determinant but not {bound}, "
+                     "which only divides every determinant)")
+    elif columns:
+        lines.append("PROBE: counterexample found (q does not divide its determinant):")
+        lines += [f"  C{k} = ({', '.join(column)})" for k, column in enumerate(columns, start=1)]
+    else:
+        lines.append(f"PROBE: no (q does not divide {bound}, the gcd of all determinants)")
+    return (0 if result.ok is None else 1), report, lines
 
 
 _HANDLERS = {

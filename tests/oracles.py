@@ -12,9 +12,7 @@ packed integer kernel replaced; the digit-at-a-time symmetric xi-adic
 expansion, against which the fixed-width bit fields read at xi = 2^bits
 are checked; and the token-by-token
 recursive-descent parser that builds a polynomial for every token, which
-the run-folding parser replaced; the divisibility probe that builds every
-sampled column and takes its n x n determinant over the graph's ring,
-which the pool-determinant probe replaced; the coprimality test that
+the run-folding parser replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
 replaced; and the printer that formats each term from its ``Fraction``
 coefficient, which the one-gcd-per-term printer replaced, and that
@@ -35,11 +33,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import re
 from fractions import Fraction
 
-from graphsplines.basis import ProbeResult, SplineMatrix, exact_determinant
+from graphsplines.basis import SplineMatrix
 from graphsplines.errors import ParseError, excerpt
 from graphsplines.graphs import LabeledGraph
 from graphsplines.polynomials import (
@@ -55,7 +52,6 @@ from graphsplines.polynomials import (
     parse_int,
 )
 from graphsplines.search import SearchOutcome, monomials_up_to, solve_rational_system
-from graphsplines.splines import flow_up_witness, spline_combination
 
 
 def enumerate_integer_splines(vertex_count, int_edges, bound):
@@ -426,31 +422,6 @@ def fraction_solve_rational_system(rows):
                 total -= pc * solution.get(pv, Fraction(0))
         solution[variable] = total
     return solution
-
-
-def combination_probe(graph, q, trials, seed):
-    """``divides_all_dets_probe`` by building every sampled column.
-
-    Each trial draws the coefficients of each column on the pool (the
-    constant spline, then the flow-up witnesses), forms the columns and
-    takes the n x n determinant over the graph's ring. Input validation is
-    left to the probe under test.
-    """
-    ring = graph.ring
-    n = graph.n
-    pool = [tuple(ring.one for _ in range(n))]
-    pool.extend(flow_up_witness(graph, i) for i in range(1, n))
-    rng = random.Random(seed)
-    for trial in range(trials):
-        columns = []
-        for _ in range(n):
-            coefficients = [ring.from_int(rng.randint(-3, 3)) for _ in pool]
-            columns.append(spline_combination(ring, coefficients, pool))
-        rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-        determinant = exact_determinant(ring, rows)
-        if not ring.divides(q, determinant):
-            return ProbeResult(False, tuple(columns), trial + 1)
-    return ProbeResult(True, None, trials)
 
 
 def pairwise_coprime_by_pairs(graph):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from graphsplines import (
     IntegerRing,
     LabeledGraph,
     PolynomialRing,
-    ProbeResult,
     Provenance,
     SplineMatrix,
     c3_flowup_obstruction,
@@ -20,7 +20,9 @@ from graphsplines import (
     even_constant_term,
     exact_determinant,
     flow_up_search_bounded,
+    flow_up_witness,
     integer_flow_up_basis,
+    is_spline,
     label_lcm,
     spline_combination,
     spline_determinant,
@@ -28,13 +30,12 @@ from graphsplines import (
 )
 import graphsplines.basis as basis_module
 import graphsplines.polynomials as polynomials
-import graphsplines.rings as rings_module
 from conftest import bundled_graph
 from oracles import (
     cofactor_determinant,
-    combination_probe,
     random_unimodular,
     spans_integer_lattice,
+    widest_path_diagonal,
 )
 
 
@@ -451,11 +452,6 @@ class TestProbe:
         )
         assert witness_det % 80 != 0
 
-    def test_deterministic_given_seed(self, fig2):
-        a = divides_all_dets_probe(fig2, 80, 200, 7)
-        b = divides_all_dets_probe(fig2, 80, 200, 7)
-        assert a == b
-
     def test_input_validation(self, fig2):
         with pytest.raises(ValueError):
             divides_all_dets_probe(fig2, 20, 0, 1)
@@ -500,56 +496,103 @@ PROBE_CASES = [
 ]
 
 
+def _cofactor_determinant(ring, columns):
+    """The oracle determinant of ``columns`` as an element of ``ring``."""
+    determinant = cofactor_determinant([[c[i] for c in columns] for i in range(len(columns))])
+    return ring.from_int(determinant) if isinstance(determinant, int) else determinant
+
+
 @pytest.mark.parametrize("ring_name,shape,n", PROBE_CASES)
 def test_probe_matches_combination_oracle(ring_name, shape, n):
-    """The probe against every column built, 500 trials on graphs of up to
-    three vertices. Q, the label lcm and Q times the label of an edge away
-    from the first vertex divide det(pool), so they need no trial: that edge
-    joins two later vertices, so its label divides two witnesses. Q times a
-    non-unit is drawn trial by trial."""
+    """The probe's verdict against splines built as combinations of its pool.
+
+    No seeded integer combination of the constant spline and the flow-up
+    witnesses, built entry by entry with its determinant by cofactor
+    expansion, refutes a yes. A no's counterexample is n splines whose
+    determinant q does not divide; a no without one needs pairwise coprime
+    labels and q not dividing Q; UNDECIDED needs Q to be only the label lcm.
+    The divisors are Q, the label lcm, Q times a non-unit and Q times the
+    label of an edge away from the first vertex.
+    """
     ring = PROBE_RINGS[ring_name]
     rng = random.Random(f"probe-oracle/{ring_name}/{shape}/{n}")
     graph = _probe_graph(ring, shape, n, rng)
-    q = compute_q(graph).value
+    invariant = compute_q(graph)
+    q = invariant.value
     non_unit = 3 if ring is ZZ else ring.variable("x")
     divisors = [q, label_lcm(graph), ring.mul(q, non_unit)]
     divisors += [ring.mul(q, edge.label) for edge in graph.edges if 0 not in (edge.u, edge.v)][:1]
-    trials = 500 if n <= 3 else 4
+    pool = [tuple(ring.one for _ in range(n))] + [flow_up_witness(graph, i) for i in range(1, n)]
+    determinants = []
+    for _ in range(4):
+        columns = [spline_combination(ring, [ring.from_int(rng.randint(-3, 3)) for _ in pool], pool)
+                   for _ in range(n)]
+        determinants.append(_cofactor_determinant(ring, columns))
     for divisor in divisors:
-        seed = rng.randrange(10 ** 6)
-        result = divides_all_dets_probe(graph, divisor, trials, seed)
-        assert result == combination_probe(graph, divisor, trials, seed)
+        result = divides_all_dets_probe(graph, divisor, 500, rng.randrange(10 ** 6))
+        assert (result.trials, result.invariant) == (500, invariant)
+        if result.ok:
+            assert all(ring.divides(divisor, d) for d in determinants)
+            continue
+        assert not ring.divides(divisor, q)
+        if result.counterexample is not None:
+            assert result.ok is False
+            assert all(is_spline(graph, column).ok for column in result.counterexample)
+            assert not ring.divides(divisor, _cofactor_determinant(ring, result.counterexample))
+        elif result.ok is False:
+            assert invariant.provenance is Provenance.COPRIME_PRODUCT
+        else:
+            assert invariant.provenance is Provenance.LCM_LOWER_BOUND
 
 
-def test_probe_with_q_dividing_the_pool_determinant_draws_no_trial(monkeypatch):
-    """One polynomial division decides all 500 trials: no determinant, no draw."""
-    graph = bundled_graph("xy")
-    q = compute_q(graph).value
-    calls = {"exact_divide": 0, "exact_determinant": 0, "randint": 0}
+def _divisors(rng, value, count):
+    """``count`` seeded positive divisors of the integer ``value``, 1 and |value| first."""
+    from sympy import factorint
 
-    def spy(owner, name):
-        function = getattr(owner, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    spy(rings_module, "exact_divide")
-    spy(basis_module, "exact_determinant")
-    spy(random.Random, "randint")
-    assert divides_all_dets_probe(graph, q, 500, 12345) == ProbeResult(True, None, 500)
-    assert calls == {"exact_divide": 1, "exact_determinant": 0, "randint": 0}
+    factors = factorint(abs(value))
+    divisors = [1, abs(value)]
+    while len(divisors) < count:
+        divisors.append(math.prod(p ** rng.randint(0, e) for p, e in factors.items()))
+    return divisors
 
 
-@pytest.mark.parametrize("q_text,first_failure", [("8*x^2+8*x", 2), ("12*x^2+12*x", 3)])
-def test_probe_counterexample_on_a_later_trial(q_text, first_failure):
-    graph = bundled_graph("zx-obstruction")
-    q = graph.ring.element_from_text(q_text)
-    result = divides_all_dets_probe(graph, q, 500, 12345)
-    assert (result.ok, result.trials) == (False, first_failure)
-    assert result == combination_probe(graph, q, 500, 12345)
+def test_probe_over_zz_is_q_divides_the_widest_path_product():
+    """Over ZZ the verdict is yes iff q divides the product of the flow-up
+    diagonal that widest paths give, for Q, its divisors, Q times a prime and
+    seeded integers; every no carries n splines whose determinant, by
+    cofactor expansion, q does not divide."""
+    pytest.importorskip("sympy")
+    rng = random.Random("probe-zz-gate")
+    verdicts = set()
+    for _ in range(60):
+        shape = rng.choice(["path", "cycle", "complete"])
+        graph = _probe_graph(ZZ, shape, rng.randint(3 if shape == "cycle" else 1, 5), rng)
+        edges = [(e.u, e.v, e.label) for e in graph.edges]
+        product = math.prod(widest_path_diagonal(graph.n, edges))
+        q = compute_q(graph).value
+        divisors = _divisors(rng, q, 4) + [q * rng.choice([2, 3, 5, 7, 11, 13])]
+        divisors += [rng.choice([-1, 1]) * rng.randint(1, 10 ** 4) for _ in range(3)]
+        for divisor in divisors:
+            result = divides_all_dets_probe(graph, divisor, 1, rng.randrange(10 ** 6))
+            assert result.ok is (product % divisor == 0), (graph.to_document(), divisor)
+            verdicts.add(result.ok)
+            if not result.ok:
+                assert all(is_spline(graph, column).ok for column in result.counterexample)
+                assert _cofactor_determinant(ZZ, result.counterexample) % divisor != 0
+    assert verdicts == {True, False}
+
+
+def test_probe_makes_no_random_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the probe drew a random number")
+
+    for name in ("random", "getrandbits", "randrange", "randint", "seed"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    for name in ("fig2", "xy", "squares", "zx-obstruction"):
+        graph = bundled_graph(name)
+        q = compute_q(graph).value
+        for divisor in (q, graph.ring.mul(q, graph.ring.from_int(7))):
+            divides_all_dets_probe(graph, divisor, 500, 12345)
 
 
 class TestObstruction:

@@ -345,6 +345,64 @@ class TestProbe:
         )
         assert out1 == out2 and code1 == code2
 
+    @pytest.mark.parametrize("argv,trials,seed", [
+        (["--q", "200"], 500, 12345),
+        (["--q", "7", "--trials", "1", "--seed", "5"], 1, 5),
+    ])
+    def test_fig2_q_not_dividing_40_says_no_with_the_flow_up_basis(
+            self, capsys, argv, trials, seed):
+        # the flow-up basis (1,1,1), (0,4,4), (0,0,10) has determinant 40
+        code, out, _ = run(capsys, "probe", FIG2, *argv, "--json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["trials"], report["seed"]) == (
+            1, "no", trials, seed)
+        assert report["counterexample"] == [["1", "1", "1"], ["0", "4", "4"], ["0", "0", "10"]]
+        assert (report["Q"], report["provenance"]) == ("40", "pid-diagonal")
+        code, out, _ = run(capsys, "probe", FIG2, *argv)
+        assert code == 1 and "  C3 = (0, 0, 10)" in out
+
+    def test_squares_q_times_y_squared_says_no_from_q(self, capsys):
+        # q = y^2 * Q divides the pool's determinant, but not Q, the gcd of all
+        q = "x^4*y^4 + 2*x^3*y^5 + x^2*y^6"
+        code, out, _ = run(capsys, "probe", SQUARES, "--q", q, "--json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["counterexample"]) == (1, "no", None)
+        assert (report["Q"], report["provenance"]) == (
+            "x^4*y^2 + 2*x^3*y^3 + x^2*y^4", "coprime-product")
+        code, out, _ = run(capsys, "probe", SQUARES, "--q", q)
+        assert code == 1 and "PROBE: no (q does not divide Q = x^4*y^2" in out
+
+    def test_undecided_when_q_is_only_the_label_lcm(self, capsys, tmp_path):
+        # the path v1 -xy- v2 -x- v3: Q = xy is the label lcm, and x^2*y
+        # divides the pool's determinant x^3*y
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "ring": {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]},
+            "vertices": ["v1", "v2", "v3"],
+            "edges": [{"u": "v1", "v": "v2", "label": "x*y"},
+                      {"u": "v2", "v": "v3", "label": "x"}],
+        }))
+        code, out, _ = run(capsys, "probe", str(path), "--q", "x^2*y", "--json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["counterexample"]) == (0, "UNDECIDED", None)
+        assert (report["Q"], report["provenance"]) == ("x*y", "lcm-lower-bound")
+        code, out, _ = run(capsys, "probe", str(path), "--q", "x^2*y")
+        assert code == 0 and "PROBE: UNDECIDED" in out
+
+    @pytest.mark.parametrize("argv", [[], ["--q", "3"]])
+    def test_q_is_computed_once(self, capsys, monkeypatch, argv):
+        calls = []
+        compute_q = cli.compute_q
+
+        def counted(graph):
+            calls.append(graph)
+            return compute_q(graph)
+
+        monkeypatch.setattr(cli, "compute_q", counted)
+        monkeypatch.setattr("graphsplines.basis.compute_q", counted)
+        run(capsys, "probe", FIG2, *argv)
+        assert len(calls) == 1
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -756,13 +814,17 @@ class TestHugeDegree:
         )
 
 
-def test_bundled_demos():
+def test_bundled_demos(tmp_path):
+    # without PYTHONPATH the script still imports this checkout's package, and
+    # -O strips every assert, so no demo's verdict may rest on one
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_demos.py")],
+        [sys.executable, "-O", str(ROOT / "scripts" / "run_demos.py")],
         capture_output=True,
-        env=source_env(),
+        cwd=tmp_path,
+        env=env,
         text=True,
         timeout=300,
     )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "all 17 demos behaved as expected" in result.stdout
+    assert (result.returncode, result.stderr) == (0, ""), result.stdout + result.stderr
+    assert "all 18 demos behaved as expected" in result.stdout

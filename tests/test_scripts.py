@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 
 from conftest import GRAPHS_DIR, ROOT
 
@@ -49,6 +52,36 @@ def test_bench_spread_of_one_run():
     assert _script("bench").spread([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
 
 
+def test_bench_run_once_reads_and_writes_no_bytecode(monkeypatch, tmp_path):
+    # a checkout's __pycache__ left by a test run must not make its side start faster
+    bench = _script("bench")
+    seen = {}
+
+    def fake_run(command, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.update(command=command, cwd=cwd, env=env, prefix=prefix, listed=os.listdir(prefix))
+        return subprocess.CompletedProcess(command, 0, "warm-up\n" + _result_line(0.02, 80.0), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    result = bench.run_once(tmp_path, "poly-det", 11, 1.5)
+    assert result["metrics"]["calls_per_s"]["value"] == 80.0
+    assert seen["command"] == [sys.executable, "-B", "splinebench/run.py", "--workload",
+                               "poly-det", "--seed", "11", "--seconds", "1.5"]
+    assert seen["cwd"] == tmp_path and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["listed"] == [] and not os.path.exists(seen["prefix"])
+    assert seen["env"]["PATH"] == os.environ["PATH"]
+
+
+def test_run_demos_fails_a_demo_that_writes_to_stderr():
+    run_demos = _script("run_demos")
+    failed_import = subprocess.CompletedProcess([], 1, "", "No module named graphsplines\n")
+    assert not run_demos.passed(1, failed_import)
+    assert run_demos.passed(1, subprocess.CompletedProcess([], 1, "PROBE: no", ""))
+    assert not run_demos.passed(0, subprocess.CompletedProcess([], 1, "PROBE: no", ""))
+    assert run_demos.child_env()["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
+    assert [1, ["probe", "fig2.json", "--q", "200"]] in map(list, run_demos.DEMOS)
+
+
 def test_same_outputs_of_the_tree_with_itself():
     same_outputs = _script("same_outputs")
     xy = str(GRAPHS_DIR / "xy.json")
@@ -84,8 +117,9 @@ def test_same_outputs_probe_and_search_calls():
     results = same_outputs.run_calls(ROOT, calls)
     assert [code for code, _, _ in results] == [1] * 10 + [0] * 12
     outputs = [out for _, out, _ in results]
-    trials = [json.loads(out)["trials"] for out in outputs[0:10:2]]
-    assert trials[2:4] == [2, 3]
+    refuted = [json.loads(out) for out in outputs[0:10:2]]
+    assert [report["trials"] for report in refuted] == [50, 50, 500, 500, 500]
+    assert all(len(report["counterexample"]) == 3 for report in refuted)
     assert all(json.loads(out)["verdict"] == "yes" for out in outputs[10:20:2])
     assert "PROBE: ok (q divides all 20 sampled determinants)" in outputs[13]
     assert "flow-up class basis found:" in outputs[21]
@@ -95,16 +129,21 @@ def test_same_outputs_probe_and_search_calls():
 def test_same_outputs_default_probe_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.default_probe_calls(GRAPHS_DIR, tmp_path))
-    # each of 5 bundled and 2 x 21 poly-det graphs with its own Q and a dividing --q
+    # each of 5 bundled and 2 x 21 poly-det graphs with its own Q and a --q
+    # that divides the pool's determinant but not Q
     assert len(calls) == 2 * 2 * (5 + 2 * 21)
     assert all("--trials" not in argv for argv in calls)
     results = same_outputs.run_calls(ROOT, calls)
-    assert [code for code, _, _ in results] == [0] * len(calls)
+    dividing = ["--q" in argv for argv in calls]
+    assert [code for code, _, _ in results] == [int(flag) for flag in dividing]
     for argv, (_, out, _) in zip(calls, results):
-        if "--json" in argv:
-            assert (json.loads(out)["verdict"], json.loads(out)["trials"]) == ("yes", 500)
-        else:
-            assert "PROBE: ok (q divides all 500 sampled determinants)" in out
+        if "--json" not in argv:
+            assert ("PROBE: ok (q divides all 500 sampled determinants)" in out) != ("--q" in argv)
+            continue
+        report = json.loads(out)
+        assert (report["verdict"], report["trials"]) == ("no" if "--q" in argv else "yes", 500)
+        if "--q" in argv:  # the flow-up basis over ZZ, Q alone for coprime labels
+            assert (report["counterexample"] is None) == (report["provenance"] == "coprime-product")
     assert json.loads(results[2][1])["q"] == "100"  # fig2-text: 4 * 5 * 1, times 5
     assert same_outputs.compare(ROOT, ROOT, calls) == []
 
