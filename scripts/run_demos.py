@@ -37,6 +37,8 @@ DEMOS = [
     (0, ["search", "xy.json", "--factors", "x;y;x+y", "--degree", "2"]),
     (1, ["search", "squares.json", "--factors", "x;x;y;y;x+y;x+y", "--degree", "6"]),
     (0, ["obstruct", "zx-obstruction.json"]),
+    (0, ["obstruct", "squares.json"]),
+    (1, ["obstruct", "xy.json"]),
     (0, ["probe", "fig2.json", "--trials", "200"]),
     (1, ["probe", "fig2.json", "--q", "80", "--trials", "200"]),
     (1, ["probe", "fig2.json", "--q", "200"]),

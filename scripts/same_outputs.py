@@ -16,8 +16,9 @@ cross a packed field boundary, integer-lattice calls on graphs whose
 vertices have far apart label lcms, coprimality tests of linear labels,
 label lcms of cycles whose labels share factors, calls whose input
 fails to parse, graph documents with one fault per GraphError code the
-loader raises, and verify and check-basis calls whose entries repeat,
-with flowup on integer and polynomial graphs, each in JSON and in text mode, through
+loader raises, verify and check-basis calls whose entries repeat,
+with flowup on integer and polynomial graphs, and obstruct on triangles with
+each of its verdicts, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -105,6 +106,32 @@ def probe_search_calls(graphs: Path) -> list:
         ["probe", fig2, "--vertex-order", "v3,v2,v1", "--q", "20", "--trials", "100"],
         ["search", xy, "--vertex-order", "v2,v3,v1", "--factors", "x;y;x+y", "--degree", "2"],
     ]
+
+
+# the triangles (a, b, c) of obstruct_calls beside the bundled ones: a affine
+# member over QQ[x,y], the triangle (x, y, z), whose a is not a member, a
+# member over ZZ[x] with monic c and one with monic b, and a triangle over
+# ZZ[x] with a flow-up basis but neither b nor c monic, which is UNDECIDABLE
+OBSTRUCT_TRIANGLES = {
+    "affine": ("rat", ["x", "y"], ["x + y + 1", "y + 1", "x"]),
+    "koszul": ("rat", ["x", "y", "z"], ["x", "y", "z"]),
+    "zx-monic-c": ("int", ["x"], ["x + 3", "3", "x"]),
+    "zx-monic-b": ("int", ["x"], ["x + 3", "x", "3"]),
+    "zx-no-monic": ("int", ["x"], ["x + 3", "2*x", "3"]),
+}
+
+
+def obstruct_calls(graphs: Path, directory: Path) -> list:
+    """The argv of ``obstruct`` on the bundled triangles under ``graphs``, one
+    of them in a permuted vertex order, and on OBSTRUCT_TRIANGLES, written to
+    ``directory``."""
+    calls = [["obstruct", str(graphs / f"{name}.json")]
+             for name in ("squares", "xy", "zx-obstruction", "fig2")]
+    calls.append(["obstruct", str(graphs / "xy.json"), "--vertex-order", "v2,v3,v1"])
+    for name, (coefficients, variables, labels) in OBSTRUCT_TRIANGLES.items():
+        ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
+        calls.append(["obstruct", write_graph(directory, f"obstruct-{name}", ring, labels)])
+    return calls
 
 
 # the seeds of the poly-det graphs that default_probe_calls probes
@@ -711,6 +738,7 @@ def main(argv=None) -> int:
         calls += lattice_calls(args.base, Path(scratch)) + coprime_calls(Path(scratch))
         calls += gcd_calls(Path(scratch)) + document_calls(ROOT / "graphs", Path(scratch))
         calls += entry_calls(ROOT / "graphs", Path(scratch))
+        calls += obstruct_calls(ROOT / "graphs", Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

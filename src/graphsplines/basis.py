@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph
-from .lattice import integer_flow_up_basis
+from .lattice import HnfBasis, integer_flow_up_basis
 from .polynomials import Polynomial, integer_image_determinant
 from .rings import ZZ
 from .splines import flow_up_witness, is_spline
@@ -155,12 +155,15 @@ class QInvariant:
 
     PID_DIAGONAL and COPRIME_PRODUCT support an exact iff criterion;
     LCM_LOWER_BOUND only guarantees that the value divides every n-subset
-    determinant, so basis checks against it are one-directional.
+    determinant, so basis checks against it are one-directional. A
+    PID_DIAGONAL value comes with ``basis``, the flow-up class basis whose
+    diagonal it is the product of.
     """
 
     graph: LabeledGraph
     value: object
     provenance: Provenance
+    basis: HnfBasis | None = None
 
 
 def label_lcm(graph: LabeledGraph):
@@ -177,7 +180,7 @@ def compute_q(graph: LabeledGraph) -> QInvariant:
     ring = graph.ring
     if ring.kind == "int":
         basis = integer_flow_up_basis(graph)
-        return QInvariant(graph, basis.determinant, Provenance.PID_DIAGONAL)
+        return QInvariant(graph, basis.determinant, Provenance.PID_DIAGONAL, basis)
     if ring.kind == "poly":
         if graph.pairwise_coprime_labels():
             return QInvariant(graph, ring.product(graph.labels()), Provenance.COPRIME_PRODUCT)
@@ -279,8 +282,9 @@ def divides_all_dets_probe(
     ``invariant`` is ``compute_q(graph)``, computed here when not given. Q
     divides every such determinant in each provenance, so q | Q answers
     yes. Otherwise the pool is tried: over ZZ the flow-up class basis, whose
-    determinant is Q; over a polynomial ring the constant spline and the
-    flow-up witnesses. The pool is triangular, so its determinant is the
+    determinant is Q, as ``invariant`` carries it; over a polynomial ring
+    the constant spline and the flow-up witnesses. The pool is triangular,
+    so its determinant is the
     product of its diagonal, and if q does not divide it the pool is the
     counterexample. Otherwise, with pairwise coprime labels Q is the gcd of
     all the determinants, so q | Q failing answers no without columns; with
@@ -297,7 +301,7 @@ def divides_all_dets_probe(
     if ring.divides(q, invariant.value):
         return ProbeResult(True, None, trials, invariant)
     if ring.kind == "int":
-        pool = integer_flow_up_basis(graph).columns
+        pool = (invariant.basis or integer_flow_up_basis(graph)).columns
     else:
         pool = (tuple(ring.one for _ in range(graph.n)),)
         pool += tuple(flow_up_witness(graph, i) for i in range(1, graph.n))
@@ -325,6 +329,9 @@ def c3_flowup_obstruction(ring, a, b, c, in_ideal_bc) -> bool:
     (0, a*x, c*y) with x a unit, which puts a inside the ideal generated by
     b and c. So if ``in_ideal_bc`` rejects a, no flow-up class basis exists
     and the cycle is obstructed.
+
+    The CLI no longer calls it: a predicate that never reads b or c cannot
+    decide that membership, and ``obstruct`` decides it from the labels.
     """
     labels = (ring.check(a), ring.check(b), ring.check(c))
     for label in labels:

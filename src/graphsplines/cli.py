@@ -6,6 +6,15 @@ verdicts, and 2 on errors, a standard output closed by its reader included.
 Reports are human-readable by default and machine-readable with --json; both
 carry identical verdicts.
 
+``obstruct`` decides whether a 3-cycle with pairwise coprime labels a
+(v1~v2), b (v2~v3) and c (v3~v1) has no flow-up class basis, that is whether
+a lies outside the ideal (b, c), and prints a found basis as the certificate
+of "no". Over QQ[vars] it runs the bounded search at the forced degree
+D = max(deg a, deg b + deg c), which decides the question when every label
+is homogeneous. Over ZZ[x] with b or c of leading coefficient 1 or -1 it
+decides membership in ZZ[x]/(that label), a lattice, with one Hermite normal
+form. Every other triangle exits 2 with the GraphError code UNDECIDABLE.
+
 ``probe`` decides whether q divides the determinant of every n splines by
 the exact rule of ``basis.divides_all_dets_probe``: one division of Q by q,
 then at most one of a triangular pool's determinant. It samples nothing;
@@ -18,28 +27,32 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 from .basis import (
     Provenance,
     SplineMatrix,
-    c3_flowup_obstruction,
     check_basis,
     compute_q,
     divides_all_dets_probe,
-    even_constant_term,
-    zero_constant_term,
 )
-from .errors import ParseError, SplineAlgebraError
+from .errors import GraphError, ParseError, SplineAlgebraError
 from .graphs import LabeledGraph, load_graph
-from .lattice import integer_flow_up_basis
-from .polynomials import number_text
-from .search import flow_up_search_bounded
+from .lattice import hermite_normal_form, integer_flow_up_basis
+from .polynomials import RAT, Polynomial, number_text
+from .search import _MAX_TABLE_MONOMIALS, flow_up_search_bounded
 from .splines import flow_up_witness, is_spline
 
 DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 500
+
+# obstruct over ZZ[x] leaves a triangle UNDECIDABLE when its monic label has a
+# larger degree d: the HNF of the (d+1)-square matrix of residues took 0.11 s
+# at d = 80, 3.5 s at d = 160 and more than two minutes at d = 320, with
+# Python 3.11 on a 2-core host.
+_MAX_LATTICE_DEGREE = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,13 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree", required=True, type=int, help="total degree bound for entries"
     )
 
-    sub = subcommand("obstruct", "3-cycle flow-up obstruction test")
-    sub.add_argument(
-        "--ideal",
-        choices=["even-constant-term", "zero-constant-term"],
-        help="membership predicate for the ideal generated by the last two labels "
-        "(default: even-constant-term over integer coefficients, "
-        "zero-constant-term over rational coefficients)",
+    subcommand(
+        "obstruct",
+        "does a 3-cycle with labels a, b, c have no flow-up class basis, "
+        "that is, is a outside the ideal (b, c)?",
     )
 
     sub = subcommand("probe", "does q divide the determinant of every n splines?")
@@ -335,39 +345,123 @@ def _triangle_labels(graph: LabeledGraph):
         raise ValueError("the obstruction test needs a 3-cycle graph") from None
 
 
+def _graded_search_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
+    """The flow-up basis ``search`` finds at D = max(deg a, deg b + deg c),
+    or None when it finds none and every label is homogeneous.
+
+    D is the degree of the largest forced leading term, and no label's
+    degree exceeds it. With homogeneous labels the spline module is graded:
+    the part of degree deg L_i of a class-i column with leading term L_i is
+    again such a column, so a flow-up basis has one of degree at most D, and
+    NONEXISTENT(D) holds at every degree. Past the search's table cap, or on
+    a NONEXISTENT(D) with a label that is not homogeneous, it raises
+    ``GraphError`` with code UNDECIDABLE.
+    """
+    ring = graph.ring
+    a, b, c = labels
+    degree = max(a.total_degree(), b.total_degree() + c.total_degree())
+    nvars = len(ring.variables)
+    if math.comb(degree + nvars, nvars) > _MAX_TABLE_MONOMIALS:
+        raise GraphError("UNDECIDABLE", f"the forced degree {degree} gives more than "
+                         f"{_MAX_TABLE_MONOMIALS} monomials per entry in {nvars} variables")
+    factors = [label for label in labels if not ring.is_unit(label)]
+    outcome = flow_up_search_bounded(graph, factors, degree)
+    if outcome.found:
+        return outcome.basis
+    if any(len({sum(e) for e in label.terms}) > 1 for label in labels):
+        raise GraphError("UNDECIDABLE", f"NONEXISTENT({degree}) rules out no higher degree "
+                         "when a label is not homogeneous")
+    return None
+
+
+def _residues(p: Polynomial, m: Polynomial) -> list[int]:
+    """Coefficients of x^0, ..., x^(d-1) in p mod m, for p and m in ZZ[x] and
+    m of degree d with leading coefficient 1 or -1."""
+    d, divisor = m.total_degree(), m.terms.items()
+    lead = m.leading_coefficient()  # its own inverse
+    rest = [0] * max(p.total_degree() + 1, d)
+    for (e,), coefficient in p.terms.items():
+        rest[e] = coefficient
+    for k in range(len(rest) - 1, d - 1, -1):
+        quotient = rest[k] * lead
+        if quotient:
+            for (e,), coefficient in divisor:
+                rest[k - d + e] -= quotient * coefficient
+    return rest[:d]
+
+
+def _zz_lattice_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
+    """The columns (1,1,1), (0, a, y*c), (0, 0, b*c) when a is in (b, c) over
+    ZZ[x], or None when it is not.
+
+    One of b and c, m of degree d, must have leading coefficient 1 or -1:
+    then ZZ[x]/(m) is ZZ^d, and a is in (b, c) iff a mod m is in the
+    ZZ-span of x^i * (the other label) mod m for i < d. Those spans are the
+    columns of M, with a mod m last and the row (0, ..., 0, 1) below; the
+    column HNF H = M*U has the column e_d exactly when a mod m is a member,
+    and then U's column over it gives the coefficients. Labels that are not
+    pairwise coprime raise ``ValueError``; any other ring or pair of labels,
+    or d above _MAX_LATTICE_DEGREE, raises ``GraphError`` with code
+    UNDECIDABLE.
+    """
+    ring = graph.ring
+    invariant = compute_q(graph)
+    if invariant.provenance is not Provenance.COPRIME_PRODUCT:
+        raise ValueError("the obstruction test needs pairwise coprime labels")
+    a, b, c = labels
+    monic = [(m, other) for m, other in ((b, c), (c, b)) if m.leading_coefficient() in (1, -1)]
+    if len(ring.variables) != 1 or not monic:
+        raise GraphError("UNDECIDABLE", "over integer coefficients only ZZ[x] with b or c of "
+                         "leading coefficient 1 or -1 is decided")
+    m, other = min(monic, key=lambda pair: pair[0].total_degree())
+    d = m.total_degree()
+    if d > _MAX_LATTICE_DEGREE:
+        raise GraphError("UNDECIDABLE", f"the monic label has degree {d}, above "
+                         f"{_MAX_LATTICE_DEGREE}")
+    x = ring.variable(ring.variables[0])
+    spans = [_residues(other * x ** i, m) for i in range(d)] + [_residues(a, m)]
+    unit_column = [0] * d + [1]
+    hnf, transform = hermite_normal_form(list(zip(*spans)) + [unit_column])
+    member = next((j for j in range(d + 1) if [row[j] for row in hnf] == unit_column), None)
+    if member is None:
+        return None
+    # a = s*other + t*m; the column's third entry is y*c, divisible by c, with b | a - y*c
+    s = Polynomial(ring.variables, ring.coeff_kind,
+                   {(i,): -transform[i][member] for i in range(d)})
+    third = a - s * b if m is c else s * c
+    matrix = SplineMatrix(graph, [(ring.one,) * 3, (ring.zero, a, third),
+                                  (ring.zero, ring.zero, b * c)])
+    if not check_basis(matrix, invariant).is_basis:
+        raise AssertionError("the sufficiency columns must pass the determinant criterion")
+    return matrix
+
+
 def _cmd_obstruct(args):
     graph = _load(args)
     ring = graph.ring
     if ring.kind != "poly":
         raise ValueError("the obstruction test is for polynomial rings")
-    a, b, c = _triangle_labels(graph)
-    choice = args.ideal
-    if choice is None:
-        choice = (
-            "even-constant-term" if ring.coeff_kind == "int" else "zero-constant-term"
-        )
-    predicate = (
-        even_constant_term if choice == "even-constant-term" else zero_constant_term
-    )
-    obstructed = c3_flowup_obstruction(ring, a, b, c, predicate)
+    labels = _triangle_labels(graph)
+    if ring.coeff_kind == RAT:
+        method, basis = "graded-search", _graded_search_basis(graph, labels)
+    else:
+        method, basis = "zz-lattice", _zz_lattice_basis(graph, labels)
+    a, b, c = (ring.to_text(label) for label in labels)
     lines = [f"graph: {graph.describe()}"]
-    lines.append(
-        f"labels in role order: a={ring.to_text(a)}, b={ring.to_text(b)}, "
-        f"c={ring.to_text(c)}; ideal test: {choice}"
-    )
-    if obstructed:
+    lines.append(f"labels in role order: a={a}, b={b}, c={c}; ideal test: {method}")
+    report = {"command": "obstruct", "verdict": "yes", "ideal_test": method}
+    if basis is None:
         lines.append(
             "OBSTRUCTED: yes (a is outside the ideal generated by b and c; "
             "no flow-up class basis exists)"
         )
-    else:
-        lines.append("OBSTRUCTED: no (the ideal test accepts a)")
-    report = {
-        "command": "obstruct",
-        "verdict": "yes" if obstructed else "no",
-        "ideal_test": choice,
-    }
-    return (0 if obstructed else 1), report, lines
+        return 0, report, lines
+    columns = basis.to_document()["columns"]
+    lines.append("OBSTRUCTED: no (a is in the ideal generated by b and c)")
+    lines.append("flow-up class basis:")
+    lines += [f"  B{k} = ({', '.join(column)})" for k, column in enumerate(columns, start=1)]
+    report.update(verdict="no", columns=columns)
+    return 1, report, lines
 
 
 def _cmd_probe(args):

@@ -26,10 +26,11 @@ class ParseError(SplineAlgebraError):
 
 
 class GraphError(SplineAlgebraError):
-    """A graph document failed validation.
+    """A graph document failed validation, or is outside what a command decides.
 
     ``code`` is a stable machine-readable tag, e.g. ``ZERO_LABEL`` or
-    ``DISCONNECTED``.
+    ``DISCONNECTED``, or ``UNDECIDABLE`` for a graph the command has no
+    decision procedure for.
     """
 
     def __init__(self, code: str, message: str):

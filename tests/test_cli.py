@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,10 +10,12 @@ import time
 import pytest
 
 from graphsplines import cli
+import graphsplines.lattice as lattice_module
 import graphsplines.search as search_module
 from graphsplines.cli import main
 from graphsplines.rings import IntegerRing, PolynomialRing
 from conftest import GRAPHS_DIR, ROOT, source_env
+from oracles import two_array_hermite_normal_form
 
 FIG2 = str(GRAPHS_DIR / "fig2.json")
 FIG2_TEXT = str(GRAPHS_DIR / "fig2-text.json")
@@ -294,23 +298,117 @@ class TestSearch:
         assert "NONEXISTENT(7)" in result.stdout
 
 
+def obstruct_report(capsys, path):
+    """(exit code, JSON report or None, stderr) of obstruct; the columns of a
+    "no" must pass check-basis."""
+    code, out, err = run(capsys, "obstruct", path, "--json")
+    report = json.loads(out) if out else None
+    if code == 1:
+        flags = [arg for column in report["columns"] for arg in ("--spline", ",".join(column))]
+        checked, text, _ = run(capsys, "check-basis", path, *flags)
+        assert checked == 0 and "BASIS: yes" in text, (path, report)
+    return code, report, err
+
+
+def write_triangle(tmp_path, name, coefficients, variables, labels):
+    """Write the triangle v1 -a- v2 -b- v3 -c- v1 over the polynomial ring; returns its path."""
+    names = ["v1", "v2", "v3"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "poly", "coefficients": coefficients, "variables": variables},
+        "vertices": names,
+        "edges": [{"u": names[k], "v": names[(k + 1) % 3], "label": label}
+                  for k, label in enumerate(labels)],
+    }))
+    return str(path)
+
+
 class TestObstruct:
     def test_default_predicate(self, capsys):
+        # zx-obstruction (x+1, 2, x): x is monic and x+1 = 1 mod x is not in 2*ZZ
         code, out, _ = run(capsys, "obstruct", ZX)
         assert code == 0
         assert "OBSTRUCTED: yes" in out
-        assert "even-constant-term" in out
+        assert "ideal test: zz-lattice" in out
 
     def test_explicit_predicate(self, capsys):
-        code, out, _ = run(capsys, "obstruct", ZX, "--ideal", "even-constant-term")
-        assert code == 0
+        # the membership predicate is no longer chosen, by ring kind or by flag
+        code, out, err = run(capsys, "obstruct", ZX, "--ideal", "even-constant-term")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "unrecognized arguments: --ideal" in err
 
     def test_not_obstructed(self, capsys):
-        # on the xy cycle, a = x has even constant term 0, so the predicate
-        # accepts it and no obstruction is reported
-        code, out, _ = run(capsys, "obstruct", XY, "--ideal", "even-constant-term")
+        # on the xy cycle (x, y, x+y), x = -y + (x + y) lies in (y, x + y), so a
+        # flow-up basis exists and its columns are the certificate
+        code, out, _ = run(capsys, "obstruct", XY, "--json")
+        report = json.loads(out)
         assert code == 1
-        assert "OBSTRUCTED: no" in out
+        assert report == {"command": "obstruct", "verdict": "no", "ideal_test": "graded-search",
+                          "columns": [["1", "1", "1"], ["0", "x", "x + y"],
+                                      ["0", "0", "x*y + y^2"]]}
+        code, out, _ = run(capsys, "obstruct", XY)
+        assert code == 1
+        assert out.splitlines()[2:] == [
+            "OBSTRUCTED: no (a is in the ideal generated by b and c)",
+            "flow-up class basis:",
+            "  B1 = (1, 1, 1)",
+            "  B2 = (0, x, x + y)",
+            "  B3 = (0, 0, x*y + y^2)",
+        ]
+
+    def test_squares_is_obstructed(self, capsys):
+        # x^2 is outside (y^2, (x+y)^2): NONEXISTENT(4) with homogeneous labels
+        code, out, _ = run(capsys, "obstruct", SQUARES, "--json")
+        assert code == 0
+        assert json.loads(out) == {"command": "obstruct", "verdict": "yes",
+                                   "ideal_test": "graded-search"}
+
+    @pytest.mark.parametrize("coefficients,variables,labels,code,method", [
+        ("rat", ["x", "y"], ["x + y + 1", "y + 1", "x"], 1, "graded-search"),
+        ("rat", ["x", "y", "z"], ["x", "y", "z"], 0, "graded-search"),
+        ("int", ["x"], ["x + 3", "3", "x"], 1, "zz-lattice"),
+        ("int", ["x"], ["x + 3", "x", "3"], 1, "zz-lattice"),
+        ("int", ["x"], ["x + 1", "x", "2"], 0, "zz-lattice"),
+        ("rat", ["x"], ["x^2 + 1", "x - 1", "x^3 + 2"], 1, "graded-search"),
+    ])
+    def test_state_triangles(self, capsys, tmp_path, coefficients, variables, labels, code,
+                             method):
+        path = write_triangle(tmp_path, "triangle", coefficients, variables, labels)
+        got, report, err = obstruct_report(capsys, path)
+        assert (got, err, report["ideal_test"]) == (code, "", method)
+        assert report["verdict"] == ("yes" if code == 0 else "no")
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    def test_undecidable_without_a_monic_label(self, tmp_path, optimize):
+        # (x+3, 2x, 3) has a flow-up basis, but neither 2x nor 3 is monic
+        path = write_triangle(tmp_path, "no-monic", "int", ["x"], ["x + 3", "2*x", "3"])
+        result = subprocess.run(
+            [sys.executable, *optimize, "-m", "graphsplines", "obstruct", path],
+            capture_output=True, env=source_env(), text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: UNDECIDABLE: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("coefficients,variables,labels,needle", [
+        # x + 1 is outside (y + 1, x - 1), whose members vanish at (1, -1), but
+        # NONEXISTENT(2) on labels that are not homogeneous rules out no higher degree
+        ("rat", ["x", "y"], ["x + 1", "y + 1", "x - 1"], "not homogeneous"),
+        ("int", ["x", "y"], ["x + 1", "y", "x"], "only ZZ[x]"),
+        ("int", ["x"], ["x + 1", "x^101 + 2", "2"], "degree 101"),
+        # D = 48 gives C(51, 3) = 20825 monomials per entry
+        ("rat", ["x", "y", "z"], ["x^24", "y^24", "z^24"], "monomials per entry"),
+    ])
+    def test_undecidable_cases(self, capsys, tmp_path, coefficients, variables, labels, needle):
+        path = write_triangle(tmp_path, "undecidable", coefficients, variables, labels)
+        code, out, err = run(capsys, "obstruct", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: UNDECIDABLE: ") and needle in err
+
+    def test_shared_factor_rejected(self, capsys, tmp_path):
+        path = write_triangle(tmp_path, "shared", "rat", ["x", "y"], ["x", "x*y", "y + 1"])
+        code, _, err = run(capsys, "obstruct", path)
+        assert code == 2 and "pairwise coprime" in err
 
     def test_non_triangle_rejected(self, capsys, tmp_path):
         document = {
@@ -323,6 +421,150 @@ class TestObstruct:
         code, _, err = run(capsys, "obstruct", str(path))
         assert code == 2
         assert "3-cycle" in err
+
+
+def _signed(terms):
+    """The sum of term texts, with each "+ -" written as "-" for the label parser."""
+    return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+def _random_form(rng, variables, degree):
+    """A homogeneous form of ``degree`` with coefficients in -2..2, as text; may be 0."""
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=len(variables))
+                 if sum(e) == degree]
+    terms = []
+    for exponents in monomials:
+        coefficient = rng.randint(-2, 2)
+        if coefficient:
+            factors = [f"{v}^{e}" for v, e in zip(variables, exponents) if e]
+            terms.append("*".join([str(coefficient)] + factors))
+    return _signed(terms)
+
+
+def _coefficients_text(coefficients):
+    """A ZZ[x] polynomial given by its coefficients, lowest degree first, as text."""
+    terms = [str(c) if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}"
+             for i, c in enumerate(coefficients) if c]
+    return _signed(terms[::-1])
+
+
+def _times(p, q):
+    product = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            product[i + j] += a * b
+    return product
+
+
+def _remainder(p, m):
+    """p mod m for coefficient lists, m with leading coefficient 1 or -1."""
+    p, d = list(p) + [0] * len(m), len(m) - 1
+    for k in range(len(p) - 1, d - 1, -1):
+        quotient = p[k] * m[d]
+        p = [c - quotient * m[i - k + d] if k - d <= i <= k else c for i, c in enumerate(p)]
+    return p[:d]
+
+
+def hnf_member(a, other, m):
+    """Whether a is in the ideal (other, m) of ZZ[x], for m of degree d >= 1 with
+    leading coefficient 1 or -1: a mod m against the column HNF of the residues
+    of x^i * other mod m, i < d, by reduction down the pivots."""
+    d = len(m) - 1
+    spans = [_remainder(_times([0] * i + [1], other), m) for i in range(d)]
+    hnf, _ = two_array_hermite_normal_form([list(row) for row in zip(*spans)])
+    rest = _remainder(a, m)
+    for j in range(d):
+        column = [row[j] for row in hnf]
+        pivot = next((i for i, entry in enumerate(column) if entry), None)
+        if pivot is None:
+            continue
+        quotient, remainder = divmod(rest[pivot], column[pivot])
+        if remainder:
+            return False
+        rest = [r - quotient * c for r, c in zip(rest, column)]
+    return not any(rest)
+
+
+class TestObstructOracles:
+    """``obstruct`` against independent membership tests on seeded triangles;
+    every "no" certificate must pass ``check-basis``."""
+
+    def test_homogeneous_triangles_match_groebner_membership(self, capsys, tmp_path):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("obstruct-homogeneous")
+        answers = {0: 0, 1: 0}
+        while sum(answers.values()) < 96:
+            variables = ["x", "y"] if sum(answers.values()) % 2 else ["x", "y", "z"]
+            gens = sympy.symbols(variables)
+
+            def label():
+                """A product of one or two linear forms, and its degree."""
+                degree = rng.randint(1, 2)
+                return "*".join(f"({_random_form(rng, variables, 1)})"
+                                for _ in range(degree)), degree
+
+            (b, db), (c, dc) = label(), label()
+            if rng.random() < 0.4:  # a member by construction
+                degree = max(db + rng.randint(0, 1), dc)
+                a = (f"({_random_form(rng, variables, degree - db)})*{b} + "
+                     f"({_random_form(rng, variables, degree - dc)})*{c}")
+            else:
+                a, _ = label()
+            polys = [sympy.Poly(sympy.sympify(text.replace("^", "**")), *gens) for text in (a, b, c)]
+            if any(p.is_zero or p.is_ground for p in polys) or any(
+                    sympy.gcd(p, q).total_degree() > 0 for p, q in itertools.combinations(polys, 2)):
+                continue
+            path = write_triangle(tmp_path, f"h{sum(answers.values())}", "rat", variables,
+                                  [a, b, c])
+            code, report, err = obstruct_report(capsys, path)
+            member = sympy.groebner(polys[1:], *gens, order="grevlex", domain="QQ").contains(
+                polys[0].as_expr())
+            assert code == (1 if member else 0), (a, b, c, err)
+            assert report["ideal_test"] == "graded-search"
+            answers[code] += 1
+        assert min(answers.values()) >= 15, answers
+
+    def test_univariate_rational_triangles_all_have_a_basis(self, capsys, tmp_path):
+        rng = random.Random("obstruct-qx")
+        irreducible = [f"x + {k}" for k in range(-6, 7)] + [f"x^2 + {k}" for k in range(1, 7)]
+        for k in range(40):
+            pool = rng.sample(irreducible, 6)
+            labels = []
+            for count in (rng.randint(1, 2) for _ in range(3)):
+                labels.append(f"{rng.choice([1, 2, -3])}*" + "*".join(
+                    f"({pool.pop()})" for _ in range(count)))
+            path = write_triangle(tmp_path, f"qx{k}", "rat", ["x"], [_signed([t]) for t in labels])
+            code, report, err = obstruct_report(capsys, path)
+            assert (code, report["verdict"]) == (1, "no"), (labels, err)
+
+    def test_monic_integer_triangles_match_hnf_membership(self, capsys, tmp_path):
+        rng = random.Random("obstruct-zx")
+        answers = {0: 0, 1: 0}
+        while sum(answers.values()) < 60:
+            m = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.choice([1, -1])]
+            other = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:  # a member by construction
+                s = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                t = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                a = [x + y for x, y in itertools.zip_longest(_times(s, other), _times(t, m),
+                                                             fillvalue=0)]
+            else:
+                a = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+            texts = [_coefficients_text(p) for p in (a, other, m)]
+            if "0" in texts:
+                continue
+            a_text, other_text, m_text = texts  # m is c or b
+            labels = ([a_text, other_text, m_text] if rng.random() < 0.5
+                      else [a_text, m_text, other_text])
+            path = write_triangle(tmp_path, f"zx{sum(answers.values())}", "int", ["x"], labels)
+            code, report, err = obstruct_report(capsys, path)
+            if code == 2:
+                assert "pairwise coprime" in err, (labels, err)
+                continue
+            assert report["ideal_test"] == "zz-lattice"
+            assert code == (1 if hnf_member(a, other, m) else 0), labels
+            answers[code] += 1
+        assert min(answers.values()) >= 10, answers
 
 
 class TestProbe:
@@ -401,6 +643,21 @@ class TestProbe:
         monkeypatch.setattr(cli, "compute_q", counted)
         monkeypatch.setattr("graphsplines.basis.compute_q", counted)
         run(capsys, "probe", FIG2, *argv)
+        assert len(calls) == 1
+
+    def test_lattice_is_built_once_for_a_counterexample(self, capsys, monkeypatch):
+        # the flow-up basis Q was read from is the counterexample
+        calls = []
+        generators = lattice_module.spline_lattice_generators
+
+        def counted(graph):
+            calls.append(graph)
+            return generators(graph)
+
+        monkeypatch.setattr(lattice_module, "spline_lattice_generators", counted)
+        code, out, _ = run(capsys, "probe", FIG2, "--q", "200", "--json")
+        assert (code, json.loads(out)["counterexample"]) == (1, [["1", "1", "1"], ["0", "4", "4"],
+                                                             ["0", "0", "10"]])
         assert len(calls) == 1
 
 
@@ -827,4 +1084,4 @@ def test_bundled_demos(tmp_path):
         timeout=300,
     )
     assert (result.returncode, result.stderr) == (0, ""), result.stdout + result.stderr
-    assert "all 18 demos behaved as expected" in result.stdout
+    assert "all 20 demos behaved as expected" in result.stdout

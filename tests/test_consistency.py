@@ -39,11 +39,11 @@ RINGS = {
 
 
 def cli_json(*argv):
-    """The exit code and the JSON report of one CLI call."""
+    """The exit code and the JSON report of one CLI call; None for an error's report."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([*map(str, argv), "--json"])
-    return code, json.loads(out.getvalue())
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
 
 
 def _affine(rng, ring_name):
@@ -210,3 +210,54 @@ def test_check_basis_yes_then_probe_says_no_off_its_determinant(tmp_path):
             checked.add((path.name, str(d)))
     assert {("fig2.json", "200"), ("xy.json", "x^2*y")} <= checked
 
+
+
+
+
+def obstruct_cases(rng):
+    """(ring, labels a, b, c, and y or None) of seeded triangles; with y, the
+    sufficiency columns (1,1,1), (0, a, y*c), (0, 0, b*c) are a basis when the
+    labels are pairwise coprime."""
+    cases = [("qxy", ["x + y + 1", "y + 1", "x"], None), ("zx", ["x + 3", "3", "x"], "1")]
+    for k in range(12):
+        cases.append(("qx", [_label(rng, "qx") for _ in range(3)], None))
+        b, c = _label(rng, "qxy"), _label(rng, "qxy")
+        s, y = rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])
+        cases.append(("qxy", [_signs(f"{s}*({b}) + {y}*({c})"), b, c], None))
+        cases.append(("qxy", [_signs(f"{rng.choice([-2, -1, 1, 2])}*x + {rng.randint(-2, 2)}*y")
+                              for _ in range(3)], None))
+    for k in range(8):  # b and c = x + k - 4 are monic
+        b, c = _label(rng, "zx"), _signs(f"x + {k - 4}")
+        s, y = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-3, 3)
+        cases.append(("zx", [_signs(f"{s}*({b}) + {y}*({c})"), b, c], str(y)))
+    return cases
+
+
+def test_a_flow_up_basis_on_a_triangle_makes_obstruct_say_no(tmp_path):
+    # a basis puts a in (b, c), so obstruct never says yes there, and it says
+    # no wherever it decides: over QQ[x], on homogeneous labels, and over ZZ[x]
+    # with a monic b or c; a higher-degree basis on other labels over QQ[x,y]
+    # may leave it UNDECIDABLE
+    found = decided = 0
+    for k, (ring_name, labels, y) in enumerate(obstruct_cases(random.Random("obstruct"))):
+        a, b, c = labels
+        path = _write(tmp_path, f"obstruct-{k}", ring_name, 3, [(0, 1, a), (1, 2, b), (2, 0, c)])
+        graph = load_graph(path.read_text())
+        if not graph.pairwise_coprime_labels():
+            continue
+        if y is None:  # search at twice the largest label degree, past the forced one
+            degree = 2 * max(p.total_degree() for p in graph.labels())
+            code, _ = cli_json("search", path, "--factors", ";".join(labels), "--degree", degree)
+        else:
+            columns = [["1", "1", "1"], ["0", a, f"({y})*({c})"], ["0", "0", f"({b})*({c})"]]
+            code, _ = cli_json("check-basis", path, *_spline_args(columns))
+        if code != 0:
+            continue
+        found += 1
+        code, report = cli_json("obstruct", path)
+        assert code != 0, labels
+        homogeneous = all(len({sum(e) for e in p.terms}) == 1 for p in graph.labels())
+        if ring_name != "qxy" or homogeneous:
+            assert (code, report["verdict"]) == (1, "no"), labels
+            decided += 1
+    assert found >= 30 and decided >= 20, (found, decided)

@@ -90,6 +90,7 @@ OPTIONS = {
     "--q": entry_texts,
     "--trials": st.integers(-1, 5).map(str) | label_texts,
     "--seed": st.integers(-3, 3).map(str),
+    # no subcommand accepts --ideal any more; it stays as an option to reject
     "--ideal": st.sampled_from(["even-constant-term", "zero-constant-term", "odd"]),
     "--vertex-order": st.lists(st.sampled_from(["v1", "v2", "v3", "a", ""]),
                                max_size=4).map(",".join),
@@ -101,7 +102,7 @@ ACCEPTED = {
     "q": (),
     "check-basis": ("--spline",),
     "search": ("--factors", "--degree"),
-    "obstruct": ("--ideal",),
+    "obstruct": (),
     "probe": ("--q", "--trials", "--seed"),
 }
 REQUIRED = {
