@@ -36,6 +36,8 @@ DEMOS = [
     (0, ["check-basis", "xy.json", "--spline", "1,1,1", "--spline", "0,x,x+y", "--spline", "0,0,y*(x+y)"]),
     (0, ["search", "xy.json", "--factors", "x;y;x+y", "--degree", "2"]),
     (1, ["search", "squares.json", "--factors", "x;x;y;y;x+y;x+y", "--degree", "6"]),
+    (0, ["search", "xy.json", "--factors", "x;y;x+y"]),
+    (1, ["search", "squares.json", "--factors", "x;x;y;y;x+y;x+y"]),
     (0, ["obstruct", "zx-obstruction.json"]),
     (0, ["obstruct", "squares.json"]),
     (1, ["obstruct", "xy.json"]),

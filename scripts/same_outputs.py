@@ -17,8 +17,9 @@ vertices have far apart label lcms, coprimality tests of linear labels,
 label lcms of cycles whose labels share factors, calls whose input
 fails to parse, graph documents with one fault per GraphError code the
 loader raises, verify and check-basis calls whose entries repeat,
-with flowup on integer and polynomial graphs, and obstruct on triangles with
-each of its verdicts, each in JSON and in text mode, through
+with flowup on integer and polynomial graphs, obstruct on triangles with
+each of its verdicts, and searches without ``--degree`` and at the forced
+degree on homogeneous graphs, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -132,6 +133,49 @@ def obstruct_calls(graphs: Path, directory: Path) -> list:
         ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
         calls.append(["obstruct", write_graph(directory, f"obstruct-{name}", ring, labels)])
     return calls
+
+
+# the bundled graphs over QQ of forced_degree_calls, with factors and forced degree
+FORCED_DEGREE_BUNDLED = (("xy", "x;y;x+y", 2), ("squares", "x;x;y;y;x+y;x+y", 4))
+# the edges of its seeded graphs: a 4-cycle, and the 4-cycle with the chord
+# v1v3 or v2v4
+FORCED_DEGREE_SHAPES = (
+    [(0, 1), (1, 2), (2, 3), (3, 0)],
+    [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+    [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)],
+)
+
+
+def forced_degree_calls(graphs: Path, directory: Path) -> list:
+    """The argv of searches without ``--degree`` and at the forced degree D.
+
+    On FORCED_DEGREE_BUNDLED under ``graphs``, and on 12 seeded graphs of
+    FORCED_DEGREE_SHAPES over QQ[x,y], written to ``directory``, whose labels
+    are products of one or two of the forms y and x + k*y, each used once:
+    homogeneous and pairwise coprime. D = max_i deg L_i, L_i the product of
+    the labels joining vertex i to earlier ones. A checkout that requires
+    ``--degree`` rejects the calls without it with a usage error.
+    """
+    cases = [(str(graphs / f"{name}.json"), factors, degree)
+             for name, factors, degree in FORCED_DEGREE_BUNDLED]
+    rng = random.Random("forced-degree")
+    ring = {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]}
+    for k in range(12):
+        pairs = FORCED_DEGREE_SHAPES[k % len(FORCED_DEGREE_SHAPES)]
+        pool = ["y"] + [f"x + {j}*y".replace("+ -", "- ") for j in range(-4, 5)]
+        rng.shuffle(pool)
+        counts = [rng.randint(1, 2) for _ in pairs]
+        labels = ["*".join(f"({pool.pop()})" for _ in range(count)) for count in counts]
+        names = ["v1", "v2", "v3", "v4"]
+        edges = [{"u": names[u], "v": names[v], "label": label}
+                 for (u, v), label in zip(pairs, labels)]
+        path = directory / f"forced-degree-{k}.json"
+        path.write_text(json.dumps({"ring": ring, "vertices": names, "edges": edges}))
+        degree = max(sum(count for (u, v), count in zip(pairs, counts) if max(u, v) == i)
+                     for i in range(len(names)))
+        cases.append((str(path), ";".join(labels), degree))
+    return [["search", path, "--factors", factors, *bound] for path, factors, degree in cases
+            for bound in ([], ["--degree", str(degree)])]
 
 
 # the seeds of the poly-det graphs that default_probe_calls probes
@@ -739,6 +783,7 @@ def main(argv=None) -> int:
         calls += gcd_calls(Path(scratch)) + document_calls(ROOT / "graphs", Path(scratch))
         calls += entry_calls(ROOT / "graphs", Path(scratch))
         calls += obstruct_calls(ROOT / "graphs", Path(scratch))
+        calls += forced_degree_calls(ROOT / "graphs", Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

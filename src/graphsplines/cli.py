@@ -9,11 +9,16 @@ carry identical verdicts.
 ``obstruct`` decides whether a 3-cycle with pairwise coprime labels a
 (v1~v2), b (v2~v3) and c (v3~v1) has no flow-up class basis, that is whether
 a lies outside the ideal (b, c), and prints a found basis as the certificate
-of "no". Over QQ[vars] it runs the bounded search at the forced degree
-D = max(deg a, deg b + deg c), which decides the question when every label
-is homogeneous. Over ZZ[x] with b or c of leading coefficient 1 or -1 it
-decides membership in ZZ[x]/(that label), a lattice, with one Hermite normal
-form. Every other triangle exits 2 with the GraphError code UNDECIDABLE.
+of "no". Over QQ[vars] it runs ``search`` without a degree bound, that is at
+the forced degree D = max(deg a, deg b + deg c), which decides the question
+when every label is homogeneous. Over ZZ[x] with b or c of leading
+coefficient 1 or -1 it decides membership in ZZ[x]/(that label), a lattice,
+with one Hermite normal form. Every other triangle exits 2 with the
+GraphError code UNDECIDABLE.
+
+``search`` without ``--degree`` runs at the forced degree D = max_i deg L_i;
+a NONEXISTENT report then says whether it holds at every degree, which it
+does when every label is homogeneous.
 
 ``probe`` decides whether q divides the determinant of every n splines by
 the exact rule of ``basis.divides_all_dets_probe``: one division of Q by q,
@@ -27,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -41,8 +45,8 @@ from .basis import (
 from .errors import GraphError, ParseError, SplineAlgebraError
 from .graphs import LabeledGraph, load_graph
 from .lattice import hermite_normal_form, integer_flow_up_basis
-from .polynomials import RAT, Polynomial, number_text
-from .search import _MAX_TABLE_MONOMIALS, flow_up_search_bounded
+from .polynomials import RAT, Polynomial, number_text, pack_exponents, packed_numerators
+from .search import flow_up_search_bounded
 from .splines import flow_up_witness, is_spline
 
 DEFAULT_SEED = 12345
@@ -99,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated factor multiset of the label product",
     )
     sub.add_argument(
-        "--degree", required=True, type=int, help="total degree bound for entries"
+        "--degree", type=int,
+        help="total degree bound for entries (default: the forced degree, the largest "
+             "degree of a forced leading term; a NONEXISTENT report then says whether "
+             "it holds at every degree)",
     )
 
     subcommand(
@@ -322,6 +329,11 @@ def _cmd_search(args):
         "assignments_total": outcome.assignments_total,
         "systems_checked": outcome.systems_checked,
     }
+    if args.degree is None:
+        report["every_degree"] = outcome.every_degree
+        lines.append("  every degree: yes (every label is homogeneous, so no degree has a basis)"
+                     if outcome.every_degree else
+                     "  every degree: no (a label is not homogeneous, so a higher degree may)")
     return 1, report, lines
 
 
@@ -345,47 +357,21 @@ def _triangle_labels(graph: LabeledGraph):
         raise ValueError("the obstruction test needs a 3-cycle graph") from None
 
 
-def _graded_search_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
-    """The flow-up basis ``search`` finds at D = max(deg a, deg b + deg c),
-    or None when it finds none and every label is homogeneous.
-
-    D is the degree of the largest forced leading term, and no label's
-    degree exceeds it. With homogeneous labels the spline module is graded:
-    the part of degree deg L_i of a class-i column with leading term L_i is
-    again such a column, so a flow-up basis has one of degree at most D, and
-    NONEXISTENT(D) holds at every degree. Past the search's table cap, or on
-    a NONEXISTENT(D) with a label that is not homogeneous, it raises
-    ``GraphError`` with code UNDECIDABLE.
-    """
-    ring = graph.ring
-    a, b, c = labels
-    degree = max(a.total_degree(), b.total_degree() + c.total_degree())
-    nvars = len(ring.variables)
-    if math.comb(degree + nvars, nvars) > _MAX_TABLE_MONOMIALS:
-        raise GraphError("UNDECIDABLE", f"the forced degree {degree} gives more than "
-                         f"{_MAX_TABLE_MONOMIALS} monomials per entry in {nvars} variables")
-    factors = [label for label in labels if not ring.is_unit(label)]
-    outcome = flow_up_search_bounded(graph, factors, degree)
-    if outcome.found:
-        return outcome.basis
-    if any(len({sum(e) for e in label.terms}) > 1 for label in labels):
-        raise GraphError("UNDECIDABLE", f"NONEXISTENT({degree}) rules out no higher degree "
-                         "when a label is not homogeneous")
-    return None
-
-
 def _residues(p: Polynomial, m: Polynomial) -> list[int]:
     """Coefficients of x^0, ..., x^(d-1) in p mod m, for p and m in ZZ[x] and
     m of degree d with leading coefficient 1 or -1."""
-    d, divisor = m.total_degree(), m.terms.items()
+    d = m.total_degree()
+    size = max(p.total_degree(), d) + 1
+    keys = [pack_exponents((e,), size) for e in range(size)]  # x^e in the packed maps
+    numerators = packed_numerators(p, size)[0]
+    rest = [numerators.get(key, 0) for key in keys]
+    numerators = packed_numerators(m, size)[0]
+    divisor = [(e, numerators[key]) for e, key in enumerate(keys) if key in numerators]
     lead = m.leading_coefficient()  # its own inverse
-    rest = [0] * max(p.total_degree() + 1, d)
-    for (e,), coefficient in p.terms.items():
-        rest[e] = coefficient
-    for k in range(len(rest) - 1, d - 1, -1):
+    for k in range(size - 1, d - 1, -1):
         quotient = rest[k] * lead
         if quotient:
-            for (e,), coefficient in divisor:
+            for e, coefficient in divisor:
                 rest[k - d + e] -= quotient * coefficient
     return rest[:d]
 
@@ -443,7 +429,13 @@ def _cmd_obstruct(args):
         raise ValueError("the obstruction test is for polynomial rings")
     labels = _triangle_labels(graph)
     if ring.coeff_kind == RAT:
-        method, basis = "graded-search", _graded_search_basis(graph, labels)
+        # at the forced degree; a NONEXISTENT that holds at every degree is "yes"
+        outcome = flow_up_search_bounded(graph, [label for label in labels
+                                                 if not ring.is_unit(label)])
+        if not (outcome.found or outcome.every_degree):
+            raise GraphError("UNDECIDABLE", f"NONEXISTENT({outcome.degree_bound}) rules out "
+                             "no higher degree when a label is not homogeneous")
+        method, basis = "graded-search", outcome.basis
     else:
         method, basis = "zz-lattice", _zz_lattice_basis(graph, labels)
     a, b, c = (ring.to_text(label) for label in labels)

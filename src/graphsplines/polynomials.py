@@ -57,9 +57,10 @@ RAT = "rat"
 # numerators repacked at the width their total degree alone calls for.
 #
 # ``terms`` unpacks the whole map and builds every Fraction, so no code in
-# the package reads it; the linear systems in search.py read the packed
-# numerators through ``packed_numerators``. Only callers outside the
-# package use ``terms``.
+# the package reads it (tests/test_source.py checks this); the linear
+# systems in search.py and the residues of cli.py read the packed numerators
+# through ``packed_numerators``. Only callers outside the package use
+# ``terms``.
 # ---------------------------------------------------------------------------
 
 # Bits per packed field, guard bit included.
@@ -183,6 +184,11 @@ class Polynomial:
         if not self._packed:
             return -1
         return max(self._packed) >> (self._width * len(self.variables))
+
+    def is_homogeneous(self) -> bool:
+        """Whether every term has the same total degree; true for zero."""
+        shift = self._width * len(self.variables)
+        return len({m >> shift for m in self._packed}) <= 1
 
     def leading_exponent(self) -> tuple[int, ...]:
         if not self._packed:

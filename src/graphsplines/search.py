@@ -19,7 +19,13 @@ entries, or L_i and a zero entry across an edge whose label is a factor of
 L_i. SplineMatrix still checks every edge of each column.
 
 A NONEXISTENT outcome is a bounded-degree certificate: no flow-up class
-basis exists whose entries all have total degree at most the bound.
+basis exists whose entries all have total degree at most the bound. Without
+a bound the search runs at the forced degree D = max_i deg L_i, which is at
+least every label's degree, since a label divides the L_i of its later
+endpoint. When every label is homogeneous, the spline module is graded: the
+part of degree deg L_i of a class-i column with leading term L_i is again
+such a column. So a flow-up basis exists iff one exists at D, and a
+NONEXISTENT outcome at a bound of at least D holds at every degree.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import Provenance, SplineMatrix, check_basis, compute_q
-from .errors import RingMismatchError
+from .errors import GraphError, RingMismatchError
 from .graphs import LabeledGraph
 from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
 
@@ -157,6 +163,9 @@ class SearchOutcome:
     n - 1) over the multiplicities m of the distinct monic factors. Only the
     forced tuple (L_1, ..., L_n) is solved."""
     determinant: Polynomial | None = None  # of the found basis
+    every_degree: bool = False
+    """NONEXISTENT at a bound of at least the forced degree, with every label
+    homogeneous: no flow-up class basis exists at any degree."""
 
     @property
     def found(self) -> bool:
@@ -221,9 +230,17 @@ def _solve_column(graph: LabeledGraph, position: int, leading: Polynomial, bound
 
 
 def flow_up_search_bounded(
-    graph: LabeledGraph, q_factors, degree_bound: int
+    graph: LabeledGraph, q_factors, degree_bound: int | None = None
 ) -> SearchOutcome:
     """Search for a flow-up class basis with entry degrees at most the bound.
+
+    A bound of None means the forced degree D = max_i deg L_i, which the
+    outcome reports as its ``degree_bound``; if D gives more monomials per
+    entry than the table cap, ``GraphError`` with code UNDECIDABLE is raised.
+    An explicit bound past the cap, or below a label's degree, raises
+    ``ValueError``. A NONEXISTENT outcome sets ``every_degree`` when its bound
+    is at least D and every label is homogeneous (the module docstring gives
+    the graded argument); homogeneity is read only on that path.
 
     Column i gets the forced leading term L_i, so a column whose L_i exceeds
     the bound certifies NONEXISTENT, and so does the first infeasible
@@ -241,6 +258,15 @@ def flow_up_search_bounded(
         raise RingMismatchError(
             "the bounded search needs a polynomial ring with rational coefficients"
         )
+    nvars = len(ring.variables)
+    leading = [
+        ring.product(e.label for e in graph.edges if max(e.u, e.v) == i).normalized()
+        for i in range(graph.n)
+    ]
+    forced = max(term.total_degree() for term in leading)
+    if degree_bound is None and math.comb(forced + nvars, nvars) > _MAX_TABLE_MONOMIALS:
+        raise GraphError("UNDECIDABLE", f"the forced degree {forced} gives more than "
+                         f"{_MAX_TABLE_MONOMIALS} monomials per entry in {nvars} variables")
     q = compute_q(graph)
     if q.provenance is not Provenance.COPRIME_PRODUCT:
         raise ValueError("the bounded search requires pairwise coprime edge labels")
@@ -253,33 +279,37 @@ def flow_up_search_bounded(
     unit = ring.exact_div(ring.product(factors), q.value)
     if unit is None or not ring.is_unit(unit):
         raise ValueError("factor product is not a unit multiple of the label product")
-    max_label_degree = max(
-        (label.total_degree() for label in graph.labels()), default=0
-    )
-    if degree_bound < max_label_degree:
-        raise ValueError(
-            f"degree bound {degree_bound} is below the largest label degree "
-            f"{max_label_degree}"
+    if degree_bound is None:
+        degree_bound = forced
+    else:
+        max_label_degree = max(
+            (label.total_degree() for label in graph.labels()), default=0
         )
-    nvars = len(ring.variables)
-    if math.comb(degree_bound + nvars, nvars) > _MAX_TABLE_MONOMIALS:
-        raise ValueError(
-            f"degree bound {degree_bound} gives more than {_MAX_TABLE_MONOMIALS} "
-            f"monomials per entry in {nvars} variables"
-        )
+        if degree_bound < max_label_degree:
+            raise ValueError(
+                f"degree bound {degree_bound} is below the largest label degree "
+                f"{max_label_degree}"
+            )
+        if math.comb(degree_bound + nvars, nvars) > _MAX_TABLE_MONOMIALS:
+            raise ValueError(
+                f"degree bound {degree_bound} gives more than {_MAX_TABLE_MONOMIALS} "
+                f"monomials per entry in {nvars} variables"
+            )
 
     n = graph.n
     assignments_total = n ** len(factors)
     systems_checked = math.prod(
         math.comb(m + n - 1, n - 1) for m in Counter(factors).values()
     )
-    nonexistent = SearchOutcome(None, None, degree_bound, assignments_total, systems_checked)
-    leading = [
-        ring.product(e.label for e in graph.edges if max(e.u, e.v) == i).normalized()
-        for i in range(n)
-    ]
-    if max(term.total_degree() for term in leading) > degree_bound:
-        return nonexistent
+
+    def nonexistent() -> SearchOutcome:
+        every_degree = degree_bound >= forced and all(
+            label.is_homogeneous() for label in graph.labels())
+        return SearchOutcome(None, None, degree_bound, assignments_total, systems_checked,
+                             every_degree=every_degree)
+
+    if forced > degree_bound:
+        return nonexistent()
     monomials = monomials_up_to(nvars, degree_bound)
     keys = [pack_exponents(e, degree_bound) for e in monomials]
     columns = [(ring.one,) * n]
@@ -287,7 +317,7 @@ def flow_up_search_bounded(
         entries = _solve_column(graph, position, leading[position], degree_bound,
                                 monomials, keys)
         if entries is None:
-            return nonexistent
+            return nonexistent()
         columns.append(tuple(entries))
     if n > 1:
         columns.append((ring.zero,) * (n - 1) + (leading[-1],))

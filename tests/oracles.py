@@ -26,7 +26,10 @@ column HNF that kept its transform in a second array, which the HNF that
 carries the transform under each column replaced; the breadth-first
 connectivity test over adjacency lists that union-find replaced; and the
 monomial table that filters and sorts every exponent tuple up to the bound
-in each variable, which the table built degree by degree replaced.
+in each variable, which the table built degree by degree replaced; and the
+ideals of leading entries of the spline module from sympy's module Groebner
+bases (syzygies and intersections in ``sympy.polys.agca``), which decide
+whether a flow-up basis exists without any degree bound.
 """
 
 from __future__ import annotations
@@ -873,3 +876,31 @@ def filtered_monomials_up_to(nvars, max_degree):
     ]
     out.sort(key=lambda e: (sum(e), e))
     return out
+
+
+def leading_entry_ideals(variables, n, edges):
+    """Generators of each I_i, as sympy expressions, for the graph on vertices
+    0..n-1 with ``edges`` (u, v, label) over QQ[variables], each label a sympy
+    expression. Needs sympy, which the caller skips on.
+
+    I_i is the ideal of entries at vertex i of splines that are zero at every
+    vertex before i. The splines are the vertex coordinates of the syzygies
+    of the columns of [d | -diag(labels)], d the signed E x n incidence
+    matrix: f_u - f_v = label * q_e on each edge e. Those in the span of
+    e_i, ..., e_{n-1} are the syzygies of the columns of vertices i..n-1 and
+    of the labels, which is how they are computed here: intersecting the
+    whole module with that span gives the same ideals, in about three times
+    the time. Their coordinates at vertex i generate I_i.
+    """
+    from sympy import QQ, symbols
+
+    ring = QQ.old_poly_ring(*symbols(variables))
+    incidence = [[1 if u == i else -1 if v == i else 0 for u, v, _ in edges] for i in range(n)]
+    scaled = [[-label if j == k else 0 for j in range(len(edges))]
+              for k, (_, _, label) in enumerate(edges)]
+    module = ring.free_module(len(edges))
+    ideals = []
+    for i in range(n):
+        syzygies = module.submodule(*incidence[i:], *scaled).syzygy_module()
+        ideals.append([ring.to_sympy(g[0]) for g in syzygies.gens if g[0]])
+    return ideals

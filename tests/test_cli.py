@@ -241,6 +241,70 @@ class TestSearch:
         assert report["verdict"] == "yes"
         assert report["columns"][0] == ["1", "1", "1"]
 
+    def test_xy_found_at_the_forced_degree(self, capsys):
+        code, out, _ = run(capsys, "search", XY, "--factors", "x;y;x+y", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "search", "verdict": "yes", "degree_bound": 2,
+            "determinant": "x^2*y + x*y^2",
+            "columns": [["1", "1", "1"], ["0", "x", "x + y"], ["0", "0", "x*y + y^2"]]}
+        # the same report as at the explicit bound 2
+        assert run(capsys, "search", XY, "--factors", "x;y;x+y")[:2] == run(
+            capsys, "search", XY, "--factors", "x;y;x+y", "--degree", "2")[:2]
+
+    def test_squares_nonexistent_at_every_degree(self, capsys):
+        argv = ["search", SQUARES, "--factors", "x;x;y;y;x+y;x+y"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out) == {"command": "search", "verdict": "no", "degree_bound": 4,
+                                   "assignments_total": 729, "systems_checked": 216,
+                                   "every_degree": True}
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "NONEXISTENT(4): no flow-up class basis with entry degrees <= 4",
+            "  covered 729 factor assignments (216 distinct leading-term systems, all infeasible)",
+            "  every degree: yes (every label is homogeneous, so no degree has a basis)",
+        ]
+
+    def test_explicit_degree_reports_no_every_degree(self, capsys):
+        argv = ["search", SQUARES, "--factors", "x;x;y;y;x+y;x+y", "--degree", "6"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1 and "every_degree" not in json.loads(out)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and "every degree" not in out
+        assert len(out.splitlines()) == 3
+
+    def test_inhomogeneous_nonexistent_is_not_every_degree(self, capsys, tmp_path):
+        # x + 1 is outside (y + 1, x - 1), but a label that is not homogeneous
+        # leaves higher degrees open
+        path = write_triangle(tmp_path, "affine", "rat", ["x", "y"], ["x + 1", "y + 1", "x - 1"])
+        argv = ["search", path, "--factors", "x+1;y+1;x-1"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert (report["degree_bound"], report["every_degree"]) == (2, False)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[1] == ("NONEXISTENT(2): no flow-up class basis with entry "
+                                       "degrees <= 2")
+        assert out.splitlines()[-1] == ("  every degree: no (a label is not homogeneous, so a "
+                                        "higher degree may)")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_forced_degree_past_the_table_cap_is_undecidable(self, capsys, tmp_path, mode):
+        # D = 48 gives C(51, 3) = 20825 monomials per entry
+        path = write_triangle(tmp_path, "big", "rat", ["x", "y", "z"], ["x^24", "y^24", "z^24"])
+        code, out, err = run(capsys, "search", path, "--factors", "x^24;y^24;z^24", *mode)
+        assert (code, out) == (2, "")
+        assert err == ("error: UNDECIDABLE: the forced degree 48 gives more than 20000 "
+                       "monomials per entry in 3 variables\n")
+        # an explicit bound past the cap keeps its own message
+        code, out, err = run(capsys, "search", path, "--factors", "x^24;y^24;z^24",
+                             "--degree", "48", *mode)
+        assert (code, out) == (2, "")
+        assert err == "error: degree bound 48 gives more than 20000 monomials per entry in 3 variables\n"
+
     def test_reducible_factor(self, capsys, tmp_path):
         # the factor x*y covers the forced leading terms x and y together
         document = {
@@ -1084,4 +1148,4 @@ def test_bundled_demos(tmp_path):
         timeout=300,
     )
     assert (result.returncode, result.stderr) == (0, ""), result.stdout + result.stderr
-    assert "all 20 demos behaved as expected" in result.stdout
+    assert "all 22 demos behaved as expected" in result.stdout

@@ -11,7 +11,9 @@ implies another:
 - if ``check-basis`` says yes on C, it says yes on C*U for a unimodular
   integer U, and on C with its rows and the vertex order permuted together;
 - if ``check-basis`` says yes on C, then ``probe --q d`` says no for every d
-  that does not divide det C, since det C is one of the determinants.
+  that does not divide det C, since det C is one of the determinants;
+- if ``search`` without ``--degree`` says NONEXISTENT at every degree, it
+  says NONEXISTENT at every explicit bound from its forced degree on.
 
 The bases checked are the ``flowup`` basis over ZZ, and over the polynomial
 rings the tree basis: on a tree with pairwise coprime labels, the spline
@@ -261,3 +263,35 @@ def test_a_flow_up_basis_on_a_triangle_makes_obstruct_say_no(tmp_path):
             assert (code, report["verdict"]) == (1, "no"), labels
             decided += 1
     assert found >= 30 and decided >= 20, (found, decided)
+
+
+def homogeneous_cycles(tmp_path, seed, count):
+    """(path, labels) of seeded 3- and 4-cycles over QQ[x,y] whose labels are
+    products of one or two of the pairwise non-proportional forms y and
+    x + k*y, each form used once, so the labels are pairwise coprime."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.choice([3, 4])
+        pool = ["y"] + [_signs(f"x + {j}*y") for j in range(-4, 5)]
+        rng.shuffle(pool)
+        labels = ["*".join(f"({pool.pop()})" for _ in range(rng.randint(1, 2))) for _ in range(n)]
+        edges = [(i, (i + 1) % n, label) for i, label in enumerate(labels)]
+        yield _write(tmp_path, f"homogeneous-{k}", "qxy", n, edges), labels
+
+
+def test_nonexistent_at_every_degree_holds_at_every_bound_from_the_forced_degree(tmp_path):
+    cases = [(GRAPHS_DIR / "squares.json", ["x", "x", "y", "y", "x + y", "x + y"])]
+    cases += homogeneous_cycles(tmp_path, "consistency-every-degree", 24)
+    checked = 0
+    for path, factors in cases:
+        factors = ";".join(factors)
+        code, report = cli_json("search", path, "--factors", factors)
+        if report["verdict"] == "yes":
+            continue
+        assert (code, report["every_degree"]) == (1, True), path.name
+        for degree in range(report["degree_bound"], report["degree_bound"] + 3):
+            code, bounded = cli_json("search", path, "--factors", factors, "--degree", degree)
+            assert (code, bounded["verdict"]) == (1, "no"), (path.name, degree)
+            assert "every_degree" not in bounded
+        checked += 1
+    assert checked >= 6, checked

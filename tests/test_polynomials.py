@@ -1113,6 +1113,20 @@ def _reduced_form(p):
 
 
 class TestPackedStorage:
+    @settings(max_examples=200, deadline=None)
+    @given(polynomials(max_degree=4))
+    def test_is_homogeneous_matches_the_terms(self, p):
+        assert p.is_homogeneous() == (len({sum(e) for e in p.terms}) <= 1)
+
+    @pytest.mark.parametrize("text, homogeneous", [
+        ("0", True), ("3", True), ("x^2 - 3*x*y", True), ("x^2 - y", False),
+        ("x^40000*y + y^40001", True), ("x^40000*y + y^40000", False),
+        ("(x + y)^3 - x^3", True), ("(x + y + 1)^2 - 2*x - 2*y - 1", True),
+    ])
+    def test_is_homogeneous(self, text, homogeneous):
+        # the last one is x^2 + 2*x*y + y^2 once its lower-degree terms cancel
+        assert poly(text).is_homogeneous() is homogeneous
+
     @pytest.mark.parametrize("a, b", BOUNDARY_CASES)
     def test_products_across_field_boundaries(self, a, b):
         expected = oracles.schoolbook_multiply(a, b)

@@ -372,3 +372,29 @@ def test_same_outputs_obstruct_calls(tmp_path):
     assert all(("columns" in report) == (report["verdict"] == "no") for report in reports)
     assert results[-1][2].startswith("error: UNDECIDABLE: ")
     assert same_outputs.compare(ROOT, ROOT, calls) == []
+
+
+def test_same_outputs_forced_degree_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.forced_degree_calls(GRAPHS_DIR, tmp_path)
+    assert len(calls) == 28
+    results = same_outputs.run_calls(ROOT, same_outputs.both_modes(calls))
+    reports = [json.loads(out) for _, out, _ in results[::2]]
+    # each search without --degree, then the same search at the forced degree
+    verdicts = []
+    for forced, bounded in zip(reports[::2], reports[1::2]):
+        assert bounded["degree_bound"] == forced["degree_bound"]
+        assert "every_degree" not in bounded
+        if forced["verdict"] == "no":  # homogeneous labels: NONEXISTENT at every degree
+            assert forced.pop("every_degree") is True
+        assert forced == bounded
+        verdicts.append(forced["verdict"])
+    assert verdicts[:2] == ["yes", "no"]  # xy.json, squares.json
+    assert 3 <= verdicts.count("yes") and 3 <= verdicts.count("no"), verdicts
+    assert [code for code, _, _ in results] == [
+        0 if verdict == "yes" else 1 for verdict in verdicts for _ in range(4)]
+    # text mode: the forced search prints the bounded report, plus the line of a "no"
+    for (_, forced, _), (_, bounded, _), verdict in zip(results[1::4], results[3::4], verdicts):
+        extra = ["  every degree: yes (every label is homogeneous, so no degree has a basis)"]
+        assert forced.splitlines() == bounded.splitlines() + (extra if verdict == "no" else [])
+    assert same_outputs.compare(ROOT, ROOT, same_outputs.both_modes(calls)) == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from graphsplines import (
+    GraphError,
     LabeledGraph,
     PolynomialRing,
     RingMismatchError,
@@ -17,8 +19,9 @@ from graphsplines import (
     spline_determinant,
 )
 import graphsplines.search as search_module
+import oracles
 from graphsplines.graphs import Edge
-from graphsplines.polynomials import pack_exponents
+from graphsplines.polynomials import Polynomial, pack_exponents
 from graphsplines.search import monomials_up_to, solve_rational_system
 from conftest import GRAPHS_DIR, bundled_graph, source_env
 from oracles import (
@@ -242,6 +245,45 @@ class TestSearch:
         assert outcome.basis.columns == ((one, one, one), (zero, x, x), (zero, zero, y))
         assert outcome.leading_terms == (one, x, y)
         assert (outcome.assignments_total, outcome.systems_checked) == (3, 3)
+
+    def test_without_a_bound_the_search_runs_at_the_forced_degree(self, qxy):
+        x, y = qxy.variable("x"), qxy.variable("y")
+        squares = bundled_graph("squares")
+        factors = [x, x, y, y, x + y, x + y]
+        outcome = flow_up_search_bounded(squares, factors)
+        assert (outcome.found, outcome.degree_bound, outcome.every_degree) == (False, 4, True)
+        # an explicit bound covers every degree from the forced degree 4 on
+        assert [flow_up_search_bounded(squares, factors, bound).every_degree
+                for bound in (2, 3, 4, 6)] == [False, False, True, True]
+        found = flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y])
+        assert (found.found, found.degree_bound, found.every_degree) == (True, 2, False)
+        # x is outside (y, z): the class-1 spline (0, x, 0) would need y | x
+        ring = PolynomialRing("rat", ["x", "y", "z"])
+        labels = [ring.variable(v) for v in ("x", "y", "z")]
+        koszul = flow_up_search_bounded(LabeledGraph.cycle(ring, labels), labels)
+        assert (koszul.found, koszul.degree_bound, koszul.every_degree) == (False, 2, True)
+
+    def test_found_basis_reads_no_homogeneity(self, qxy, monkeypatch):
+        def no_reading(self):
+            raise AssertionError("homogeneity was read")
+
+        monkeypatch.setattr(Polynomial, "is_homogeneous", no_reading)
+        x, y = qxy.variable("x"), qxy.variable("y")
+        assert flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y]).found
+        assert flow_up_search_bounded(bundled_graph("xy"), [x, y, x + y], 3).found
+
+    def test_forced_degree_past_the_table_cap_is_undecidable(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a monomial table was built")
+
+        monkeypatch.setattr(search_module, "monomials_up_to", no_table)
+        ring = PolynomialRing("rat", ["x", "y", "z"])
+        labels = [ring.element_from_text(f"{v}^24") for v in ("x", "y", "z")]
+        with pytest.raises(GraphError) as raised:
+            flow_up_search_bounded(LabeledGraph.cycle(ring, labels), labels)
+        assert raised.value.code == "UNDECIDABLE"
+        assert str(raised.value) == ("UNDECIDABLE: the forced degree 48 gives more than 20000 "
+                                     "monomials per entry in 3 variables")
 
     def test_found_outcome_counts_every_leading_term_tuple(self, qxy):
         x, y = qxy.variable("x"), qxy.variable("y")
@@ -529,3 +571,84 @@ def test_solve_column_matches_column_system(monkeypatch):
                 assert solved == [system.rows]
                 outcomes["found" if entries else "infeasible"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+# 4-vertex shapes of the leading-entry-ideal gate: a 4-cycle, the 4-cycle with
+# the chord v1v3, and with the chord v2v4 (K4 less an edge in another vertex order)
+IDEAL_GATE_SHAPES = (
+    [(0, 1), (1, 2), (2, 3), (3, 0)],
+    [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+    [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)],
+)
+
+
+def _homogeneous_labels(rng, variables, count):
+    """Texts of ``count`` pairwise coprime labels, each a linear form (two in
+    three) or a product of two, with coefficients in -3..3 and no two forms
+    proportional."""
+    forms = set()
+    labels = []
+    for _ in range(count):
+        factors = []
+        for _ in range(rng.choice([1, 1, 2])):
+            while True:
+                coefficients = [rng.randint(-3, 3) for _ in variables]
+                g = math.gcd(*coefficients)
+                if not g:
+                    continue
+                lead = next(c for c in coefficients if c)
+                key = tuple(c // g * (1 if lead > 0 else -1) for c in coefficients)
+                if key not in forms:
+                    break
+            forms.add(key)
+            factors.append("(" + " + ".join(f"{c}*{v}" for c, v in zip(coefficients, variables)
+                                          if c).replace("+ -", "- ") + ")")
+        labels.append("*".join(factors))
+    return labels
+
+
+def _ideal_gate(variables, shapes, count, seed):
+    """(found, not found) counts of ``count`` seeded 4-vertex graphs of
+    ``shapes``, taken in turn, with homogeneous pairwise coprime labels, each
+    searched without a bound and checked against the leading-entry ideals of
+    ``oracles.leading_entry_ideals``: a flow-up basis exists iff L_i is in
+    I_i at every vertex i."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(variables)
+    ring = PolynomialRing("rat", variables)
+    rng = random.Random(seed)
+    answers = [0, 0]
+    for k in range(count):
+        pairs = shapes[k % len(shapes)]
+        texts = _homogeneous_labels(rng, variables, len(pairs))
+        labels = [sympy.sympify(text) for text in texts]
+        edges = [(u, v, label) for (u, v), label in zip(pairs, labels)]
+        leading = [sympy.prod([label for u, v, label in edges if max(u, v) == i])
+                   for i in range(4)]
+        ideals = oracles.leading_entry_ideals(variables, 4, edges)
+        member = all(sympy.groebner(ideal, *gens, order="grevlex", domain="QQ").contains(term)
+                     for ideal, term in zip(ideals[1:], leading[1:]))
+        graph = LabeledGraph(ring, ["v1", "v2", "v3", "v4"],
+                             [Edge(u, v, ring.element_from_text(text))
+                              for (u, v), text in zip(pairs, texts)])
+        outcome = flow_up_search_bounded(graph, graph.labels())
+        forced = max(sympy.Poly(term, *gens).total_degree() for term in leading)
+        assert (outcome.found, outcome.degree_bound) == (member, forced), texts
+        if not member:
+            assert outcome.every_degree, texts
+            for bound in (forced + 1, forced + 2):
+                assert not flow_up_search_bounded(graph, graph.labels(), bound).found, texts
+        answers[not member] += 1
+    return answers
+
+
+def test_search_without_a_bound_matches_the_leading_entry_ideals():
+    found, nonexistent = _ideal_gate(["x", "y"], IDEAL_GATE_SHAPES, 60, "ideal-gate-xy")
+    assert found >= 15 and nonexistent >= 15, (found, nonexistent)
+
+
+def test_search_without_a_bound_matches_the_leading_entry_ideals_in_three_variables():
+    # 4-cycles only: the oracle takes about four times as long with a chord
+    found, nonexistent = _ideal_gate(["x", "y", "z"], IDEAL_GATE_SHAPES[:1], 12,
+                                     "ideal-gate-xyz")
+    assert found + nonexistent == 12

@@ -80,3 +80,23 @@ def test_no_unused_imports_and_no_assert_in_the_package():
                         if isinstance(node, ast.Assert)]
     assert unused == []
     assert asserts == []
+
+
+def attribute_reads(tree, name: str) -> list[int]:
+    """Line numbers of the expressions of ``tree`` that read the attribute ``name``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_no_package_module_reads_terms():
+    # Polynomial.terms unpacks every term and builds every Fraction; the
+    # package reads the packed numerators instead
+    package = ROOT / "src" / "graphsplines"
+    reads = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in attribute_reads(ast.parse(path.read_text(), filename=str(path)), "terms")]
+    assert reads == []
+
+
+def test_an_attribute_read_is_found():
+    tree = ast.parse("def terms(p):\n    return p.terms, q.other\n")
+    assert attribute_reads(tree, "terms") == [2]
