@@ -330,8 +330,9 @@ def c3_flowup_obstruction(ring, a, b, c, in_ideal_bc) -> bool:
     b and c. So if ``in_ideal_bc`` rejects a, no flow-up class basis exists
     and the cycle is obstructed.
 
-    The CLI no longer calls it: a predicate that never reads b or c cannot
-    decide that membership, and ``obstruct`` decides it from the labels.
+    The package no longer calls it: a predicate that never reads b or c
+    cannot decide that membership. ``search.triangle_flow_up_basis`` decides
+    it from the labels, and ``obstruct`` reports that decision.
     """
     labels = (ring.check(a), ring.check(b), ring.check(c))
     for label in labels:

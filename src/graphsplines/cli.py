@@ -6,15 +6,18 @@ verdicts, and 2 on errors, a standard output closed by its reader included.
 Reports are human-readable by default and machine-readable with --json; both
 carry identical verdicts.
 
-``obstruct`` decides whether a 3-cycle with pairwise coprime labels a
-(v1~v2), b (v2~v3) and c (v3~v1) has no flow-up class basis, that is whether
-a lies outside the ideal (b, c), and prints a found basis as the certificate
-of "no". Over QQ[vars] it runs ``search`` without a degree bound, that is at
-the forced degree D = max(deg a, deg b + deg c), which decides the question
-when every label is homogeneous. Over ZZ[x] with b or c of leading
-coefficient 1 or -1 it decides membership in ZZ[x]/(that label), a lattice,
-with one Hermite normal form. Every other triangle exits 2 with the
-GraphError code UNDECIDABLE.
+Each subcommand is one library call plus printing. ``main`` loads the
+graph, calls the subcommand's handler with it, and frames what the handler
+returns: its report fields (a "verdict" of "yes", "no" or "UNDECIDED"
+among them) and its text lines. ``main`` puts the "command" key first in
+the report and the ``graph:`` line first in the text, and exits 1 exactly
+when the verdict is "no".
+
+``obstruct`` reports ``search.triangle_flow_up_basis``: whether a 3-cycle
+with pairwise coprime labels a (v1~v2), b (v2~v3) and c (v3~v1) has no
+flow-up class basis, that is whether a lies outside the ideal (b, c), with a
+found basis as the certificate of "no". A triangle that the library leaves
+undecided exits 2 with the GraphError code UNDECIDABLE.
 
 ``search`` without ``--degree`` runs at the forced degree D = max_i deg L_i;
 a NONEXISTENT report then says whether it holds at every degree, which it
@@ -42,21 +45,15 @@ from .basis import (
     compute_q,
     divides_all_dets_probe,
 )
-from .errors import GraphError, ParseError, SplineAlgebraError
+from .errors import ParseError, SplineAlgebraError
 from .graphs import LabeledGraph, load_graph
-from .lattice import hermite_normal_form, integer_flow_up_basis
-from .polynomials import RAT, Polynomial, number_text, pack_exponents, packed_numerators
-from .search import flow_up_search_bounded
+from .lattice import integer_flow_up_basis
+from .polynomials import number_text
+from .search import flow_up_search_bounded, triangle_flow_up_basis
 from .splines import flow_up_witness, is_spline
 
 DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 500
-
-# obstruct over ZZ[x] leaves a triangle UNDECIDABLE when its monic label has a
-# larger degree d: the HNF of the (d+1)-square matrix of residues took 0.11 s
-# at d = 80, 3.5 s at d = 160 and more than two minutes at d = 320, with
-# Python 3.11 on a 2-core host.
-_MAX_LATTICE_DEGREE = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,17 +167,20 @@ def _parse_spline(graph: LabeledGraph, text: str, index: int, parsed: dict) -> t
     return tuple(entries)
 
 
-def _spline_text(graph: LabeledGraph, spline) -> str:
-    return "(" + ", ".join(graph.ring.to_text(entry) for entry in spline) + ")"
+def _column_lines(name: str, columns) -> list[str]:
+    """One line "  <name>k = (e1, e2, ...)" per column of entry texts, k from 1."""
+    return [f"  {name}{k} = ({', '.join(column)})" for k, column in enumerate(columns, start=1)]
 
 
-def _cmd_verify(args):
-    graph = _load(args)
+# Each handler takes the parsed arguments and the loaded graph, and returns
+# its report fields, "verdict" included, and its text lines; main frames both.
+
+def _cmd_verify(args, graph):
     candidate = _parse_spline(graph, args.spline, 1, {})
     check = is_spline(graph, candidate)
-    lines = [f"graph: {graph.describe()}"]
+    lines = []
     if not args.json:  # only the text report shows the candidate
-        lines.append(f"candidate: {_spline_text(graph, candidate)}")
+        lines.append(f"candidate: ({', '.join(map(graph.ring.to_text, candidate))})")
     lines.append(f"SPLINE: {'yes' if check.ok else 'no'}")
     violations = []
     for violation in check.violations:
@@ -193,67 +193,49 @@ def _cmd_verify(args):
                 "label": violation.label_text,
             }
         )
-    report = {
-        "command": "verify",
-        "verdict": "yes" if check.ok else "no",
-        "violations": violations,
-    }
-    return (0 if check.ok else 1), report, lines
+    return {"verdict": "yes" if check.ok else "no", "violations": violations}, lines
 
 
-def _cmd_flowup(args):
-    graph = _load(args)
+def _cmd_flowup(args, graph):
     ring = graph.ring
-    lines = [f"graph: {graph.describe()}"]
     if ring.kind == "int":
         basis = integer_flow_up_basis(graph)
-        report = {"command": "flowup", "verdict": "yes", **basis.to_document()}
+        report = {"verdict": "yes", **basis.to_document()}
         if args.json:  # the JSON report holds the numbers, not the text
-            return 0, report, lines
-        lines.append("flow-up class basis (columns):")
-        for k, column in enumerate(basis.columns):
-            lines.append(f"  B{k + 1} = {_spline_text(graph, column)}")
+            return report, []
+        lines = ["flow-up class basis (columns):"]
+        lines += _column_lines("B", (map(number_text, column) for column in basis.columns))
         # the tuple's repr, one-entry "(d,)" included, without str() on each int
         diagonal = ", ".join(map(number_text, basis.diagonal))
         lines.append(f"diagonal: ({diagonal}{',' if len(basis.diagonal) == 1 else ''})")
         lines.append(f"determinant: {number_text(basis.determinant)}")
-        return 0, report, lines
+        return report, lines
     # both reports print the same entry texts, so each is printed once
     witnesses = [[ring.to_text(ring.one)] * graph.n]
     witnesses += [
         [ring.to_text(entry) for entry in flow_up_witness(graph, index)]
         for index in range(1, graph.n)
     ]
-    lines.append("flow-up witness table (one representative per nonzero class):")
+    lines = ["flow-up witness table (one representative per nonzero class):"]
     lines.append(f"  class 0: ({', '.join(witnesses[0])}) (constant spline)")
     for index in range(1, graph.n):
         lines.append(f"  class {index}: ({', '.join(witnesses[index])})")
-    report = {"command": "flowup", "verdict": "yes", "witnesses": witnesses}
-    return 0, report, lines
+    return {"verdict": "yes", "witnesses": witnesses}, lines
 
 
-def _cmd_q(args):
-    graph = _load(args)
+def _cmd_q(args, graph):
     invariant = compute_q(graph)
     q_text = graph.ring.to_text(invariant.value)
-    lines = [f"graph: {graph.describe()}"]
-    lines.append(f"Q = {q_text} (provenance: {invariant.provenance.value})")
+    lines = [f"Q = {q_text} (provenance: {invariant.provenance.value})"]
     if invariant.provenance is Provenance.LCM_LOWER_BOUND:
         lines.append(
             "note: this Q only divides every n-subset determinant; "
             "basis checks against it are one-directional"
         )
-    report = {
-        "command": "q",
-        "verdict": "yes",
-        "q": q_text,
-        "provenance": invariant.provenance.value,
-    }
-    return 0, report, lines
+    return {"verdict": "yes", "q": q_text, "provenance": invariant.provenance.value}, lines
 
 
-def _cmd_check_basis(args):
-    graph = _load(args)
+def _cmd_check_basis(args, graph):
     parsed: dict = {}  # one parse per distinct entry text, for this call only
     columns = [
         _parse_spline(graph, text, index, parsed)
@@ -262,23 +244,16 @@ def _cmd_check_basis(args):
     matrix = SplineMatrix(graph, columns)
     invariant = compute_q(graph)
     verdict = check_basis(matrix, invariant)
-    if verdict.is_basis is True:
-        word, code = "yes", 0
-    elif verdict.is_basis is False:
-        word, code = "no", 1
-    else:
-        word, code = "UNDECIDED", 0
+    word = {True: "yes", False: "no"}.get(verdict.is_basis, "UNDECIDED")
     ring = graph.ring
     determinant, q_text = ring.to_text(verdict.determinant), ring.to_text(invariant.value)
     unit = ring.to_text(verdict.unit_factor) if verdict.is_basis else None
-    lines = [f"graph: {graph.describe()}"]
-    lines.append(f"determinant: {determinant}")
+    lines = [f"determinant: {determinant}"]
     lines.append(f"Q = {q_text} ({invariant.provenance.value})")
     lines.append(f"BASIS: {word}" + (f" (unit {unit})" if verdict.is_basis else ""))
     if verdict.is_basis is not True:
         lines.append(f"  reason: {verdict.reason}")
     report = {
-        "command": "check-basis",
         "verdict": word,
         "determinant": determinant,
         "q": q_text,
@@ -286,44 +261,36 @@ def _cmd_check_basis(args):
         "unit": unit,
         "reason": verdict.reason,
     }
-    return code, report, lines
+    return report, lines
 
 
-def _cmd_search(args):
-    graph = _load(args)
+def _cmd_search(args, graph):
     ring = graph.ring
     factors = [
         _parse_element(ring, piece.strip(), f"--factors, factor {k}")
         for k, piece in enumerate(args.factors.split(";"), start=1)
     ]
     outcome = flow_up_search_bounded(graph, factors, args.degree)
-    lines = [f"graph: {graph.describe()}"]
     if outcome.found:
         # both reports print the same entry texts, so each is printed once
         document = outcome.basis.to_document()
-        lines.append("flow-up class basis found:")
-        for k, column in enumerate(document["columns"]):
-            lines.append(f"  B{k + 1} = ({', '.join(column)})")
         determinant = ring.to_text(outcome.determinant)
-        lines.append(f"determinant: {determinant}")
+        lines = ["flow-up class basis found:", *_column_lines("B", document["columns"]),
+                 f"determinant: {determinant}"]
         report = {
-            "command": "search",
             "verdict": "yes",
             "degree_bound": outcome.degree_bound,
             "determinant": determinant,
             **document,
         }
-        return 0, report, lines
-    lines.append(
+        return report, lines
+    lines = [
         f"NONEXISTENT({outcome.degree_bound}): no flow-up class basis with entry "
-        f"degrees <= {outcome.degree_bound}"
-    )
-    lines.append(
+        f"degrees <= {outcome.degree_bound}",
         f"  covered {outcome.assignments_total} factor assignments "
-        f"({outcome.systems_checked} distinct leading-term systems, all infeasible)"
-    )
+        f"({outcome.systems_checked} distinct leading-term systems, all infeasible)",
+    ]
     report = {
-        "command": "search",
         "verdict": "no",
         "degree_bound": outcome.degree_bound,
         "assignments_total": outcome.assignments_total,
@@ -334,143 +301,39 @@ def _cmd_search(args):
         lines.append("  every degree: yes (every label is homogeneous, so no degree has a basis)"
                      if outcome.every_degree else
                      "  every degree: no (a label is not homogeneous, so a higher degree may)")
-    return 1, report, lines
+    return report, lines
 
 
-def _triangle_labels(graph: LabeledGraph):
-    """Labels of a 3-cycle in role order: (v1~v2, v2~v3, v3~v1)."""
-    if graph.n != 3 or len(graph.edges) != 3:
-        raise ValueError("the obstruction test needs a 3-cycle graph")
-    roles = {}
-    for edge in graph.edges:
-        key = frozenset((edge.u, edge.v))
-        if key in roles:
-            raise ValueError("the obstruction test needs three distinct edges")
-        roles[key] = edge.label
-    try:
-        return (
-            roles[frozenset((0, 1))],
-            roles[frozenset((1, 2))],
-            roles[frozenset((2, 0))],
-        )
-    except KeyError:
-        raise ValueError("the obstruction test needs a 3-cycle graph") from None
-
-
-def _residues(p: Polynomial, m: Polynomial) -> list[int]:
-    """Coefficients of x^0, ..., x^(d-1) in p mod m, for p and m in ZZ[x] and
-    m of degree d with leading coefficient 1 or -1."""
-    d = m.total_degree()
-    size = max(p.total_degree(), d) + 1
-    keys = [pack_exponents((e,), size) for e in range(size)]  # x^e in the packed maps
-    numerators = packed_numerators(p, size)[0]
-    rest = [numerators.get(key, 0) for key in keys]
-    numerators = packed_numerators(m, size)[0]
-    divisor = [(e, numerators[key]) for e, key in enumerate(keys) if key in numerators]
-    lead = m.leading_coefficient()  # its own inverse
-    for k in range(size - 1, d - 1, -1):
-        quotient = rest[k] * lead
-        if quotient:
-            for e, coefficient in divisor:
-                rest[k - d + e] -= quotient * coefficient
-    return rest[:d]
-
-
-def _zz_lattice_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
-    """The columns (1,1,1), (0, a, y*c), (0, 0, b*c) when a is in (b, c) over
-    ZZ[x], or None when it is not.
-
-    One of b and c, m of degree d, must have leading coefficient 1 or -1:
-    then ZZ[x]/(m) is ZZ^d, and a is in (b, c) iff a mod m is in the
-    ZZ-span of x^i * (the other label) mod m for i < d. Those spans are the
-    columns of M, with a mod m last and the row (0, ..., 0, 1) below; the
-    column HNF H = M*U has the column e_d exactly when a mod m is a member,
-    and then U's column over it gives the coefficients. Labels that are not
-    pairwise coprime raise ``ValueError``; any other ring or pair of labels,
-    or d above _MAX_LATTICE_DEGREE, raises ``GraphError`` with code
-    UNDECIDABLE.
-    """
-    ring = graph.ring
-    invariant = compute_q(graph)
-    if invariant.provenance is not Provenance.COPRIME_PRODUCT:
-        raise ValueError("the obstruction test needs pairwise coprime labels")
-    a, b, c = labels
-    monic = [(m, other) for m, other in ((b, c), (c, b)) if m.leading_coefficient() in (1, -1)]
-    if len(ring.variables) != 1 or not monic:
-        raise GraphError("UNDECIDABLE", "over integer coefficients only ZZ[x] with b or c of "
-                         "leading coefficient 1 or -1 is decided")
-    m, other = min(monic, key=lambda pair: pair[0].total_degree())
-    d = m.total_degree()
-    if d > _MAX_LATTICE_DEGREE:
-        raise GraphError("UNDECIDABLE", f"the monic label has degree {d}, above "
-                         f"{_MAX_LATTICE_DEGREE}")
-    x = ring.variable(ring.variables[0])
-    spans = [_residues(other * x ** i, m) for i in range(d)] + [_residues(a, m)]
-    unit_column = [0] * d + [1]
-    hnf, transform = hermite_normal_form(list(zip(*spans)) + [unit_column])
-    member = next((j for j in range(d + 1) if [row[j] for row in hnf] == unit_column), None)
-    if member is None:
-        return None
-    # a = s*other + t*m; the column's third entry is y*c, divisible by c, with b | a - y*c
-    s = Polynomial(ring.variables, ring.coeff_kind,
-                   {(i,): -transform[i][member] for i in range(d)})
-    third = a - s * b if m is c else s * c
-    matrix = SplineMatrix(graph, [(ring.one,) * 3, (ring.zero, a, third),
-                                  (ring.zero, ring.zero, b * c)])
-    if not check_basis(matrix, invariant).is_basis:
-        raise AssertionError("the sufficiency columns must pass the determinant criterion")
-    return matrix
-
-
-def _cmd_obstruct(args):
-    graph = _load(args)
-    ring = graph.ring
-    if ring.kind != "poly":
-        raise ValueError("the obstruction test is for polynomial rings")
-    labels = _triangle_labels(graph)
-    if ring.coeff_kind == RAT:
-        # at the forced degree; a NONEXISTENT that holds at every degree is "yes"
-        outcome = flow_up_search_bounded(graph, [label for label in labels
-                                                 if not ring.is_unit(label)])
-        if not (outcome.found or outcome.every_degree):
-            raise GraphError("UNDECIDABLE", f"NONEXISTENT({outcome.degree_bound}) rules out "
-                             "no higher degree when a label is not homogeneous")
-        method, basis = "graded-search", outcome.basis
-    else:
-        method, basis = "zz-lattice", _zz_lattice_basis(graph, labels)
-    a, b, c = (ring.to_text(label) for label in labels)
-    lines = [f"graph: {graph.describe()}"]
-    lines.append(f"labels in role order: a={a}, b={b}, c={c}; ideal test: {method}")
-    report = {"command": "obstruct", "verdict": "yes", "ideal_test": method}
+def _cmd_obstruct(args, graph):
+    labels, method, basis = triangle_flow_up_basis(graph)
+    a, b, c = map(graph.ring.to_text, labels)
+    lines = [f"labels in role order: a={a}, b={b}, c={c}; ideal test: {method}"]
     if basis is None:
         lines.append(
             "OBSTRUCTED: yes (a is outside the ideal generated by b and c; "
             "no flow-up class basis exists)"
         )
-        return 0, report, lines
+        return {"verdict": "yes", "ideal_test": method}, lines
     columns = basis.to_document()["columns"]
     lines.append("OBSTRUCTED: no (a is in the ideal generated by b and c)")
     lines.append("flow-up class basis:")
-    lines += [f"  B{k} = ({', '.join(column)})" for k, column in enumerate(columns, start=1)]
-    report.update(verdict="no", columns=columns)
-    return 1, report, lines
+    lines += _column_lines("B", columns)
+    return {"verdict": "no", "ideal_test": method, "columns": columns}, lines
 
 
-def _cmd_probe(args):
-    graph = _load(args)
+def _cmd_probe(args, graph):
     ring = graph.ring
     q_value = None if args.q is None else _parse_element(ring, args.q, "--q")
     invariant = compute_q(graph)  # the one Q of this call: the default q and the verdict's
     q_value = invariant.value if q_value is None else q_value
     result = divides_all_dets_probe(graph, q_value, args.trials, args.seed, invariant)
     q_text = ring.to_text(q_value)
-    lines = [f"graph: {graph.describe()}"]
-    lines.append(f"q = {q_text}, trials = {args.trials}, seed = {args.seed}")
-    report = {"command": "probe", "q": q_text, "trials": args.trials, "seed": args.seed}
+    lines = [f"q = {q_text}, trials = {args.trials}, seed = {args.seed}"]
+    report = {"q": q_text, "trials": args.trials, "seed": args.seed}
     if result.ok:
         lines.append(f"PROBE: ok (q divides all {args.trials} sampled determinants)")
         report["verdict"] = "yes"
-        return 0, report, lines
+        return report, lines
     columns = [[ring.to_text(entry) for entry in column] for column in result.counterexample or ()]
     report.update(verdict="UNDECIDED" if result.ok is None else "no", counterexample=columns or None,
                   Q=ring.to_text(invariant.value), provenance=invariant.provenance.value)
@@ -480,10 +343,10 @@ def _cmd_probe(args):
                      "which only divides every determinant)")
     elif columns:
         lines.append("PROBE: counterexample found (q does not divide its determinant):")
-        lines += [f"  C{k} = ({', '.join(column)})" for k, column in enumerate(columns, start=1)]
+        lines += _column_lines("C", columns)
     else:
         lines.append(f"PROBE: no (q does not divide {bound}, the gcd of all determinants)")
-    return (0 if result.ok is None else 1), report, lines
+    return report, lines
 
 
 _HANDLERS = {
@@ -584,11 +447,15 @@ def main(argv=None) -> int:
         # argparse has printed usage (status 2) or help (status 0)
         return exc.code
     try:
-        code, report, lines = _HANDLERS[args.command](args)
+        graph = _load(args)
+        fields, lines = _HANDLERS[args.command](args, graph)
     except (SplineAlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _json_text(report) if args.json else "\n".join(lines)
+    if args.json:
+        text = _json_text({"command": args.command, **fields})
+    else:
+        text = "\n".join([f"graph: {graph.describe()}", *lines])
     try:
         print(text)
         sys.stdout.flush()
@@ -599,7 +466,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    return code
+    return 1 if fields["verdict"] == "no" else 0
 
 
 if __name__ == "__main__":

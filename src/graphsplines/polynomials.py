@@ -58,7 +58,7 @@ RAT = "rat"
 #
 # ``terms`` unpacks the whole map and builds every Fraction, so no code in
 # the package reads it (tests/test_source.py checks this); the linear
-# systems in search.py and the residues of cli.py read the packed numerators
+# systems and the triangle's residues in search.py read the packed numerators
 # through ``packed_numerators``. Only callers outside the package use
 # ``terms``.
 # ---------------------------------------------------------------------------

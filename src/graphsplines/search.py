@@ -1,4 +1,5 @@
-"""Bounded search for flow-up class bases over rational-coefficient polynomial rings.
+"""Bounded search for flow-up class bases over rational-coefficient polynomial rings,
+and the flow-up decision on a triangle.
 
 With pairwise coprime labels, a candidate set is a basis exactly when its
 determinant is a unit multiple of the label product Q. A flow-up basis is
@@ -26,6 +27,15 @@ endpoint. When every label is homogeneous, the spline module is graded: the
 part of degree deg L_i of a class-i column with leading term L_i is again
 such a column. So a flow-up basis exists iff one exists at D, and a
 NONEXISTENT outcome at a bound of at least D holds at every degree.
+
+``triangle_flow_up_basis`` decides the question on a 3-cycle with pairwise
+coprime labels a (v1~v2), b (v2~v3) and c (v3~v1), where a basis exists iff
+a lies in the ideal (b, c). Over QQ[vars] it is one search without a bound,
+decisive when every label is homogeneous. Over ZZ[x] with b or c of leading
+coefficient 1 or -1 it decides membership in ZZ[x]/(that label), a lattice,
+with one Hermite normal form. Two caps leave a triangle UNDECIDABLE: a
+forced degree past the table cap of the search, and a monic label of the
+lattice path past degree _MAX_LATTICE_DEGREE.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from fractions import Fraction
 from .basis import Provenance, SplineMatrix, check_basis, compute_q
 from .errors import GraphError, RingMismatchError
 from .graphs import LabeledGraph
+from .lattice import hermite_normal_form
 from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
 
 # A degree bound that gives more than this many monomials per entry is
@@ -48,6 +59,12 @@ from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
 # Python 3.11 on a 2-core host; twice the cap took a 4-cycle over QQ[x,y,z]
 # to 1.4 GiB.
 _MAX_TABLE_MONOMIALS = 20_000
+
+# triangle_flow_up_basis over ZZ[x] leaves a triangle UNDECIDABLE when its
+# monic label has a larger degree d: the HNF of the (d+1)-square matrix of
+# residues took 0.11 s at d = 80, 3.5 s at d = 160 and more than two minutes
+# at d = 320, with Python 3.11 on a 2-core host.
+_MAX_LATTICE_DEGREE = 100
 
 
 def solve_rational_system(rows):
@@ -238,7 +255,9 @@ def flow_up_search_bounded(
     outcome reports as its ``degree_bound``; if D gives more monomials per
     entry than the table cap, ``GraphError`` with code UNDECIDABLE is raised.
     An explicit bound past the cap, or below a label's degree, raises
-    ``ValueError``. A NONEXISTENT outcome sets ``every_degree`` when its bound
+    ``ValueError``. Labels that are not pairwise coprime, and factors that do
+    not multiply to the label product, raise ``ValueError`` before either
+    bound is checked. A NONEXISTENT outcome sets ``every_degree`` when its bound
     is at least D and every label is homogeneous (the module docstring gives
     the graded argument); homogeneity is read only on that path.
 
@@ -264,9 +283,6 @@ def flow_up_search_bounded(
         for i in range(graph.n)
     ]
     forced = max(term.total_degree() for term in leading)
-    if degree_bound is None and math.comb(forced + nvars, nvars) > _MAX_TABLE_MONOMIALS:
-        raise GraphError("UNDECIDABLE", f"the forced degree {forced} gives more than "
-                         f"{_MAX_TABLE_MONOMIALS} monomials per entry in {nvars} variables")
     q = compute_q(graph)
     if q.provenance is not Provenance.COPRIME_PRODUCT:
         raise ValueError("the bounded search requires pairwise coprime edge labels")
@@ -280,6 +296,9 @@ def flow_up_search_bounded(
     if unit is None or not ring.is_unit(unit):
         raise ValueError("factor product is not a unit multiple of the label product")
     if degree_bound is None:
+        if math.comb(forced + nvars, nvars) > _MAX_TABLE_MONOMIALS:
+            raise GraphError("UNDECIDABLE", f"the forced degree {forced} gives more than "
+                             f"{_MAX_TABLE_MONOMIALS} monomials per entry in {nvars} variables")
         degree_bound = forced
     else:
         max_label_degree = max(
@@ -327,3 +346,120 @@ def flow_up_search_bounded(
         raise AssertionError("solved assignment must pass the determinant criterion")
     return SearchOutcome(matrix, tuple(leading), degree_bound, assignments_total,
                          systems_checked, verdict.determinant)
+
+
+def _triangle_labels(graph: LabeledGraph):
+    """Labels of a 3-cycle in role order: (v1~v2, v2~v3, v3~v1)."""
+    if graph.n != 3 or len(graph.edges) != 3:
+        raise ValueError("the obstruction test needs a 3-cycle graph")
+    roles = {}
+    for edge in graph.edges:
+        key = frozenset((edge.u, edge.v))
+        if key in roles:
+            raise ValueError("the obstruction test needs three distinct edges")
+        roles[key] = edge.label
+    try:
+        return (
+            roles[frozenset((0, 1))],
+            roles[frozenset((1, 2))],
+            roles[frozenset((2, 0))],
+        )
+    except KeyError:
+        raise ValueError("the obstruction test needs a 3-cycle graph") from None
+
+
+def _residues(p: Polynomial, m: Polynomial) -> list[int]:
+    """Coefficients of x^0, ..., x^(d-1) in p mod m, for p and m in ZZ[x] and
+    m of degree d with leading coefficient 1 or -1."""
+    d = m.total_degree()
+    size = max(p.total_degree(), d) + 1
+    keys = [pack_exponents((e,), size) for e in range(size)]  # x^e in the packed maps
+    numerators = packed_numerators(p, size)[0]
+    rest = [numerators.get(key, 0) for key in keys]
+    numerators = packed_numerators(m, size)[0]
+    divisor = [(e, numerators[key]) for e, key in enumerate(keys) if key in numerators]
+    lead = m.leading_coefficient()  # its own inverse
+    for k in range(size - 1, d - 1, -1):
+        quotient = rest[k] * lead
+        if quotient:
+            for e, coefficient in divisor:
+                rest[k - d + e] -= quotient * coefficient
+    return rest[:d]
+
+
+def _zz_lattice_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
+    """The columns (1,1,1), (0, a, y*c), (0, 0, b*c) when a is in (b, c) over
+    ZZ[x], or None when it is not.
+
+    One of b and c, m of degree d, must have leading coefficient 1 or -1:
+    then ZZ[x]/(m) is ZZ^d, and a is in (b, c) iff a mod m is in the
+    ZZ-span of x^i * (the other label) mod m for i < d. Those spans are the
+    columns of M, with a mod m last and the row (0, ..., 0, 1) below; the
+    column HNF H = M*U has the column e_d exactly when a mod m is a member,
+    and then U's column over it gives the coefficients. Labels that are not
+    pairwise coprime raise ``ValueError``; any other ring or pair of labels,
+    or d above _MAX_LATTICE_DEGREE, raises ``GraphError`` with code
+    UNDECIDABLE.
+    """
+    ring = graph.ring
+    invariant = compute_q(graph)
+    if invariant.provenance is not Provenance.COPRIME_PRODUCT:
+        raise ValueError("the obstruction test needs pairwise coprime labels")
+    a, b, c = labels
+    monic = [(m, other) for m, other in ((b, c), (c, b)) if m.leading_coefficient() in (1, -1)]
+    if len(ring.variables) != 1 or not monic:
+        raise GraphError("UNDECIDABLE", "over integer coefficients only ZZ[x] with b or c of "
+                         "leading coefficient 1 or -1 is decided")
+    m, other = min(monic, key=lambda pair: pair[0].total_degree())
+    d = m.total_degree()
+    if d > _MAX_LATTICE_DEGREE:
+        raise GraphError("UNDECIDABLE", f"the monic label has degree {d}, above "
+                         f"{_MAX_LATTICE_DEGREE}")
+    x = ring.variable(ring.variables[0])
+    spans = [_residues(other * x ** i, m) for i in range(d)] + [_residues(a, m)]
+    unit_column = [0] * d + [1]
+    hnf, transform = hermite_normal_form(list(zip(*spans)) + [unit_column])
+    member = next((j for j in range(d + 1) if [row[j] for row in hnf] == unit_column), None)
+    if member is None:
+        return None
+    # a = s*other + t*m; the column's third entry is y*c, divisible by c, with b | a - y*c
+    s = Polynomial(ring.variables, ring.coeff_kind,
+                   {(i,): -transform[i][member] for i in range(d)})
+    third = a - s * b if m is c else s * c
+    matrix = SplineMatrix(graph, [(ring.one,) * 3, (ring.zero, a, third),
+                                  (ring.zero, ring.zero, b * c)])
+    if not check_basis(matrix, invariant).is_basis:
+        raise AssertionError("the sufficiency columns must pass the determinant criterion")
+    return matrix
+
+
+def triangle_flow_up_basis(graph: LabeledGraph) -> tuple[tuple, str, SplineMatrix | None]:
+    """Decide whether a 3-cycle over a polynomial ring has a flow-up class basis.
+
+    Returns the labels in role order, a (v1~v2), b (v2~v3) and c (v3~v1),
+    the name of the method that decided, and a flow-up class basis, or None
+    when none exists. With pairwise coprime labels a basis exists iff a lies
+    in the ideal (b, c) (``c3_flowup_obstruction`` gives the necessity; if
+    a = s*b + y*c, the columns (1,1,1), (0, a, y*c), (0, 0, b*c) have
+    determinant Q). Over QQ[vars] the method is "graded-search": one
+    ``flow_up_search_bounded`` call at the forced degree, whose NONEXISTENT
+    is an answer only when it holds at every degree. Over ZZ[x] it is
+    "zz-lattice": membership in ZZ[x]/(m) for a label m of b and c with
+    leading coefficient 1 or -1, decided by one Hermite normal form. A ring
+    that is not a polynomial ring, a graph that is not a 3-cycle, or labels
+    that are not pairwise coprime raise ``ValueError``; a case that neither
+    method decides raises ``GraphError`` with code UNDECIDABLE.
+    """
+    ring = graph.ring
+    if ring.kind != "poly":
+        raise ValueError("the obstruction test is for polynomial rings")
+    labels = _triangle_labels(graph)
+    if ring.coeff_kind == RAT:
+        # at the forced degree; a NONEXISTENT that holds at every degree is "yes"
+        outcome = flow_up_search_bounded(graph, [label for label in labels
+                                                 if not ring.is_unit(label)])
+        if not (outcome.found or outcome.every_degree):
+            raise GraphError("UNDECIDABLE", f"NONEXISTENT({outcome.degree_bound}) rules out "
+                             "no higher degree when a label is not homogeneous")
+        return labels, "graded-search", outcome.basis
+    return labels, "zz-lattice", _zz_lattice_basis(graph, labels)

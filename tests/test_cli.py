@@ -1,6 +1,8 @@
 import argparse
+import functools
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +17,7 @@ import graphsplines.search as search_module
 from graphsplines.cli import main
 from graphsplines.rings import IntegerRing, PolynomialRing
 from conftest import GRAPHS_DIR, ROOT, source_env
-from oracles import two_array_hermite_normal_form
+from oracles import leading_entry_ideals, two_array_hermite_normal_form
 
 FIG2 = str(GRAPHS_DIR / "fig2.json")
 FIG2_TEXT = str(GRAPHS_DIR / "fig2-text.json")
@@ -305,6 +307,16 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert err == "error: degree bound 48 gives more than 20000 monomials per entry in 3 variables\n"
 
+    @pytest.mark.parametrize("degree", [[], ["--degree", "49"]])
+    def test_shared_factor_is_reported_before_the_table_cap(self, capsys, tmp_path, degree):
+        # y divides x^24*y and y^24, and D = 48 is past the cap: with or
+        # without a bound, the labels' coprimality is checked first
+        path = write_triangle(tmp_path, "shared", "rat", ["x", "y", "z"],
+                              ["x^24*y", "y^24", "z^24"])
+        code, out, err = run(capsys, "search", path, "--factors", "x^24*y;y^24;z^24", *degree)
+        assert (code, out) == (2, "")
+        assert err == "error: the bounded search requires pairwise coprime edge labels\n"
+
     def test_reducible_factor(self, capsys, tmp_path):
         # the factor x*y covers the forced leading terms x and y together
         document = {
@@ -474,6 +486,14 @@ class TestObstruct:
         code, _, err = run(capsys, "obstruct", path)
         assert code == 2 and "pairwise coprime" in err
 
+    def test_shared_factor_is_reported_before_the_table_cap(self, capsys, tmp_path):
+        # D = 48 is past the cap, but the labels share the factor y
+        path = write_triangle(tmp_path, "shared", "rat", ["x", "y", "z"],
+                              ["x^24*y", "y^24", "z^24"])
+        code, out, err = run(capsys, "obstruct", path)
+        assert (code, out) == (2, "")
+        assert err == "error: the bounded search requires pairwise coprime edge labels\n"
+
     def test_non_triangle_rejected(self, capsys, tmp_path):
         document = {
             "ring": {"kind": "poly", "coefficients": "rat", "variables": ["x"]},
@@ -629,6 +649,106 @@ class TestObstructOracles:
             assert code == (1 if hnf_member(a, other, m) else 0), labels
             answers[code] += 1
         assert min(answers.values()) >= 10, answers
+
+
+MODULE_GATE_SHAPES = {
+    "triangle": [(0, 1), (1, 2), (2, 0)],
+    "path": [(0, 1), (1, 2), (2, 3)],
+    "4-cycle": [(0, 1), (1, 2), (2, 3), (3, 0)],
+    "4-cycle with a chord": [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+}
+
+
+def _linear_forms(rng, count):
+    """Texts of ``count`` affine linear forms over QQ[x,y], no two proportional."""
+    keys = set()
+    while len(keys) < count:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if a or b:
+            c = rng.randint(-2, 2)
+            g = math.gcd(a, b, c) * (1 if (a or b) > 0 else -1)
+            keys.add((a // g, b // g, c // g))
+    return [_signed([f"{a}*x", f"{b}*y", f"{c}"]) for a, b, c in sorted(keys)]
+
+
+def _integer_text(poly):
+    """A sympy Poly in x and y over QQ, times a rational unit with integer
+    coefficients, as label text: sympy prints x**2/2, which the label
+    grammar refuses."""
+    terms = poly.terms()
+    scale = math.lcm(*(c.q for _, c in terms))
+    return _signed([f"{c.p * (scale // c.q)}*x^{i}*y^{j}" for (i, j), c in terms])
+
+
+class TestQAndProbeAgainstTheModuleOracle:
+    """``q`` and ``probe`` on seeded QQ[x,y] graphs against d_i = gcd(I_i), with
+    I_i the ideal of entries at vertex i of splines vanishing before it, from
+    ``oracles.leading_entry_ideals``: the gcd of all n x n minors of the
+    spline module is prod d_i.
+
+    Pairwise coprime labels: Q is prod d_i up to a unit. Labels sharing a
+    factor: Q, the label lcm, divides prod d_i. For q in {Q, Q*label,
+    prod d_i}, a probe "yes" needs q | prod d_i, and a "no" needs q not to
+    divide it (a "no" with columns shows a determinant that q does not
+    divide, and prod d_i divides every determinant).
+    """
+
+    def test_q_and_probe_match_the_leading_entry_ideals(self, capsys, tmp_path):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols("x y")
+
+        def poly(text):
+            return sympy.Poly(sympy.sympify(text.replace("^", "**")), *gens, domain="QQ")
+
+        def divides(d, p):
+            return p.rem(d).is_zero
+
+        rng = random.Random("module-gate-qxy")
+        verdicts = {"yes": 0, "no": 0, "UNDECIDED": 0}
+        for k in range(48):
+            shape = MODULE_GATE_SHAPES[list(MODULE_GATE_SHAPES)[k % 4]]
+            n, shared = max(map(max, shape)) + 1, k % 8 >= 4
+            counts = [rng.choice([1, 1, 2]) for _ in shape]  # products of one or two forms
+            if shared:  # a pool too small for every label to get its own forms
+                pool = _linear_forms(rng, max(2, sum(counts) - 2))
+                labels = ["*".join(f"({form})" for form in rng.sample(pool, count))
+                          for count in counts]
+            else:
+                forms = iter(_linear_forms(rng, sum(counts)))
+                labels = ["*".join(f"({next(forms)})" for _ in range(count)) for count in counts]
+            names = [f"v{i + 1}" for i in range(n)]
+            path = tmp_path / f"g{k}.json"
+            path.write_text(json.dumps({
+                "ring": {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]},
+                "vertices": names,
+                "edges": [{"u": names[u], "v": names[v], "label": label}
+                          for (u, v), label in zip(shape, labels)],
+            }))
+            polys = [poly(label) for label in labels]
+            ideals = leading_entry_ideals(["x", "y"], n, [(u, v, p.as_expr())
+                                                          for (u, v), p in zip(shape, polys)])
+            product = math.prod((functools.reduce(sympy.Poly.gcd, (
+                sympy.Poly(g, *gens, domain="QQ") for g in ideal)) for ideal in ideals),
+                start=poly("1"))
+            code, out, _ = run(capsys, "q", str(path), "--json")
+            report = json.loads(out)
+            q = poly(report["q"])
+            coprime = all(p.gcd(r).is_ground for p, r in itertools.combinations(polys, 2))
+            assert coprime is not shared, labels
+            if coprime:
+                assert report["provenance"] == "coprime-product", labels
+                assert divides(q, product) and divides(product, q), (labels, product)
+            else:
+                assert report["provenance"] == "lcm-lower-bound", labels
+                assert divides(q, product), (labels, product)
+            for probe in (q, q * rng.choice(polys), product):
+                text = _integer_text(probe)
+                code, out, _ = run(capsys, "probe", str(path), "--q", text, "--json")
+                verdict = json.loads(out)["verdict"]
+                if verdict != "UNDECIDED":
+                    assert (verdict == "yes") == divides(probe, product), (labels, text, verdict)
+                verdicts[verdict] += 1
+        assert verdicts["yes"] >= 48 and verdicts["no"] >= 24, verdicts
 
 
 class TestProbe:

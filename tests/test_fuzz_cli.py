@@ -1,5 +1,8 @@
 """Fuzz the CLI boundary: malformed documents and arguments end in exit 0, 1 or 2.
 
+An exit 2 prints nothing to standard output, and a JSON report's "verdict"
+is "yes", "no" or "UNDECIDED", with exit 1 exactly when it is "no".
+
 Sizes stay small so that no generated call runs long: label texts have at
 most five tokens (so no power of a sum), degree bounds, when given, stay
 below 5 (without one, search runs at its forced degree) and probes run a
@@ -167,3 +170,10 @@ def test_cli_exits_with_a_status(text, argv):
             code = main([path if arg == "{}" else arg for arg in argv])
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", err.getvalue()
+    elif "--json" in argv:
+        # the exit status follows the verdict alone
+        verdict = json.loads(out.getvalue())["verdict"]
+        assert verdict in ("yes", "no", "UNDECIDED")
+        assert code == (verdict == "no")

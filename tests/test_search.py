@@ -17,6 +17,7 @@ from graphsplines import (
     compute_q,
     flow_up_search_bounded,
     spline_determinant,
+    triangle_flow_up_basis,
 )
 import graphsplines.search as search_module
 import oracles
@@ -652,3 +653,50 @@ def test_search_without_a_bound_matches_the_leading_entry_ideals_in_three_variab
     found, nonexistent = _ideal_gate(["x", "y", "z"], IDEAL_GATE_SHAPES[:1], 12,
                                      "ideal-gate-xyz")
     assert found + nonexistent == 12
+
+
+class TestTriangleFlowUpBasis:
+    """The triangle decision as a library call, with no CLI."""
+
+    def test_xy_has_a_basis_by_the_graded_search(self):
+        graph = bundled_graph("xy")
+        labels, method, basis = triangle_flow_up_basis(graph)
+        assert labels == tuple(edge.label for edge in graph.edges)
+        assert method == "graded-search"
+        assert basis.to_document()["columns"] == [["1", "1", "1"], ["0", "x", "x + y"],
+                                                  ["0", "0", "x*y + y^2"]]
+
+    def test_squares_has_none(self):
+        _, method, basis = triangle_flow_up_basis(bundled_graph("squares"))
+        assert (method, basis) == ("graded-search", None)
+
+    def test_zx_obstruction_has_none_by_the_lattice(self):
+        _, method, basis = triangle_flow_up_basis(bundled_graph("zx-obstruction"))
+        assert (method, basis) == ("zz-lattice", None)
+
+    def test_integer_triangle_basis_passes_the_determinant_criterion(self):
+        # x + 3 = 1*3 + 1*x lies in (3, x) over ZZ[x]
+        ring = PolynomialRing("int", ["x"])
+        x = ring.variable("x")
+        graph = LabeledGraph.cycle(ring, [x + 3, ring.from_int(3), x])
+        labels, method, basis = triangle_flow_up_basis(graph)
+        assert (labels, method) == ((x + 3, ring.from_int(3), x), "zz-lattice")
+        assert check_basis(basis, compute_q(graph)).is_basis is True
+        assert basis.columns[0] == (ring.one,) * 3
+        assert [column[:k] for k, column in enumerate(basis.columns)] == [
+            (), (ring.zero,), (ring.zero, ring.zero)]
+
+    def test_other_rings_and_graphs_are_refused(self):
+        with pytest.raises(ValueError, match="polynomial rings"):
+            triangle_flow_up_basis(bundled_graph("fig2"))
+        qx = PolynomialRing("rat", ["x"])
+        x = qx.variable("x")
+        with pytest.raises(ValueError, match="3-cycle"):
+            triangle_flow_up_basis(LabeledGraph.path(qx, [x, x + 1]))
+
+    def test_no_monic_label_is_undecidable(self):
+        zx = PolynomialRing("int", ["x"])
+        x = zx.variable("x")
+        graph = LabeledGraph.cycle(zx, [x + 3, 2 * x, zx.from_int(3)])
+        with pytest.raises(GraphError, match="UNDECIDABLE"):
+            triangle_flow_up_basis(graph)

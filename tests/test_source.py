@@ -100,3 +100,53 @@ def test_no_package_module_reads_terms():
 def test_an_attribute_read_is_found():
     tree = ast.parse("def terms(p):\n    return p.terms, q.other\n")
     assert attribute_reads(tree, "terms") == [2]
+
+
+def imported_from(tree, module: str) -> list[str]:
+    """Names that the relative imports ``from .<module> import ...`` of ``tree`` bind."""
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+                  for alias in node.names)
+
+
+def framing(function) -> list[str]:
+    """What ``function`` does of the CLI's framing: a call of ``_load``, a
+    "command" key or a "graph:" line, and a return that is not the pair
+    (report fields, text lines), as an exit status would make it."""
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_load":
+            found.append(f"{node.lineno}: calls _load")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                node.value == "command" or node.value.startswith("graph:")):
+            found.append(f"{node.lineno}: writes {node.value!r}")
+        elif isinstance(node, ast.Return) and not (
+                isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2):
+            found.append(f"{node.lineno}: returns other than (fields, lines)")
+    return found
+
+
+def test_cli_handlers_are_library_calls_plus_printing():
+    # main loads the graph, writes the "command" key and the graph: line and
+    # picks the exit status; the algebra lives in the library
+    path = ROOT / "src" / "graphsplines" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert imported_from(tree, "polynomials") == ["number_text"]
+    assert imported_from(tree, "lattice") == ["integer_flow_up_basis"]
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == 7
+    assert [f"{handler.name}:{what}" for handler in handlers for what in framing(handler)] == []
+
+
+def test_framing_is_found():
+    source = '''
+def _cmd_old(args):
+    graph = _load(args)
+    lines = [f"graph: {graph.describe()}"]
+    return 0, {"command": "old", "verdict": "yes"}, lines
+'''
+    function = ast.parse(source).body[0]
+    assert sorted(framing(function)) == ["3: calls _load", "4: writes 'graph: '",
+                                         "5: returns other than (fields, lines)",
+                                         "5: writes 'command'"]
