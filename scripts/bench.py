@@ -11,11 +11,14 @@ named in the parent's ``BENCHMARK.json`` it writes each side's median and
 quartiles, the runs themselves and the number of pairs the change won
 (ties count for neither side) to ``BENCH_<label>.json``.
 
-Both sides run with the same bytecode state: with ``-B`` and
-``PYTHONDONTWRITEBYTECODE=1`` nothing is written, and ``PYTHONPYCACHEPREFIX``
-names an empty directory, so no ``__pycache__`` that a test run left in a
-checkout is read either. Every module is compiled from source on both
-sides, in the interpreters that ``run.py`` starts as well.
+Both sides run with the same bytecode state: each run is made in a fresh
+copy of its checkout without ``__pycache__`` (nor ``.git``), with ``-B`` and
+``PYTHONDONTWRITEBYTECODE=1``, so no bytecode that a test run left in a
+checkout is read and none is written. The checkout's own modules are
+compiled from source on both sides, in the interpreters that ``run.py``
+starts as well, while the standard library reads its installed bytecode:
+``PYTHONPYCACHEPREFIX`` is unset for the run, so it does not send the
+standard library to an empty cache either.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,13 +37,16 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object (last stdout line) of one benchmark run in ``checkout``,
-    which reads and writes no bytecode cache."""
+    """The result object (last stdout line) of one benchmark run of ``checkout``,
+    made in a copy of it without bytecode caches that writes none."""
     command = [sys.executable, "-B", "splinebench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
-    with tempfile.TemporaryDirectory() as empty:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": empty}
-        done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "checkout"
+        shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns("__pycache__", ".git"))
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
                               check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 

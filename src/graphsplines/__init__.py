@@ -1,4 +1,33 @@
-"""Exact computation with generalized spline modules on edge-labeled graphs."""
+"""Exact computation with generalized spline modules on edge-labeled graphs.
+
+``polynomials`` and ``search`` are lazy submodules: importing the package
+registers both in ``sys.modules`` without running them, and the first read
+of one of their attributes runs the module. The integer rings reach
+neither, so a call on an integer graph neither compiles nor holds them.
+The package's own names from the two modules are read from them when first
+asked for (``__getattr__``).
+"""
+
+import importlib.util
+import sys
+
+
+def _lazy_submodule(name: str):
+    """The submodule ``name``, registered in ``sys.modules`` and run at the
+    first read of one of its attributes (``importlib.util.LazyLoader``)."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# bound here before any submodule runs ``from . import polynomials``: that
+# reads the package attribute, and so does not run the module
+polynomials = _lazy_submodule("polynomials")
+search = _lazy_submodule("search")
 
 from .basis import (
     BasisVerdict,
@@ -27,23 +56,7 @@ from .lattice import (
     lattice_membership,
     spline_lattice_generators,
 )
-from .polynomials import (
-    INT,
-    RAT,
-    Polynomial,
-    exact_divide,
-    gcd_cofactors,
-    parse_polynomial,
-    poly_gcd,
-    poly_lcm,
-)
 from .rings import QQ, ZZ, IntegerRing, PolynomialRing, RationalRing, ring_from_document
-from .search import (
-    SearchOutcome,
-    flow_up_search_bounded,
-    monomials_up_to,
-    triangle_flow_up_basis,
-)
 from .splines import (
     EdgeViolation,
     SplineCheck,
@@ -55,6 +68,31 @@ from .splines import (
 )
 
 __version__ = "0.1.0"
+
+# the public names of the lazy submodules, each read from its module when asked for
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        ("INT", "RAT", "Polynomial", "exact_divide", "gcd_cofactors",
+         "parse_polynomial", "poly_gcd", "poly_lcm"),
+        polynomials,
+    ),
+    **dict.fromkeys(
+        ("SearchOutcome", "flow_up_search_bounded", "monomials_up_to",
+         "triangle_flow_up_basis"),
+        search,
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})
 
 __all__ = [
     "BasisVerdict",

@@ -33,9 +33,9 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import polynomials
 from .graphs import LabeledGraph
 from .lattice import HnfBasis, integer_flow_up_basis
-from .polynomials import Polynomial, integer_image_determinant
 from .rings import ZZ
 from .splines import flow_up_witness, is_spline
 
@@ -59,7 +59,7 @@ def exact_determinant(ring, rows):
     if _is_triangular(a):
         return math.prod((a[i][i] for i in range(1, n)), start=a[0][0])
     if ring.kind == "poly":
-        determinant = integer_image_determinant(a, _integer_bareiss)
+        determinant = polynomials.integer_image_determinant(a, _integer_bareiss)
         if determinant is not None:
             return determinant
     return _bareiss(ring, a)
@@ -311,12 +311,12 @@ def divides_all_dets_probe(
     return ProbeResult(None if undecided else False, None, trials, invariant)
 
 
-def even_constant_term(p: Polynomial) -> bool:
+def even_constant_term(p: polynomials.Polynomial) -> bool:
     """Membership test for the ideal generated by 2 and x in ZZ[x]."""
     return p.constant_term() % 2 == 0
 
 
-def zero_constant_term(p: Polynomial) -> bool:
+def zero_constant_term(p: polynomials.Polynomial) -> bool:
     """Membership test for the ideal generated by all variables over a field."""
     return p.constant_term() == 0
 

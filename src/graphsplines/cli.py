@@ -38,6 +38,7 @@ import json
 import os
 import sys
 
+from . import search
 from .basis import (
     Provenance,
     SplineMatrix,
@@ -48,8 +49,7 @@ from .basis import (
 from .errors import ParseError, SplineAlgebraError
 from .graphs import LabeledGraph, load_graph
 from .lattice import integer_flow_up_basis
-from .polynomials import number_text
-from .search import flow_up_search_bounded, triangle_flow_up_basis
+from .rings import number_text
 from .splines import flow_up_witness, is_spline
 
 DEFAULT_SEED = 12345
@@ -270,7 +270,7 @@ def _cmd_search(args, graph):
         _parse_element(ring, piece.strip(), f"--factors, factor {k}")
         for k, piece in enumerate(args.factors.split(";"), start=1)
     ]
-    outcome = flow_up_search_bounded(graph, factors, args.degree)
+    outcome = search.flow_up_search_bounded(graph, factors, args.degree)
     if outcome.found:
         # both reports print the same entry texts, so each is printed once
         document = outcome.basis.to_document()
@@ -305,7 +305,7 @@ def _cmd_search(args, graph):
 
 
 def _cmd_obstruct(args, graph):
-    labels, method, basis = triangle_flow_up_basis(graph)
+    labels, method, basis = search.triangle_flow_up_basis(graph)
     a, b, c = map(graph.ring.to_text, labels)
     lines = [f"labels in role order: a={a}, b={b}, c={c}; ideal test: {method}"]
     if basis is None:

@@ -12,6 +12,12 @@ multiplication and exact division work on these maps directly and build
 their results in packed form. The packed map is the only stored form: the
 public view ``terms``, a map from exponent tuples to ``int`` or ``Fraction``
 coefficients, is built from it anew on every read.
+
+The package loads this module lazily: it runs when a polynomial ring is
+built or a polynomial name is first read, never on an integer graph. The
+decimal text of numbers (``number_text``) and the reading of integer
+literals (``parse_int``) belong to the integer rings, in ``rings``; they are
+imported from there.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, RingMismatchError, excerpt
+from .rings import number_text, parse_int
 
 INT = "int"
 RAT = "rat"
@@ -583,41 +590,6 @@ def _power_too_large(base: Polynomial, exponent: int) -> str | None:
         math.comb(exponent + count - 1, count - 1),
     )
     return terms if bound > _MAX_POWER_TERMS else None
-
-
-def parse_int(digits: str, position: int = 0) -> int:
-    """``int(digits)``, with a literal too long for Python to convert as a ParseError.
-
-    Python refuses to convert more than ``sys.get_int_max_str_digits()``
-    digits (4300 by default); that limit is kept, not raised.
-    """
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"integer literal too long: {excerpt(digits)}", position) from None
-
-
-def number_text(value: int | Fraction) -> str:
-    """Decimal text of an int or Fraction, as ``str`` writes it, at any size.
-
-    ``str`` refuses ints of more than ``sys.get_int_max_str_digits()`` digits
-    (4300 by default); that limit is kept, not raised. A longer int is split
-    at a power of ten into a high and a zero-padded low half until every
-    piece is short enough for ``str``.
-    """
-    if not isinstance(value, int):
-        if value.denominator == 1:
-            return number_text(value.numerator)
-        return f"{number_text(value.numerator)}/{number_text(value.denominator)}"
-    try:
-        return str(value)
-    except ValueError:  # too many digits for str
-        pass
-    if value < 0:
-        return "-" + number_text(-value)
-    digits = value.bit_length() * 30103 // 200000  # about half its digits
-    high, low = divmod(value, 10 ** digits)
-    return number_text(high) + number_text(low).zfill(digits)
 
 
 # One token after optional whitespace: a literal, a name, an operator, or

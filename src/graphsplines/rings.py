@@ -14,6 +14,14 @@ numbers. Each subclass holds only what differs between rings: the element
 numerators' integer gcd returns), gcd, the unit test, canonical unit
 normalization and parsing; :class:`PolynomialRing` also its own ``_text``,
 document and equality. All operations are exact and pure.
+
+The integer and rational rings need nothing of ``polynomials``: the decimal
+printer ``number_text`` and the literal reader ``parse_int`` are defined
+here, and ``polynomials`` imports them. :class:`PolynomialRing` reads
+``polynomials`` through the module object when one of its methods runs, so
+that a call on an integer graph never runs that lazy module (see the
+package docstring); the names this module used to bind from it, such as
+``exact_divide``, are read from it when asked for.
 """
 
 from __future__ import annotations
@@ -22,20 +30,57 @@ import math
 import re
 from fractions import Fraction
 
+from . import polynomials
 from .errors import GraphError, ParseError, RingMismatchError, excerpt
-from .polynomials import (
-    INT,
-    RAT,
-    Polynomial,
-    exact_divide,
-    number_text,
-    parse_int,
-    parse_polynomial,
-    poly_gcd,
-    poly_lcm,
-)
 
 _RAT_LITERAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
+
+# the names of ``polynomials`` that this module used to bind, read from it
+# when asked for (``__getattr__``), so that reading them runs it only then
+_POLYNOMIAL_NAMES = frozenset(
+    ("INT", "RAT", "Polynomial", "exact_divide", "parse_polynomial", "poly_gcd", "poly_lcm")
+)
+
+
+def __getattr__(name: str):
+    if name in _POLYNOMIAL_NAMES:
+        return getattr(polynomials, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def parse_int(digits: str, position: int = 0) -> int:
+    """``int(digits)``, with a literal too long for Python to convert as a ParseError.
+
+    Python refuses to convert more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default); that limit is kept, not raised.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal too long: {excerpt(digits)}", position) from None
+
+
+def number_text(value: int | Fraction) -> str:
+    """Decimal text of an int or Fraction, as ``str`` writes it, at any size.
+
+    ``str`` refuses ints of more than ``sys.get_int_max_str_digits()`` digits
+    (4300 by default); that limit is kept, not raised. A longer int is split
+    at a power of ten into a high and a zero-padded low half until every
+    piece is short enough for ``str``.
+    """
+    if not isinstance(value, int):
+        if value.denominator == 1:
+            return number_text(value.numerator)
+        return f"{number_text(value.numerator)}/{number_text(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:  # too many digits for str
+        pass
+    if value < 0:
+        return "-" + number_text(-value)
+    digits = value.bit_length() * 30103 // 200000  # about half its digits
+    high, low = divmod(value, 10 ** digits)
+    return number_text(high) + number_text(low).zfill(digits)
 
 
 class Ring:
@@ -207,7 +252,7 @@ class PolynomialRing(Ring):
     kind = "poly"
 
     def __init__(self, coeff_kind: str, variables):
-        if coeff_kind not in (INT, RAT):
+        if coeff_kind not in (polynomials.INT, polynomials.RAT):
             raise ValueError(f"unknown coefficient kind {coeff_kind!r}")
         variables = tuple(variables)
         if not variables:
@@ -219,52 +264,52 @@ class PolynomialRing(Ring):
                 raise ValueError(f"bad variable name {name!r}")
         self.coeff_kind = coeff_kind
         self.variables = variables
-        self.zero = Polynomial.zero(variables, coeff_kind)
-        self.one = Polynomial.constant(1, variables, coeff_kind)
+        self.zero = polynomials.Polynomial.zero(variables, coeff_kind)
+        self.one = polynomials.Polynomial.constant(1, variables, coeff_kind)
 
     @property
     def description(self) -> str:
-        base = "ZZ" if self.coeff_kind == INT else "QQ"
+        base = "ZZ" if self.coeff_kind == polynomials.INT else "QQ"
         return f"{base}[{','.join(self.variables)}]"
 
     def check(self, a):
         if (
-            not isinstance(a, Polynomial)
+            not isinstance(a, polynomials.Polynomial)
             or a.variables != self.variables
             or a.coeff_kind != self.coeff_kind
         ):
             raise RingMismatchError(f"{a!r} is not an element of {self.description}")
         return a
 
-    def from_int(self, k: int) -> Polynomial:
-        return Polynomial.constant(int(k), self.variables, self.coeff_kind)
+    def from_int(self, k: int) -> polynomials.Polynomial:
+        return polynomials.Polynomial.constant(int(k), self.variables, self.coeff_kind)
 
-    def constant(self, value) -> Polynomial:
-        return Polynomial.constant(value, self.variables, self.coeff_kind)
+    def constant(self, value) -> polynomials.Polynomial:
+        return polynomials.Polynomial.constant(value, self.variables, self.coeff_kind)
 
-    def variable(self, name: str) -> Polynomial:
-        return Polynomial.variable(name, self.variables, self.coeff_kind)
+    def variable(self, name: str) -> polynomials.Polynomial:
+        return polynomials.Polynomial.variable(name, self.variables, self.coeff_kind)
 
     def is_unit(self, a) -> bool:
         return self.check(a).is_unit()
 
     def _exact_quotient(self, a, b):
-        return exact_divide(a, b)
+        return polynomials.exact_divide(a, b)
 
     def gcd(self, a, b):
-        return poly_gcd(self.check(a), self.check(b))
+        return polynomials.poly_gcd(self.check(a), self.check(b))
 
     def _lcm(self, a, b):
         """``poly_lcm``: the numerators of ``a`` times the cofactor that their
         integer gcd with ``b``'s comes with, normalized once, so no division
         is made here."""
-        return poly_lcm(a, b)
+        return polynomials.poly_lcm(a, b)
 
     def normalize(self, a):
         return self.check(a).normalized()
 
     def element_from_text(self, text: str):
-        return parse_polynomial(text, self.variables, self.coeff_kind)
+        return polynomials.parse_polynomial(text, self.variables, self.coeff_kind)
 
     def _text(self, a) -> str:
         return str(a)
@@ -306,7 +351,7 @@ def ring_from_document(document: dict) -> Ring:
     if kind == "poly":
         coefficients = document.get("coefficients")
         variables = document.get("variables")
-        if coefficients not in (INT, RAT):
+        if coefficients not in (polynomials.INT, polynomials.RAT):
             raise GraphError(
                 "BAD_RING", "polynomial ring needs 'coefficients': 'int' or 'rat'"
             )

@@ -891,6 +891,9 @@ def leading_entry_ideals(variables, n, edges):
     of the labels, which is how they are computed here: intersecting the
     whole module with that span gives the same ideals, in about three times
     the time. Their coordinates at vertex i generate I_i.
+
+    I_0 is the whole ring, generated by 1: the constant spline has entry 1
+    at vertex 0. Its syzygy module, the largest of them, is not built.
     """
     from sympy import QQ, symbols
 
@@ -899,8 +902,8 @@ def leading_entry_ideals(variables, n, edges):
     scaled = [[-label if j == k else 0 for j in range(len(edges))]
               for k, (_, _, label) in enumerate(edges)]
     module = ring.free_module(len(edges))
-    ideals = []
-    for i in range(n):
+    ideals = [[ring.to_sympy(ring.one)]]
+    for i in range(1, n):
         syzygies = module.submodule(*incidence[i:], *scaled).syzygy_module()
         ideals.append([ring.to_sympy(g[0]) for g in syzygies.gens if g[0]])
     return ideals

@@ -5,7 +5,9 @@ The traced run of ``splinebench/run.py`` fails when a function named in its
 work past a traced entry point would break it. These tests install the same
 tracer around a few calls of each workload, and around one ``probe`` and one
 ``check-basis`` call on a small QQ[x,y] graph; they change nothing under
-``splinebench/``.
+``splinebench/``. The tracer looks up every traced module in
+``sys.modules``, so one case installs it in a fresh interpreter that has
+made only integer calls, which run neither of the package's lazy modules.
 """
 
 import ast
@@ -13,6 +15,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 
 import pytest
@@ -20,7 +23,7 @@ import pytest
 import graphsplines.polynomials as polynomials
 import graphsplines.rings as rings
 from graphsplines.cli import main
-from conftest import GRAPHS_DIR, ROOT
+from conftest import GRAPHS_DIR, ROOT, source_env
 
 XY = str(GRAPHS_DIR / "xy.json")
 BENCH = ROOT / "splinebench"
@@ -107,3 +110,51 @@ def test_traced_cli_calls_reach_mul_and_exact_divide():
     assert polynomials.Polynomial.__dict__["__rmul__"] is mul
     assert polynomials.exact_divide is divide
     assert rings.exact_divide is divide
+
+
+INTEGER_CALLS_THEN_TRACER = """
+import contextlib, importlib.util, io, json, sys, types
+import graphsplines.cli as cli
+import graphsplines.lattice as lattice
+
+spec = importlib.util.spec_from_file_location("splinebench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+
+def call():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["flowup", sys.argv[2]])
+
+codes = [call()]
+lazy = [name for name in ("graphsplines.polynomials", "graphsplines.search")
+        if name in sys.modules and type(sys.modules[name]) is not types.ModuleType]
+original = lattice.spline_lattice_generators
+tracer = tracer_module.Tracer()
+tracer.install()
+try:
+    codes.append(call())
+finally:
+    tracer.restore()
+print(json.dumps({
+    "codes": codes,
+    "lazy": lazy,
+    "calls": {key: stats[0] for key, stats in tracer.stats.items()},
+    "restored": lattice.spline_lattice_generators is original,
+}))
+"""
+
+
+def test_tracer_installs_after_only_integer_calls():
+    env = {**source_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", INTEGER_CALLS_THEN_TRACER, str(BENCH / "tracer.py"),
+         str(GRAPHS_DIR / "fig2.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0, 0]
+    # the integer call left both lazy modules unrun, as a zz-lattice run does
+    assert report["lazy"] == ["graphsplines.polynomials", "graphsplines.search"]
+    assert [key for key in REQUIRED_CALLS["zz-lattice"] if not report["calls"][key]] == []
+    assert report["calls"]["graphs.load_graph"] == 1
+    assert report["restored"]

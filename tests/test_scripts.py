@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import GRAPHS_DIR, ROOT
 
@@ -53,22 +54,34 @@ def test_bench_spread_of_one_run():
 
 
 def test_bench_run_once_reads_and_writes_no_bytecode(monkeypatch, tmp_path):
-    # a checkout's __pycache__ left by a test run must not make its side start faster
+    # a checkout's __pycache__ left by a test run must not make its side start
+    # faster, and the standard library keeps reading its own bytecode
     bench = _script("bench")
+    checkout = tmp_path / "checkout"
+    for name in ("splinebench/run.py", "src/graphsplines/cli.py",
+                 "src/graphsplines/__pycache__/cli.cpython-311.pyc", ".git/HEAD"):
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text("")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     seen = {}
 
     def fake_run(command, cwd, env, **kwargs):
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        seen.update(command=command, cwd=cwd, env=env, prefix=prefix, listed=os.listdir(prefix))
+        files = sorted(str(path.relative_to(cwd)) for path in Path(cwd).rglob("*")
+                       if path.is_file())
+        seen.update(command=command, cwd=cwd, env=env, files=files)
         return subprocess.CompletedProcess(command, 0, "warm-up\n" + _result_line(0.02, 80.0), "")
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
-    result = bench.run_once(tmp_path, "poly-det", 11, 1.5)
+    result = bench.run_once(checkout, "poly-det", 11, 1.5)
     assert result["metrics"]["calls_per_s"]["value"] == 80.0
     assert seen["command"] == [sys.executable, "-B", "splinebench/run.py", "--workload",
                                "poly-det", "--seed", "11", "--seconds", "1.5"]
-    assert seen["cwd"] == tmp_path and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
-    assert seen["listed"] == [] and not os.path.exists(seen["prefix"])
+    # the run is made in a copy without the bytecode cache, removed afterwards
+    assert seen["files"] == ["splinebench/run.py", "src/graphsplines/cli.py"]
+    assert not Path(seen["cwd"]).exists()
+    assert (checkout / "src/graphsplines/__pycache__/cli.cpython-311.pyc").is_file()
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in seen["env"]
     assert seen["env"]["PATH"] == os.environ["PATH"]
 
 

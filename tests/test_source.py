@@ -32,12 +32,15 @@ def unused_imports(tree) -> list[str]:
 def unread_private_definitions(trees) -> list[str]:
     """Module-level private functions and classes of ``trees``, a map from
     a module's name to its syntax tree, that no other top-level statement
-    of any of them reads; a recursive call is not a read."""
+    of any of them reads; a recursive call is not a read. A dunder name,
+    such as a module's ``__getattr__``, is the interpreter's to call, and
+    is not private."""
     statements = [(where, statement) for where, tree in trees.items() for statement in tree.body]
     reads = [(statement, names_read(statement)) for _, statement in statements]
     return [f"{where}: {statement.name}" for where, statement in statements
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
             and statement.name.startswith("_")
+            and not (statement.name.startswith("__") and statement.name.endswith("__"))
             and not any(statement.name in names for other, names in reads if other is not statement)]
 
 
@@ -63,9 +66,15 @@ class _Kept:
 
 def public():
     return _used() + len([_Kept])
+
+def __getattr__(name):
+    raise AttributeError(name)
+
+def __dead_mangled(n):
+    return 0
 """
     trees = {"module.py": ast.parse(source)}
-    assert unread_private_definitions(trees) == ["module.py: _dead"]
+    assert unread_private_definitions(trees) == ["module.py: _dead", "module.py: __dead_mangled"]
 
 
 def test_no_unused_imports_and_no_assert_in_the_package():
@@ -109,6 +118,19 @@ def imported_from(tree, module: str) -> list[str]:
                   for alias in node.names)
 
 
+def test_only_search_imports_names_from_the_lazy_modules():
+    # polynomials and search run only when a call needs them (see the
+    # package docstring); every other module reaches them through the module
+    # object, which a name bound by ``from .polynomials import`` would defeat
+    package = ROOT / "src" / "graphsplines"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if imported_from(tree, "polynomials") or imported_from(tree, "search"):
+            importers.append(path.name)
+    assert importers == ["search.py"]
+
+
 def framing(function) -> list[str]:
     """What ``function`` does of the CLI's framing: a call of ``_load``, a
     "command" key or a "graph:" line, and a return that is not the pair
@@ -131,7 +153,8 @@ def test_cli_handlers_are_library_calls_plus_printing():
     # picks the exit status; the algebra lives in the library
     path = ROOT / "src" / "graphsplines" / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert imported_from(tree, "polynomials") == ["number_text"]
+    # the lazy modules are reached through their module objects, when called
+    assert imported_from(tree, "polynomials") == imported_from(tree, "search") == []
     assert imported_from(tree, "lattice") == ["integer_flow_up_basis"]
     handlers = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
