@@ -4,8 +4,8 @@
 registers both in ``sys.modules`` without running them, and the first read
 of one of their attributes runs the module. The integer rings reach
 neither, so a call on an integer graph neither compiles nor holds them.
-The package's own names from the two modules are read from them when first
-asked for (``__getattr__``).
+The names of ``__all__`` that import does not bind are read from the two
+modules when first asked for (``__getattr__``); any other name runs neither.
 """
 
 import importlib.util
@@ -69,30 +69,20 @@ from .splines import (
 
 __version__ = "0.1.0"
 
-# the public names of the lazy submodules, each read from its module when asked for
-_LAZY_NAMES = {
-    **dict.fromkeys(
-        ("INT", "RAT", "Polynomial", "exact_divide", "gcd_cofactors",
-         "parse_polynomial", "poly_gcd", "poly_lcm"),
-        polynomials,
-    ),
-    **dict.fromkeys(
-        ("SearchOutcome", "flow_up_search_bounded", "monomials_up_to",
-         "triangle_flow_up_basis"),
-        search,
-    ),
-}
-
 
 def __getattr__(name: str):
-    module = _LAZY_NAMES.get(name)
-    if module is None:
+    # a public name that import did not bind is defined in a lazy submodule
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+    try:
+        return getattr(polynomials, name)
+    except AttributeError:
+        return getattr(search, name)
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY_NAMES})
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "BasisVerdict",

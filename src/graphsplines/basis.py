@@ -7,7 +7,7 @@ label product plays the same role. Otherwise only the label lcm is
 available; it divides every n-subset determinant, which makes acceptance
 sound but rejection impossible, hence the UNDECIDED verdict.
 
-Every verdict needs one n x n determinant. A flow-up class basis, the
+``check_basis`` takes one n x n determinant. A flow-up class basis, the
 candidate the criterion is about, is triangular, and so is ``lcm * I``: in
 any ring the determinant of a triangular matrix is the product of its
 diagonal entries, and it is taken as that product. Any other matrix over

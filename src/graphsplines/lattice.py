@@ -135,8 +135,6 @@ def _impose_congruence(columns, u: int, v: int, label: int, moduli) -> None:
     pivot.
     """
     residues = [(column[u] - column[v]) % label for column in columns]
-    if not any(residues):
-        return
     n = len(columns)
     tail_gcd = label
     helper = [0] * n  # zero down to row j, residue tail_gcd

@@ -1322,8 +1322,6 @@ def _uni_prem(f: dict[int, Polynomial], g: dict[int, Polynomial]):
     """Pseudo-remainder of univariate polynomials with polynomial coefficients."""
     df, dg = _uni_degree(f), _uni_degree(g)
     remainder = dict(f)
-    if df < dg:
-        return remainder
     lc_g = g[dg]
     steps = df - dg + 1
     while remainder:

@@ -358,14 +358,8 @@ def _triangle_labels(graph: LabeledGraph):
         if key in roles:
             raise ValueError("the obstruction test needs three distinct edges")
         roles[key] = edge.label
-    try:
-        return (
-            roles[frozenset((0, 1))],
-            roles[frozenset((1, 2))],
-            roles[frozenset((2, 0))],
-        )
-    except KeyError:
-        raise ValueError("the obstruction test needs a 3-cycle graph") from None
+    # three distinct pairs of three vertices, none a self-loop: {0,1}, {1,2}, {2,0}
+    return roles[frozenset((0, 1))], roles[frozenset((1, 2))], roles[frozenset((2, 0))]
 
 
 def _residues(p: Polynomial, m: Polynomial) -> list[int]:

@@ -148,6 +148,12 @@ class TestDeterminant:
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert exact_determinant(ZZ, rows) == cofactor_determinant(rows)
 
+    @pytest.mark.parametrize("rows", [[], [[1, 2], [3]], [[1, 2]]],
+                             ids=["empty", "ragged", "not-square"])
+    def test_a_matrix_that_is_not_square_is_refused(self, rows):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            exact_determinant(ZZ, rows)
+
     def test_each_entry_is_checked_once(self, monkeypatch):
         # Bareiss divides by 1 or by a nonzero pivot built from checked
         # entries, so it checks nothing again

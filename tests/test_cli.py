@@ -973,6 +973,31 @@ class TestErrors:
         assert code == 2
         assert err == "error: --q, character 5: expected ')'\n"
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command,document,message", [
+        ("q", [], "BAD_DOCUMENT: graph document must be a JSON object"),
+        ("q", {"ring": {"kind": "int"}, "vertices": ["v1"], "edges": {}},
+         "BAD_DOCUMENT: 'edges' must be a list"),
+        ("q", {"ring": {"kind": "poly", "coefficients": "rat", "variables": ["x", "x"]},
+               "vertices": ["v1"], "edges": []},
+         "BAD_RING: duplicate variable name"),
+        ("q", {"ring": {"kind": "poly", "coefficients": "int", "variables": ["2x"]},
+               "vertices": ["v1"], "edges": []},
+         "BAD_RING: bad variable name '2x'"),
+        # v1~v2 twice, so no v3~v1 edge: a 3-vertex, 3-edge graph that is no 3-cycle
+        ("obstruct", {"ring": {"kind": "poly", "coefficients": "rat", "variables": ["x", "y"]},
+                      "vertices": ["v1", "v2", "v3"],
+                      "edges": [{"u": "v1", "v": "v2", "label": "x"},
+                                {"u": "v2", "v": "v1", "label": "y"},
+                                {"u": "v2", "v": "v3", "label": "x + 1"}]},
+         "the obstruction test needs three distinct edges"),
+    ], ids=["array", "edges-object", "repeated-variable", "bad-variable", "repeated-pair"])
+    def test_input_check_is_one_error_line(self, capsys, tmp_path, command, document,
+                                           message, mode):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(document))
+        assert run(capsys, command, str(path), *mode) == (2, "", f"error: {message}\n")
+
     def test_usage_error_is_returned(self, capsys):
         assert run(capsys, "search", XY)[0] == 2
         assert run(capsys, "no-such-command")[0] == 2

@@ -85,6 +85,23 @@ def test_every_public_name_resolves_to_its_home_definition():
     assert report == {"wrong": [], "undir": [], "star": [], "aliases": [True] * 5}
 
 
+UNKNOWN = """
+import importlib.util, json, sys
+import graphsplines
+
+dir(graphsplines)  # lists __all__ without reading a lazy name
+print(json.dumps({{
+    "has": hasattr(graphsplines, "no_such_name"),
+    "unrun": [type(sys.modules[name]) is importlib.util._LazyModule for name in {lazy!r}],
+}}))
+""".format(lazy=LAZY)
+
+
+def test_an_unknown_name_runs_neither_lazy_module():
+    report = json.loads(_child(UNKNOWN))
+    assert report == {"has": False, "unrun": [True, True]}
+
+
 def test_an_unknown_name_is_still_an_attribute_error():
     import graphsplines
     import graphsplines.rings as rings

@@ -1408,6 +1408,13 @@ class TestSplitJoin:
         assert joined == oracles.tuple_join_last(NAMES, univariate)
         assert str(joined) == "y*z^3 + 5"
 
+    @pytest.mark.parametrize("f,g", [("0", "x*z + y"), ("x*z + 3", "y*z^2 - x"),
+                                     ("x*y^4 + 2", "3*z - x"), ("y + 1", "x*z^3 - 1")])
+    def test_pseudo_remainder_of_a_lower_degree_is_the_dividend(self, f, g):
+        # the loop stops before its first step, so no power of lc(g) is applied
+        f, g = (module._split_last(parse_polynomial(t, NAMES, INT)) for t in (f, g))
+        assert module._uni_prem(f, g) == f
+
 
 # ---------------------------------------------------------------------------
 # One stored form: the packed map, with ``terms`` a fresh view of it

@@ -1,4 +1,9 @@
-"""The comparison scripts: bench.py's aggregation and same_outputs.py's check."""
+"""The comparison scripts: bench.py's aggregation and same_outputs.py's check.
+
+Each ``test_same_outputs_*`` family test runs its calls a second time and
+asserts the same results, the determinism that ``same_outputs.py`` relies
+on; ``test_same_outputs_of_the_tree_with_itself`` covers ``compare``.
+"""
 
 import importlib.util
 import json
@@ -121,7 +126,7 @@ def test_same_outputs_error_calls(tmp_path):
     assert any("--spline 1, entry 2, character 3: negative exponent" in e for e in errors)
     assert any("entry 2, character 3: unexpected character '\u00b2'" in e for e in errors)
     assert any("LABEL_PARSE" in e and "zero denominator" in e for e in errors)
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_probe_and_search_calls():
@@ -136,7 +141,7 @@ def test_same_outputs_probe_and_search_calls():
     assert all(json.loads(out)["verdict"] == "yes" for out in outputs[10:20:2])
     assert "PROBE: ok (q divides all 20 sampled determinants)" in outputs[13]
     assert "flow-up class basis found:" in outputs[21]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_default_probe_calls(tmp_path):
@@ -158,7 +163,7 @@ def test_same_outputs_default_probe_calls(tmp_path):
         if "--q" in argv:  # the flow-up basis over ZZ, Q alone for coprime labels
             assert (report["counterexample"] is None) == (report["provenance"] == "coprime-product")
     assert json.loads(results[2][1])["q"] == "100"  # fig2-text: 4 * 5 * 1, times 5
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_rational_search_calls(tmp_path):
@@ -174,7 +179,7 @@ def test_same_outputs_rational_search_calls(tmp_path):
     outputs = [out for _, out, _ in results]
     assert all(json.loads(out)["verdict"] == "yes" for out in outputs[0:8:2])
     assert "NONEXISTENT(3)" in outputs[11]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_kernel_calls(tmp_path):
@@ -193,7 +198,7 @@ def test_same_outputs_kernel_calls(tmp_path):
     assert report["verdict"] == "yes" and report["determinant"].startswith("y^62 + y^61")
     assert json.loads(outputs[14]) == report
     assert "BASIS: no" in outputs[13] and outputs[17] == outputs[13]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_triangular_calls(tmp_path):
@@ -212,7 +217,7 @@ def test_same_outputs_triangular_calls(tmp_path):
     assert reports[8]["determinant"] == reports[8]["q"] == "x^2*y + x*y^2"
     assert [reports[i]["determinant"] for i in (7, 11)] == ["0", "0"]
     assert reports[12]["determinant"] == "7/2"
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_search_shape_calls(tmp_path):
@@ -230,7 +235,7 @@ def test_same_outputs_search_shape_calls(tmp_path):
     assert reports[14]["columns"] == reports[12]["columns"] == [
         ["1", "1"], ["0", "x*y + 2*y^2 - x - 2*y"]]  # m2, no interior class
     assert "4096 distinct leading-term systems" in results[23][1]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_parser_calls():
@@ -247,7 +252,7 @@ def test_same_outputs_parser_calls():
     assert [report["determinant"] for report in reports] == [
         "x^2*y + x*y^2", "x^2*y + x*y^2", "x^40002*y + x^40001*y^2", "x^2*y + x*y^2",
         "x^40002*y + x^40001*y^2"]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_lattice_calls(tmp_path):
@@ -269,7 +274,7 @@ def test_same_outputs_lattice_calls(tmp_path):
         assert int(flipped["determinant"]) == int(flipped_q["q"]) == determinant
         assert flipped["columns"] != flowup["columns"]
     assert len(reports[16]["columns"]) == 12
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_coprime_calls(tmp_path):
@@ -299,7 +304,7 @@ def test_same_outputs_coprime_calls(tmp_path):
     assert [code for code, _, _ in results[::2]] == [
         {"yes": 0, "UNDECIDED": 0, "no": 1}[verdict] for verdict in expected
     ]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_gcd_calls(tmp_path):
@@ -315,7 +320,7 @@ def test_same_outputs_gcd_calls(tmp_path):
     # the lcm of the fallback cycle: (x^7000 + y)*(x + y)*(x - y)*(x*y + 1)
     assert reports[6]["q"] == ("x^7003*y - x^7001*y^3 + x^7002 - x^7000*y^2 + x^3*y^2"
                                " - x*y^4 + x^2*y - y^3")
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_document_calls(tmp_path):
@@ -337,7 +342,7 @@ def test_same_outputs_document_calls(tmp_path):
         "LABEL_PARSE"] * 2
     assert all(results[k][2] == results[k + 1][2] == results[k + 2][2] == results[k + 3][2]
                for k in range(0, len(results), 4))
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_entry_calls(tmp_path):
@@ -367,7 +372,7 @@ def test_same_outputs_entry_calls(tmp_path):
     # the text report of a K6 prints the same numbers as the JSON report
     assert results[41][1].count("B") == 6
     assert str(flowups[5]["determinant"]) in results[41][1]
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_obstruct_calls(tmp_path):
@@ -384,7 +389,7 @@ def test_same_outputs_obstruct_calls(tmp_path):
         ["graded-search"] * 2 + ["zz-lattice"] + ["graded-search"] * 3 + ["zz-lattice"] * 2)
     assert all(("columns" in report) == (report["verdict"] == "no") for report in reports)
     assert results[-1][2].startswith("error: UNDECIDABLE: ")
-    assert same_outputs.compare(ROOT, ROOT, calls) == []
+    assert same_outputs.run_calls(ROOT, calls) == results
 
 
 def test_same_outputs_forced_degree_calls(tmp_path):
@@ -410,4 +415,4 @@ def test_same_outputs_forced_degree_calls(tmp_path):
     for (_, forced, _), (_, bounded, _), verdict in zip(results[1::4], results[3::4], verdicts):
         extra = ["  every degree: yes (every label is homogeneous, so no degree has a basis)"]
         assert forced.splitlines() == bounded.splitlines() + (extra if verdict == "no" else [])
-    assert same_outputs.compare(ROOT, ROOT, same_outputs.both_modes(calls)) == []
+    assert same_outputs.run_calls(ROOT, same_outputs.both_modes(calls)) == results
