@@ -275,14 +275,15 @@ def kernel_calls(directory: Path) -> list:
     A triangle with ``x^1000000`` labels over ZZ[x,y], past the image budget,
     so its determinants stay on polynomial Bareiss; ``q`` on two-edge paths
     whose coprimality test runs the heuristic gcd near its budget (degree
-    10001 over QQ[x]) and the subresultant fallback past it (degree 20001
-    over ZZ[x]); and ``check-basis`` on a triangle over ZZ[x,y] whose
-    determinant has degree 62 in y, so the images' coefficients are read
-    back as more than 60 digits, once as a basis and once not. A triangular
-    candidate's determinant is its diagonal product, so each ``check-basis``
-    candidate is also given mixed by the unimodular U with columns
-    (B1, B1 + B2, B2 + B3), which keeps its determinant and takes it through
-    the kernel.
+    10001 over QQ[x]) and the primitive remainder sequence fallback past it
+    (degree 20001 over ZZ[x], and the sparse labels x^20000 + 1 and
+    2*x^10000 + 1, whose leading coefficient is not 1); and ``check-basis``
+    on a triangle over ZZ[x,y] whose determinant has degree 62 in y, so the
+    images' coefficients are read back as more than 60 digits, once as a
+    basis and once not. A triangular candidate's determinant is its diagonal
+    product, so each ``check-basis`` candidate is also given mixed by the
+    unimodular U with columns (B1, B1 + B2, B2 + B3), which keeps its
+    determinant and takes it through the kernel.
     """
 
     def write(name, coefficients, variables, labels, cycle=True):
@@ -298,6 +299,8 @@ def kernel_calls(directory: Path) -> list:
     huge = write("huge-degree", "int", ["x", "y"], ["x^1000000", "y", "x^1000000 + y"])
     near = write("near-budget", "rat", ["x"], ["x^10000 + 1", "x^10001 + 1"], cycle=False)
     past = write("past-budget", "int", ["x"], ["x^20000 + 1", "x^20001 + 1"], cycle=False)
+    sparse = write("sparse-past-budget", "int", ["x"], ["x^20000 + 1", "2*x^10000 + 1"],
+                   cycle=False)
     a, b, c = "y^20 + x", "y^21 - x", "y^21 + y^20"  # pairwise coprime, a + b = c
     deep = write("deep-digits", "int", ["x", "y"], [a, b, c])
     return [
@@ -308,6 +311,7 @@ def kernel_calls(directory: Path) -> list:
                                      ["0", "0", "y*(x^1000000+y)"])],
         ["q", near],
         ["q", past],
+        ["q", sparse],
         ["check-basis", deep, "--spline", "1,1,1", "--spline", f"0,{a},{c}",
          "--spline", f"0,0,({b})*({c})"],
         ["check-basis", deep, "--spline", "1,1,1", "--spline", f"0,{a},{c}",
@@ -559,7 +563,8 @@ def coprime_calls(directory: Path) -> list:
 # with negative leading coefficients, the integer contents 6 and -4, and the
 # first label repeated; over QQ[x,y,z] with rational coefficients; and over
 # ZZ[x,y] with two labels sharing x^7000 + y, whose images pass the image
-# budget, so the subresultant fallback gives their gcd and cofactors
+# budget, so the primitive remainder sequence fallback gives their gcd and
+# cofactors
 GCD_CYCLES = {
     "zz": ("int", ["x", "y"], [
         "(-3*x^2 + x*y - 2)*(x - 2*y + 1)", "6*(x - 2*y + 1)*(y^2 + 3)",

@@ -935,8 +935,13 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # and Labahn, *Algorithms for Computer Algebra*, Thm 7.7). When the
 # heuristic gives up, the fallback views the polynomials as univariate in
 # the last variable with coefficients in the smaller ring, splits off
-# contents, and runs Brown's subresultant remainder sequence on the
-# primitive parts.
+# contents, and runs the primitive remainder sequence on the primitive
+# parts (Knuth, TAOCP vol. 2, 4.6.1): replace (f, g) by g and the primitive
+# part of the pseudo-remainder of f by g until that is zero. The
+# pseudo-remainder is sparse, lc(g)^k * f - q * g for the k steps the
+# division takes, since taking the primitive part absorbs any power of
+# lc(g); so the gcd of x^20000 + 1 and 2*x^10000 + 1 takes four division
+# steps, and no power of lc(g) grows with the degree gap.
 #
 # The gcd comes with its cofactors a/g and b/g (gcd_cofactors), which is
 # what an lcm needs. GCDHEU already holds them: the quotients of its two
@@ -974,8 +979,8 @@ _MAX_IMAGE_BITS = 1 << 16
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Normalized greatest common divisor (monic over RAT, positive over INT).
 
-    Computed by the heuristic gcd with the subresultant PRS as its fallback;
-    both give the same normalized gcd.
+    Computed by the heuristic gcd with the primitive remainder sequence as
+    its fallback; both give the same normalized gcd.
     """
     a._check_compatible(b)
     if a.is_zero() and b.is_zero():
@@ -1064,20 +1069,16 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Poly
     if heuristic is not None:
         return heuristic
 
-    uni_a = _split_last(a)
-    uni_b = _split_last(b)
     sub_vars = a.variables[:-1]
-    content_a = _coef_content(uni_a, sub_vars)
-    content_b = _coef_content(uni_b, sub_vars)
+    content_a, prim_a = _primitive(_split_last(a), sub_vars)
+    content_b, prim_b = _primitive(_split_last(b), sub_vars)
     content = _gcd_int(content_a, content_b)[0]
-    prim_a = {d: exact_divide(c, content_a) for d, c in uni_a.items()}
-    prim_b = {d: exact_divide(c, content_b) for d, c in uni_b.items()}
-    prim_gcd = _subresultant_gcd(prim_a, prim_b, sub_vars)
+    prim_gcd = _primitive_prs_gcd(prim_a, prim_b, sub_vars)
     scaled = {d: c * content for d, c in prim_gcd.items()}
     g = _join_last(a.variables, scaled).normalized()
     cofactor_a, cofactor_b = exact_divide(a, g), exact_divide(b, g)
     if cofactor_a is None or cofactor_b is None:
-        raise ArithmeticError("the subresultant gcd does not divide its inputs")
+        raise ArithmeticError("the primitive remainder sequence gcd does not divide its inputs")
     return g, cofactor_a, cofactor_b
 
 
@@ -1318,12 +1319,19 @@ def _uni_degree(f: dict[int, Polynomial]) -> int:
     return max(f) if f else -1
 
 
+def _primitive(univariate: dict[int, Polynomial], sub_vars):
+    """``(content, primitive part)`` of a univariate polynomial over the smaller ring."""
+    content = _coef_content(univariate, sub_vars)
+    return content, {d: exact_divide(c, content) for d, c in univariate.items()}
+
+
 def _uni_prem(f: dict[int, Polynomial], g: dict[int, Polynomial]):
-    """Pseudo-remainder of univariate polynomials with polynomial coefficients."""
-    df, dg = _uni_degree(f), _uni_degree(g)
+    """Sparse pseudo-remainder ``lc(g)^k * f - q * g`` of univariate polynomials
+    with polynomial coefficients, ``k`` the number of division steps taken
+    rather than ``deg f - deg g + 1``."""
+    dg = _uni_degree(g)
     remainder = dict(f)
     lc_g = g[dg]
-    steps = df - dg + 1
     while remainder:
         dr = max(remainder)
         if dr < dg:
@@ -1342,48 +1350,15 @@ def _uni_prem(f: dict[int, Polynomial], g: dict[int, Polynomial]):
             else:
                 updated.pop(t, None)
         remainder = updated
-        steps -= 1
-    if steps > 0 and remainder:
-        factor = lc_g ** steps
-        remainder = {d: c * factor for d, c in remainder.items()}
     return remainder
 
 
-def _exact_coef_div(value: Polynomial, divisor: Polynomial) -> Polynomial:
-    q = exact_divide(value, divisor)
-    if q is None:
-        raise ArithmeticError("subresultant scaling division was not exact")
-    return q
-
-
-def _subresultant_gcd(f, g, sub_vars) -> dict[int, Polynomial]:
-    """Primitive gcd of two primitive univariate polynomials (Brown's PRS)."""
+def _primitive_prs_gcd(f, g, sub_vars) -> dict[int, Polynomial]:
+    """Primitive gcd of two primitive univariate polynomials: the primitive
+    remainder sequence (Knuth, TAOCP vol. 2, 4.6.1). Taking each remainder's
+    primitive part absorbs every power of ``lc(g)`` the pseudo-division made."""
     if _uni_degree(f) < _uni_degree(g):
         f, g = g, f
-    n, m = _uni_degree(f), _uni_degree(g)
-    one = Polynomial.constant(1, sub_vars, INT)
-
-    d = n - m
-    h = _uni_prem(f, g)
-    if (d + 1) % 2 == 1:  # scale by (-1)^(d+1)
-        h = {deg: -c for deg, c in h.items()}
-    lc = g[m]
-    c = -(lc ** d)
-    last = g
-    while h:
-        k = _uni_degree(h)
-        last = h
-        f, g, m, d = g, h, k, m - k
-        b = (-lc) * (c ** d)
-        h = _uni_prem(f, g)
-        h = {deg: _exact_coef_div(coef, b) for deg, coef in h.items()}
-        lc = g[_uni_degree(g)]
-        if d > 1:
-            c = _exact_coef_div((-lc) ** d, c ** (d - 1))
-        else:
-            c = -lc
-
-    if _uni_degree(last) == 0:
-        return {0: one}
-    content = _coef_content(last, sub_vars)
-    return {deg: exact_divide(coef, content) for deg, coef in last.items()}
+    while g:
+        f, g = g, _primitive(_uni_prem(f, g), sub_vars)[1]
+    return f

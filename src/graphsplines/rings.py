@@ -20,10 +20,9 @@ printer ``number_text`` and the literal reader ``parse_int`` are defined
 here, and ``polynomials`` imports them. :class:`PolynomialRing` reads
 ``polynomials`` through the module object when one of its methods runs, so
 that a call on an integer graph never runs that lazy module (see the
-package docstring). A few names of ``polynomials`` are also served as
-attributes of this module, read from it when asked for:
-``splinebench/test_splinebench.py`` and ``tests/test_bench_contract.py``
-read ``rings.exact_divide``.
+package docstring). Two names of ``polynomials``, ``exact_divide`` and
+``Polynomial``, are also served as attributes of this module, read from it
+when asked for: the benchmark's tests read ``rings.exact_divide``.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ _RAT_LITERAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 # names of ``polynomials`` served as attributes of this module, read from it
 # when asked for (``__getattr__``), so that reading them runs it only then;
 # the benchmark's tests read ``rings.exact_divide``
-_POLYNOMIAL_NAMES = frozenset(
-    ("INT", "RAT", "Polynomial", "exact_divide", "parse_polynomial", "poly_gcd", "poly_lcm")
-)
+_POLYNOMIAL_NAMES = frozenset(("Polynomial", "exact_divide"))
 
 
 def __getattr__(name: str):

@@ -3,6 +3,8 @@ import functools
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from graphsplines import (
 )
 import graphsplines.polynomials as module
 from graphsplines.polynomials import number_text
+from conftest import source_env
 import oracles
 
 VARS = ("x", "y")
@@ -687,9 +690,17 @@ def _check_cofactors(monkeypatch, path, a, b):
     return g, cofactor_a, cofactor_b
 
 
+SPARSE_GCDS = """
+from graphsplines import INT, parse_polynomial, poly_gcd
+for a, b in [("x^20000 + 1", "2*x^10000 + 1"), ("3*x^30000 + x + 1", "2*x^15000 + 3")]:
+    print(poly_gcd(parse_polynomial(a, ("x",), INT), parse_polynomial(b, ("x",), INT)))
+"""
+
+
 class TestHeuristicGcd:
     @pytest.mark.parametrize("a, b", GCD_CASES)
     def test_matches_the_subresultant_fallback(self, monkeypatch, a, b):
+        # the fallback is the primitive remainder sequence
         assert poly_gcd(a, b) == _fallback_gcd(monkeypatch, a, b)
 
     @pytest.mark.parametrize("a, b", GCD_CASES)
@@ -758,10 +769,10 @@ class TestHeuristicGcd:
             assert (p.variables, p.coeff_kind) == (VARS, kind)
 
     def test_a_fallback_gcd_that_does_not_divide_raises(self, monkeypatch):
-        # a wrong subresultant result is caught by the cofactor divisions,
-        # with an explicit raise that python -O keeps
+        # a wrong primitive remainder sequence result is caught by the
+        # cofactor divisions, with an explicit raise that python -O keeps
         monkeypatch.setattr(module, "_heu_gcd", lambda a, b: None)
-        monkeypatch.setattr(module, "_subresultant_gcd",
+        monkeypatch.setattr(module, "_primitive_prs_gcd",
                             lambda f, g, sub_vars: {1: Polynomial.constant(1, sub_vars, INT)})
         with pytest.raises(ArithmeticError):
             gcd_cofactors(poly("x + 1", INT), poly("x + 2", INT))
@@ -823,7 +834,7 @@ class TestHeuristicGcd:
     def test_wrong_candidates_fall_back_after_six_tries(self, monkeypatch, a, b):
         expected = _fallback_gcd(monkeypatch, a, b)
         tries, fallbacks = [], []
-        subresultant = module._subresultant_gcd
+        primitive_prs = module._primitive_prs_gcd
 
         def wrong_candidate(image, bits, variables):
             # never divides a nonzero input of lower degree
@@ -832,10 +843,10 @@ class TestHeuristicGcd:
 
         def counting(*args):
             fallbacks.append(args)
-            return subresultant(*args)
+            return primitive_prs(*args)
 
         monkeypatch.setattr(module, "_interpolate_last", wrong_candidate)
-        monkeypatch.setattr(module, "_subresultant_gcd", counting)
+        monkeypatch.setattr(module, "_primitive_prs_gcd", counting)
         assert poly_gcd(a, b) == expected
         if not (a.is_constant() or b.is_constant()):
             assert len(tries) == module._HEU_GCD_TRIES == 6
@@ -844,9 +855,9 @@ class TestHeuristicGcd:
 
     def test_dense_trivariate_inputs_need_no_fallback(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("subresultant PRS reached")
+            raise AssertionError("primitive PRS reached")
 
-        monkeypatch.setattr(module, "_subresultant_gcd", unreachable)
+        monkeypatch.setattr(module, "_primitive_prs_gcd", unreachable)
         for a, b in GCD_CASES:
             if a.coeff_kind == INT and len(a.variables) == 3:
                 poly_gcd(a, b)
@@ -858,14 +869,27 @@ class TestHeuristicGcd:
         g, _, _ = module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1)
         assert g == x ** 1500 - 1
 
+    def test_sparse_labels_past_the_budget_fall_back_in_a_few_steps(self):
+        # both pairs pass the image budget; a pseudo-remainder scaled by a
+        # power of lc(g) as large as the degree gap took seconds on the first
+        # and minutes on the second, so they run in a child process whose
+        # timeout turns such a regression into a failure, not a hang
+        x = Polynomial.variable("x", ("x",), INT)
+        pairs = [(x ** 20000 + 1, 2 * x ** 10000 + 1), (3 * x ** 30000 + x + 1, 2 * x ** 15000 + 3)]
+        assert [module._heu_gcd(a, b) for a, b in pairs] == [None, None]
+        done = subprocess.run([sys.executable, "-c", SPARSE_GCDS], env=source_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "1"]
+
     @pytest.mark.parametrize("kind", [INT, RAT])
     def test_degree_near_the_budget_needs_no_fallback(self, monkeypatch, kind):
         # 2^5 is the first point, and 5 bits times degree 13001 is just
         # within the image budget
         def unreachable(*args):
-            raise AssertionError("subresultant PRS reached")
+            raise AssertionError("primitive PRS reached")
 
-        monkeypatch.setattr(module, "_subresultant_gcd", unreachable)
+        monkeypatch.setattr(module, "_primitive_prs_gcd", unreachable)
         x = Polynomial.variable("x", ("x",), kind)
         assert poly_gcd(x ** 13000 + 1, x ** 13001 + 1) == Polynomial.constant(1, ("x",), kind)
 
@@ -1414,6 +1438,21 @@ class TestSplitJoin:
         # the loop stops before its first step, so no power of lc(g) is applied
         f, g = (module._split_last(parse_polynomial(t, NAMES, INT)) for t in (f, g))
         assert module._uni_prem(f, g) == f
+
+    @pytest.mark.parametrize("f,g,steps", [
+        ("z^20000 + 1", "2*z^10000 + 1", 2), ("3*z^30000 + z + 1", "2*z^15000 + 3", 2),
+        ("x*z^3 + y*z + 1", "y*z^2 - x", 1), ("y*z^40 + x*z^7 + 1", "(x + y)*z^20 - 1", 2),
+        ("z^5 + 1", "x*z + y", 5),
+    ])
+    def test_pseudo_remainder_is_scaled_once_per_step_taken(self, f, g, steps):
+        # r = lc(g)^k * f - q * g for the k steps the division takes, not for
+        # deg f - deg g + 1, so g divides lc(g)^k * f - r and deg r < deg g
+        f, g = (parse_polynomial(t, NAMES, INT) for t in (f, g))
+        uni_g = module._split_last(g)
+        r = module._uni_prem(module._split_last(f), uni_g)
+        assert module._uni_degree(r) < module._uni_degree(uni_g)
+        lc = module._join_last(NAMES, {0: uni_g[max(uni_g)]})
+        assert exact_divide(lc ** steps * f - module._join_last(NAMES, r), g) is not None
 
 
 # ---------------------------------------------------------------------------

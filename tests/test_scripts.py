@@ -185,19 +185,20 @@ def test_same_outputs_rational_search_calls(tmp_path):
 def test_same_outputs_kernel_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.kernel_calls(tmp_path))
-    assert len(calls) == 18
+    assert len(calls) == 20
     results = same_outputs.run_calls(ROOT, calls)
-    assert [code for code, _, _ in results] == [0] * 12 + [1] * 2 + [0] * 2 + [1] * 2
+    assert [code for code, _, _ in results] == [0] * 14 + [1] * 2 + [0] * 2 + [1] * 2
     outputs = [out for _, out, _ in results]
     assert "PROBE: ok (q divides all 3 sampled determinants)" in outputs[1]
     assert json.loads(outputs[2])["determinant"] == "x^2000000*y + x^1000000*y^2"
     assert json.loads(outputs[4]) == json.loads(outputs[2])  # the mixed candidate
     assert json.loads(outputs[6])["q"] == "x^20001 + x^10001 + x^10000 + 1"
     assert json.loads(outputs[8])["q"] == "x^40001 + x^20001 + x^20000 + 1"
-    report = json.loads(outputs[10])
+    assert json.loads(outputs[10])["q"] == "2*x^30000 + x^20000 + 2*x^10000 + 1"
+    report = json.loads(outputs[12])
     assert report["verdict"] == "yes" and report["determinant"].startswith("y^62 + y^61")
-    assert json.loads(outputs[14]) == report
-    assert "BASIS: no" in outputs[13] and outputs[17] == outputs[13]
+    assert json.loads(outputs[16]) == report
+    assert "BASIS: no" in outputs[15] and outputs[19] == outputs[15]
     assert same_outputs.run_calls(ROOT, calls) == results
 
 
