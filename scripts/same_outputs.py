@@ -18,7 +18,8 @@ label lcms of cycles whose labels share factors, calls whose input
 fails to parse, graph documents with one fault per GraphError code the
 loader raises, verify and check-basis calls whose entries repeat,
 with flowup on integer and polynomial graphs, obstruct on triangles with
-each of its verdicts, and searches without ``--degree`` and at the forced
+each of its verdicts (over ZZ[x] up to a monic label of degree 100), and
+searches without ``--degree`` and at the forced
 degree on homogeneous graphs, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
@@ -111,25 +112,47 @@ def probe_search_calls(graphs: Path) -> list:
 
 # the triangles (a, b, c) of obstruct_calls beside the bundled ones: a affine
 # member over QQ[x,y], the triangle (x, y, z), whose a is not a member, a
-# member over ZZ[x] with monic c and one with monic b, and a triangle over
-# ZZ[x] with a flow-up basis but neither b nor c monic, which is UNDECIDABLE
+# member over ZZ[x] with monic c and one with monic b, a triangle over ZZ[x]
+# with a flow-up basis but neither b nor c monic, which is UNDECIDABLE, a
+# member whose c has leading coefficient -1 (a = (x + 1)*3 - c), and a
+# member beside the unit label c = 1, whose residues modulo c are empty
 OBSTRUCT_TRIANGLES = {
     "affine": ("rat", ["x", "y"], ["x + y + 1", "y + 1", "x"]),
     "koszul": ("rat", ["x", "y", "z"], ["x", "y", "z"]),
     "zx-monic-c": ("int", ["x"], ["x + 3", "3", "x"]),
     "zx-monic-b": ("int", ["x"], ["x + 3", "x", "3"]),
     "zx-no-monic": ("int", ["x"], ["x + 3", "2*x", "3"]),
+    "zx-lead-minus-one": ("int", ["x"], ["x^2 + 2*x + 2", "3", "-x^2 + x + 1"]),
+    "zx-unit": ("int", ["x"], ["x + 1", "x", "1"]),
 }
+# the degrees d of obstruct_calls' seeded ZZ[x] triangles (a, b, m): m has
+# degree d and leading coefficient 1, b has degree d // 2 and leading
+# coefficient 2, both with the other coefficients in -9..9; a = b*(x + 2) + m
+# is a member of (b, m) and a = x + 1 is not
+OBSTRUCT_LATTICE_DEGREES = (30, 100)
+
+
+def _zx_text(coefficients) -> str:
+    """A ZZ[x] label with the given coefficients, lowest degree first."""
+    terms = [f"{c}*x^{i}" for i, c in enumerate(coefficients) if c]
+    return " + ".join(reversed(terms)).replace("+ -", "- ")
 
 
 def obstruct_calls(graphs: Path, directory: Path) -> list:
     """The argv of ``obstruct`` on the bundled triangles under ``graphs``, one
-    of them in a permuted vertex order, and on OBSTRUCT_TRIANGLES, written to
-    ``directory``."""
+    of them in a permuted vertex order, on OBSTRUCT_TRIANGLES and on the
+    seeded triangles of OBSTRUCT_LATTICE_DEGREES, written to ``directory``."""
     calls = [["obstruct", str(graphs / f"{name}.json")]
              for name in ("squares", "xy", "zx-obstruction", "fig2")]
     calls.append(["obstruct", str(graphs / "xy.json"), "--vertex-order", "v2,v3,v1"])
-    for name, (coefficients, variables, labels) in OBSTRUCT_TRIANGLES.items():
+    triangles = dict(OBSTRUCT_TRIANGLES)
+    for d in OBSTRUCT_LATTICE_DEGREES:
+        rng = random.Random(f"obstruct-zx-{d}")
+        m = _zx_text([rng.randint(-9, 9) for _ in range(d)] + [1])
+        b = _zx_text([rng.randint(-9, 9) for _ in range(d // 2)] + [2])
+        triangles[f"zx-{d}-member"] = ("int", ["x"], [f"({b})*(x + 2) + {m}", b, m])
+        triangles[f"zx-{d}-non-member"] = ("int", ["x"], ["x + 1", b, m])
+    for name, (coefficients, variables, labels) in triangles.items():
         ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
         calls.append(["obstruct", write_graph(directory, f"obstruct-{name}", ring, labels)])
     return calls

@@ -33,7 +33,8 @@ coprime labels a (v1~v2), b (v2~v3) and c (v3~v1), where a basis exists iff
 a lies in the ideal (b, c). Over QQ[vars] it is one search without a bound,
 decisive when every label is homogeneous. Over ZZ[x] with b or c of leading
 coefficient 1 or -1 it decides membership in ZZ[x]/(that label), a lattice,
-with one Hermite normal form. Two caps leave a triangle UNDECIDABLE: a
+with one square rational solve, member iff integral; both methods eliminate
+with ``solve_rational_system``. Two caps leave a triangle UNDECIDABLE: a
 forced degree past the table cap of the search, and a monic label of the
 lattice path past degree _MAX_LATTICE_DEGREE.
 """
@@ -49,7 +50,6 @@ from fractions import Fraction
 from .basis import Provenance, SplineMatrix, check_basis, compute_q
 from .errors import GraphError, RingMismatchError
 from .graphs import LabeledGraph
-from .lattice import hermite_normal_form
 from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
 
 # A degree bound that gives more than this many monomials per entry is
@@ -61,9 +61,9 @@ from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
 _MAX_TABLE_MONOMIALS = 20_000
 
 # triangle_flow_up_basis over ZZ[x] leaves a triangle UNDECIDABLE when its
-# monic label has a larger degree d: the HNF of the (d+1)-square matrix of
-# residues took 0.11 s at d = 80, 3.5 s at d = 160 and more than two minutes
-# at d = 320, with Python 3.11 on a 2-core host.
+# monic label has a larger degree d: with 1-digit coefficients, the d-square
+# rational solve took 0.07 s at d = 80, 0.21 s at d = 100, 2.7 s at d = 160
+# and 2.5 minutes at d = 320, with Python 3.11 on a 2-core host.
 _MAX_LATTICE_DEGREE = 100
 
 
@@ -388,12 +388,12 @@ def _zz_lattice_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
     One of b and c, m of degree d, must have leading coefficient 1 or -1:
     then ZZ[x]/(m) is ZZ^d, and a is in (b, c) iff a mod m is in the
     ZZ-span of x^i * (the other label) mod m for i < d. Those spans are the
-    columns of M, with a mod m last and the row (0, ..., 0, 1) below; the
-    column HNF H = M*U has the column e_d exactly when a mod m is a member,
-    and then U's column over it gives the coefficients. Labels that are not
-    pairwise coprime raise ``ValueError``; any other ring or pair of labels,
-    or d above _MAX_LATTICE_DEGREE, raises ``GraphError`` with code
-    UNDECIDABLE.
+    d columns of M. The other label is coprime to m, so it is a unit in
+    QQ[x]/(m) and M is nonsingular: one square rational solve gives the
+    unique s with M*s = a mod m, and a is a member iff s is integral, with
+    a = s*(the other label) + t*m. Labels that are not pairwise coprime
+    raise ``ValueError``; any other ring or pair of labels, or d above
+    _MAX_LATTICE_DEGREE, raises ``GraphError`` with code UNDECIDABLE.
     """
     ring = graph.ring
     invariant = compute_q(graph)
@@ -410,15 +410,15 @@ def _zz_lattice_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
         raise GraphError("UNDECIDABLE", f"the monic label has degree {d}, above "
                          f"{_MAX_LATTICE_DEGREE}")
     x = ring.variable(ring.variables[0])
-    spans = [_residues(other * x ** i, m) for i in range(d)] + [_residues(a, m)]
-    unit_column = [0] * d + [1]
-    hnf, transform = hermite_normal_form(list(zip(*spans)) + [unit_column])
-    member = next((j for j in range(d + 1) if [row[j] for row in hnf] == unit_column), None)
-    if member is None:
+    # row j of M*s = a mod m, where column i of M is x^i * other mod m
+    rows = zip(zip(*(_residues(other * x ** i, m) for i in range(d))), _residues(a, m))
+    solution = solve_rational_system([(dict(enumerate(row)), value) for row, value in rows])
+    if solution is None or len(solution) != d:
+        raise AssertionError("coprime labels must give a nonsingular system")
+    if any(value.denominator != 1 for value in solution.values()):
         return None
     # a = s*other + t*m; the column's third entry is y*c, divisible by c, with b | a - y*c
-    s = Polynomial(ring.variables, ring.coeff_kind,
-                   {(i,): -transform[i][member] for i in range(d)})
+    s = Polynomial(ring.variables, ring.coeff_kind, {(i,): int(v) for i, v in solution.items()})
     third = a - s * b if m is c else s * c
     matrix = SplineMatrix(graph, [(ring.one,) * 3, (ring.zero, a, third),
                                   (ring.zero, ring.zero, b * c)])
@@ -439,10 +439,11 @@ def triangle_flow_up_basis(graph: LabeledGraph) -> tuple[tuple, str, SplineMatri
     ``flow_up_search_bounded`` call at the forced degree, whose NONEXISTENT
     is an answer only when it holds at every degree. Over ZZ[x] it is
     "zz-lattice": membership in ZZ[x]/(m) for a label m of b and c with
-    leading coefficient 1 or -1, decided by one Hermite normal form. A ring
-    that is not a polynomial ring, a graph that is not a 3-cycle, or labels
-    that are not pairwise coprime raise ``ValueError``; a case that neither
-    method decides raises ``GraphError`` with code UNDECIDABLE.
+    leading coefficient 1 or -1, decided by one square rational solve,
+    member iff integral (``_zz_lattice_basis``). A ring that is not a
+    polynomial ring, a graph that is not a 3-cycle, or labels that are not
+    pairwise coprime raise ``ValueError``; a case that neither method
+    decides raises ``GraphError`` with code UNDECIDABLE.
     """
     ring = graph.ring
     if ring.kind != "poly":

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from graphsplines import (
+    QQ,
     ZZ,
     Edge,
     IntegerRing,
@@ -347,6 +348,10 @@ class TestComputeQ:
         q = compute_q(g)
         assert q.provenance is Provenance.LCM_LOWER_BOUND
         assert q.value == (x * y * (x + y)).normalized()
+
+    def test_rational_graph_has_no_invariant(self):
+        with pytest.raises(ValueError, match="no Q invariant for ring QQ"):
+            compute_q(LabeledGraph.path(QQ, [2]))
 
 
 class TestCheckBasis:

@@ -622,33 +622,39 @@ class TestObstructOracles:
             assert (code, report["verdict"]) == (1, "no"), (labels, err)
 
     def test_monic_integer_triangles_match_hnf_membership(self, capsys, tmp_path):
-        rng = random.Random("obstruct-zx")
-        answers = {0: 0, 1: 0}
-        while sum(answers.values()) < 60:
-            m = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.choice([1, -1])]
-            other = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
-            if rng.random() < 0.5:  # a member by construction
-                s = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
-                t = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
-                a = [x + y for x, y in itertools.zip_longest(_times(s, other), _times(t, m),
-                                                             fillvalue=0)]
-            else:
-                a = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
-            texts = [_coefficients_text(p) for p in (a, other, m)]
-            if "0" in texts:
-                continue
-            a_text, other_text, m_text = texts  # m is c or b
-            labels = ([a_text, other_text, m_text] if rng.random() < 0.5
-                      else [a_text, m_text, other_text])
-            path = write_triangle(tmp_path, f"zx{sum(answers.values())}", "int", ["x"], labels)
-            code, report, err = obstruct_report(capsys, path)
-            if code == 2:
-                assert "pairwise coprime" in err, (labels, err)
-                continue
-            assert report["ideal_test"] == "zz-lattice"
-            assert code == (1 if hnf_member(a, other, m) else 0), labels
-            answers[code] += 1
-        assert min(answers.values()) >= 10, answers
+        # m of degree 1 to 3, then 8 to 40; other and a non-member a of degree
+        # up to 2, then up to d + 2
+        for seed, degrees, spread, count in (("obstruct-zx", (1, 3), lambda d: 2, 60),
+                                             ("obstruct-zx-high", (8, 40), lambda d: d + 2, 30)):
+            rng = random.Random(seed)
+            answers = {0: 0, 1: 0}
+            while sum(answers.values()) < count:
+                d = rng.randint(*degrees)
+                m = [rng.randint(-5, 5) for _ in range(d)] + [rng.choice([1, -1])]
+                other = [rng.randint(-6, 6) for _ in range(rng.randint(1, spread(d) + 1))]
+                if rng.random() < 0.5:  # a member by construction
+                    s = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                    t = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                    a = [x + y for x, y in itertools.zip_longest(_times(s, other), _times(t, m),
+                                                                 fillvalue=0)]
+                else:
+                    a = [rng.randint(-6, 6) for _ in range(rng.randint(1, spread(d) + 1))]
+                texts = [_coefficients_text(p) for p in (a, other, m)]
+                if "0" in texts:
+                    continue
+                a_text, other_text, m_text = texts  # m is c or b
+                labels = ([a_text, other_text, m_text] if rng.random() < 0.5
+                          else [a_text, m_text, other_text])
+                path = write_triangle(tmp_path, f"{seed}-{sum(answers.values())}", "int", ["x"],
+                                      labels)
+                code, report, err = obstruct_report(capsys, path)
+                if code == 2:
+                    assert "pairwise coprime" in err, (labels, err)
+                    continue
+                assert report["ideal_test"] == "zz-lattice"
+                assert code == (1 if hnf_member(a, other, m) else 0), labels
+                answers[code] += 1
+            assert min(answers.values()) >= 10, (seed, answers)
 
 
 MODULE_GATE_SHAPES = {

@@ -236,6 +236,22 @@ class TestLoading:
         g = LabeledGraph(ring, ["v1", "v2"], [Edge(0, 1, x), Edge(0, 1, x**2)])
         assert len(g.edges) == 2
 
+    @pytest.mark.parametrize("vertices, edge, code", [
+        (["a", "a"], Edge(0, 1, 2), "DUPLICATE_VERTEX"),
+        (["a", "b"], Edge(0, 2, 2), "UNKNOWN_VERTEX"),
+        (["a", "b"], Edge(-1, 1, 2), "UNKNOWN_VERTEX"),
+    ])
+    def test_direct_construction_checks_the_vertices(self, vertices, edge, code):
+        with pytest.raises(GraphError) as err:
+            LabeledGraph(ZZ, vertices, [edge])
+        assert err.value.code == code
+
+    def test_convenience_constructors_check_the_label_count(self):
+        with pytest.raises(ValueError, match="at least three edges"):
+            LabeledGraph.cycle(ZZ, [2, 3])
+        with pytest.raises(ValueError, match=r"C\(n, 2\)"):
+            LabeledGraph.complete(ZZ, [2, 3])
+
 
 class TestQueries:
     def test_incident_labels_fig2(self):
@@ -353,7 +369,7 @@ class TestQueries:
         for name in ("fig2", "xy", "squares", "zx-obstruction"):
             g = bundled_graph(name)
             again = load_graph(json.dumps(g.to_document()))
-            assert again == g
+            assert again == g and hash(again) == hash(g)
 
     def test_reorder(self):
         g = bundled_graph("fig2")

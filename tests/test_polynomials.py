@@ -376,6 +376,28 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="missing assignment"):
             poly("x").substitute({"y": 1})
 
+    def test_substitute_rejects_a_float(self):
+        with pytest.raises(ValueError, match="must be an int or Fraction"):
+            poly("x").substitute({"x": 1.5, "y": 1})
+
+    def test_reflected_subtraction(self):
+        assert 1 - poly("x") == poly("1 - x")
+        assert 1 - poly("x", INT) == poly("-x + 1", INT)
+
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            poly("x") ** -1
+
+    def test_comparison_with_other_types(self):
+        x = poly("x", INT)
+        assert (poly("1", INT) == Fraction(1, 2)) is False  # no INT constant is 1/2
+        assert x.__eq__("x") is NotImplemented and (x == "x") is False
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_normalized_zero_is_zero(self, kind):
+        zero = poly("0", kind)
+        assert zero.normalized() == zero and zero.normalized().is_zero()
+
 
 class TestLeadingTerm:
     @pytest.mark.parametrize("kind", [INT, RAT])

@@ -155,6 +155,12 @@ class TestRationalRing:
         assert QQ.element_from_text("-5") == Fraction(-5)
         with pytest.raises(ParseError):
             QQ.element_from_text("3/0")
+        with pytest.raises(ParseError, match="malformed rational literal"):
+            QQ.element_from_text("1/")
+
+    def test_normalization(self):
+        # every nonzero rational is a unit, with 1 as its associate
+        assert QQ.normalize(Fraction(-3, 4)) == 1 and QQ.normalize(Fraction(0)) == 0
 
     @pytest.mark.parametrize("text", ["7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/3"])
     def test_overlong_literal_is_a_parse_error(self, text):
@@ -167,6 +173,19 @@ class TestPolynomialRingInterface:
         ring = PolynomialRing("rat", ["x", "y"])
         assert ring_from_document(ring.to_document()) == ring
         assert ring_from_document(ZZ.to_document()) == ZZ
+
+    @pytest.mark.parametrize("kind, variables, reason", [
+        ("real", ["x"], "unknown coefficient kind 'real'"),
+        ("int", [], "at least one variable"),
+    ])
+    def test_constructor_checks(self, kind, variables, reason):
+        with pytest.raises(ValueError, match=reason):
+            PolynomialRing(kind, variables)
+
+    def test_equal_rings_hash_alike(self):
+        ring, again = PolynomialRing("rat", ["x", "y"]), PolynomialRing("rat", ("x", "y"))
+        assert ring == again and hash(ring) == hash(again)
+        assert repr(ring) == "PolynomialRing('rat', ('x', 'y'))"
 
     def test_unit_rules(self):
         zx = PolynomialRing("int", ["x"])

@@ -379,17 +379,18 @@ def test_same_outputs_entry_calls(tmp_path):
 def test_same_outputs_obstruct_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.obstruct_calls(GRAPHS_DIR, tmp_path))
-    assert len(calls) == 20
+    assert len(calls) == 32
     results = same_outputs.run_calls(ROOT, calls)
     # squares, xy, zx-obstruction, fig2 (not a polynomial ring), xy reordered,
-    # then OBSTRUCT_TRIANGLES in order
-    codes = [0, 1, 0, 2, 1, 1, 0, 1, 1, 2]
+    # then OBSTRUCT_TRIANGLES in order, then a member and a non-member at
+    # each of OBSTRUCT_LATTICE_DEGREES
+    codes = [0, 1, 0, 2, 1, 1, 0, 1, 1, 2, 1, 1] + [1, 0] * 2
     assert [code for code, _, _ in results] == [code for code in codes for _ in range(2)]
     reports = [json.loads(out) for code, out, _ in results[::2] if code != 2]
     assert [report["ideal_test"] for report in reports] == (
-        ["graded-search"] * 2 + ["zz-lattice"] + ["graded-search"] * 3 + ["zz-lattice"] * 2)
+        ["graded-search"] * 2 + ["zz-lattice"] + ["graded-search"] * 3 + ["zz-lattice"] * 8)
     assert all(("columns" in report) == (report["verdict"] == "no") for report in reports)
-    assert results[-1][2].startswith("error: UNDECIDABLE: ")
+    assert results[2 * 9][2].startswith("error: UNDECIDABLE: ")  # zx-no-monic
     assert same_outputs.run_calls(ROOT, calls) == results
 
 

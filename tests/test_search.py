@@ -694,6 +694,43 @@ class TestTriangleFlowUpBasis:
         with pytest.raises(ValueError, match="3-cycle"):
             triangle_flow_up_basis(LabeledGraph.path(qx, [x, x + 1]))
 
+    def test_unit_label_gives_an_empty_system(self):
+        # c = 1 is the monic label of least degree: d = 0, no unknowns, s = 0
+        zx = PolynomialRing("int", ["x"])
+        x = zx.variable("x")
+        labels, method, basis = triangle_flow_up_basis(LabeledGraph.cycle(zx, [x + 1, x, zx.one]))
+        assert (labels, method) == ((x + 1, x, zx.one), "zz-lattice")
+        assert basis.to_document()["columns"] == [["1", "1", "1"], ["0", "x + 1", "x + 1"],
+                                                  ["0", "0", "x"]]
+
+    DEGREE_100_TRIANGLES = textwrap.dedent(
+        """
+        import random
+        from graphsplines import LabeledGraph, PolynomialRing, triangle_flow_up_basis
+        zx = PolynomialRing("int", ["x"])
+        x = zx.variable("x")
+        rng = random.Random(100)
+        m = sum((c * x ** i for i, c in enumerate(
+            [rng.randint(-9, 9) for _ in range(100)] + [1])), zx.zero)
+        other = sum((c * x ** i for i, c in enumerate(
+            [rng.randint(-9, 9) for _ in range(50)] + [2])), zx.zero)
+        for a in (other * (x + 2) + m, x + 1):
+            for labels in ([a, other, m], [a, m, other]):
+                _, method, basis = triangle_flow_up_basis(LabeledGraph.cycle(zx, labels))
+                print(method, basis is not None)
+        """
+    )
+
+    def test_monic_label_at_the_degree_cap_is_decided_in_seconds(self):
+        # m of degree 100 against other of degree 50, as c and as b, with a
+        # member a and a non-member (test_cli's hnf_member agrees on both);
+        # the timeout turns a method that takes seconds per call into a
+        # failure, not a slow suite
+        done = subprocess.run([sys.executable, "-c", self.DEGREE_100_TRIANGLES],
+                              env=source_env(), capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["zz-lattice True"] * 2 + ["zz-lattice False"] * 2
+
     def test_no_monic_label_is_undecidable(self):
         zx = PolynomialRing("int", ["x"])
         x = zx.variable("x")

@@ -168,6 +168,10 @@ class TestModuleStructure:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             spline_combination(ZZ, [1, 2], [(1, 1)])
+        with pytest.raises(ValueError, match="at least one spline"):
+            spline_combination(ZZ, [], [])
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            spline_combination(ZZ, [1, 1], [(1, 2), (1, 2, 3)])
 
     def test_closure(self, corpus):
         rng = random.Random(5)
