@@ -9,7 +9,11 @@ checkout (each run uses its own checkout's harness and package), alternating
 which side runs first from one pair to the next. For every end-to-end metric
 named in the parent's ``BENCHMARK.json`` it writes each side's median and
 quartiles, the runs themselves and the number of pairs the change won
-(ties count for neither side) to ``BENCH_<label>.json``.
+(ties count for neither side) to ``BENCH_<label>.json``. It then prints
+one closing line per workload and metric: both medians, their ratio, the
+pairs the change won, and ``PAST BOUND`` where the change's median is worse
+than the parent's by more than that metric's ``bound``, a fraction of the
+parent's median, as the paired check counts a regression.
 
 Both sides run with the same bytecode state: each run is made in a fresh
 copy of its checkout without ``__pycache__`` (nor ``.git``), with ``-B`` and
@@ -84,6 +88,33 @@ def summarize(pairs, metrics) -> dict:
     return summary
 
 
+def past_bound(parent: float, change: float, better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median."""
+    if better == "lower":
+        return change > parent * (1 + bound)
+    return change < parent * (1 - bound)
+
+
+def closing_lines(workloads: dict, declared: list) -> list[str]:
+    """One line per workload and end-to-end metric of ``declared`` (the
+    ``end_to_end`` list of ``BENCHMARK.json``) for the per-workload summaries
+    ``workloads``: the medians, their ratio, the pairs won and any bound passed."""
+    lines = []
+    for workload, summary in workloads.items():
+        for metric in declared:
+            name = metric["name"]
+            entry = summary["metrics"][name]
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            ratio = f"{change / parent:.3f}x" if parent else "n/a"
+            mark = "  PAST BOUND" if past_bound(parent, change, metric["better"],
+                                                metric["bound"]) else ""
+            lines.append(f"{workload} {name}: parent {parent:.4g}, change {change:.4g} "
+                         f"({ratio}), change won {entry['change_won']} of "
+                         f"{summary['pairs']}{mark}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -113,6 +144,7 @@ def main(argv=None) -> int:
     out = args.out or Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
+    print("\n".join(closing_lines(report["workloads"], declared["end_to_end"])))
     return 0
 
 

@@ -587,7 +587,10 @@ def coprime_calls(directory: Path) -> list:
 # first label repeated; over QQ[x,y,z] with rational coefficients; and over
 # ZZ[x,y] with two labels sharing x^7000 + y, whose images pass the image
 # budget, so the primitive remainder sequence fallback gives their gcd and
-# cofactors
+# cofactors; then one cycle per way the label lcm starts from the
+# coprimality scan: a shared factor met only at the last label, a later
+# label that already divides the lcm, a squared factor, labels that share
+# only their integer content, and over QQ[x,y] a repeated label
 GCD_CYCLES = {
     "zz": ("int", ["x", "y"], [
         "(-3*x^2 + x*y - 2)*(x - 2*y + 1)", "6*(x - 2*y + 1)*(y^2 + 3)",
@@ -599,6 +602,17 @@ GCD_CYCLES = {
     ]),
     "fallback": ("int", ["x", "y"], [
         "(x^7000 + y)*(x + y)", "(x^7000 + y)*(x - y)", "x*y + 1",
+    ]),
+    "shared-last-only": ("int", ["x", "y"], [
+        "x^2 + y + 1", "x*y - 3", "2*x + y^2", "-(x^2 + y + 1)*(x - y)",
+    ]),
+    "later-label-divides": ("int", ["x", "y"], [
+        "(x + y)*(x - 2)", "(x + y)*(y + 3)", "x - 2", "x*y + 5",
+    ]),
+    "squared-factor": ("int", ["x", "y"], ["x + 1", "(x + 1)^2", "y - 2"]),
+    "content-only": ("int", ["x", "y"], ["2*x", "4*y", "6*x*y"]),
+    "qq-repeated-label": ("rat", ["x", "y"], [
+        "1/2*x + y", "x*y - 2/3", "1/2*x + y", "3*y^2 + x",
     ]),
 }
 

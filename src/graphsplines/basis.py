@@ -167,16 +167,36 @@ class QInvariant:
 
 
 def label_lcm(graph: LabeledGraph):
-    """Normalized lcm of all edge labels; divides every n-subset determinant."""
+    """Normalized lcm of all edge labels; divides every n-subset determinant.
+
+    Built from the graph's ``label_scan``, which ``pairwise_coprime_labels``
+    has usually taken already, so no gcd of it is taken again. With pairwise
+    coprime labels the lcm is their normalized product. Otherwise the labels
+    before the first shared factor are pairwise coprime, so with ``P`` their
+    product and ``g`` its gcd with label ``k``, the lcm up to ``k`` is
+    ``P * (label_k / g)``; each later label is folded in with a gcd only if
+    it does not already divide the running lcm.
+    """
     ring = graph.ring
-    value = ring.one
-    for label in graph.labels():
-        value = ring.lcm(value, label)
+    labels = graph.labels()
+    scan = graph.label_scan
+    if scan is None:
+        return ring.normalize(ring.product(labels))
+    k, product, common = scan
+    value = ring.normalize(product * ring._exact_quotient(labels[k], common))
+    for label in labels[k + 1:]:
+        if not ring.divides(label, value):
+            value = ring.lcm(value, label)
     return value
 
 
 def compute_q(graph: LabeledGraph) -> QInvariant:
-    """Best available Q for the graph's ring, most decisive provenance first."""
+    """Best available Q for the graph's ring, most decisive provenance first.
+
+    Over a polynomial ring the coprimality test and the label lcm read one
+    ``label_scan`` of the graph, so each label's gcd with the product before
+    it is taken once.
+    """
     ring = graph.ring
     if ring.kind == "int":
         basis = integer_flow_up_basis(graph)

@@ -7,6 +7,7 @@ the rest of the package refer to that order.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -94,21 +95,36 @@ class LabeledGraph:
             raise IndexError(f"vertex index {vertex} out of range")
         return [e.label for e in self.edges if vertex in (e.u, e.v)]
 
-    def pairwise_coprime_labels(self) -> bool:
-        """True iff every pair of edge labels has a unit gcd.
+    @functools.cached_property
+    def label_scan(self):
+        """The first label that shares a factor with the labels before it.
 
-        The label rings are UFDs, where a prime dividing a product divides a
-        factor, so one gcd per label, with the product before it, decides.
+        ``None`` when the labels are pairwise coprime, else ``(k, P, g)``: the
+        index ``k`` of the first label whose gcd ``g`` with the product ``P``
+        of the labels before it is not a unit. The label rings are UFDs,
+        where a prime dividing a product divides a factor, so one gcd per
+        label, with the product before it, decides. Computed on first read
+        and kept, since a graph does not change after it is built:
+        ``pairwise_coprime_labels`` and ``basis.label_lcm`` both read it.
         """
         ring = self.ring
         labels = self.labels()
         product = labels[0] if labels else ring.one
         for k in range(1, len(labels)):
-            if not ring.is_unit(ring.gcd(product, labels[k])):
-                return False
+            common = ring.gcd(product, labels[k])
+            if not ring.is_unit(common):
+                return k, product, common
             if k + 1 < len(labels):  # no gcd reads the product with the last label
                 product = product * labels[k]
-        return True
+        return None
+
+    def pairwise_coprime_labels(self) -> bool:
+        """True iff every pair of edge labels has a unit gcd.
+
+        Read from ``label_scan``, so the gcds are taken once per graph, on
+        the first call, and ``basis.label_lcm`` reuses the scan.
+        """
+        return self.label_scan is None
 
     def describe(self) -> str:
         return f"{self.n} vertices, {len(self.edges)} edges over {self.ring.description}"

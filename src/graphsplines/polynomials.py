@@ -60,8 +60,9 @@ RAT = "rat"
 # reach its guard bit: below 2**(_MIN_WIDTH - 1) that never happens, and a
 # label like x^1000000 simply lives at a wider field. A result whose degree
 # drops keeps its width, so two equal polynomials can be stored at different
-# widths: __eq__ compares them at the wider one, and __hash__ hashes the
-# numerators repacked at the width their total degree alone calls for.
+# widths: __eq__ compares them at the wider one, and __hash__ hashes a
+# constant as its value and any other polynomial by its numerators repacked
+# at the width its total degree alone calls for.
 #
 # ``terms`` unpacks the whole map and builds every Fraction, so no code in
 # the package reads it (tests/test_source.py checks this); the linear
@@ -104,7 +105,10 @@ class Polynomial:
 
     The zero polynomial has no terms; no zero coefficient is ever stored.
     Instances compare equal iff they have the same variables, the same
-    coefficient kind, and the same coefficients on the same monomials.
+    coefficient kind, and the same coefficients on the same monomials. A
+    constant polynomial also equals an ``int`` or ``Fraction`` (not a
+    ``bool``) of the same value, over either coefficient kind, and hashes as
+    that number.
     """
 
     __slots__ = ("variables", "coeff_kind", "_packed", "_den", "_width")
@@ -304,13 +308,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-                try:
-                    constant = Polynomial.constant(
-                        other, self.variables, self.coeff_kind
-                    )
-                except RingMismatchError:
-                    return False
-                return self == constant
+                return self.is_constant() and self.constant_term() == other
             return NotImplemented
         if (
             self.variables != other.variables
@@ -324,6 +322,8 @@ class Polynomial:
         return _repacked(self, width) == _repacked(other, width)
 
     def __hash__(self):
+        if self.is_constant():  # equal to its value, so hashed as that number
+            return hash(self.constant_term())
         # equal polynomials have one total degree, so they share this width
         packed = _repacked(self, _width_for(self.total_degree()))
         return hash((self.variables, self.coeff_kind, self._den, frozenset(packed.items())))

@@ -14,7 +14,8 @@ are checked; and the token-by-token
 recursive-descent parser that builds a polynomial for every token, which
 the run-folding parser replaced; the coprimality test that
 takes the gcd of every pair of labels, which the running-product test
-replaced; and the printer that formats each term from its ``Fraction``
+replaced; the label lcm folded with ``ring.lcm`` from 1 over every label,
+which the lcm seeded from the coprimality scan replaced; and the printer that formats each term from its ``Fraction``
 coefficient, which the one-gcd-per-term printer replaced, and that
 printer, which unpacked each exponent tuple and built each term in a helper,
 as the reference for the one-pass printer that replaced it; the
@@ -436,6 +437,15 @@ def pairwise_coprime_by_pairs(graph):
             if not ring.is_unit(ring.gcd(labels[i], labels[j])):
                 return False
     return True
+
+
+def folded_label_lcm(graph):
+    """``label_lcm`` by one ``ring.lcm`` per label, folded from ``ring.one``."""
+    ring = graph.ring
+    value = ring.one
+    for label in graph.labels():
+        value = ring.lcm(value, label)
+    return value
 
 
 def _grlex_key(exponents):

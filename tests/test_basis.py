@@ -34,6 +34,8 @@ import graphsplines.polynomials as polynomials
 from conftest import bundled_graph
 from oracles import (
     cofactor_determinant,
+    folded_label_lcm,
+    pairwise_coprime_by_pairs,
     random_unimodular,
     spans_integer_lattice,
     widest_path_diagonal,
@@ -352,6 +354,158 @@ class TestComputeQ:
     def test_rational_graph_has_no_invariant(self):
         with pytest.raises(ValueError, match="no Q invariant for ring QQ"):
             compute_q(LabeledGraph.path(QQ, [2]))
+
+
+LCM_RINGS = [("int", ("x", "y")), ("rat", ("x", "y")), ("int", ("x", "y", "z"))]
+# each label is the product of the pool factors at these indices; the scan
+# stops at the given label (None: pairwise coprime)
+LCM_SHAPES = {
+    "coprime": ([(0,), (1,), (2,), (3,)], None),
+    "shared-first": ([(0, 4), (1, 4), (2,), (3,)], 1),
+    "shared-last-only": ([(0,), (1,), (2, 4), (3, 4)], 3),
+    # the labels of a poly-gcd cycle: the last one divides the running lcm
+    "cycle-of-pairs": ([(0, 1), (1, 2), (2, 3), (3, 0)], 1),
+    "later-label-divides": ([(0, 1), (1, 2), (0,), (3,)], 1),
+    "repeated-factor": ([(0,), (1,), (0,), (2,)], 2),
+    "squared-factor": ([(0,), (0, 0), (1,), (0, 1)], 1),
+}
+# labels as text: the first shares x + 1; the second shares only integer
+# content, so over QQ its labels are pairwise coprime
+LCM_TEXTS = {
+    "x-plus-one-squared": ["x + 1", "(x + 1)^2", "y - 2"],
+    "content-only": ["2*x", "4*y", "6*x*y"],
+}
+
+
+def _lcm_pool(ring):
+    """Six seeded factors of degree 1 or 2, pairwise coprime."""
+    rng = random.Random(f"label-lcm/{ring.description}")
+    x, rest = ring.variable(ring.variables[0]), ring.variables[1:]
+    pool = []
+    while len(pool) < 6:
+        factor = x ** rng.randint(1, 2) + ring.constant(rng.choice((-3, -2, -1, 1, 2, 3)))
+        for name in rest:
+            coefficient = rng.randint(-4, 4)
+            if ring.coeff_kind == "rat":
+                coefficient = Fraction(coefficient, rng.choice((1, 2, 3)))
+            factor = factor + ring.constant(coefficient) * ring.variable(name) ** rng.randint(1, 2)
+        if all(ring.is_unit(ring.gcd(factor, other)) for other in pool):
+            pool.append(factor)
+    return pool
+
+
+def _lcm_cases():
+    """(id, graph, scan index or None when known) for every ring and shape."""
+    cases = []
+    for coefficients, variables in LCM_RINGS:
+        ring = PolynomialRing(coefficients, variables)
+        pool = _lcm_pool(ring)
+        name = f"{coefficients}-{''.join(variables)}"
+        for shape, (indices, stop) in LCM_SHAPES.items():
+            labels = [ring.product(pool[i] for i in factors) for factors in indices]
+            cases.append((f"{name}-{shape}", LabeledGraph.cycle(ring, labels), stop))
+        for shape, texts in LCM_TEXTS.items():
+            labels = [ring.element_from_text(text) for text in texts]
+            cases.append((f"{name}-{shape}", LabeledGraph.cycle(ring, labels), None))
+        cases.append((f"{name}-one-vertex", LabeledGraph(ring, ["v"], []), None))
+    return cases
+
+
+LCM_CASES = _lcm_cases()
+
+
+def _new_graphs(shape):
+    """New graphs with the labels of ``shape`` in LCM_CASES, one per ring; a
+    graph keeps the scan it has taken, so counting tests build their own."""
+    return [LabeledGraph.cycle(graph.ring, graph.labels())
+            for name, graph, _ in LCM_CASES if name.endswith(shape)]
+
+
+def _top_level_heuristic_gcds(monkeypatch):
+    """The list that records every ``_heu_gcd`` call not made by another."""
+    calls, depth = [], [0]
+    heuristic = polynomials._heu_gcd
+
+    def counting(a, b):
+        if not depth[0]:
+            calls.append((a, b))
+        depth[0] += 1
+        try:
+            return heuristic(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polynomials, "_heu_gcd", counting)
+    return calls
+
+
+class TestLabelLcm:
+    @pytest.mark.parametrize("graph, stop", [case[1:] for case in LCM_CASES],
+                             ids=[case[0] for case in LCM_CASES])
+    def test_matches_the_folded_lcm(self, graph, stop):
+        scan = graph.label_scan
+        assert (scan is None) is pairwise_coprime_by_pairs(graph)
+        if stop is not None:
+            assert scan[0] == stop
+        if scan is not None:  # the first label that shares a factor with one before it
+            ring, labels = graph.ring, graph.labels()
+            k = scan[0]
+            assert not pairwise_coprime_by_pairs(LabeledGraph.path(ring, labels[:k + 1]))
+            assert pairwise_coprime_by_pairs(LabeledGraph.path(ring, labels[:k]))
+        value = label_lcm(graph)
+        expected = folded_label_lcm(graph)
+        assert value == expected and str(value) == str(expected)
+
+    @pytest.mark.parametrize("graph", [case[1] for case in LCM_CASES],
+                             ids=[case[0] for case in LCM_CASES])
+    def test_matches_sympy(self, graph):
+        sympy = pytest.importorskip("sympy")
+        ring = graph.ring
+        gens = sympy.symbols(ring.variables)
+        # over ZZ the lcm keeps the integer content, so take it in ZZ[vars]
+        domain = "ZZ" if ring.coeff_kind == "int" else "QQ"
+
+        def to_sympy(p):
+            return sympy.Poly(_sympy_entry(p, gens, sympy), *gens, domain=domain)
+
+        expected = to_sympy(ring.one)
+        for label in graph.labels():
+            expected = expected.lcm(to_sympy(label))
+        quotient, remainder = to_sympy(label_lcm(graph)).div(expected)
+        assert remainder.is_zero and quotient.is_ground
+        units = (1, -1) if domain == "ZZ" else (quotient.LC(),)
+        assert quotient.LC() != 0 and quotient.LC() in units
+
+    def test_one_vertex_graph_has_the_unit_lcm(self, qxy):
+        graph = LabeledGraph(qxy, ["v"], [])
+        assert graph.label_scan is None
+        assert label_lcm(graph) == qxy.one
+
+    def test_cycle_of_pairs_takes_two_heuristic_gcds(self, monkeypatch):
+        # a poly-gcd-shaped 4-cycle: labels f0*f1, f1*f2, f2*f3, f3*f0
+        calls = _top_level_heuristic_gcds(monkeypatch)
+        for graph in _new_graphs("cycle-of-pairs"):
+            del calls[:]
+            q = compute_q(graph)
+            # the scan's gcd at label 1 and the lcm with label 2; label 3 divides
+            assert len(calls) == 2, graph.ring
+            fresh = LabeledGraph.cycle(graph.ring, graph.labels())
+            del calls[:]
+            assert not fresh.pairwise_coprime_labels()
+            assert folded_label_lcm(fresh) == q.value
+            assert len(calls) == 4, graph.ring  # the fold from 1 redoes the scan's gcd
+
+    def test_a_label_that_divides_the_running_lcm_takes_no_gcd(self, monkeypatch):
+        calls = _top_level_heuristic_gcds(monkeypatch)
+        for graph in _new_graphs("later-label-divides"):
+            # labels f0*f1, f1*f2, f0: the scan stops at label 1, and label 2
+            # divides the lcm f0*f1*f2 so far
+            prefix = LabeledGraph.path(graph.ring, graph.labels()[:3])
+            expected = folded_label_lcm(prefix)
+            assert not prefix.pairwise_coprime_labels()
+            del calls[:]
+            assert label_lcm(prefix) == expected
+            assert calls == [], graph.ring
 
 
 class TestCheckBasis:

@@ -16,6 +16,7 @@ from graphsplines import (
     is_connected,
     load_graph,
 )
+import graphsplines.polynomials as polynomials
 from conftest import bundled_graph
 from oracles import breadth_first_is_connected, pairwise_coprime_by_pairs
 
@@ -364,6 +365,33 @@ class TestQueries:
         monkeypatch.setattr(Polynomial, "__mul__", counting)
         assert graph.pairwise_coprime_labels() is True
         assert len(products) == k - 2
+
+    @pytest.mark.parametrize("texts", [
+        ["x", "y", "x + y + 1"],
+        ["x*y", "y*(x + 1)", "x + 2"],
+    ])
+    def test_the_scan_is_taken_once_per_graph(self, monkeypatch, texts):
+        ring = PolynomialRing("int", ["x", "y"])
+        graph = LabeledGraph.path(ring, [ring.element_from_text(t) for t in texts])
+        expected = pairwise_coprime_by_pairs(graph)
+        gcds = []
+        poly_gcd = polynomials.poly_gcd
+
+        def counting(a, b):
+            gcds.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(polynomials, "poly_gcd", counting)
+        assert graph.pairwise_coprime_labels() is expected
+        taken = len(gcds)
+        assert taken
+        assert graph.pairwise_coprime_labels() is expected
+        assert len(gcds) == taken  # the second call reads the kept scan
+        # a reordered graph is a new graph, with a scan of its own
+        reordered = graph.reorder(reversed(graph.vertices))
+        assert reordered.pairwise_coprime_labels() is expected
+        assert len(gcds) == 2 * taken
+        assert reordered.label_scan == graph.label_scan  # the label order is kept
 
     def test_round_trip(self):
         for name in ("fig2", "xy", "squares", "zx-obstruction"):

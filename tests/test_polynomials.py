@@ -394,6 +394,45 @@ class TestArithmetic:
         assert x.__eq__("x") is NotImplemented and (x == "x") is False
 
     @pytest.mark.parametrize("kind", [INT, RAT])
+    def test_a_constant_equals_and_hashes_as_its_value(self, kind):
+        one = poly("1", kind)
+        assert one in {1} and 1 in {one} and len({one, 1}) == 1
+        assert one == Fraction(1) and one in {Fraction(1)}  # also over INT
+        zero = poly("0", kind)
+        assert zero == 0 and hash(zero) == hash(0) and zero in {0}
+        assert poly("-7", kind) == -7 and hash(poly("-7", kind)) == hash(-7)
+        x = poly("x", kind)
+        for number in (0, 1, Fraction(1, 2)):
+            assert x != number and number != x and x not in {number}
+        # a bool is not a coefficient, so no polynomial equals one
+        assert one.__eq__(True) is NotImplemented and (one == True) is False  # noqa: E712
+
+    def test_a_rational_constant_equals_its_fraction(self):
+        two_thirds = poly("2/3", RAT)
+        assert two_thirds == Fraction(2, 3) and hash(two_thirds) == hash(Fraction(2, 3))
+        assert Fraction(2, 3) in {two_thirds} and len({two_thirds, Fraction(2, 3)}) == 1
+        assert two_thirds != 1 and two_thirds != Fraction(1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([INT, RAT]), st.integers(-30, 30), st.integers(1, 6),
+           st.booleans(), st.integers(16, 18))
+    def test_equal_polynomials_hash_alike(self, kind, numerator, denominator, linear, bits):
+        value = numerator if kind == INT else Fraction(numerator, denominator)
+        x = Polynomial.variable("x", VARS, kind)
+        a = Polynomial.constant(value, VARS, kind)
+        if linear:
+            a = a + x
+        # the same polynomial stored at a wider field: a sum keeps the wider
+        # field of its operands, and x^(2^bits) needs one
+        wide = x ** (1 << bits)
+        b = (a + wide) - wide
+        assert b._width > a._width
+        assert a == b and hash(a) == hash(b)
+        if not linear:
+            assert a == value and hash(a) == hash(value)
+            assert b == value and hash(b) == hash(value)
+
+    @pytest.mark.parametrize("kind", [INT, RAT])
     def test_normalized_zero_is_zero(self, kind):
         zero = poly("0", kind)
         assert zero.normalized() == zero and zero.normalized().is_zero()

@@ -54,6 +54,42 @@ def test_bench_summary_of_canned_runs():
     assert calls["change_won"] == 3  # higher is better: 90 > 78, 95 > 79, 99 > 81
 
 
+def _one_metric_pairs(name, parent_runs, change_runs):
+    """Pairs of result objects that carry only the metric ``name``."""
+    def result(value):
+        return {"attempted": 100, "failed": 0, "metrics": {name: {"value": value}}}
+
+    return [{"parent": result(old), "change": result(new)}
+            for old, new in zip(parent_runs, change_runs)]
+
+
+def test_bench_closing_lines_mark_a_median_past_its_bound():
+    bench = _script("bench")
+    rss = {"name": "peak_rss_mib", "better": "lower", "bound": 0.1}
+    calls = {"name": "calls_per_s", "better": "higher", "bound": 0.25}
+    cases = [
+        (rss, [20.0, 20.2, 19.8], [22.4, 22.5, 22.3], True),  # +12%
+        (rss, [20.0, 20.2, 19.8], [21.8, 21.9, 21.7], False),  # +9%
+        (rss, [20.0, 20.2, 19.8], [12.0, 12.1, 11.9], False),  # an improvement
+        (calls, [400.0, 410.0, 390.0], [290.0, 300.0, 280.0], True),  # -27.5%
+        (calls, [400.0, 410.0, 390.0], [310.0, 320.0, 300.0], False),  # -22.5%
+        (calls, [400.0, 410.0, 390.0], [900.0, 910.0, 890.0], False),  # an improvement
+    ]
+    for metric, parent, change, marked in cases:
+        pairs = _one_metric_pairs(metric["name"], parent, change)
+        summary = bench.summarize(pairs, {metric["name"]: metric["better"]})
+        (line,) = bench.closing_lines({"w": summary}, [metric])
+        assert line.startswith(f"w {metric['name']}: parent {parent[0]:.4g}, "
+                               f"change {change[0]:.4g} ("), line
+        assert line.endswith("PAST BOUND") is marked, line
+        won = 3 if (change[0] < parent[0]) == (metric["better"] == "lower") else 0
+        assert f"change won {won} of 3" in line, line
+    # an improvement is never past its bound, even a bound of zero
+    assert not bench.past_bound(20.0, 1.0, "lower", 0.0)
+    assert not bench.past_bound(20.0, 400.0, "higher", 0.0)
+    assert bench.past_bound(20.0, 20.01, "lower", 0.0)
+
+
 def test_bench_spread_of_one_run():
     assert _script("bench").spread([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
 
@@ -311,16 +347,19 @@ def test_same_outputs_coprime_calls(tmp_path):
 def test_same_outputs_gcd_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.gcd_calls(tmp_path))
-    assert len(calls) == 18
+    assert len(calls) == 48
     results = same_outputs.run_calls(ROOT, calls)
     # per cycle: q, verify of a spline, verify of one that is not
-    assert [code for code, _, _ in results] == [0, 0, 0, 0, 1, 1] * 3
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 1, 1] * 8
     reports = [json.loads(out) for _, out, _ in results[::2]]
-    assert [report["verdict"] for report in reports] == ["yes", "yes", "no"] * 3
+    assert [report["verdict"] for report in reports] == ["yes", "yes", "no"] * 8
     assert {report["provenance"] for report in reports[::3]} == {"lcm-lower-bound"}
     # the lcm of the fallback cycle: (x^7000 + y)*(x + y)*(x - y)*(x*y + 1)
     assert reports[6]["q"] == ("x^7003*y - x^7001*y^3 + x^7002 - x^7000*y^2 + x^3*y^2"
                                " - x*y^4 + x^2*y - y^3")
+    # (x + 1)^2*(y - 2), and 12*x*y from 2*x, 4*y and 6*x*y
+    assert reports[15]["q"] == "x^2*y - 2*x^2 + 2*x*y - 4*x + y - 2"
+    assert reports[18]["q"] == "12*x*y"
     assert same_outputs.run_calls(ROOT, calls) == results
 
 
