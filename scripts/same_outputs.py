@@ -18,9 +18,10 @@ label lcms of cycles whose labels share factors, calls whose input
 fails to parse, graph documents with one fault per GraphError code the
 loader raises, verify and check-basis calls whose entries repeat,
 with flowup on integer and polynomial graphs, obstruct on triangles with
-each of its verdicts (over ZZ[x] up to a monic label of degree 100), and
+each of its verdicts (over ZZ[x] up to a monic label of degree 100),
 searches without ``--degree`` and at the forced
-degree on homogeneous graphs, each in JSON and in text mode, through
+degree on homogeneous graphs, and search and obstruct on triangles whose
+labels share a factor, each in JSON and in text mode, through
 ``graphsplines.cli.main`` of each checkout (imported from its ``src/`` in a
 child interpreter), and reports every call whose stdout, stderr or exit
 code differs. The instances are generated once, by this
@@ -156,6 +157,26 @@ def obstruct_calls(graphs: Path, directory: Path) -> list:
         ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
         calls.append(["obstruct", write_graph(directory, f"obstruct-{name}", ring, labels)])
     return calls
+
+
+# triangles whose labels share a factor, which the bounded search and the
+# obstruction test refuse: over QQ[x,y] x divides x*y, over ZZ[x] also
+REFUSED_TRIANGLES = {
+    "qq": ("rat", ["x", "y"], ["x*y", "x", "y + 1"]),
+    "zx": ("int", ["x"], ["x*(x + 1)", "x", "3"]),
+}
+
+
+def refusal_calls(directory: Path) -> list:
+    """The argv of ``search`` and ``obstruct`` on the QQ[x,y] triangle of
+    REFUSED_TRIANGLES and of ``obstruct`` on the ZZ[x] one, written to
+    ``directory``; each call exits 2 with its refusal."""
+    paths = {}
+    for name, (coefficients, variables, labels) in REFUSED_TRIANGLES.items():
+        ring = {"kind": "poly", "coefficients": coefficients, "variables": variables}
+        paths[name] = write_graph(directory, f"refused-{name}", ring, labels)
+    return [["search", paths["qq"], "--factors", "x;x;y;y + 1", "--degree", "2"],
+            ["obstruct", paths["qq"]], ["obstruct", paths["zx"]]]
 
 
 # the bundled graphs over QQ of forced_degree_calls, with factors and forced degree
@@ -826,6 +847,7 @@ def main(argv=None) -> int:
         calls += entry_calls(ROOT / "graphs", Path(scratch))
         calls += obstruct_calls(ROOT / "graphs", Path(scratch))
         calls += forced_degree_calls(ROOT / "graphs", Path(scratch))
+        calls += refusal_calls(Path(scratch))
         calls += workload_calls(args.base, args.workload, args.seed, Path(scratch))
         calls = both_modes(calls)
         differences = compare(args.base, args.change, calls)

@@ -60,9 +60,9 @@ RAT = "rat"
 # reach its guard bit: below 2**(_MIN_WIDTH - 1) that never happens, and a
 # label like x^1000000 simply lives at a wider field. A result whose degree
 # drops keeps its width, so two equal polynomials can be stored at different
-# widths: __eq__ compares them at the wider one, and __hash__ hashes a
-# constant as its value and any other polynomial by its numerators repacked
-# at the width its total degree alone calls for.
+# widths: __eq__ and __hash__ both read _key, which is a constant's value
+# and, for any other polynomial, its numerators repacked at the width its
+# total degree alone calls for.
 #
 # ``terms`` unpacks the whole map and builds every Fraction, so no code in
 # the package reads it (tests/test_source.py checks this); the linear
@@ -104,11 +104,12 @@ class Polynomial:
     """Immutable sparse polynomial.
 
     The zero polynomial has no terms; no zero coefficient is ever stored.
-    Instances compare equal iff they have the same variables, the same
-    coefficient kind, and the same coefficients on the same monomials. A
-    constant polynomial also equals an ``int`` or ``Fraction`` (not a
-    ``bool``) of the same value, over either coefficient kind, and hashes as
-    that number.
+    A constant polynomial equals, and hashes as, its value: every constant,
+    ``int`` or ``Fraction`` (not a ``bool``) of that value, over any
+    variables and either coefficient kind. Other instances compare equal
+    iff they have the same variables, the same coefficient kind, and the
+    same coefficients on the same monomials. So ``==`` is an equivalence
+    relation and equal instances hash alike.
     """
 
     __slots__ = ("variables", "coeff_kind", "_packed", "_den", "_width")
@@ -305,28 +306,24 @@ class Polynomial:
             exponent >>= 1
         return result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-                return self.is_constant() and self.constant_term() == other
-            return NotImplemented
-        if (
-            self.variables != other.variables
-            or self.coeff_kind != other.coeff_kind
-            or self._den != other._den
-        ):
-            return False
-        if self._width == other._width:
-            return self._packed == other._packed
-        width = max(self._width, other._width)
-        return _repacked(self, width) == _repacked(other, width)
-
-    def __hash__(self):
-        if self.is_constant():  # equal to its value, so hashed as that number
-            return hash(self.constant_term())
+    def _key(self):
+        """What ``==`` compares and ``hash`` hashes: a constant's value, or the
+        ring, denominator and numerators at the width the total degree calls for."""
+        if self.is_constant():
+            return self.constant_term()
         # equal polynomials have one total degree, so they share this width
         packed = _repacked(self, _width_for(self.total_degree()))
-        return hash((self.variables, self.coeff_kind, self._den, frozenset(packed.items())))
+        return (self.variables, self.coeff_kind, self._den, frozenset(packed.items()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Polynomial):
+            return self._key() == other._key()
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self._key() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- evaluation --------------------------------------------------------
 
@@ -943,17 +940,8 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial |
 # lc(g); so the gcd of x^20000 + 1 and 2*x^10000 + 1 takes four division
 # steps, and no power of lc(g) grows with the degree gap.
 #
-# The gcd comes with its cofactors a/g and b/g (gcd_cofactors), which is
-# what an lcm needs. GCDHEU already holds them: the quotients of its two
-# trial divisions, scaled by the inputs' contents over the gcd's and by the
-# normalizing sign, or, when the gcd is a constant c, the inputs' quotients
-# by c, which are the inputs themselves when c = 1. Only the fallback has to
-# divide for them, once per input. _heu_gcd is one recursive function that
-# returns (g, a/g, b/g) at every level: a level reads only the gcd of its
-# images, and the cofactors that every level builds cost at most one scaling
-# pass each, none when the contents and the sign are 1. poly_lcm reads only
-# b/g of the numerators' integer gcd, so over RAT it builds no rational
-# cofactor.
+# The gcd functions return the gcd alone; a cofactor is one exact division
+# where it is read (poly_lcm divides b's numerators, gcd_cofactors both inputs).
 #
 # The same evaluation and interpolation pair (_evaluate_last,
 # _interpolate_last; they read and build the packed maps, where the last
@@ -985,49 +973,29 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     a._check_compatible(b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    g = _gcd_int(_integer_scaled(a), _integer_scaled(b))[0]
+    g = _gcd_int(_integer_scaled(a), _integer_scaled(b))
     return _make(a.variables, a.coeff_kind, g._packed, 1, g._width).normalized()
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     """Normalized least common multiple of nonzero polynomials.
 
-    The integer numerators of ``a`` times the cofactor ``b/g`` that the gcd
-    ``g`` of the numerators comes with, normalized once: over RAT that
-    product is an associate of the lcm, so no rational gcd or cofactor is
-    built.
+    The integer numerators of ``a`` times those of ``b`` divided exactly by
+    the numerators' gcd, normalized once: over RAT that product is an
+    associate of the lcm, so no rational gcd or cofactor is built.
     """
     a._check_compatible(b)
     if a.is_zero() or b.is_zero():
         raise ValueError("lcm requires nonzero arguments")
-    numerators = _integer_scaled(a)
-    product = numerators * _gcd_int(numerators, _integer_scaled(b))[2]
+    numerators_a, numerators_b = _integer_scaled(a), _integer_scaled(b)
+    product = numerators_a * exact_divide(numerators_b, _gcd_int(numerators_a, numerators_b))
     return _make(a.variables, a.coeff_kind, product._packed, 1, product._width).normalized()
 
 
 def gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """``(g, a/g, b/g)`` with ``g = poly_gcd(a, b)``.
-
-    The cofactors are the quotients the gcd computation already holds: the
-    heuristic's two trial divisions, or the inputs themselves divided by an
-    integer when the gcd is a constant, so no further division is made.
-    """
-    a._check_compatible(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.coeff_kind == INT:
-        return _gcd_int(a, b)
-    g, cofactor_a, cofactor_b = _gcd_int(_integer_scaled(a), _integer_scaled(b))
-    # with N the numerators of a over its denominator d and G the integer gcd
-    # with leading coefficient lead, a / (G/lead) = (N/G) * lead / d
-    lead = g._packed[max(g._packed)]
-    return (
-        _make(a.variables, RAT, g._packed, 1, g._width).normalized(),
-        _make(a.variables, RAT, _ground_product(cofactor_a, lead)._packed, a._den,
-              cofactor_a._width),
-        _make(a.variables, RAT, _ground_product(cofactor_b, lead)._packed, b._den,
-              cofactor_b._width),
-    )
+    """``(g, a/g, b/g)`` with ``g = poly_gcd(a, b)``, each cofactor one exact division."""
+    g = poly_gcd(a, b)
+    return g, exact_divide(a, g), exact_divide(b, g)
 
 
 def _integer_scaled(p: Polynomial) -> Polynomial:
@@ -1047,24 +1015,14 @@ def _int_content(p: Polynomial) -> int:
     return g
 
 
-def _sign(p: Polynomial) -> int:
-    """The sign of the leading coefficient of a nonzero polynomial."""
-    return -1 if p._packed[max(p._packed)] < 0 else 1
-
-
-def _gcd_int(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """``(g, a/g, b/g)`` for INT polynomials not both zero, ``g`` normalized."""
+def _gcd_int(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The normalized gcd of INT polynomials not both zero."""
     if a.is_zero():
-        return b.normalized(), a, Polynomial.constant(_sign(b), b.variables, INT)
+        return b.normalized()
     if b.is_zero():
-        return a.normalized(), Polynomial.constant(_sign(a), a.variables, INT), b
+        return a.normalized()
     if a.is_constant() or b.is_constant():
-        content = math.gcd(_int_content(a), _int_content(b))
-        return (
-            Polynomial.constant(content, a.variables, INT),
-            _ground_quotient(a, content),
-            _ground_quotient(b, content),
-        )
+        return Polynomial.constant(math.gcd(_int_content(a), _int_content(b)), a.variables, INT)
     heuristic = _heu_gcd(a, b)
     if heuristic is not None:
         return heuristic
@@ -1072,26 +1030,23 @@ def _gcd_int(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Poly
     sub_vars = a.variables[:-1]
     content_a, prim_a = _primitive(_split_last(a), sub_vars)
     content_b, prim_b = _primitive(_split_last(b), sub_vars)
-    content = _gcd_int(content_a, content_b)[0]
+    content = _gcd_int(content_a, content_b)
     prim_gcd = _primitive_prs_gcd(prim_a, prim_b, sub_vars)
     scaled = {d: c * content for d, c in prim_gcd.items()}
     g = _join_last(a.variables, scaled).normalized()
-    cofactor_a, cofactor_b = exact_divide(a, g), exact_divide(b, g)
-    if cofactor_a is None or cofactor_b is None:
+    if exact_divide(a, g) is None or exact_divide(b, g) is None:
         raise ArithmeticError("the primitive remainder sequence gcd does not divide its inputs")
-    return g, cofactor_a, cofactor_b
+    return g
 
 
-def _heu_gcd(a: Polynomial, b: Polynomial):
-    """``(g, a/g, b/g)`` by GCDHEU, ``g`` normalized, or None if the heuristic
-    gives up. ``a`` and ``b`` are nonzero INT polynomials in at least one
-    variable; the gcd of their images, in one variable fewer, comes from a
-    call of this function unless the images are integers.
+def _heu_gcd(a: Polynomial, b: Polynomial) -> Polynomial | None:
+    """The normalized gcd by GCDHEU, or None if the heuristic gives up.
 
-    A constant gcd divides every coefficient, so its cofactors are the
-    inputs divided by it. Otherwise they are the quotients of the inputs'
-    primitive parts by the candidate, from the trial divisions, scaled by
-    the inputs' contents over the gcd's and by the normalizing sign.
+    ``a`` and ``b`` are nonzero INT polynomials in at least one variable;
+    the gcd of their images, in one variable fewer, comes from a call of
+    this function unless the images are integers. The gcd is the gcd of the
+    inputs' contents times the primitive candidate, once both trial
+    divisions prove that it divides the inputs' primitive parts.
     """
     content_a, content_b = _int_content(a), _int_content(b)
     content = math.gcd(content_a, content_b)
@@ -1113,23 +1068,15 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
                 image_gcd = _make((), INT, {0: math.gcd(image_a._packed[0], image_b._packed[0])},
                                   1, _MIN_WIDTH)
             else:
-                found = _heu_gcd(image_a, image_b)
-                if found is None:
+                image_gcd = _heu_gcd(image_a, image_b)
+                if image_gcd is None:
                     return None
-                image_gcd = found[0]
             candidate = _interpolate_last(image_gcd, bits, a.variables)
             if candidate.is_constant():  # its primitive part is +-1
-                return (Polynomial.constant(content, a.variables, INT),
-                        _ground_quotient(a, content), _ground_quotient(b, content))
+                return Polynomial.constant(content, a.variables, INT)
             candidate = _ground_quotient(candidate, _int_content(candidate))
-            quotient_a = exact_divide(prim_a, candidate)
-            if quotient_a is not None:
-                quotient_b = exact_divide(prim_b, candidate)
-                if quotient_b is not None:
-                    sign = _sign(candidate)
-                    return (_ground_product(candidate, sign * content),
-                            _ground_product(quotient_a, sign * (content_a // content)),
-                            _ground_product(quotient_b, sign * (content_b // content)))
+            if all(exact_divide(p, candidate) is not None for p in (prim_a, prim_b)):
+                return _ground_product(candidate.normalized(), content)
         bits += bits // 4 + 1
     return None
 
@@ -1307,10 +1254,9 @@ def _join_last(variables, univariate: dict[int, Polynomial]) -> Polynomial:
 
 def _coef_content(univariate: dict[int, Polynomial], sub_vars) -> Polynomial:
     content = Polynomial.zero(sub_vars, INT)
-    one = Polynomial.constant(1, sub_vars, INT)
     for degree in sorted(univariate):
-        content = _gcd_int(content, univariate[degree])[0]
-        if content == one:
+        content = _gcd_int(content, univariate[degree])
+        if content.is_unit():  # normalized, so 1
             break
     return content
 

@@ -10,8 +10,8 @@ once, as ``check`` and a zero test before the unchecked ``_lcm``; and
 ``to_text`` once, as ``check`` before the unchecked ``_text``, which prints
 numbers. Each subclass holds only what differs between rings: the element
 ``check``, ``from_int``, the exact quotient, the lcm (``math.lcm`` over ZZ,
-1 over QQ, and over polynomials ``poly_lcm``, taken from the cofactor the
-numerators' integer gcd returns), gcd, the unit test, canonical unit
+1 over QQ, and over polynomials ``poly_lcm``: ``a``'s numerators times
+``b``'s divided exactly by their integer gcd), gcd, the unit test, canonical unit
 normalization and parsing; :class:`PolynomialRing` also its own ``_text``,
 document and equality. All operations are exact and pure.
 
@@ -300,9 +300,8 @@ class PolynomialRing(Ring):
         return polynomials.poly_gcd(self.check(a), self.check(b))
 
     def _lcm(self, a, b):
-        """``poly_lcm``: the numerators of ``a`` times the cofactor that their
-        integer gcd with ``b``'s comes with, normalized once, so no division
-        is made here."""
+        """``poly_lcm``: the numerators of ``a`` times those of ``b`` divided
+        exactly by the numerators' integer gcd, normalized once."""
         return polynomials.poly_lcm(a, b)
 
     def normalize(self, a):

@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import Provenance, SplineMatrix, check_basis, compute_q
+from .basis import SplineMatrix, check_basis, compute_q
 from .errors import GraphError, RingMismatchError
 from .graphs import LabeledGraph
 from .polynomials import RAT, Polynomial, pack_exponents, packed_numerators
@@ -283,9 +283,9 @@ def flow_up_search_bounded(
         for i in range(graph.n)
     ]
     forced = max(term.total_degree() for term in leading)
-    q = compute_q(graph)
-    if q.provenance is not Provenance.COPRIME_PRODUCT:
+    if not graph.pairwise_coprime_labels():
         raise ValueError("the bounded search requires pairwise coprime edge labels")
+    q = compute_q(graph)
     factors = []
     for factor in q_factors:
         factor = ring.check(factor)
@@ -396,9 +396,9 @@ def _zz_lattice_basis(graph: LabeledGraph, labels) -> SplineMatrix | None:
     _MAX_LATTICE_DEGREE, raises ``GraphError`` with code UNDECIDABLE.
     """
     ring = graph.ring
-    invariant = compute_q(graph)
-    if invariant.provenance is not Provenance.COPRIME_PRODUCT:
+    if not graph.pairwise_coprime_labels():
         raise ValueError("the obstruction test needs pairwise coprime labels")
+    invariant = compute_q(graph)
     a, b, c = labels
     monic = [(m, other) for m, other in ((b, c), (c, b)) if m.leading_coefficient() in (1, -1)]
     if len(ring.variables) != 1 or not monic:

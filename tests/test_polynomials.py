@@ -47,6 +47,24 @@ def polynomials(draw, kind=RAT, max_degree=3, max_terms=4):
     return Polynomial(VARS, kind, terms)
 
 
+@st.composite
+def mixed_values(draw):
+    """An int, a Fraction, or a constant or ``c + x`` over ZZ[x], ZZ[y] or
+    QQ[x], stored at the least field width or at a wider one."""
+    value = draw(st.sampled_from([0, 1, Fraction(1, 2)]))
+    shape = draw(st.sampled_from(["int", "fraction", "constant", "linear"]))
+    if shape in ("int", "fraction"):
+        return Fraction(value) if shape == "fraction" else math.floor(value)
+    kind, names = draw(st.sampled_from([(INT, ("x",)), (INT, ("y",)), (RAT, ("x",))]))
+    x = Polynomial.variable(names[0], names, kind)
+    p = Polynomial.constant(value if kind == RAT else math.floor(value), names, kind)
+    if shape == "linear":
+        p = p + x
+    if draw(st.booleans()):  # a sum keeps the wider field of x^(2^16)
+        p = (p + x ** (1 << 16)) - x ** (1 << 16)
+    return p
+
+
 nonzero_polynomials = polynomials().filter(bool)
 nonzero_int_polynomials = polynomials(kind=INT).filter(bool)
 
@@ -432,6 +450,25 @@ class TestArithmetic:
             assert a == value and hash(a) == hash(value)
             assert b == value and hash(b) == hash(value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_values(), min_size=3, max_size=6))
+    def test_equality_is_transitive_and_equal_values_hash_alike(self, items):
+        for a, b in itertools.product(items, repeat=2):
+            if a == b:
+                assert b == a and hash(a) == hash(b)
+        for a, b, c in itertools.permutations(items, 3):
+            if a == b and b == c:
+                assert a == c
+        assert len(set(items)) == len(set(reversed(items)))
+
+    def test_a_set_of_constants_of_two_rings_does_not_depend_on_order(self):
+        a = Polynomial.constant(1, ("x",), INT)
+        b = Polynomial.constant(1, ("y",), INT)
+        assert a == b and len({a, 1, b}) == len({1, a, b}) == 1
+        # polynomials that are not constant stay unequal across rings
+        assert Polynomial.variable("x", ("x",), INT) != Polynomial.variable("x", ("x",), RAT)
+        assert Polynomial.variable("x", ("x",), INT) != Polynomial.variable("x", ("x", "y"), INT)
+
     @pytest.mark.parametrize("kind", [INT, RAT])
     def test_normalized_zero_is_zero(self, kind):
         zero = poly("0", kind)
@@ -751,6 +788,30 @@ def _check_cofactors(monkeypatch, path, a, b):
     return g, cofactor_a, cofactor_b
 
 
+# the labels of the fallback cycle of scripts/same_outputs.py: the first two
+# share x^7000 + y, and the images of each pair pass the image budget, so
+# their gcd comes from the primitive remainder sequence
+FALLBACK_CYCLE = ("(x^7000 + y)*(x + y)", "(x^7000 + y)*(x - y)", "x*y + 1")
+SYMPY_CASES = GCD_CASES + [(poly(a, kind), poly(b, kind)) for kind in (INT, RAT)
+                           for a, b in itertools.combinations(FALLBACK_CYCLE, 2)]
+
+
+@functools.cache
+def _sympy_cofactors_and_lcm(a_terms, b_terms, variables, domain):
+    """sympy's gcd h, a/h, b/h and lcm of the sorted term tuples ``a_terms``
+    and ``b_terms`` over ``domain``, each as a map from exponents to
+    coefficients. The last variable leads sympy's dense recursive form, where
+    the sparse x^7000 labels cost least; cached, so the labels of each
+    coefficient kind share one call."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(variables[::-1])
+    a, b = (sympy.Poly.from_dict({e[::-1]: sympy.Rational(c.numerator, c.denominator)
+                                  for e, c in terms}, gens, domain=getattr(sympy, domain))
+            for terms in (a_terms, b_terms))
+    return [{tuple(e[::-1]): int(c.p) if c.q == 1 else Fraction(int(c.p), int(c.q))
+             for e, c in q.terms()} for q in (*a.cofactors(b), a.lcm(b))]
+
+
 SPARSE_GCDS = """
 from graphsplines import INT, parse_polynomial, poly_gcd
 for a, b in [("x^20000 + 1", "2*x^10000 + 1"), ("3*x^30000 + x + 1", "2*x^15000 + 3")]:
@@ -829,9 +890,26 @@ class TestHeuristicGcd:
         for p in _check_cofactors(monkeypatch, path, poly(a, kind), poly(b, kind)):
             assert (p.variables, p.coeff_kind) == (VARS, kind)
 
+    @pytest.mark.parametrize("a, b", SYMPY_CASES)
+    def test_cofactors_and_lcm_match_sympy(self, a, b):
+        pytest.importorskip("sympy")
+        # integer inputs are taken over ZZ, whose gcd and lcm are associates
+        # of those over QQ: sympy's QQ gcd of the two fallback labels that
+        # share a factor takes half a minute
+        terms = [tuple(sorted(p.terms.items())) for p in (a, b)]
+        domain = "ZZ" if all(c.denominator == 1 for t in terms for _, c in t) else "QQ"
+        h, cofactor_a, cofactor_b, lcm = (
+            Polynomial(a.variables, a.coeff_kind, t)
+            for t in _sympy_cofactors_and_lcm(*terms, a.variables, domain))
+        g, ours_a, ours_b = gcd_cofactors(a, b)
+        unit = exact_divide(h, g)  # a = g * (a/g) = h * (a/h)
+        assert unit is not None and unit.is_unit()
+        assert (ours_a, ours_b) == (cofactor_a * unit, cofactor_b * unit)
+        assert poly_lcm(a, b) == lcm.normalized()
+
     def test_a_fallback_gcd_that_does_not_divide_raises(self, monkeypatch):
         # a wrong primitive remainder sequence result is caught by the
-        # cofactor divisions, with an explicit raise that python -O keeps
+        # fallback's trial divisions, with an explicit raise that python -O keeps
         monkeypatch.setattr(module, "_heu_gcd", lambda a, b: None)
         monkeypatch.setattr(module, "_primitive_prs_gcd",
                             lambda f, g, sub_vars: {1: Polynomial.constant(1, sub_vars, INT)})
@@ -927,8 +1005,7 @@ class TestHeuristicGcd:
         x = Polynomial.variable("x", ("x",), INT)
         a, b = x ** 100000 - 1, x ** 75000 - 1
         assert module._heu_gcd(a, b) is None
-        g, _, _ = module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1)
-        assert g == x ** 1500 - 1
+        assert module._heu_gcd(x ** 6000 - 1, x ** 4500 - 1) == x ** 1500 - 1
 
     def test_sparse_labels_past_the_budget_fall_back_in_a_few_steps(self):
         # both pairs pass the image budget; a pseudo-remainder scaled by a

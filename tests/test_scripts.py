@@ -433,6 +433,19 @@ def test_same_outputs_obstruct_calls(tmp_path):
     assert same_outputs.run_calls(ROOT, calls) == results
 
 
+def test_same_outputs_refusal_calls(tmp_path):
+    same_outputs = _script("same_outputs")
+    calls = same_outputs.both_modes(same_outputs.refusal_calls(tmp_path))
+    assert len(calls) == 6
+    results = same_outputs.run_calls(ROOT, calls)
+    # search and obstruct on the QQ[x,y] triangle refuse in the bounded
+    # search, obstruct on the ZZ[x] one in the lattice test
+    search = "error: the bounded search requires pairwise coprime edge labels\n"
+    lattice = "error: the obstruction test needs pairwise coprime labels\n"
+    assert results == [[2, "", search]] * 4 + [[2, "", lattice]] * 2
+    assert same_outputs.run_calls(ROOT, calls) == results
+
+
 def test_same_outputs_forced_degree_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.forced_degree_calls(GRAPHS_DIR, tmp_path)

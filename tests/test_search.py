@@ -19,6 +19,7 @@ from graphsplines import (
     spline_determinant,
     triangle_flow_up_basis,
 )
+import graphsplines.basis as basis_module
 import graphsplines.search as search_module
 import oracles
 from graphsplines.graphs import Edge
@@ -124,6 +125,22 @@ class TestSearch:
         g = LabeledGraph.cycle(qxy, [x * y, y, x + y])
         with pytest.raises(ValueError, match="coprime"):
             flow_up_search_bounded(g, [x, y, y, x + y], 3)
+
+    def test_refuses_shared_factors_before_any_label_lcm(self, monkeypatch):
+        # both refusals read the graph's coprimality scan, so the lcm that
+        # labels sharing a factor would give Q is never built
+        def no_lcm(graph):
+            raise AssertionError("label_lcm reached")
+
+        monkeypatch.setattr(basis_module, "label_lcm", no_lcm)
+        qxy = PolynomialRing("rat", ["x", "y"])
+        x, y = qxy.variable("x"), qxy.variable("y")
+        with pytest.raises(ValueError, match="the bounded search requires pairwise coprime"):
+            flow_up_search_bounded(LabeledGraph.cycle(qxy, [x * y, x, y + 1]), [x, y], 3)
+        zx = PolynomialRing("int", ["x"])
+        x = zx.variable("x")
+        with pytest.raises(ValueError, match="the obstruction test needs pairwise coprime"):
+            triangle_flow_up_basis(LabeledGraph.cycle(zx, [x * (x + 1), x, zx.from_int(3)]))
 
     def test_factor_product_checked(self, qxy):
         g = bundled_graph("xy")
