@@ -568,6 +568,7 @@ COPRIME_TRIANGLES = {
     "divides": ("x^2 - y^2", "x + y"),
     "proportional": ("2*x + 4*y", "3*x + 6*y"),
     "linear": ("x + 1", "2*y - 3"),
+    "signed": ("-x + 2*y + 1", "3*x + y"),
 }
 
 
@@ -581,7 +582,8 @@ def coprime_calls(directory: Path) -> list:
     with its last column times x, and probed with its own Q and with
     ``x*a*b*(a + b)``; the 4-cycle (x, y, x + y, x - y) of linear labels gets
     ``q`` and ``probe`` only. Over each ring some are pairwise coprime and
-    some are not.
+    some are not. The "signed" triangle is coprime over both rings, and its
+    Q, the label product, prints with a negative leading coefficient.
     """
     calls = []
     for coefficients in ("int", "rat"):

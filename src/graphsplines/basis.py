@@ -170,20 +170,19 @@ def label_lcm(graph: LabeledGraph):
     """Normalized lcm of all edge labels; divides every n-subset determinant.
 
     Built from the graph's ``label_scan``, which ``pairwise_coprime_labels``
-    has usually taken already, so no gcd of it is taken again. With pairwise
-    coprime labels the lcm is their normalized product. Otherwise the labels
-    before the first shared factor are pairwise coprime, so with ``P`` their
-    product and ``g`` its gcd with label ``k``, the lcm up to ``k`` is
-    ``P * (label_k / g)``; each later label is folded in with a gcd only if
-    it does not already divide the running lcm.
+    has usually taken already, so no gcd or product of it is taken again.
+    The labels before the scan's stop ``k`` are pairwise coprime, so their
+    lcm is their normalized product ``P``: all of the lcm when ``k`` is the
+    label count, else, with ``g`` the gcd of ``P`` and label ``k``, the lcm
+    up to ``k`` is ``P * (label_k / g)``. Each later label is folded in
+    with a gcd only if it does not already divide the running lcm.
     """
     ring = graph.ring
     labels = graph.labels()
-    scan = graph.label_scan
-    if scan is None:
-        return ring.normalize(ring.product(labels))
-    k, product, common = scan
-    value = ring.normalize(product * ring._exact_quotient(labels[k], common))
+    product, k, common = graph.label_scan
+    if common is not None:
+        product = product * ring._exact_quotient(labels[k], common)
+    value = ring.normalize(product)
     for label in labels[k + 1:]:
         if not ring.divides(label, value):
             value = ring.lcm(value, label)
@@ -193,9 +192,10 @@ def label_lcm(graph: LabeledGraph):
 def compute_q(graph: LabeledGraph) -> QInvariant:
     """Best available Q for the graph's ring, most decisive provenance first.
 
-    Over a polynomial ring the coprimality test and the label lcm read one
-    ``label_scan`` of the graph, so each label's gcd with the product before
-    it is taken once.
+    Over a polynomial ring the coprimality test, the label product and the
+    label lcm read one ``label_scan`` of the graph, so each label's gcd with
+    the product before it is taken once, and the m labels are multiplied
+    together with m - 1 products, once.
     """
     ring = graph.ring
     if ring.kind == "int":
@@ -203,7 +203,7 @@ def compute_q(graph: LabeledGraph) -> QInvariant:
         return QInvariant(graph, basis.determinant, Provenance.PID_DIAGONAL, basis)
     if ring.kind == "poly":
         if graph.pairwise_coprime_labels():
-            return QInvariant(graph, ring.product(graph.labels()), Provenance.COPRIME_PRODUCT)
+            return QInvariant(graph, graph.label_scan[0], Provenance.COPRIME_PRODUCT)
         return QInvariant(graph, label_lcm(graph), Provenance.LCM_LOWER_BOUND)
     raise ValueError(f"no Q invariant for ring {ring.description}")
 

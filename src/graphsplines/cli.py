@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> LabeledGraph:
     with open(args.graph, encoding="utf-8") as handle:
         graph = load_graph(handle.read())
-    if args.vertex_order:
+    if args.vertex_order is not None:
         names = [name.strip() for name in args.vertex_order.split(",")]
         graph = graph.reorder(names)
     return graph

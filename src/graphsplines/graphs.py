@@ -61,7 +61,9 @@ class LabeledGraph:
         checked = []
         for index, edge in enumerate(edges):
             u, v = edge.u, edge.v
-            if not (0 <= u < n and 0 <= v < n):
+            # exactly int: a bool is an int, and a float compares with ints but
+            # indexes nothing
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise GraphError("UNKNOWN_VERTEX", f"edge {index + 1} has a bad endpoint")
             if u == v:
                 raise GraphError(
@@ -97,15 +99,18 @@ class LabeledGraph:
 
     @functools.cached_property
     def label_scan(self):
-        """The first label that shares a factor with the labels before it.
+        """``(product, k, common)``: the label product up to the first shared factor.
 
-        ``None`` when the labels are pairwise coprime, else ``(k, P, g)``: the
-        index ``k`` of the first label whose gcd ``g`` with the product ``P``
-        of the labels before it is not a unit. The label rings are UFDs,
-        where a prime dividing a product divides a factor, so one gcd per
-        label, with the product before it, decides. Computed on first read
-        and kept, since a graph does not change after it is built:
-        ``pairwise_coprime_labels`` and ``basis.label_lcm`` both read it.
+        ``k`` is the index of the first label whose gcd ``common`` with the
+        product of the labels before it is not a unit, and ``product`` is
+        that product. With pairwise coprime labels ``k`` is the label count,
+        ``common`` is ``None`` and ``product`` is the product of all the
+        labels (``ring.one`` for none). The label rings are UFDs, where a
+        prime dividing a product divides a factor, so one gcd per label,
+        with the product before it, decides. Computed on first read and
+        kept, since a graph does not change after it is built:
+        ``pairwise_coprime_labels``, ``basis.compute_q`` and
+        ``basis.label_lcm`` all read it.
         """
         ring = self.ring
         labels = self.labels()
@@ -113,18 +118,18 @@ class LabeledGraph:
         for k in range(1, len(labels)):
             common = ring.gcd(product, labels[k])
             if not ring.is_unit(common):
-                return k, product, common
-            if k + 1 < len(labels):  # no gcd reads the product with the last label
-                product = product * labels[k]
-        return None
+                return product, k, common
+            product = product * labels[k]
+        return product, len(labels), None
 
     def pairwise_coprime_labels(self) -> bool:
         """True iff every pair of edge labels has a unit gcd.
 
         Read from ``label_scan``, so the gcds are taken once per graph, on
-        the first call, and ``basis.label_lcm`` reuses the scan.
+        the first call, and ``basis.compute_q`` and ``basis.label_lcm``
+        reuse the scan and its product.
         """
-        return self.label_scan is None
+        return self.label_scan[2] is None
 
     def describe(self) -> str:
         return f"{self.n} vertices, {len(self.edges)} edges over {self.ring.description}"

@@ -121,8 +121,9 @@ class Polynomial:
         clean: dict[tuple[int, ...], int | Fraction] = {}
         for exponents, coefficient in terms.items():
             exponents = tuple(exponents)
+            # the type before the sign, exactly int: a bool is an int
             if len(exponents) != nvars or any(
-                e < 0 or not isinstance(e, int) for e in exponents
+                type(e) is not int or e < 0 for e in exponents
             ):
                 raise ValueError(f"bad exponent vector {exponents!r}")
             coefficient = _coerce_coefficient(coefficient, coeff_kind)

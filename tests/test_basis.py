@@ -443,15 +443,18 @@ class TestLabelLcm:
     @pytest.mark.parametrize("graph, stop", [case[1:] for case in LCM_CASES],
                              ids=[case[0] for case in LCM_CASES])
     def test_matches_the_folded_lcm(self, graph, stop):
-        scan = graph.label_scan
-        assert (scan is None) is pairwise_coprime_by_pairs(graph)
+        ring, labels = graph.ring, graph.labels()
+        product, k, common = graph.label_scan
+        assert (common is None) is pairwise_coprime_by_pairs(graph)
         if stop is not None:
-            assert scan[0] == stop
-        if scan is not None:  # the first label that shares a factor with one before it
-            ring, labels = graph.ring, graph.labels()
-            k = scan[0]
+            assert k == stop
+        if common is None:
+            assert k == len(labels)
+        else:  # the first label that shares a factor with one before it
             assert not pairwise_coprime_by_pairs(LabeledGraph.path(ring, labels[:k + 1]))
             assert pairwise_coprime_by_pairs(LabeledGraph.path(ring, labels[:k]))
+            assert common == ring.gcd(product, labels[k])
+        assert product == ring.product(labels[:k])  # the labels before the stop
         value = label_lcm(graph)
         expected = folded_label_lcm(graph)
         assert value == expected and str(value) == str(expected)
@@ -478,7 +481,7 @@ class TestLabelLcm:
 
     def test_one_vertex_graph_has_the_unit_lcm(self, qxy):
         graph = LabeledGraph(qxy, ["v"], [])
-        assert graph.label_scan is None
+        assert graph.label_scan == (qxy.one, 0, None)
         assert label_lcm(graph) == qxy.one
 
     def test_cycle_of_pairs_takes_two_heuristic_gcds(self, monkeypatch):

@@ -862,8 +862,10 @@ class TestErrors:
         assert code == 2
 
     def test_bad_vertex_order(self, capsys):
-        code, _, err = run(capsys, "q", FIG2, "--vertex-order", "v1,v2")
-        assert code == 2
+        for order in ("v1,v2", "", " "):  # an empty order is refused, not ignored
+            code, _, err = run(capsys, "q", FIG2, "--vertex-order", order)
+            assert code == 2, repr(order)
+            assert "BAD_DOCUMENT: vertex order must be a permutation" in err
 
     def test_json_number_label(self, capsys, tmp_path):
         document = json.loads((GRAPHS_DIR / "fig2.json").read_text())

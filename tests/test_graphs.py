@@ -13,6 +13,8 @@ from graphsplines import (
     LabeledGraph,
     Polynomial,
     PolynomialRing,
+    Provenance,
+    compute_q,
     is_connected,
     load_graph,
 )
@@ -241,6 +243,9 @@ class TestLoading:
         (["a", "a"], Edge(0, 1, 2), "DUPLICATE_VERTEX"),
         (["a", "b"], Edge(0, 2, 2), "UNKNOWN_VERTEX"),
         (["a", "b"], Edge(-1, 1, 2), "UNKNOWN_VERTEX"),
+        # an endpoint is an int: a float indexes nothing, and a bool is refused
+        (["a", "b"], Edge(0, 1.0, 3), "UNKNOWN_VERTEX"),
+        (["a", "b"], Edge(True, 0, 3), "UNKNOWN_VERTEX"),
     ])
     def test_direct_construction_checks_the_vertices(self, vertices, edge, code):
         with pytest.raises(GraphError) as err:
@@ -348,13 +353,12 @@ class TestQueries:
         assert seen == {True, False}
 
     @pytest.mark.parametrize("coefficients", ["int", "rat"])
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_pairwise_coprime_takes_no_product_with_the_last_label(
-        self, monkeypatch, coefficients, k
-    ):
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_coprime_q_multiplies_the_labels_once(self, monkeypatch, coefficients, m):
         ring = PolynomialRing(coefficients, ["x", "y"])
-        texts = ["x", "y", "x + y + 1", "x^2 + y^2 + 3", "x*y - 2"][:k]
-        graph = LabeledGraph.path(ring, [ring.element_from_text(t) for t in texts])
+        texts = ["x", "y", "x + y + 1", "x^2 + y^2 + 3", "x*y - 2"][:m]
+        labels = [ring.element_from_text(t) for t in texts]
+        graph = LabeledGraph.path(ring, labels)
         products = []
         multiply = Polynomial.__mul__
 
@@ -363,8 +367,12 @@ class TestQueries:
             return multiply(a, b)
 
         monkeypatch.setattr(Polynomial, "__mul__", counting)
-        assert graph.pairwise_coprime_labels() is True
-        assert len(products) == k - 2
+        q = compute_q(graph)
+        assert len(products) == m - 1  # the scan's products, which Q reads
+        monkeypatch.undo()
+        expected = ring.product(labels)
+        assert q.provenance is Provenance.COPRIME_PRODUCT
+        assert q.value == expected and str(q.value) == str(expected)
 
     @pytest.mark.parametrize("texts", [
         ["x", "y", "x + y + 1"],

@@ -1371,6 +1371,9 @@ class TestPackedStorage:
             (RAT, {(0, 0): 0.5}, RingMismatchError, "not a rational coefficient"),
             (RAT, {(0, 0): True}, RingMismatchError, "bool is not a valid coefficient"),
             ("real", {(0, 0): 1}, ValueError, "unknown coefficient kind"),
+            # an exponent's type is tested before its sign, and a bool is refused
+            (INT, {("1", 0): 1}, ValueError, "bad exponent vector"),
+            (RAT, {(0, True): 1}, ValueError, "bad exponent vector"),
         ],
     )
     def test_constructor_still_validates(self, kind, terms, error, message):

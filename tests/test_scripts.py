@@ -317,12 +317,12 @@ def test_same_outputs_lattice_calls(tmp_path):
 def test_same_outputs_coprime_calls(tmp_path):
     same_outputs = _script("same_outputs")
     calls = same_outputs.both_modes(same_outputs.coprime_calls(tmp_path))
-    assert len(calls) == 108
+    assert len(calls) == 128
     results = same_outputs.run_calls(ROOT, calls)
     reports = [json.loads(out) for _, out, _ in results[::2]]
     # the triangles in COPRIME_TRIANGLES order, then the 4-cycle, over ZZ then QQ
-    coprime = {"int": [False, True, False, False, True, True],
-               "rat": [True, True, False, False, True, True]}
+    coprime = {"int": [False, True, False, False, True, True, True],
+               "rat": [True, True, False, False, True, True, True]}
     expected = []
     for coefficients in ("int", "rat"):
         for is_coprime in coprime[coefficients][:-1]:
@@ -338,6 +338,9 @@ def test_same_outputs_coprime_calls(tmp_path):
         "coprime-product" if is_coprime else "lcm-lower-bound"
         for coefficients in ("int", "rat") for is_coprime in coprime[coefficients]
     ]
+    # the "signed" triangle's Q is the label product, not normalized, over both rings
+    qs = [report["q"] for report in reports if report["command"] == "q"]
+    assert qs[5].startswith("-6*x^3 + x^2*y") and qs[12] == qs[5]
     assert [code for code, _, _ in results[::2]] == [
         {"yes": 0, "UNDECIDED": 0, "no": 1}[verdict] for verdict in expected
     ]
